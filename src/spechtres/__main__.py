@@ -1,0 +1,8 @@
+"""Command-line entry point: ``python -m spechtres ...``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

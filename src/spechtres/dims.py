@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import CyclotomicElem, LaurentInt, cyclotomic_eval, quantum_integer, zeta_quantum
+from .rings import CyclotomicElem, LaurentInt, cyclotomic_eval, quantum_integer, read_only, zeta_quantum
 
 __all__ = [
     "binom",
@@ -192,11 +192,14 @@ class IntPolynomial:
 #
 # Only three families of relations are given for the generators; general
 # products come from the structure matrices built once per p through the
-# recursion label(j+1) = label(2) * label(j) - label(j-1).
+# recursion label(j+1) = label(2) * label(j) - label(j-1).  Multiplicities
+# grow exponentially with the genus, so products run in Python integers.
 
 
 @lru_cache(maxsize=None)
 def _structure_matrices(p: int) -> tuple[np.ndarray, ...]:
+    """mats[j][l, k] is the multiplicity of label l+1 in label(j+1) *
+    label(k+1).  Read-only."""
     d = p - 1
     mats = [np.zeros((d, d), dtype=np.int64) for _ in range(d)]
     mats[0] = np.eye(d, dtype=np.int64)
@@ -213,7 +216,18 @@ def _structure_matrices(p: int) -> tuple[np.ndarray, ...]:
         mats[1] = m2
         for j in range(3, d + 1):
             mats[j - 1] = m2 @ mats[j - 2] - mats[j - 3]
-    return tuple(mats)
+    return tuple(read_only(m) for m in mats)
+
+
+@lru_cache(maxsize=None)
+def _structure_constants(p: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """table[j][k]: the nonzero (l, multiplicity) pairs of label(j+1) *
+    label(k+1), as Python integers."""
+    mats = _structure_matrices(p)
+    return tuple(
+        tuple(tuple((l, int(m[l, k])) for l in np.flatnonzero(m[:, k])) for k in range(p - 1))
+        for m in mats
+    )
 
 
 class FusionElement:
@@ -250,8 +264,13 @@ class FusionElement:
         if g < 0:
             raise ValueError("negative fusion powers undefined")
         result = fusion_unit(self.p)
-        for _ in range(g):
-            result = result * self
+        base = self
+        while g:
+            if g & 1:
+                result = result * base
+            g >>= 1
+            if g:
+                base = base * base
         return result
 
     def _check(self, other):
@@ -282,13 +301,15 @@ def fusion_label(p: int, k: int) -> FusionElement:
 def fusion_multiply(a: FusionElement, b: FusionElement) -> FusionElement:
     if a.p != b.p:
         raise ValueError("mixed fusion rings")
-    mats = _structure_matrices(a.p)
-    va = np.asarray(a.mults, dtype=np.int64)
-    vb = np.asarray(b.mults, dtype=np.int64)
-    acting = sum(int(m) * mats[j] for j, m in enumerate(va) if m)
-    if isinstance(acting, int):
-        return FusionElement(a.p, (0,) * (a.p - 1))
-    return FusionElement(a.p, tuple(int(x) for x in acting @ vb))
+    table = _structure_constants(a.p)
+    out = [0] * (a.p - 1)
+    for j, x in enumerate(a.mults):
+        if x:
+            for k, y in enumerate(b.mults):
+                if y:
+                    for l, m in table[j][k]:
+                        out[l] += x * y * m
+    return FusionElement(a.p, out)
 
 
 def genus_element(p: int) -> FusionElement:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import FpScalar, fp_kernel_basis, fp_matmul, fp_rref
+from .rings import FpScalar, fp_matmul, fp_rref, kernel_from_rref
 from .specht import (
     Diagram2,
     basis_matrix,
@@ -234,17 +234,11 @@ class SimpleQuotient:
 
 @lru_cache(maxsize=None)
 def simple_quotient(p: int, tau: Diagram2) -> SimpleQuotient:
-    gram = gram_of_diagram(tau) % p
-    kernel = fp_kernel_basis(gram, p)
-    _, pivots = fp_rref(gram, p)
-    d = gram.shape[0]
+    rref, pivots = fp_rref(gram_of_diagram(tau), p)
+    radical = kernel_from_rref(rref, pivots, p)
+    d = rref.shape[0]
     free = tuple(sorted(set(range(d)) - set(pivots)))
-    radical = (
-        np.stack(kernel, axis=1)
-        if kernel
-        else np.zeros((d, 0), dtype=np.int64)
-    )
-    q = SimpleQuotient(p, tau, radical, free, tuple(pivots), d - len(kernel))
+    q = SimpleQuotient(p, tau, radical, free, tuple(pivots), d - radical.shape[1])
     if q.quotient_dim <= 0 and d > 0:
         raise AssertionError("two-row simple quotients are never zero for odd p")
     return q

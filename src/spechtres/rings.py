@@ -4,9 +4,13 @@ Prime-field scalars and matrices, integer Laurent polynomials, cyclotomic
 quotients Z[z]/(1 + z + ... + z^(p-1)) with optional mod-p coefficients,
 balanced quantum integers, and deterministic Gaussian elimination.
 
-Everything here is exact.  Python integers cannot overflow; numpy int64 is
-used only where intermediate values are provably below 2**63 (the matmul
-helper chunks its accumulation to guarantee that).
+Everything here is exact.  Python integers cannot overflow.  Matrices over
+F_p are int64 arrays of residues in [0, p).  Products run in float64
+through BLAS: every partial sum is an integer below 2**53, which float64
+represents exactly, so summation order cannot change a result (the
+delayed-reduction technique of FFLAS-FFPACK).  int64 products remain only
+where that bound would leave too small a chunk of the inner dimension,
+and there every partial sum is kept below 2**63.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,10 +27,12 @@ __all__ = [
     "FpScalar",
     "FpMatrix",
     "fp_matmul",
+    "int_gram",
     "fp_rref",
     "fp_rank_kernel_image",
     "fp_solve",
     "fp_inverse",
+    "fp_unitriangular_inverse",
     "frac_solve",
     "int_det",
     "LaurentInt",
@@ -39,6 +46,13 @@ __all__ = [
 # Any integer result with known absolute value < AUX_PRIME // 2 is recovered
 # exactly from its symmetric residue.
 AUX_PRIME = 67108859
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array read-only and return it.  Cached arrays are marked so
+    that no caller can change what every later caller of the cache reads."""
+    a.setflags(write=False)
+    return a
 
 
 def is_prime(n: int) -> bool:
@@ -170,25 +184,81 @@ class FpMatrix:
         return f"FpMatrix(p={self.p}, shape={self.a.shape})"
 
 
+# Integers up to 2**53 are exact in float64.
+_FLOAT_EXACT = 2**53
+
+# Below this many inner-dimension terms per reduction the float64 route
+# would reduce the accumulator too often to pay; int64 takes over.
+_MIN_FLOAT_CHUNK = 128
+
+
+@lru_cache(maxsize=None)
+def _product_chunk(p: int) -> tuple[int, bool]:
+    """Inner-dimension terms per exact chunk of a product mod p, and
+    whether the chunk runs in float64."""
+    chunk = (_FLOAT_EXACT - p) // ((p - 1) * (p - 1))
+    if chunk >= _MIN_FLOAT_CHUNK:
+        assert chunk * (p - 1) ** 2 + p - 1 < _FLOAT_EXACT
+        return chunk, True
+    chunk = (2**62) // ((p - 1) * (p - 1))
+    if chunk == 0:
+        raise ValueError(f"modulus {p} too large for exact int64 products")
+    return chunk, False
+
+
 def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p.  Chunks the inner dimension so that int64
-    accumulation cannot overflow even for a large auxiliary modulus."""
+    """Exact a @ b mod p as an int64 array of residues.
+
+    The operands are reduced mod p, cast to float64 and multiplied by BLAS
+    in chunks of the inner dimension small enough that chunk * (p-1)**2 +
+    p - 1 < 2**53: every partial sum, the reduced accumulator of the
+    previous chunks included, is then an integer that float64 holds
+    exactly, so BLAS summation order cannot change the result.  Only when
+    that bound leaves fewer than _MIN_FLOAT_CHUNK terms per chunk (p above
+    about 8 * 10**6, such as AUX_PRIME) does the product run in int64,
+    chunked so that its partial sums stay below 2**63; a modulus too large
+    for that is refused.
+    """
+    chunk, in_float = _product_chunk(p)
     a = a % p
     b = b % p
-    inner = a.shape[-1]
-    safe = max(1, (2**62) // max(1, (p - 1) * (p - 1)))
-    if inner <= safe:
-        return (a @ b) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, inner, safe):
-        acc = (acc + a[:, lo : lo + safe] @ b[lo : lo + safe]) % p
-    return acc
+    if in_float:
+        a = a.astype(np.float64)
+        b = b.astype(np.float64)
+    acc = a[..., :chunk] @ b[:chunk]
+    for lo in range(chunk, a.shape[-1], chunk):
+        acc = acc % p + a[..., lo : lo + chunk] @ b[lo : lo + chunk]
+    del a, b  # free the reduced operand copies before the result is made
+    out = acc.astype(np.int64, copy=False)
+    out %= p
+    return out
+
+
+def int_gram(m: np.ndarray) -> np.ndarray:
+    """Exact integer Gram matrix m.T @ m of an integer matrix.
+
+    Every partial sum is bounded by rows * max|entry|**2.  Below 2**53 the
+    product runs in float64 through BLAS, which always holds for the 0/+-1
+    polytabloid matrices; below 2**63 it runs in int64; beyond that it is
+    refused rather than allowed to wrap.
+    """
+    m = np.asarray(m)
+    top = max(-int(m.min()), int(m.max())) if m.size else 0
+    bound = m.shape[0] * top * top
+    if bound < _FLOAT_EXACT:
+        f = m.astype(np.float64)
+        return (f.T @ f).astype(np.int64)
+    if bound < 2**63:
+        return m.T @ m
+    raise OverflowError("Gram matrix entries may exceed the int64 range")
 
 
 def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p with the fixed pivot scan.
 
-    Returns the reduced matrix and the list of pivot column indices.
+    Returns the reduced matrix and the list of pivot column indices.  When
+    column c becomes pivot row r, row r is zero left of c, so scaling and
+    eliminating touch only the columns from c on.
     """
     m = (np.asarray(a, dtype=np.int64) % p).copy()
     rows, cols = m.shape
@@ -202,32 +272,33 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             continue
         i = r + int(nz[0])
         if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+            m[[r, i], c:] = m[[i, r], c:]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
         others = np.flatnonzero(m[:, c])
         others = others[others != r]
         if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+            m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, pivots
 
 
+def kernel_from_rref(rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Null-space basis read off a reduced row echelon form: one column per
+    free column f, with 1 at f and minus column f of the reduced rows at the
+    pivot positions."""
+    cols = rref.shape[1]
+    pivot_set = set(pivots)
+    free = [f for f in range(cols) if f not in pivot_set]
+    kernel = np.zeros((cols, len(free)), dtype=np.int64)
+    kernel[free, range(len(free))] = 1
+    kernel[pivots] = -rref[: len(pivots)][:, free] % p
+    return kernel
+
+
 def fp_kernel_basis(a: np.ndarray, p: int) -> list[np.ndarray]:
     """Column vectors spanning the null space, one per free column."""
-    rref, pivots = fp_rref(a, p)
-    cols = a.shape[1]
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-rref[i, f]) % p
-        basis.append(v)
-    return basis
+    return list(kernel_from_rref(*fp_rref(a, p), p).T)
 
 
 def fp_rank_kernel_image(m: FpMatrix):
@@ -237,8 +308,8 @@ def fp_rank_kernel_image(m: FpMatrix):
     positions; together with the fixed pivot rule this makes all three
     outputs deterministic.
     """
-    _, pivots = fp_rref(m.a, m.p)
-    kernel = fp_kernel_basis(m.a, m.p)
+    rref, pivots = fp_rref(m.a, m.p)
+    kernel = list(kernel_from_rref(rref, pivots, m.p).T)
     image = [m.a[:, c].copy() for c in pivots]
     rank = len(pivots)
     assert rank + len(kernel) == m.cols
@@ -275,6 +346,38 @@ def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular mod p")
     return rref[:, n:]
+
+
+def fp_unitriangular_inverse(u: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of an upper unitriangular matrix, by blocked
+    back-substitution: inv [[A, B], [0, C]] = [[A', -A' B C'], [0, C']]
+    with A', C' the inverses of the diagonal blocks.  No elimination is
+    needed; raises ValueError when u is not upper unitriangular mod p."""
+    u = np.asarray(u, dtype=np.int64) % p
+    d = u.shape[0]
+    if u.shape != (d, d) or not (np.diagonal(u) == 1).all() or np.tril(u, -1).any():
+        raise ValueError("matrix is not upper unitriangular mod p")
+    # blocks up to this size are solved row by row in int64: a row sums at
+    # most leaf - 1 products below p**2, which stays under 2**62
+    leaf = max(1, min(32, 2**62 // ((p - 1) * (p - 1))))
+    return _unitriangular_inverse(u, p, leaf)
+
+
+def _unitriangular_inverse(u: np.ndarray, p: int, leaf: int) -> np.ndarray:
+    d = u.shape[0]
+    if d <= leaf:
+        inv = np.eye(d, dtype=np.int64)
+        for i in range(d - 2, -1, -1):
+            inv[i, i + 1 :] = -(u[i, i + 1 :] @ inv[i + 1 :, i + 1 :]) % p
+        return inv
+    h = d // 2
+    top = _unitriangular_inverse(u[:h, :h], p, leaf)
+    bottom = _unitriangular_inverse(u[h:, h:], p, leaf)
+    inv = np.zeros((d, d), dtype=np.int64)
+    inv[:h, :h] = top
+    inv[h:, h:] = bottom
+    inv[:h, h:] = -fp_matmul(top, fp_matmul(u[:h, h:], bottom, p), p) % p
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .rings import AUX_PRIME, fp_matmul, fp_inverse, fp_rref, frac_solve
+from .rings import AUX_PRIME, fp_matmul, fp_unitriangular_inverse, frac_solve, int_gram, read_only
+
+# Bound here only for perfbench's tracer tests, which wrap these two in
+# this module's namespace.
+from .rings import fp_inverse, fp_rref  # noqa: F401
 from .tensor import (
     TensorVector,
     perm_action,
@@ -200,9 +204,9 @@ def specht_basis(n: int, c: int, p: int | None = None) -> list[TensorVector]:
 @lru_cache(maxsize=None)
 def basis_matrix(n: int, c: int) -> np.ndarray:
     """Integer matrix of standard polytabloids in weight-class coordinates:
-    one column per basis vector, rows ordered by word mask."""
+    one column per basis vector, rows ordered by word mask.  Read-only."""
     diag = Diagram2.from_weight(n, c)
-    return vectors_to_matrix(specht_basis(n, c), diag.b)
+    return read_only(vectors_to_matrix(specht_basis(n, c), diag.b))
 
 
 def gram_matrix(basis: list[TensorVector]) -> np.ndarray:
@@ -210,22 +214,37 @@ def gram_matrix(basis: list[TensorVector]) -> np.ndarray:
     if not basis:
         return np.zeros((0, 0), dtype=np.int64)
     b = next(iter(basis[0].coeffs)).bit_count() if basis[0].coeffs else 0
-    m = vectors_to_matrix(basis, b)
-    return m.T @ m
+    return int_gram(vectors_to_matrix(basis, b))
 
 
 @lru_cache(maxsize=None)
 def gram_of_diagram(diag: Diagram2) -> np.ndarray:
-    m = basis_matrix(diag.n, diag.c)
-    return m.T @ m
+    """Gram matrix of the standard polytabloids of a diagram.  Read-only."""
+    return read_only(int_gram(basis_matrix(diag.n, diag.c)))
+
+
+def _tabloid_rows(n: int, c: int) -> np.ndarray:
+    """Row of each standard tableau's own tabloid word, in basis order."""
+    diag = Diagram2.from_weight(n, c)
+    _, index = weight_class_masks(n, diag.b)
+    return np.asarray(
+        [index[sum(1 << (j - 1) for j in t.bottom)] for t in standard_tableaux(diag)],
+        dtype=np.intp,
+    )
 
 
 class BasisSolver:
     """Coordinate solver against a fixed standard-polytabloid basis mod p.
 
-    A square pivot-row submatrix is inverted once; solving then verifies
-    membership of the target vectors in the span, so an inconsistent
-    system is always detected.
+    The pivot rows are the tabloid words of the standard tableaux.  A
+    polytabloid's other words come from swapping a column, which moves a
+    plus to a smaller position, so they precede its own word in the
+    lexicographic order of bottom rows (and in bottom-entry-sum order);
+    since the basis is ordered lexicographically, matrix[rows] is upper
+    unitriangular over Z and is inverted mod p by back-substitution.
+    Solving then verifies membership of the target vectors in the span,
+    so an inconsistent system is always detected.  matrix, rows and inv
+    are read-only.
     """
 
     def __init__(self, p: int, n: int, c: int):
@@ -233,15 +252,9 @@ class BasisSolver:
         self.n = n
         self.c = c
         self.b = Diagram2.from_weight(n, c).b
-        self.matrix = basis_matrix(n, c) % p
-        d = self.matrix.shape[1]
-        if d == 0:
-            self.rows = np.zeros(0, dtype=np.intp)
-            self.inv = np.zeros((0, 0), dtype=np.int64)
-            return
-        _, pivots = fp_rref(self.matrix.T, p)
-        self.rows = np.asarray(pivots, dtype=np.intp)
-        self.inv = fp_inverse(self.matrix[self.rows], p)
+        self.matrix = read_only(basis_matrix(n, c) % p)
+        self.rows = read_only(_tabloid_rows(n, c))
+        self.inv = read_only(fp_unitriangular_inverse(self.matrix[self.rows], p))
 
     def coords(self, columns: np.ndarray) -> np.ndarray:
         """Coordinates of column vectors (weight-class coords mod p); raises

@@ -21,10 +21,11 @@ import numpy as np
 from .rings import (
     FpScalar,
     LaurentInt,
-    fp_kernel_basis,
     fp_matmul,
     fp_inverse,
     fp_rref,
+    int_gram,
+    kernel_from_rref,
     cyclotomic_eval,
     CyclotomicElem,
     zeta_quantum,
@@ -1030,14 +1031,16 @@ class ComponentQuotient:
 
 @lru_cache(maxsize=None)
 def component_quotient(p: int, j: int, g: int) -> ComponentQuotient:
-    basis = lefschetz_basis(j, g)
-    gram = (basis.matrix.T @ basis.matrix) % p
-    kernel = fp_kernel_basis(gram, p)
-    _, pivots = fp_rref(gram, p)
+    return _component_quotient_of_gram(p, j, g, int_gram(lefschetz_basis(j, g).matrix))
+
+
+def _component_quotient_of_gram(p: int, j: int, g: int, gram: np.ndarray) -> ComponentQuotient:
+    """The quotient by the null space of a Gram matrix, from one elimination."""
+    rref, pivots = fp_rref(gram, p)
+    radical = kernel_from_rref(rref, pivots, p)
     d = gram.shape[0]
     free = tuple(sorted(set(range(d)) - set(pivots)))
-    radical = np.stack(kernel, axis=1) if kernel else np.zeros((d, 0), dtype=np.int64)
-    return ComponentQuotient(p, j, g, radical, free, tuple(pivots), d - len(kernel))
+    return ComponentQuotient(p, j, g, radical, free, tuple(pivots), d - radical.shape[1])
 
 
 def modular_quotient_trace(p: int, j: int, word, g: int, debug: bool = False) -> FpScalar:
@@ -1061,16 +1064,9 @@ def modular_quotient_trace(p: int, j: int, word, g: int, debug: bool = False) ->
 
 
 def _alternate_complement_trace(p: int, j: int, g: int, action: np.ndarray) -> int:
-    basis = lefschetz_basis(j, g)
-    gram = (basis.matrix.T @ basis.matrix) % p
-    d = gram.shape[0]
-    flip = list(range(d - 1, -1, -1))
-    gram_flipped = gram[np.ix_(flip, flip)]
-    kernel = fp_kernel_basis(gram_flipped, p)
-    _, pivots = fp_rref(gram_flipped, p)
-    free = tuple(sorted(set(range(d)) - set(pivots)))
-    radical = np.stack(kernel, axis=1) if kernel else np.zeros((d, 0), dtype=np.int64)
-    alt = ComponentQuotient(p, j, g, radical, free, tuple(pivots), d - len(kernel))
+    gram = int_gram(lefschetz_basis(j, g).matrix)
+    flip = list(range(gram.shape[0] - 1, -1, -1))
+    alt = _component_quotient_of_gram(p, j, g, gram[np.ix_(flip, flip)])
     action_flipped = action[np.ix_(flip, flip)]
     alt.check_radical_invariance(action_flipped)
     return int(np.trace(alt.quotient_matrix(action_flipped))) % p

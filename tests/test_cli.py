@@ -30,6 +30,19 @@ def test_dims_command():
     assert proc.returncode == 0
 
 
+def test_package_runs_as_module_and_genus_40_dims_pass():
+    # multiplicities past 2**63 must not wrap and fail the three checks
+    proc = subprocess.run(
+        [sys.executable, "-m", "spechtres", "--output", "json", "dims", "--p", "5", "--g", "40"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["results"]["multiplicities"][0] == 3015822567730649462578
+    assert [c["status"] for c in rep["checks"]] == ["pass"] * 3
+
+
 def test_usage_errors_exit_two():
     assert run_cli(["resolve", "--p", "3", "--n", "4", "--k", "2"]).returncode == 2
     assert run_cli(["resolve", "--p", "4", "--n", "4", "--k", "1"]).returncode == 2

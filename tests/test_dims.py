@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spechtres.dims import (
+    FusionElement,
     IntPolynomial,
     binom,
     catalan,
@@ -11,6 +12,7 @@ from spechtres.dims import (
     fib_catalan_identities,
     fusion_label,
     fusion_unit,
+    genus_element,
     growth_polynomial,
     odd_squares_dim,
     perron_norms,
@@ -199,3 +201,27 @@ def test_quantum_dim_identity():
     for p in (3, 5, 7, 11):
         for n in range(0, 13):
             assert quantum_dim_identity(p, n)["ok"], (p, n)
+
+
+def test_genus_40_multiplicities_do_not_wrap():
+    # past 2**63, where int64 products would wrap to negative multiplicities
+    profile = verlinde_profile(5, 40)
+    assert profile == closed_form_genus_dims(40)
+    assert profile[1] == 4879684474095985757280
+    assert all(m > 2**63 for m in profile)
+
+
+def test_squares_doubling_past_int64():
+    check = squares_doubling_check(7, 20)
+    assert check["lhs"] == check["rhs"] == 2618994705057627197407232
+    assert check["ok"]
+
+
+def test_fusion_power_by_squaring_matches_repeated_products():
+    for p in (3, 5, 7, 13):
+        x = genus_element(p)
+        step = fusion_unit(p)
+        for g in range(10):
+            assert x**g == step
+            step = step * x
+    assert isinstance(genus_element(5) ** 0, FusionElement)

@@ -3,15 +3,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spechtres.rings import (
+    AUX_PRIME,
     CyclotomicElem,
     FpMatrix,
     FpScalar,
     LaurentInt,
     cyclotomic_eval,
+    fp_kernel_basis,
+    fp_matmul,
     fp_rank_kernel_image,
+    fp_rref,
     fp_solve,
+    fp_unitriangular_inverse,
     frac_solve,
     int_det,
+    int_gram,
     quantum_integer,
     zeta_quantum,
 )
@@ -184,3 +190,79 @@ def test_laurent_negative_powers():
     assert x**-2 == LaurentInt.x(-2)
     with pytest.raises(ValueError):
         (x + LaurentInt.one()) ** -1
+
+
+def _python_matmul(a, b, p):
+    return (a.astype(object) @ b.astype(object)) % p
+
+
+@pytest.mark.parametrize(
+    "p, inner",
+    [
+        (1000003, 9007),  # exactly one float64 chunk: (2**53 - p) // (p - 1)**2
+        (1000003, 9008),  # one term more forces a second chunk
+        (3, 50),
+        (13, 50),
+        (AUX_PRIME, 3000),  # the float64 chunk is too small: int64 route
+    ],
+)
+def test_fp_matmul_matches_python_integers_at_the_largest_entries(p, inner):
+    a = np.full((3, inner), p - 1, dtype=np.int64)
+    b = np.full((inner, 2), p - 1, dtype=np.int64)
+    out = fp_matmul(a, b, p)
+    assert out.dtype == np.int64
+    assert out.tolist() == [[inner * (p - 1) ** 2 % p] * 2] * 3
+    assert np.array_equal(out, _python_matmul(a, b, p))
+
+
+def test_fp_matmul_refuses_a_modulus_beyond_int64_products():
+    p = 2**32 + 15  # prime; (p - 1)**2 exceeds 2**62
+    with pytest.raises(ValueError, match="too large"):
+        fp_matmul(np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("p", [3, 13, 1000003, AUX_PRIME])
+def test_fp_matmul_random_entries_any_sign(p):
+    rng = np.random.RandomState(p % 1000)
+    a = rng.randint(-(2**62), 2**62, size=(4, 9100), dtype=np.int64)
+    b = rng.randint(-3 * p, 3 * p, size=(9100, 3), dtype=np.int64)
+    assert np.array_equal(fp_matmul(a, b, p), _python_matmul(a, b, p))
+    # a vector right-hand side keeps its shape
+    assert np.array_equal(fp_matmul(a, b[:, 0], p), _python_matmul(a, b[:, 0], p))
+
+
+def test_int_gram_is_exact_on_every_route():
+    rng = np.random.RandomState(1)
+    small = rng.randint(-1, 2, size=(300, 20))  # float64 route
+    big = rng.randint(-(2**24), 2**24, size=(300, 5))  # int64 route
+    for m in (small, big):
+        assert np.array_equal(int_gram(m), m.astype(object).T @ m.astype(object))
+    with pytest.raises(OverflowError):
+        int_gram(np.full((4, 2), 2**31, dtype=np.int64))
+
+
+def test_kernel_basis_from_one_elimination():
+    rng = np.random.RandomState(2)
+    for p in (3, 5, 7):
+        for _ in range(10):
+            a = rng.randint(0, p, size=(rng.randint(1, 9), rng.randint(1, 9)))
+            rref, pivots = fp_rref(a, p)
+            kernel = fp_kernel_basis(a, p)
+            assert len(pivots) + len(kernel) == a.shape[1]
+            free = [f for f in range(a.shape[1]) if f not in pivots]
+            for f, v in zip(free, kernel):
+                assert not ((a @ v) % p).any()
+                assert v[f] == 1 and not v[[g for g in free if g != f]].any()
+
+
+def test_unitriangular_inverse():
+    rng = np.random.RandomState(3)
+    for p in (3, 7, AUX_PRIME):
+        for d in (0, 1, 5, 33, 70):
+            u = np.triu(rng.randint(-5, 6, size=(d, d)), 1) + np.eye(d, dtype=np.int64)
+            inv = fp_unitriangular_inverse(u, p)
+            assert np.array_equal(fp_matmul(u, inv, p), np.eye(d, dtype=np.int64))
+    with pytest.raises(ValueError):
+        fp_unitriangular_inverse(np.array([[1, 0], [1, 1]]), 5)
+    with pytest.raises(ValueError):
+        fp_unitriangular_inverse(np.array([[2, 0], [0, 1]]), 5)

@@ -10,6 +10,7 @@ from spechtres.specht import (
     Tableau2,
     Tabloid2,
     basis_matrix,
+    basis_solver,
     cycle_type_representative,
     gram_of_diagram,
     ordinary_character,
@@ -187,3 +188,60 @@ def test_character_is_class_function():
                 ginv[x - 1] = i
             conj = tuple(g[rep[ginv[i - 1] - 1] - 1] for i in range(1, n + 1))
             assert ordinary_character(tau, conj) == base
+
+
+def _upper_unitriangular(m):
+    return (np.diagonal(m) == 1).all() and not np.tril(m, -1).any()
+
+
+def test_solver_rows_are_the_tabloid_words_of_standard_tableaux():
+    # every two-row shape with n <= 13
+    for n in range(0, 14):
+        for b in range(n // 2 + 1):
+            c = n + 1 - 2 * b
+            tableaux = standard_tableaux(Diagram2.from_weight(n, c))
+            solver = basis_solver(5, n, c)
+            masks, _ = weight_class_masks(n, b)
+            words = [tabloid_vector(Tabloid2(n, frozenset(t.bottom))) for t in tableaux]
+            assert [TensorVector.word(n, masks[r]) for r in solver.rows] == words
+            square = basis_matrix(n, c)[solver.rows]
+            # upper unitriangular over Z in the basis order and in
+            # bottom-entry-sum order
+            assert _upper_unitriangular(square)
+            order = sorted(range(len(tableaux)), key=lambda i: sum(tableaux[i].bottom))
+            assert _upper_unitriangular(square[np.ix_(order, order)])
+
+
+def test_solver_coords_and_membership_check():
+    solver = basis_solver(3, 6, 3)  # [4,2]
+    mat = basis_matrix(6, 3)
+    x = np.arange(mat.shape[1]) % 3
+    assert np.array_equal(solver.coords(mat @ x)[:, 0], x)
+    lone_word = np.zeros(mat.shape[0], dtype=np.int64)
+    lone_word[0] = 1  # a single tabloid word is not in the span
+    with pytest.raises(ValueError):
+        solver.coords(lone_word)
+
+
+def test_cached_arrays_are_read_only():
+    from spechtres.dims import _structure_matrices
+    from spechtres.tensor import _raising_sites
+
+    solver = basis_solver(5, 6, 3)
+    src, dst = _raising_sites(6, 2)[0]
+    cached = [
+        basis_matrix(6, 3),
+        gram_of_diagram(Diagram2(4, 2)),
+        *raising_step(6, 2),
+        src,
+        dst,
+        _structure_matrices(5)[1],
+        solver.matrix,
+        solver.rows,
+        solver.inv,
+    ]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0] = 0
+        with pytest.raises(ValueError):
+            a += 1

@@ -11,6 +11,7 @@ from spechtres.tensor import (
     coev_ev,
     inner_product,
     perm_action,
+    raising_step,
     vectors_to_matrix,
     weight_class_masks,
 )
@@ -150,3 +151,18 @@ def test_coev_ev_commute_with_sl2():
             for k in range(1, n):
                 for gen in "EFH":
                     assert coev_ev("ev", k, apply_sl2(gen, v)) == apply_sl2(gen, coev_ev("ev", k, v))
+
+
+def test_raising_power_matches_add_at_reference():
+    rng = np.random.RandomState(0)
+    for n in range(1, 13):
+        for b in range(n):
+            for power, p in ((1, None), (min(3, n - b), 5)):
+                mat = rng.randint(-4, 5, size=(len(weight_class_masks(n, b)[0]), 2))
+                cur = mat
+                for step in range(power):
+                    rows, cols = raising_step(n, b + step)
+                    out = np.zeros((len(weight_class_masks(n, b + step + 1)[0]), 2), dtype=np.int64)
+                    np.add.at(out, rows, cur[cols])
+                    cur = out % p if p is not None else out
+                assert np.array_equal(apply_raising_power(n, b, mat, power, p), cur)
