@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -623,11 +624,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = run_batch(jobs, workers=args.workers, seed=args.seed)
-    if args.output == "json":
-        print(render_json(reports))
-    else:
-        for rep in reports:
-            print(render_text(rep))
+    try:
+        if args.output == "json":
+            print(render_json(reports))
+        else:
+            for rep in reports:
+                print(render_text(rep))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # interpreter's last flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 

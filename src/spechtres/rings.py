@@ -11,6 +11,14 @@ represents exactly, so summation order cannot change a result (the
 delayed-reduction technique of FFLAS-FFPACK).  int64 products remain only
 where that bound would leave too small a chunk of the inner dimension,
 and there every partial sum is kept below 2**63.
+
+Elimination is blocked: a matrix wider than one column panel is reduced
+a panel at a time, with the per-pivot loop confined to the panel and the
+rest of the matrix updated by products.  Narrower matrices keep the
+per-pivot loop alone.  The
+reduced row echelon form is unique, so the blocking changes no result.
+A modulus whose residue products would wrap int64 is refused, by
+elimination as by products.
 """
 
 from __future__ import annotations
@@ -125,8 +133,9 @@ class FpScalar:
 # matrices over F_p
 
 # Entries live in [0, p).  The elimination scan is fixed: columns left to
-# right, within a column the first nonzero entry from the top.  Every basis
-# produced downstream inherits its determinism from this rule.
+# right, within a column the first nonzero entry from the top.  The reduced
+# form and its pivot columns are unique, so every basis produced downstream
+# is deterministic.
 
 
 class FpMatrix:
@@ -253,33 +262,101 @@ def int_gram(m: np.ndarray) -> np.ndarray:
     raise OverflowError("Gram matrix entries may exceed the int64 range")
 
 
-def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p with the fixed pivot scan.
+# Width of a column panel of the blocked elimination.  A matrix no wider
+# than one panel is reduced by the per-pivot loop alone, so the many small
+# eliminations pay for no products.
+_PANEL = 64
 
-    Returns the reduced matrix and the list of pivot column indices.  When
-    column c becomes pivot row r, row r is zero left of c, so scaling and
-    eliminating touch only the columns from c on.
+
+def _pivot_loop(m: np.ndarray, p: int, width: int) -> tuple[list[int], np.ndarray]:
+    """Gauss-Jordan elimination mod p in place on m, one pivot at a time,
+    with the fixed pivot scan over the first `width` columns.
+
+    Returns the pivot columns and the row order: row i of the result
+    descends from row order[i] of the input.  When column c becomes pivot
+    row r, row r is zero left of c, so scaling and eliminating touch only
+    the columns from c on.
+
+    Columns from `width` on, if any, are workspace that must start at zero
+    and be at least as wide as the rank.  The row that becomes pivot row r
+    gets a 1 in column width + r.  Until then no multiple of that row has
+    been added to another, and afterwards only pivot rows are, so at the
+    end the workspace of the k pivot rows holds the inverse of the pivot
+    block: the input rows order[:k] in the pivot columns.
     """
-    m = (np.asarray(a, dtype=np.int64) % p).copy()
     rows, cols = m.shape
+    order = np.arange(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(width):
         if r == rows:
             break
         nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
+        # workspace columns past width + r are still zero in every row
+        end = min(width + r + 1, cols)
         if i != r:
-            m[[r, i], c:] = m[[i, r], c:]
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+            m[[r, i], c:end] = m[[i, r], c:end]
+            order[[r, i]] = order[[i, r]]
+        if width < cols:
+            m[r, width + r] = 1
+        m[r, c:end] = m[r, c:end] * pow(int(m[r, c]), -1, p) % p
         others = np.flatnonzero(m[:, c])
         others = others[others != r]
         if others.size:
-            m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
+            m[others, c:end] = (m[others, c:end] - np.outer(m[others, c], m[r, c:end])) % p
         pivots.append(c)
         r += 1
+    return pivots, order
+
+
+def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p.
+
+    Returns the reduced matrix and the list of pivot column indices.  The
+    reduced form is unique, so it does not depend on how it is computed.
+
+    A matrix wider than one panel is reduced a column panel at a time
+    (Jeannerod, Pernet and Storjohann, JSC 2013).  Rows 0..r-1 hold the
+    pivot rows found so far and the other rows are zero left of the panel.
+    The per-pivot loop on a copy of the panel's remaining rows finds its
+    pivot columns P, rows S that carry them and the inverse of A[S, P];
+    S moves up to rows r..r+k-1.  Then X = A[S, P]^-1 A[S, c0:] is the
+    reduced form of those rows, and every row gets A[:, c0:] -= A[:, P] X,
+    which zeroes the P columns outside S and, below the pivot rows, the
+    whole panel, since the panel's rows lie in the span of its rows S.
+    Both products run through fp_matmul.  A modulus whose residue products
+    would wrap int64 is refused with ValueError.
+    """
+    _product_chunk(p)  # raises ValueError for such a modulus
+    m = np.asarray(a, dtype=np.int64) % p
+    rows, cols = m.shape
+    if cols <= _PANEL:
+        return m, _pivot_loop(m, p, cols)[0]
+    pivots: list[int] = []
+    for c0 in range(0, cols, _PANEL):
+        r = len(pivots)
+        if r == rows:
+            break
+        w = min(_PANEL, cols - c0)
+        panel = np.zeros((rows - r, 2 * w), dtype=np.int64)
+        panel[:, :w] = m[r:, c0 : c0 + w]
+        found, order = _pivot_loop(panel, p, w)
+        k = len(found)
+        if not k:
+            continue
+        # reorder rows r.. as the loop did, which moves the rows S up to
+        # rows r..r+k-1 in pivot order; at most 2k rows move
+        moved = np.flatnonzero(order != np.arange(rows - r))
+        m[r + moved] = m[r + order[moved]]
+        cp = [c0 + c for c in found]
+        x = fp_matmul(panel[:k, w : w + k], m[r : r + k, c0:], p)
+        m[:, c0:] -= fp_matmul(m[:, cp], x, p)
+        m[:, c0:] %= p
+        m[r : r + k, c0:] = x
+        pivots += cp
     return m, pivots
 
 

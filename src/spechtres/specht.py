@@ -24,6 +24,7 @@ from .rings import fp_inverse, fp_rref  # noqa: F401
 from .tensor import (
     TensorVector,
     perm_action,
+    perm_action_rows,
     vectors_to_matrix,
     weight_class_masks,
 )
@@ -201,12 +202,43 @@ def specht_basis(n: int, c: int, p: int | None = None) -> list[TensorVector]:
     return basis
 
 
+def _standard_words(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tabloid word of each standard tableau of shape [n-b, b], in basis
+    order, and the change of word made by swapping each of its columns.
+
+    The standard bottom rows are the b-subsets of 1..n whose k-th entry is
+    at least 2k, in combination order.  Swapping column top over bottom
+    moves a plus from position bottom to position top, which adds
+    2^(top-1) - 2^(bottom-1) to the word.
+    """
+    combos = list(combinations(range(1, n + 1), b))
+    bottoms = np.asarray(combos, dtype=np.int64).reshape(len(combos), b)
+    bottoms = bottoms[(bottoms >= 2 * np.arange(1, b + 1)).all(axis=1)]
+    in_bottom = np.zeros((len(bottoms), n + 1), dtype=bool)
+    in_bottom[np.arange(len(bottoms))[:, None], bottoms] = True
+    tops = np.nonzero(~in_bottom[:, 1:])[1].reshape(len(bottoms), n - b)[:, :b] + 1
+    base = (np.int64(1) << (bottoms - 1)).sum(axis=1)
+    swaps = (np.int64(1) << (tops - 1)) - (np.int64(1) << (bottoms - 1))
+    return base, swaps
+
+
 @lru_cache(maxsize=None)
 def basis_matrix(n: int, c: int) -> np.ndarray:
     """Integer matrix of standard polytabloids in weight-class coordinates:
-    one column per basis vector, rows ordered by word mask.  Read-only."""
-    diag = Diagram2.from_weight(n, c)
-    return read_only(vectors_to_matrix(specht_basis(n, c), diag.b))
+    one column per basis vector, rows ordered by word mask.  Read-only.
+
+    The 2^b words of a polytabloid are its tabloid word plus the swap
+    changes of a subset of its columns, with sign (-1)^|subset|; the words
+    are distinct, so each entry is set once."""
+    b = Diagram2.from_weight(n, c).b
+    base, swaps = _standard_words(n, b)
+    subsets = (np.arange(1 << b)[:, None] >> np.arange(b) & 1).astype(np.int64)
+    words = base + subsets @ swaps.T
+    signs = 1 - 2 * (subsets.sum(axis=1) & 1)
+    masks = np.asarray(weight_class_masks(n, b)[0], dtype=np.int64)
+    out = np.zeros((len(masks), len(base)), dtype=np.int64)
+    out[np.searchsorted(masks, words), np.arange(len(base))] = signs[:, None]
+    return read_only(out)
 
 
 def gram_matrix(basis: list[TensorVector]) -> np.ndarray:
@@ -225,12 +257,9 @@ def gram_of_diagram(diag: Diagram2) -> np.ndarray:
 
 def _tabloid_rows(n: int, c: int) -> np.ndarray:
     """Row of each standard tableau's own tabloid word, in basis order."""
-    diag = Diagram2.from_weight(n, c)
-    _, index = weight_class_masks(n, diag.b)
-    return np.asarray(
-        [index[sum(1 << (j - 1) for j in t.bottom)] for t in standard_tableaux(diag)],
-        dtype=np.intp,
-    )
+    b = Diagram2.from_weight(n, c).b
+    masks = np.asarray(weight_class_masks(n, b)[0], dtype=np.int64)
+    return np.searchsorted(masks, _standard_words(n, b)[0])
 
 
 class BasisSolver:
@@ -307,23 +336,9 @@ def cycle_type_representative(cycle_type, n: int) -> tuple[int, ...]:
 
 def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
     """Matrix mod p of the plain position permutation on the standard basis."""
-    solver = basis_solver(p, n, c)
-    diag = Diagram2.from_weight(n, c)
-    cols = [
-        _vector_column(perm_action(sigma, v), n, diag.b)
-        for v in specht_basis(n, c)
-    ]
-    if not cols:
-        return np.zeros((0, 0), dtype=np.int64)
-    return solver.coords(np.stack(cols, axis=1))
-
-
-def _vector_column(v: TensorVector, n: int, b: int) -> np.ndarray:
-    masks, index = weight_class_masks(n, b)
-    col = np.zeros(len(masks), dtype=np.int64)
-    for w, co in v.coeffs.items():
-        col[index[w]] = co
-    return col
+    b = Diagram2.from_weight(n, c).b
+    images = basis_matrix(n, c)[perm_action_rows(sigma, n, b)]
+    return basis_solver(p, n, c).coords(images)
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:

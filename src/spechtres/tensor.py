@@ -236,6 +236,21 @@ def weight_class_masks(n: int, b: int) -> tuple[tuple[int, ...], dict]:
     return masks, {m: i for i, m in enumerate(masks)}
 
 
+def perm_action_rows(sigma, n: int, b: int) -> np.ndarray:
+    """perm_action on weight-class-b coordinates as a row gather: for a
+    matrix m whose columns are vectors in those coordinates, m[rows] holds
+    their images.  Bit i of the word that lands on u is bit sigma[i]-1 of
+    u."""
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError("not a permutation of 1..n")
+    masks = np.asarray(weight_class_masks(n, b)[0], dtype=np.int64)
+    source = np.zeros_like(masks)
+    for i, target in enumerate(sigma):
+        source |= (masks >> (target - 1) & 1) << i
+    return np.searchsorted(masks, source)
+
+
 @lru_cache(maxsize=None)
 def raising_step(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (rows, cols) of the raising operator from the weight

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -42,6 +43,22 @@ def test_package_runs_as_module_and_genus_40_dims_pass():
     assert rep["results"]["multiplicities"][0] == 3015822567730649462578
     assert [c["status"] for c in rep["checks"]] == ["pass"] * 3
 
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spechtres", "--output", "json", "resolve", "--p", "3", "--n", "6", "--k", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 def test_usage_errors_exit_two():
     assert run_cli(["resolve", "--p", "3", "--n", "4", "--k", "2"]).returncode == 2

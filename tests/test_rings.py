@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spechtres.rings import (
+    _PANEL,
     AUX_PRIME,
     CyclotomicElem,
     FpMatrix,
@@ -12,6 +13,7 @@ from spechtres.rings import (
     fp_kernel_basis,
     fp_matmul,
     fp_rank_kernel_image,
+    fp_inverse,
     fp_rref,
     fp_solve,
     fp_unitriangular_inverse,
@@ -266,3 +268,83 @@ def test_unitriangular_inverse():
         fp_unitriangular_inverse(np.array([[1, 0], [1, 1]]), 5)
     with pytest.raises(ValueError):
         fp_unitriangular_inverse(np.array([[2, 0], [0, 1]]), 5)
+
+
+def _rref_python_ints(a, p):
+    """Reference: the per-pivot Gauss-Jordan elimination with the fixed
+    pivot scan, in Python integers."""
+    m = np.array(a, dtype=object) % p
+    rows, cols = m.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, rows) if m[i, c]), None)
+        if i is None:
+            continue
+        m[[r, i]] = m[[i, r]]
+        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
+        for j in range(rows):
+            if j != r and m[j, c]:
+                m[j] = (m[j] - m[j, c] * m[r]) % p
+        pivots.append(c)
+    return m, pivots
+
+
+def _staircase(rng, rows, cols, p):
+    """Full-rank rows whose leading entries are spread over every panel."""
+    a = rng.randint(0, p, size=(rows, cols))
+    for i in range(rows):
+        a[i, : i * cols // rows] = 0
+        a[i, i * cols // rows] = 1
+    return a[rng.permutation(rows)]
+
+
+def _rref_cases(rng, p):
+    for cols in (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL - 1, 2 * _PANEL, 2 * _PANEL + 1):
+        yield _staircase(rng, cols // 3, cols, p)
+        # rank-deficient, with dependent rows interleaved
+        yield (rng.randint(0, p, size=(cols // 2, cols // 4)) @ _staircase(rng, cols // 4, cols, p)) % p
+        yield rng.randint(0, p, size=(12, cols))  # rank is reached in the first panel
+        a = _staircase(rng, 30, cols, p)
+        a[:, ::3] = 0
+        a[:, : min(_PANEL, cols - 1)] = 0  # a panel without pivots
+        yield a
+        a = rng.randint(0, p, size=(40, cols))
+        a[:, cols // 3 :] = 0  # the rank stops short of the row count
+        yield a
+    yield rng.randint(0, p, size=(_PANEL + 1, _PANEL + 1))
+    for shape in ((0, 2 * _PANEL + 1), (2 * _PANEL + 1, 0), (0, 0), (3, 0)):
+        yield np.zeros(shape, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 8388593, AUX_PRIME])
+def test_fp_rref_matches_python_integer_elimination(p):
+    # 8388593 is the float64 product route at its smallest chunk (128
+    # terms); AUX_PRIME is the int64 route
+    rng = np.random.RandomState(p % 1009)
+    for a in _rref_cases(rng, p):
+        got, pivots = fp_rref(a, p)
+        ref, ref_pivots = _rref_python_ints(a, p)
+        assert pivots == ref_pivots, a.shape
+        assert got.dtype == np.int64 and got.shape == a.shape
+        assert got.tolist() == ref.tolist(), a.shape
+
+
+def test_fp_rref_accepts_any_integer_entries():
+    a = np.array([[-1, 2 * AUX_PRIME + 3, 5], [7, -AUX_PRIME, 2]] * 40, dtype=np.int64)
+    a = np.concatenate([a] * (_PANEL // 3 + 1), axis=1)
+    got, pivots = fp_rref(a, 7)
+    ref, ref_pivots = _rref_python_ints(a, 7)
+    assert pivots == ref_pivots and got.tolist() == ref.tolist()
+
+
+def test_eliminations_refuse_a_modulus_beyond_int64_products():
+    # (p - 1)**2 wraps int64; the reduced form would come back wrong
+    p = 2**32 + 15
+    a = np.array([[p - 1, p - 2, 3], [p - 3, 1, p - 5]], dtype=np.int64)
+    with pytest.raises(ValueError, match="too large"):
+        fp_rref(a, p)
+    with pytest.raises(ValueError, match="too large"):
+        fp_solve(a[:, :2], a[:, 2], p)
+    with pytest.raises(ValueError, match="too large"):
+        fp_inverse(a[:, :2], p)

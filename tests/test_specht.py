@@ -16,17 +16,21 @@ from spechtres.specht import (
     ordinary_character,
     ordinary_character_fraction,
     partitions,
+    permutation_matrix_on_basis,
     polytabloid,
     specht_basis,
     specht_dim,
     standard_tableaux,
     tabloid_vector,
+    _tabloid_rows,
 )
 from spechtres.tensor import (
     TensorVector,
     apply_sl2,
     inner_product,
+    perm_action,
     raising_step,
+    vectors_to_matrix,
     weight_class_masks,
 )
 
@@ -211,6 +215,34 @@ def test_solver_rows_are_the_tabloid_words_of_standard_tableaux():
             order = sorted(range(len(tableaux)), key=lambda i: sum(tableaux[i].bottom))
             assert _upper_unitriangular(square[np.ix_(order, order)])
 
+
+
+def test_array_built_basis_matches_the_polytabloids():
+    # every two-row shape with n <= 14
+    for n in range(0, 15):
+        for b in range(n // 2 + 1):
+            c = n + 1 - 2 * b
+            assert np.array_equal(basis_matrix(n, c), vectors_to_matrix(specht_basis(n, c), b))
+            _, index = weight_class_masks(n, b)
+            tableaux = standard_tableaux(Diagram2.from_weight(n, c))
+            own_words = [index[sum(1 << (j - 1) for j in t.bottom)] for t in tableaux]
+            assert _tabloid_rows(n, c).tolist() == own_words
+
+
+def test_permutation_matrix_is_the_perm_action_on_the_basis():
+    rng = random.Random(5)
+    for n in range(1, 11):
+        for b in range(n // 2 + 1):
+            c = n + 1 - 2 * b
+            basis = specht_basis(n, c)
+            for _ in range(2):
+                sigma = tuple(rng.sample(range(1, n + 1), n))
+                images = vectors_to_matrix([perm_action(sigma, v) for v in basis], b)
+                for p in (3, 7, AUX_PRIME):
+                    expected = basis_solver(p, n, c).coords(images)
+                    assert np.array_equal(permutation_matrix_on_basis(n, c, sigma, p), expected)
+    with pytest.raises(ValueError):
+        permutation_matrix_on_basis(4, 3, (1, 1, 2, 3), 5)
 
 def test_solver_coords_and_membership_check():
     solver = basis_solver(3, 6, 3)  # [4,2]

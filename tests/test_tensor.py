@@ -11,6 +11,7 @@ from spechtres.tensor import (
     coev_ev,
     inner_product,
     perm_action,
+    perm_action_rows,
     raising_step,
     vectors_to_matrix,
     weight_class_masks,
@@ -166,3 +167,18 @@ def test_raising_power_matches_add_at_reference():
                     np.add.at(out, rows, cur[cols])
                     cur = out % p if p is not None else out
                 assert np.array_equal(apply_raising_power(n, b, mat, power, p), cur)
+
+
+def test_perm_action_rows_gather_the_images():
+    rng = random.Random(4)
+    for n in range(0, 10):
+        for b in range(n + 1):
+            masks, index = weight_class_masks(n, b)
+            sigma = tuple(rng.sample(range(1, n + 1), n))
+            rows = perm_action_rows(sigma, n, b)
+            for _ in range(3):
+                v = TensorVector(n, {rng.choice(masks): rng.randrange(-4, 5) for _ in range(3)})
+                col = vectors_to_matrix([v], b)
+                assert np.array_equal(col[rows], vectors_to_matrix([perm_action(sigma, v)], b))
+    with pytest.raises(ValueError):
+        perm_action_rows((1, 3), 2, 1)
