@@ -39,6 +39,7 @@ class Job:
     def validate(self):
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
+        _integer_params(self.params)
         _VALIDATORS[self.command](self.params)
 
 
@@ -76,6 +77,26 @@ def _skip(name: str, details: str) -> dict:
 # parameter validation
 
 
+# Parameters that must be integers wherever they appear, and those of them
+# that count something and so must not be negative.
+_INTEGER_KEYS = ("p", "n", "k", "g", "length", "pairs", "seed", "workers")
+_COUNT_KEYS = ("length", "pairs")
+
+
+def _is_integer(x) -> bool:
+    # bool is a subclass of int, but true is not a genus
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integer_params(params):
+    for key in _INTEGER_KEYS:
+        if params.get(key) is not None and not _is_integer(params[key]):
+            raise ValueError(f"{key} must be an integer, got {params[key]!r}")
+    for key in _COUNT_KEYS:
+        if params.get(key) is not None and params[key] < 0:
+            raise ValueError(f"{key} must be nonnegative, got {params[key]}")
+
+
 def _need(params, keys):
     missing = [k for k in keys if k not in params or params[k] is None]
     if missing:
@@ -94,7 +115,7 @@ def _diagram(params):
     if not (isinstance(tau, (list, tuple)) and len(tau) == 2):
         raise ValueError("tau must be a pair of row lengths")
     a, b = tau
-    if not (isinstance(a, int) and isinstance(b, int) and a >= b >= 0):
+    if not (_is_integer(a) and _is_integer(b) and a >= b >= 0):
         raise ValueError(f"invalid diagram {tau}")
     return a, b
 
@@ -336,7 +357,7 @@ def _run_alexander(params, rng) -> tuple[dict, list]:
     try:
         at = surf_mod.alexander_trace(word, g)
         decomposition_ok = True
-    except ArithmeticError:
+    except surf_mod.DecompositionError:
         at = None
         decomposition_ok = False
     checks = [_check("alexander-decomposition", decomposition_ok)]

@@ -28,6 +28,7 @@ from .surface import (
     apply_token,
     apply_word,
     component_quotient,
+    component_solver,
     group_token_pool,
     j_token,
     lefschetz_action_matrix,
@@ -216,17 +217,11 @@ def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector, variant: str = "fu
         src_dim = {
             "full": src.dim,
             "radical": component_quotient(p, j, g).radical.shape[1],
-            "quotient": component_quotient(p, j, g).dim,
+            "quotient": component_quotient(p, j, g).quotient_dim,
         }[variant]
         return np.zeros((tgt_dim, src_dim), dtype=np.int64)
-    tgt = lefschetz_basis(tgt_j, g)
-    cols = np.zeros((len(tgt.masks), src.dim), dtype=np.int64)
-    for col, v in enumerate(src.vectors):
-        img = mu(x, v)
-        cols[:, col] = tgt.column(img)
-    from .surface import _fp_coords
-
-    full = _fp_coords(p, tgt_j, g, cols % p)
+    cols = lefschetz_basis(tgt_j, g).columns([mu(x, v) for v in src.vectors], p)
+    full = component_solver(p, tgt_j, g).coords(cols)
     if variant == "full":
         return full
     q_src = component_quotient(p, j, g)
@@ -242,8 +237,7 @@ def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector, variant: str = "fu
             return np.zeros((0, q_src.radical.shape[1]), dtype=np.int64)
         return fp_solve(q_tgt.radical, moved, p)
     if variant == "quotient":
-        lifted = full[:, list(q_src.pivot_idx)] % p
-        return q_tgt.project(lifted)
+        return q_tgt.project_columns(full[:, q_src.pivot_idx])
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -350,7 +344,7 @@ def _factor_dim(p: int, label: int, g: int, variant: str) -> int:
     if variant == "full":
         return lefschetz_basis(label, g).dim
     q = component_quotient(p, label, g)
-    return q.radical.shape[1] if variant == "radical" else q.dim
+    return q.radical.shape[1] if variant == "radical" else q.quotient_dim
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import FpScalar, fp_matmul, fp_rref, kernel_from_rref
+from .rings import FpScalar, GramQuotient, fp_matmul, fp_rref
 from .specht import (
     Diagram2,
     basis_matrix,
@@ -36,7 +36,6 @@ __all__ = [
     "truncation_index",
     "build_complex",
     "verify_exactness",
-    "SimpleQuotient",
     "simple_quotient",
     "quotient_trace",
     "modular_character_check",
@@ -198,48 +197,12 @@ def verify_exactness(cx: ComplexOverFp) -> dict:
 # simple quotients from the degenerate part of the invariant form
 
 
-@dataclass
-class SimpleQuotient:
-    """Quotient of the mod-p Specht module by the null space of its form.
-
-    The complement is the span of the pivot coordinate vectors of the
-    eliminated Gram matrix, so traces on the quotient only need the fixed
-    index data recorded here.
-    """
-
-    p: int
-    tau: Diagram2
-    radical: np.ndarray  # basis-coordinates columns spanning the null space
-    free_idx: tuple[int, ...]  # coordinates carrying the radical parameters
-    pivot_idx: tuple[int, ...]  # coordinates spanning the chosen complement
-    quotient_dim: int
-
-    def project_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Complement coordinates of columns, read off after subtracting the
-        radical component (radical vectors are unitriangular on free_idx)."""
-        cols = np.asarray(cols, dtype=np.int64) % self.p
-        if self.radical.shape[1]:
-            params = cols[list(self.free_idx)]
-            cols = (cols - fp_matmul(self.radical, params, self.p)) % self.p
-            if cols[list(self.free_idx)].any():
-                raise AssertionError("radical reduction failed")
-        return cols[list(self.pivot_idx)]
-
-    def quotient_matrix(self, action: np.ndarray) -> np.ndarray:
-        """Matrix induced on the quotient by a basis-coordinates action that
-        preserves the radical."""
-        lifted = action[:, list(self.pivot_idx)] % self.p
-        return self.project_columns(lifted)
-
-
 @lru_cache(maxsize=None)
-def simple_quotient(p: int, tau: Diagram2) -> SimpleQuotient:
-    rref, pivots = fp_rref(gram_of_diagram(tau), p)
-    radical = kernel_from_rref(rref, pivots, p)
-    d = rref.shape[0]
-    free = tuple(sorted(set(range(d)) - set(pivots)))
-    q = SimpleQuotient(p, tau, radical, free, tuple(pivots), d - radical.shape[1])
-    if q.quotient_dim <= 0 and d > 0:
+def simple_quotient(p: int, tau: Diagram2) -> GramQuotient:
+    """Quotient of the mod-p Specht module of tau by the null space of its
+    invariant form, in standard-basis coordinates."""
+    q = GramQuotient(gram_of_diagram(tau), p)
+    if q.quotient_dim <= 0 and q.radical.shape[0] > 0:
         raise AssertionError("two-row simple quotients are never zero for odd p")
     return q
 
@@ -248,19 +211,8 @@ def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
     """Trace mod p of a permutation acting on the simple quotient."""
     q = simple_quotient(p, tau)
     action = permutation_matrix_on_basis(tau.n, tau.c, sigma, p)
-    _radical_invariance_check(q, action)
+    q.check_radical_invariance(action)
     return int(np.trace(q.quotient_matrix(action))) % p
-
-
-def _radical_invariance_check(q: SimpleQuotient, action: np.ndarray):
-    """The action must map the null space into itself, otherwise the
-    quotient trace would be meaningless."""
-    if not q.radical.shape[1]:
-        return
-    moved = fp_matmul(action, q.radical, q.p)
-    reduced = (moved - fp_matmul(q.radical, moved[list(q.free_idx)], q.p)) % q.p
-    if reduced.any():
-        raise AssertionError("action does not preserve the radical")
 
 
 def modular_character_check(p: int, tau: Diagram2, sigma) -> tuple[FpScalar, FpScalar, bool]:

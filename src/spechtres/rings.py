@@ -2,7 +2,10 @@
 
 Prime-field scalars and matrices, integer Laurent polynomials, cyclotomic
 quotients Z[z]/(1 + z + ... + z^(p-1)) with optional mod-p coefficients,
-balanced quantum integers, and deterministic Gaussian elimination.
+balanced quantum integers, deterministic Gaussian elimination, inverses of
+unitriangular matrices mod p or over Z, and the quotient of F_p^d by the
+radical of a Gram matrix (GramQuotient), the one simple-quotient type of
+the package.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
 F_p are int64 arrays of residues in [0, p).  Products run in float64
@@ -40,7 +43,8 @@ __all__ = [
     "fp_rank_kernel_image",
     "fp_solve",
     "fp_inverse",
-    "fp_unitriangular_inverse",
+    "unitriangular_inverse",
+    "GramQuotient",
     "frac_solve",
     "int_det",
     "LaurentInt",
@@ -425,27 +429,33 @@ def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
     return rref[:, n:]
 
 
-def fp_unitriangular_inverse(u: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of an upper unitriangular matrix, by blocked
-    back-substitution: inv [[A, B], [0, C]] = [[A', -A' B C'], [0, C']]
-    with A', C' the inverses of the diagonal blocks.  No elimination is
-    needed; raises ValueError when u is not upper unitriangular mod p."""
-    u = np.asarray(u, dtype=np.int64) % p
+def unitriangular_inverse(u: np.ndarray, p: int | None) -> np.ndarray:
+    """Inverse of an upper unitriangular matrix, by blocked back-substitution:
+    inv [[A, B], [0, C]] = [[A', -A' B C'], [0, C']] with A', C' the inverses
+    of the diagonal blocks.  No elimination is needed.
+
+    For a prime p the inverse is taken mod p.  For p None it is exact over
+    Z, in Python ints held in an object array, so no entry can wrap.
+    Raises ValueError when u is not upper unitriangular (mod p)."""
+    u = np.asarray(u, dtype=object) if p is None else np.asarray(u, dtype=np.int64) % p
     d = u.shape[0]
     if u.shape != (d, d) or not (np.diagonal(u) == 1).all() or np.tril(u, -1).any():
-        raise ValueError("matrix is not upper unitriangular mod p")
+        raise ValueError("matrix is not upper unitriangular")
+    if p is None:
+        return _unitriangular_inverse(u, None, d)
     # blocks up to this size are solved row by row in int64: a row sums at
     # most leaf - 1 products below p**2, which stays under 2**62
     leaf = max(1, min(32, 2**62 // ((p - 1) * (p - 1))))
     return _unitriangular_inverse(u, p, leaf)
 
 
-def _unitriangular_inverse(u: np.ndarray, p: int, leaf: int) -> np.ndarray:
+def _unitriangular_inverse(u: np.ndarray, p: int | None, leaf: int) -> np.ndarray:
     d = u.shape[0]
     if d <= leaf:
-        inv = np.eye(d, dtype=np.int64)
+        inv = np.eye(d, dtype=u.dtype)
         for i in range(d - 2, -1, -1):
-            inv[i, i + 1 :] = -(u[i, i + 1 :] @ inv[i + 1 :, i + 1 :]) % p
+            row = -(u[i, i + 1 :] @ inv[i + 1 :, i + 1 :])
+            inv[i, i + 1 :] = row if p is None else row % p
         return inv
     h = d // 2
     top = _unitriangular_inverse(u[:h, :h], p, leaf)
@@ -455,6 +465,53 @@ def _unitriangular_inverse(u: np.ndarray, p: int, leaf: int) -> np.ndarray:
     inv[h:, h:] = bottom
     inv[:h, h:] = -fp_matmul(top, fp_matmul(u[:h, h:], bottom, p), p) % p
     return inv
+
+
+class GramQuotient:
+    """Quotient of F_p^d by the null space (the radical) of a symmetric Gram
+    matrix, from one elimination of that matrix.
+
+    The radical columns are the kernel basis read off the reduced form: the
+    identity on the free coordinates, free_idx.  The complement is the span
+    of the pivot coordinate vectors, pivot_idx, so a trace on the quotient
+    needs only this index data.  Coordinates of vectors and actions are
+    taken in the basis whose Gram matrix was eliminated.  radical,
+    free_idx and pivot_idx are read-only.
+    """
+
+    def __init__(self, gram: np.ndarray, p: int):
+        rref, pivots = fp_rref(gram, p)
+        self.p = p
+        self.radical = read_only(kernel_from_rref(rref, pivots, p))
+        pivot_set = set(pivots)
+        self.free_idx = read_only(np.array([f for f in range(rref.shape[1]) if f not in pivot_set], dtype=np.intp))
+        self.pivot_idx = read_only(np.array(pivots, dtype=np.intp))
+        self.quotient_dim = len(pivots)
+
+    def project_columns(self, cols: np.ndarray) -> np.ndarray:
+        """Complement coordinates of columns, read off after subtracting the
+        radical component."""
+        cols = np.asarray(cols, dtype=np.int64) % self.p
+        if self.radical.shape[1]:
+            cols = (cols - fp_matmul(self.radical, cols[self.free_idx], self.p)) % self.p
+            if cols[self.free_idx].any():
+                raise AssertionError("radical reduction failed")
+        return cols[self.pivot_idx]
+
+    def quotient_matrix(self, action: np.ndarray) -> np.ndarray:
+        """Matrix induced on the quotient by an action that preserves the
+        radical."""
+        return self.project_columns(action[:, self.pivot_idx])
+
+    def check_radical_invariance(self, action: np.ndarray):
+        """Raise AssertionError unless the action maps the radical into
+        itself; otherwise a quotient trace would be meaningless."""
+        if not self.radical.shape[1]:
+            return
+        moved = fp_matmul(action, self.radical, self.p)
+        reduced = (moved - fp_matmul(self.radical, moved[self.free_idx], self.p)) % self.p
+        if reduced.any():
+            raise AssertionError("action does not preserve the radical")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .rings import AUX_PRIME, fp_matmul, fp_unitriangular_inverse, frac_solve, int_gram, read_only
+from .rings import AUX_PRIME, fp_matmul, frac_solve, int_gram, read_only, unitriangular_inverse
 
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
@@ -263,43 +263,56 @@ def _tabloid_rows(n: int, c: int) -> np.ndarray:
 
 
 class BasisSolver:
-    """Coordinate solver against a fixed standard-polytabloid basis mod p.
+    """Coordinate solver against a fixed basis, mod a prime p or, when p is
+    None, exactly over Z in Python ints held in object arrays.
 
-    The pivot rows are the tabloid words of the standard tableaux.  A
-    polytabloid's other words come from swapping a column, which moves a
-    plus to a smaller position, so they precede its own word in the
-    lexicographic order of bottom rows (and in bottom-entry-sum order);
-    since the basis is ordered lexicographically, matrix[rows] is upper
-    unitriangular over Z and is inverted mod p by back-substitution.
-    Solving then verifies membership of the target vectors in the span,
-    so an inconsistent system is always detected.  matrix, rows and inv
-    are read-only.
+    matrix holds the basis vectors as columns, rows picks a square of it
+    that is invertible over the ring, and inv is that square's inverse.
+    The coordinates of target columns are inv times their entries at rows;
+    they are then verified by multiplying back, so a column outside the
+    span is always detected.  matrix, rows and inv are read-only.
     """
 
-    def __init__(self, p: int, n: int, c: int):
+    def __init__(self, p: int | None, matrix: np.ndarray, rows: np.ndarray, inv: np.ndarray):
         self.p = p
-        self.n = n
-        self.c = c
-        self.b = Diagram2.from_weight(n, c).b
-        self.matrix = read_only(basis_matrix(n, c) % p)
-        self.rows = read_only(_tabloid_rows(n, c))
-        self.inv = read_only(fp_unitriangular_inverse(self.matrix[self.rows], p))
+        self.matrix = read_only(matrix)
+        self.rows = read_only(rows)
+        self.inv = read_only(inv)
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a @ b if self.p is None else fp_matmul(a, b, self.p)
 
     def coords(self, columns: np.ndarray) -> np.ndarray:
-        """Coordinates of column vectors (weight-class coords mod p); raises
-        ValueError when a column is outside the span."""
-        columns = np.asarray(columns, dtype=np.int64) % self.p
+        """Coordinates of column vectors; raises ValueError when a column is
+        outside the span."""
+        if self.p is None:
+            columns = np.asarray(columns, dtype=object)
+        else:
+            columns = np.asarray(columns, dtype=np.int64) % self.p
         if columns.ndim == 1:
             columns = columns[:, None]
-        x = fp_matmul(self.inv, columns[self.rows], self.p)
-        if not np.array_equal(fp_matmul(self.matrix, x, self.p), columns):
+        x = self._product(self.inv, columns[self.rows])
+        if not np.array_equal(self._product(self.matrix, x), columns):
             raise ValueError("coordinate solve inconsistent: vector not in the basis span")
         return x
 
 
 @lru_cache(maxsize=None)
-def basis_solver(p: int, n: int, c: int) -> BasisSolver:
-    return BasisSolver(p, n, c)
+def basis_solver(p: int | None, n: int, c: int) -> BasisSolver:
+    """Solver of the standard polytabloid basis of weight c on n letters,
+    mod p, or exactly over Z when p is None.
+
+    The rows are the tabloid words of the standard tableaux.  A
+    polytabloid's other words come from swapping a column, which moves a
+    plus to a smaller position, so they precede its own word in the
+    lexicographic order of bottom rows (and in bottom-entry-sum order);
+    since the basis is ordered lexicographically, matrix[rows] is upper
+    unitriangular over Z and is inverted by back-substitution.
+    """
+    matrix = basis_matrix(n, c)
+    matrix = matrix.astype(object) if p is None else matrix % p
+    rows = _tabloid_rows(n, c)
+    return BasisSolver(p, matrix, rows, unitriangular_inverse(matrix[rows], p))
 
 
 # ---------------------------------------------------------------------------

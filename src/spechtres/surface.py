@@ -8,31 +8,37 @@ signs always normalize to this order.  The raising operator multiplies by
 the symplectic 2-form; its adjoint lowers; the degree operator is
 centred at g.  Weight spaces are isometric to sign-word lattices, which
 is how everything connects to the Specht machinery.
+
+Each lowest-weight component has a basis assembled weight block by weight
+block from standard Specht bases, so its coordinates are solved by one
+specht.BasisSolver built from the Specht solvers of its blocks
+(component_solver): exactly over Z in Python ints when p is None, mod p
+otherwise.  Its simple quotient mod p is a rings.GramQuotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .rings import (
     FpScalar,
+    GramQuotient,
     LaurentInt,
-    fp_matmul,
-    fp_inverse,
-    fp_rref,
     int_gram,
-    kernel_from_rref,
     cyclotomic_eval,
     CyclotomicElem,
     zeta_quantum,
     quantum_integer,
 )
-from .specht import Tableau2, polytabloid, specht_basis
-from .tensor import TensorVector
+
+# Bound here only for perfbench's tracer tests, which wrap these two in
+# this module's namespace.
+from .rings import fp_inverse, fp_rref  # noqa: F401
+from .specht import BasisSolver, Tableau2, basis_solver, polytabloid, specht_basis
+from .tensor import TensorVector, weight_class_masks
 
 __all__ = [
     "ExteriorVector",
@@ -41,7 +47,6 @@ __all__ = [
     "wedge_sl2",
     "symplectic_form_vector",
     "component_quotient",
-    "ComponentQuotient",
     "lie_e_token",
     "lie_f_token",
     "s_token",
@@ -67,7 +72,9 @@ __all__ = [
     "lefschetz_weights",
     "LefschetzBasis",
     "lefschetz_basis",
+    "component_solver",
     "lefschetz_action_matrix",
+    "DecompositionError",
     "AlexanderTrace",
     "alexander_trace",
     "modular_quotient_trace",
@@ -831,12 +838,16 @@ class LefschetzBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def column(self, v: ExteriorVector) -> np.ndarray:
-        col = np.zeros(len(self.masks), dtype=np.int64)
+    def columns(self, vectors, p: int | None) -> np.ndarray:
+        """Monomial coordinates of vectors of this basis's degree, one column
+        per vector: Python ints in an object array when p is None, else
+        residues mod p, each reduced before it enters int64."""
         index = _degree_mask_index(self.g, self.degree)
-        for m, c in v.coeffs.items():
-            col[index[m]] = c
-        return col
+        out = np.zeros((len(self.masks), len(vectors)), dtype=object if p is None else np.int64)
+        for col, v in enumerate(vectors):
+            for m, c in v.coeffs.items():
+                out[index[m], col] = c if p is None else c % p
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -868,101 +879,52 @@ def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
 
 
 @lru_cache(maxsize=None)
-def _fp_lefschetz_solver(p: int, j: int, g: int):
+def component_solver(p: int | None, j: int, g: int) -> BasisSolver:
+    """Coordinate solver of the j-th component basis at genus g, mod p, or
+    exactly over Z when p is None.
+
+    Each weight block of the basis is the upsilon image of a standard
+    Specht basis, so its rows are the images of the Specht solver's
+    tabloid rows and its inverse is the Specht inverse with the upsilon
+    signs of those rows folded into its columns.  Blocks of different
+    weights share no monomial, so the square at all rows is block diagonal
+    and one block-diagonal inverse solves every block at once.
+    """
     basis = lefschetz_basis(j, g)
-    mat = basis.matrix % p
-    d = mat.shape[1]
-    if d == 0:
-        return basis, np.zeros(0, dtype=np.intp), np.zeros((0, 0), dtype=np.int64)
-    _, pivots = fp_rref(mat.T, p)
-    rows = np.asarray(pivots, dtype=np.intp)
-    inv = fp_inverse(mat[rows], p)
-    return basis, rows, inv
-
-
-def _fp_coords(p: int, j: int, g: int, cols: np.ndarray) -> np.ndarray:
-    basis, rows, inv = _fp_lefschetz_solver(p, j, g)
-    cols = cols % p
-    x = fp_matmul(inv, cols[rows], p)
-    if not np.array_equal(fp_matmul(basis.matrix % p, x, p), cols):
-        raise ValueError("coordinate solve inconsistent on the component basis")
-    return x
-
-
-@lru_cache(maxsize=None)
-def _frac_lefschetz_solver(p_unused: None, j: int, g: int):
-    basis = lefschetz_basis(j, g)
-    mat = basis.matrix
-    d = mat.shape[1]
-    if d == 0:
-        return basis, (), ()
-    # choose independent rows over Q via a fraction elimination of the transpose
+    index = _degree_mask_index(g, basis.degree)
     rows = []
-    work = [[Fraction(x) for x in row] for row in mat.T.tolist()]
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i2 in range(len(work)):
-            if i2 != r and work[i2][c] != 0:
-                f = work[i2][c]
-                work[i2] = [x - f * y for x, y in zip(work[i2], work[r])]
-        rows.append(c)
-        r += 1
-        if r == d:
-            break
-    sub = [[Fraction(int(mat[rr, cc])) for cc in range(d)] for rr in rows]
-    inv = _frac_inverse(sub)
-    return basis, tuple(rows), tuple(tuple(row) for row in inv)
-
-
-def _frac_inverse(m):
-    n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    inv = np.zeros((basis.dim, basis.dim), dtype=object if p is None else np.int64)
+    start = 0
+    for lam in basis.lams:
+        n = len(zero_set(lam))
+        block = basis_solver(p, n, j)
+        words = weight_class_masks(n, (n + 1 - j) // 2)[0]
+        signs = []
+        for r in block.rows:
+            sign, mask = _upsilon_monomial(lam, words[r], g)
+            signs.append(sign)
+            rows.append(index[mask])
+        end = start + len(signs)
+        inv[start:end, start:end] = block.inv * np.asarray(signs, dtype=np.int64)
+        start = end
+    matrix = basis.matrix.astype(object) if p is None else basis.matrix % p
+    return BasisSolver(p, matrix, np.asarray(rows, dtype=np.intp), inv if p is None else inv % p)
 
 
 def lefschetz_action_matrix(word, j: int, g: int, p: int | None = None) -> np.ndarray:
-    """Matrix of a token word on the j-th component basis: exact integer
-    entries when p is None, otherwise entries mod p."""
+    """Matrix of a token word on the j-th component basis: exact Python-int
+    entries in an object array when p is None, otherwise residues mod p."""
     basis = lefschetz_basis(j, g)
-    if basis.dim == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    cols = np.stack([basis.column(apply_word(word, v)) for v in basis.vectors], axis=1)
-    if p is not None:
-        return _fp_coords(p, j, g, cols)
-    _, rows, inv = _frac_lefschetz_solver(None, j, g)
-    picked = [[Fraction(int(cols[rr, cc])) for cc in range(cols.shape[1])] for rr in rows]
-    prod = [[sum(inv[i][k] * picked[k][jj] for k in range(len(picked))) for jj in range(cols.shape[1])] for i in range(len(inv))]
-    out = np.zeros((basis.dim, basis.dim), dtype=np.int64)
-    for i in range(basis.dim):
-        for jj in range(basis.dim):
-            x = prod[i][jj]
-            if x.denominator != 1:
-                raise ArithmeticError("component action is not integral")
-            out[i, jj] = int(x)
-    # verify the solve: the basis matrix times the coordinates must reproduce the columns
-    if not np.array_equal(basis.matrix @ out, cols):
-        raise ValueError("coordinate solve inconsistent on the component basis")
-    return out
+    cols = basis.columns([apply_word(word, v) for v in basis.vectors], p)
+    return component_solver(p, j, g).coords(cols)
 
 
 # ---------------------------------------------------------------------------
 # trace invariants
+
+
+class DecompositionError(ArithmeticError):
+    """The component traces do not reassemble the weighted trace."""
 
 
 @dataclass
@@ -980,7 +942,7 @@ class AlexanderTrace:
         for j, t in enumerate(self.component_traces, start=1):
             total = total + quantum_integer(j) * t
         if total != self.polynomial:
-            raise ArithmeticError("component decomposition does not match the weighted trace")
+            raise DecompositionError("component decomposition does not match the weighted trace")
 
 
 def alexander_trace(word, g: int) -> AlexanderTrace:
@@ -1001,46 +963,10 @@ def alexander_trace(word, g: int) -> AlexanderTrace:
     return AlexanderTrace(g, LaurentInt(poly), tuple(traces))
 
 
-@dataclass
-class ComponentQuotient:
-    p: int
-    j: int
-    g: int
-    radical: np.ndarray
-    free_idx: tuple[int, ...]
-    pivot_idx: tuple[int, ...]
-    dim: int
-
-    def project(self, cols: np.ndarray) -> np.ndarray:
-        cols = np.asarray(cols, dtype=np.int64) % self.p
-        if self.radical.shape[1]:
-            cols = (cols - fp_matmul(self.radical, cols[list(self.free_idx)], self.p)) % self.p
-        return cols[list(self.pivot_idx)]
-
-    def quotient_matrix(self, action: np.ndarray) -> np.ndarray:
-        return self.project(action[:, list(self.pivot_idx)] % self.p)
-
-    def check_radical_invariance(self, action: np.ndarray):
-        if not self.radical.shape[1]:
-            return
-        moved = fp_matmul(action, self.radical, self.p)
-        reduced = (moved - fp_matmul(self.radical, moved[list(self.free_idx)], self.p)) % self.p
-        if reduced.any():
-            raise AssertionError("word action does not preserve the radical")
-
-
 @lru_cache(maxsize=None)
-def component_quotient(p: int, j: int, g: int) -> ComponentQuotient:
-    return _component_quotient_of_gram(p, j, g, int_gram(lefschetz_basis(j, g).matrix))
-
-
-def _component_quotient_of_gram(p: int, j: int, g: int, gram: np.ndarray) -> ComponentQuotient:
-    """The quotient by the null space of a Gram matrix, from one elimination."""
-    rref, pivots = fp_rref(gram, p)
-    radical = kernel_from_rref(rref, pivots, p)
-    d = gram.shape[0]
-    free = tuple(sorted(set(range(d)) - set(pivots)))
-    return ComponentQuotient(p, j, g, radical, free, tuple(pivots), d - radical.shape[1])
+def component_quotient(p: int, j: int, g: int) -> GramQuotient:
+    """Quotient of the j-th component mod p by the radical of its form."""
+    return GramQuotient(int_gram(lefschetz_basis(j, g).matrix), p)
 
 
 def modular_quotient_trace(p: int, j: int, word, g: int, debug: bool = False) -> FpScalar:
@@ -1051,7 +977,7 @@ def modular_quotient_trace(p: int, j: int, word, g: int, debug: bool = False) ->
     if j > g + 1:
         return FpScalar(0, p)
     q = component_quotient(p, j, g)
-    if q.dim == 0:
+    if q.quotient_dim == 0:
         return FpScalar(0, p)
     action = lefschetz_action_matrix(word, j, g, p=p)
     q.check_radical_invariance(action)
@@ -1066,7 +992,7 @@ def modular_quotient_trace(p: int, j: int, word, g: int, debug: bool = False) ->
 def _alternate_complement_trace(p: int, j: int, g: int, action: np.ndarray) -> int:
     gram = int_gram(lefschetz_basis(j, g).matrix)
     flip = list(range(gram.shape[0] - 1, -1, -1))
-    alt = _component_quotient_of_gram(p, j, g, gram[np.ix_(flip, flip)])
+    alt = GramQuotient(gram[np.ix_(flip, flip)], p)
     action_flipped = action[np.ix_(flip, flip)]
     alt.check_radical_invariance(action_flipped)
     return int(np.trace(alt.quotient_matrix(action_flipped))) % p

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from spechtres import cli
 
 
@@ -175,6 +177,54 @@ def test_unexpected_error_becomes_failed_check(monkeypatch):
     rep = cli.run(cli.Job("fusion", {"p": 3}))
     assert rep.status == "fail"
     assert rep.checks[0]["name"] == "error"
+
+
+def test_overflow_is_an_error_not_a_decomposition_failure(monkeypatch):
+    def overflow(word, g):
+        raise OverflowError("int too large")
+
+    def mismatch(word, g):
+        raise cli.surf_mod.DecompositionError("stub")
+
+    monkeypatch.setattr(cli.surf_mod, "alexander_trace", overflow)
+    rep = cli.run(cli.Job("alexander", {"g": 1, "word": "S1"}))
+    assert [c["name"] for c in rep.checks] == ["error"]
+    assert rep.checks[0]["details"].startswith("OverflowError")
+    monkeypatch.setattr(cli.surf_mod, "alexander_trace", mismatch)
+    rep = cli.run(cli.Job("alexander", {"g": 1, "word": "S1"}))
+    assert [(c["name"], c["status"]) for c in rep.checks] == [("alexander-decomposition", "fail")]
+
+
+def test_long_random_word_passes_all_three_checks():
+    # the word's coefficients pass 2**100; they used to overflow int64
+    proc = subprocess.run(
+        [sys.executable, "-m", "spechtres", "--output", "json", "alexander", "--g", "2", "--p", "5", "--length", "1000"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert [c["status"] for c in rep["checks"]] == ["pass"] * 3
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"command": "dims", "p": "5", "g": 2},
+        {"command": "alexander", "g": 2, "length": "4"},
+        {"command": "alexander", "g": True},
+        {"command": "factors", "p": 5, "tau": [True, False]},
+        {"command": "alexander", "g": 2, "length": -3},
+        {"command": "jm", "p": 7, "k": 1, "g": 2, "pairs": -1},
+    ],
+    ids=["string-p", "string-length", "bool-g", "bool-tau", "negative-length", "negative-pairs"],
+)
+def test_job_parameters_of_the_wrong_type_or_sign_exit_two(job, tmp_path):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([job]))
+    proc = run_cli(["--jobs", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: job 0: ") and "Traceback" not in proc.stderr
 
 
 def test_batch_order_independent_of_workers():

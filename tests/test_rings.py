@@ -16,11 +16,11 @@ from spechtres.rings import (
     fp_inverse,
     fp_rref,
     fp_solve,
-    fp_unitriangular_inverse,
     frac_solve,
     int_det,
     int_gram,
     quantum_integer,
+    unitriangular_inverse,
     zeta_quantum,
 )
 
@@ -262,12 +262,21 @@ def test_unitriangular_inverse():
     for p in (3, 7, AUX_PRIME):
         for d in (0, 1, 5, 33, 70):
             u = np.triu(rng.randint(-5, 6, size=(d, d)), 1) + np.eye(d, dtype=np.int64)
-            inv = fp_unitriangular_inverse(u, p)
+            inv = unitriangular_inverse(u, p)
             assert np.array_equal(fp_matmul(u, inv, p), np.eye(d, dtype=np.int64))
-    with pytest.raises(ValueError):
-        fp_unitriangular_inverse(np.array([[1, 0], [1, 1]]), 5)
-    with pytest.raises(ValueError):
-        fp_unitriangular_inverse(np.array([[2, 0], [0, 1]]), 5)
+    # over Z the entries of a 70 x 70 inverse outgrow int64
+    for d in (0, 1, 5, 33, 70):
+        u = np.triu(rng.randint(-5, 6, size=(d, d)), 1) + np.eye(d, dtype=np.int64)
+        inv = unitriangular_inverse(u, None)
+        assert inv.dtype == object
+        assert np.array_equal(u.astype(object) @ inv, np.eye(d, dtype=np.int64))
+        for p in (3, 7):
+            assert np.array_equal(inv % p, unitriangular_inverse(u, p))
+    for p in (5, None):
+        with pytest.raises(ValueError):
+            unitriangular_inverse(np.array([[1, 0], [1, 1]]), p)
+        with pytest.raises(ValueError):
+            unitriangular_inverse(np.array([[2, 0], [0, 1]]), p)
 
 
 def _rref_python_ints(a, p):

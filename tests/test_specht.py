@@ -245,21 +245,25 @@ def test_permutation_matrix_is_the_perm_action_on_the_basis():
         permutation_matrix_on_basis(4, 3, (1, 1, 2, 3), 5)
 
 def test_solver_coords_and_membership_check():
-    solver = basis_solver(3, 6, 3)  # [4,2]
-    mat = basis_matrix(6, 3)
-    x = np.arange(mat.shape[1]) % 3
-    assert np.array_equal(solver.coords(mat @ x)[:, 0], x)
-    lone_word = np.zeros(mat.shape[0], dtype=np.int64)
-    lone_word[0] = 1  # a single tabloid word is not in the span
-    with pytest.raises(ValueError):
-        solver.coords(lone_word)
+    mat = basis_matrix(6, 3)  # [4,2]
+    for p in (3, None):
+        solver = basis_solver(p, 6, 3)
+        x = np.arange(mat.shape[1]) % 3 if p else np.arange(mat.shape[1]) - 4
+        assert np.array_equal(solver.coords(mat @ x)[:, 0], x)
+        lone_word = np.zeros(mat.shape[0], dtype=np.int64)
+        lone_word[0] = 1  # a single tabloid word is not in the span
+        with pytest.raises(ValueError):
+            solver.coords(lone_word)
 
 
 def test_cached_arrays_are_read_only():
     from spechtres.dims import _structure_matrices
     from spechtres.tensor import _raising_sites
 
+    from spechtres.surface import component_solver
+
     solver = basis_solver(5, 6, 3)
+    components = [component_solver(p, 2, 3) for p in (5, None)]
     src, dst = _raising_sites(6, 2)[0]
     cached = [
         basis_matrix(6, 3),
@@ -271,6 +275,7 @@ def test_cached_arrays_are_read_only():
         solver.matrix,
         solver.rows,
         solver.inv,
+        *(a for c in components for a in (c.matrix, c.rows, c.inv)),
     ]
     for a in cached:
         with pytest.raises(ValueError):

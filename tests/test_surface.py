@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spechtres.dims import verlinde_dim
-from spechtres.rings import LaurentInt
+from spechtres.rings import LaurentInt, frac_solve
 from spechtres.specht import Diagram2, specht_dim, standard_tableaux
 from spechtres.surface import (
     ExteriorVector,
@@ -13,6 +13,7 @@ from spechtres.surface import (
     apply_token,
     apply_word,
     component_quotient,
+    component_solver,
     cyclotomic_trace_check,
     group_token_pool,
     handle_map,
@@ -24,6 +25,7 @@ from spechtres.surface import (
     lefschetz_weights,
     lie_e_token,
     lie_f_token,
+    matrix_token,
     modular_quotient_trace,
     nabla_weights,
     perm_token,
@@ -39,8 +41,10 @@ from spechtres.surface import (
     wedge,
     wedge_sl2,
     zero_set,
+    _degree_masks,
+    _upsilon_monomial,
 )
-from spechtres.tensor import TensorVector, apply_sl2 as tensor_sl2, inner_product
+from spechtres.tensor import TensorVector, apply_sl2 as tensor_sl2, inner_product, weight_class_masks
 
 
 def random_ext(g, rng, terms=3):
@@ -275,6 +279,64 @@ def test_lefschetz_vectors_are_lowest_weight():
                 assert wedge_sl2("H", v) == (1 - j) * v
 
 
+def test_component_action_matches_the_fraction_oracle():
+    # exact entries against Fraction elimination, and their residues
+    # against the mod-p path
+    rng = random.Random(15)
+    for g in (1, 2, 3):
+        for j in range(1, g + 2):
+            basis = lefschetz_basis(j, g)
+            words = [random_group_word(g, rng.randrange(0, 6), rng) for _ in range(3)]
+            words += [[lie_e_token(i)] for i in range(1, g + 1)]
+            for word in words:
+                exact = lefschetz_action_matrix(word, j, g)
+                assert exact.dtype == object
+                images = basis.columns([apply_word(word, v) for v in basis.vectors], None)
+                oracle = frac_solve(basis.matrix.tolist(), images.tolist())
+                assert exact.tolist() == oracle, (g, j, word)
+                for p in (3, 5, 7):
+                    modular = lefschetz_action_matrix(word, j, g, p=p)
+                    assert np.array_equal(modular, (exact % p).astype(np.int64)), (g, j, p)
+
+
+def test_component_solvers_refuse_a_lone_monomial():
+    for p in (None, 5):
+        for g, j in ((2, 1), (3, 2)):
+            solver = component_solver(p, j, g)
+            masks = lefschetz_basis(j, g).masks
+            lone = np.zeros(len(masks), dtype=np.int64)
+            lone[masks.index(1 | 1 << g)] = 1  # a_1 b_1: not primitive alone
+            with pytest.raises(ValueError):
+                solver.coords(lone)
+
+
+def test_weight_blocks_partition_the_degree_masks():
+    for g in range(0, 6):
+        for j in range(1, g + 2):
+            seen = []
+            for lam in lefschetz_weights(j, g):
+                n = len(zero_set(lam))
+                for w in weight_class_masks(n, (n + 1 - j) // 2)[0]:
+                    seen.append(_upsilon_monomial(lam, w, g)[1])
+            assert sorted(seen) == list(_degree_masks(g, g - j + 1)), (g, j)
+
+
+# integral symplectic matrix of infinite order; its powers have entries
+# that grow geometrically
+_GROWING = matrix_token([[2, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_alexander_trace_is_exact_past_int64():
+    for power in (45, 60):
+        at = alexander_trace([_GROWING] * power, 2)  # construction checks the decomposition
+        assert max(abs(t) for t in at.component_traces) >= 2**63, power
+    assert at.component_traces == (23963311084049861350464005, 11981655542024930675232004, 1)
+
+
+def test_modular_quotient_trace_reduces_large_coefficients():
+    assert int(modular_quotient_trace(5, 1, [_GROWING] * 60, 2)) == 0
+
+
 def test_alexander_trace_examples():
     at = alexander_trace([], 1)
     assert at.polynomial == LaurentInt({1: 1, 0: 2, -1: 1})
@@ -325,9 +387,9 @@ def test_quotient_dims_match_fusion():
         for g in range(1, 6):
             for j in range(1, g + 2):
                 q = component_quotient(p, j, g)
-                assert q.dim == _assembled_quotient_dim(p, j, g), (p, j, g)
+                assert q.quotient_dim == _assembled_quotient_dim(p, j, g), (p, j, g)
                 if j < p:
-                    assert q.dim == verlinde_dim(p, j, g), (p, j, g)
+                    assert q.quotient_dim == verlinde_dim(p, j, g), (p, j, g)
 
 
 def test_cyclic_generation_of_quotients():
@@ -338,7 +400,7 @@ def test_cyclic_generation_of_quotients():
         toks = group_token_pool(g) + [lie_e_token(i) for i in range(1, g + 1)]
         for j in range(1, g + 2):
             q = component_quotient(p, j, g)
-            if q.dim == 0:
+            if q.quotient_dim == 0:
                 continue
             mats = []
             for tok in toks:
@@ -346,7 +408,7 @@ def test_cyclic_generation_of_quotients():
                 q.check_radical_invariance(full)
                 mats.append(q.quotient_matrix(full))
             for _ in range(10):
-                v = np.array([rng.randrange(p) for _ in range(q.dim)], dtype=np.int64)
+                v = np.array([rng.randrange(p) for _ in range(q.quotient_dim)], dtype=np.int64)
                 if not v.any():
                     v[0] = 1
                 span = v[None, :].copy()
@@ -369,7 +431,7 @@ def test_cyclic_generation_of_quotients():
                                 rref, _ = fp_rref(span, p)
                                 changed = True
                     span = rref[:rank]
-                assert span.shape[0] == q.dim, (g, j)
+                assert span.shape[0] == q.quotient_dim, (g, j)
 
 
 def test_cyclotomic_trace_identity():
