@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,10 +26,8 @@ from . import extension as ext_mod
 from . import factors as factors_mod
 from . import resolution as res_mod
 from . import surface as surf_mod
-from .rings import fp_matmul
+from .rings import fp_matmul, is_prime
 from .specht import Diagram2, cycle_type_representative, partitions
-
-COMMANDS = ("resolve", "character", "factors", "dims", "fusion", "alexander", "jm", "selftest")
 
 
 @dataclass
@@ -37,10 +36,20 @@ class Job:
     params: dict = field(default_factory=dict)
 
     def validate(self):
+        """Check the parameters against the command's table; a `tau` given
+        as a string becomes a pair.  Raises ValueError naming the fault."""
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        _integer_params(self.params)
-        _VALIDATORS[self.command](self.params)
+        spec = SCHEMA[self.command]
+        unknown = [str(k) for k in self.params if k not in spec.params]
+        if unknown:
+            raise ValueError(f"unknown parameters: {', '.join(unknown)}")
+        missing = [k for k, param in spec.params.items() if param.required and self.params.get(k) is None]
+        if missing:
+            raise ValueError(f"missing parameters: {', '.join(missing)}")
+        self.params = {k: v if v is None else spec.params[k].check(k, v) for k, v in self.params.items()}
+        if spec.check:
+            spec.check(spec.with_defaults(self.params))
 
 
 @dataclass
@@ -74,119 +83,146 @@ def _skip(name: str, details: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# parameter validation
+# job schema
+#
+# One table per command gives each parameter's kind, whether it is required,
+# its default, its range and its help text; Job.validate, the subcommand
+# options and job-file loading all read it.  The upper end of each range is
+# a resource cap: every job inside the caps finishes within 60 s and 4 GB in
+# a single cold run on 2 vCPUs with 8 GB (README, "Command line").
 
 
-# Parameters that must be integers wherever they appear, and those of them
-# that count something and so must not be negative.
-_INTEGER_KEYS = ("p", "n", "k", "g", "length", "pairs", "seed", "workers")
-_COUNT_KEYS = ("length", "pairs")
+def _diagram(key, x):
+    """tau as a list [a, b] with a >= b >= 0, from a pair or from "a,b"."""
+    if isinstance(x, str):
+        x = [int(r) if r.isdecimal() else r for r in x.replace(",", " ").split()]
+    if not (isinstance(x, (list, tuple)) and len(x) == 2 and all(type(r) is int for r in x) and x[0] >= x[1] >= 0):
+        raise ValueError(f"{key} must be two row lengths a >= b >= 0, got {x!r}")
+    return list(x)
 
 
-def _is_integer(x) -> bool:
-    # bool is a subclass of int, but true is not a genus
-    return isinstance(x, int) and not isinstance(x, bool)
+# kind: (Python type, its name in messages, the size its range bounds,
+# argparse keywords)
+_KINDS = {
+    "int": (int, "an integer", int, {"type": int}),
+    "prime": (int, "an integer", int, {"type": int}),
+    "bool": (bool, "true or false", None, {"action": "store_true"}),
+    "word": (str, "a string", lambda w: len(w.split()), {}),
+    "tau": (list, "two row lengths", sum, {}),
+}
 
 
-def _integer_params(params):
-    for key in _INTEGER_KEYS:
-        if params.get(key) is not None and not _is_integer(params[key]):
-            raise ValueError(f"{key} must be an integer, got {params[key]!r}")
-    for key in _COUNT_KEYS:
-        if params.get(key) is not None and params[key] < 0:
-            raise ValueError(f"{key} must be nonnegative, got {params[key]}")
+@dataclass(frozen=True)
+class Param:
+    kind: str
+    help: str
+    required: bool = False
+    default: object = None
+    lo: int | None = None
+    hi: int | None = None
+    # "sub": an option of the subcommand; "global": filled from the top-level
+    # option of the same name; "": job files only
+    cli: str = "sub"
+
+    def check(self, key, value):
+        want, name, size, _ = _KINDS[self.kind]
+        if self.kind == "tau":
+            value = _diagram(key, value)
+        if type(value) is not want:  # exact: a bool is no genus
+            raise ValueError(f"{key} must be {name}, got {value!r}")
+        if self.lo is not None and not self.lo <= size(value) <= self.hi:
+            raise ValueError(f"{key} out of range: {size(value)} not in [{self.lo}, {self.hi}]")
+        # after the range, which bounds the trial division
+        if self.kind == "prime" and not is_prime(value):
+            raise ValueError(f"{key} must be an odd prime, got {value}")
+        return value
 
 
-def _need(params, keys):
-    missing = [k for k in keys if k not in params or params[k] is None]
-    if missing:
-        raise ValueError(f"missing parameters: {', '.join(missing)}")
+@dataclass(frozen=True)
+class Command:
+    help: str
+    params: dict
+    check: object = None  # rule across parameters; raises ValueError
+
+    def __post_init__(self):
+        self.params.setdefault("seed", _SEED)  # every command takes one
+
+    def with_defaults(self, params: dict) -> dict:
+        """The parameters given, a null counting as absent, over the defaults."""
+        given = {k: v for k, v in params.items() if v is not None}
+        return {**{k: param.default for k, param in self.params.items() if param.default is not None}, **given}
 
 
-def _odd_prime(p):
-    from .rings import is_prime
-
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-
-
-def _diagram(params):
-    tau = params["tau"]
-    if not (isinstance(tau, (list, tuple)) and len(tau) == 2):
-        raise ValueError("tau must be a pair of row lengths")
-    a, b = tau
-    if not (_is_integer(a) and _is_integer(b) and a >= b >= 0):
-        raise ValueError(f"invalid diagram {tau}")
-    return a, b
-
-
-def _validate_resolve(params):
-    _need(params, ["p", "n", "k"])
-    _odd_prime(params["p"])
-    p, n, k = params["p"], params["n"], params["k"]
-    if n < 0 or not 0 < k < p or (n + 1 - k) % 2 or k > n + 1:
+def _resolve_label(q):
+    p, n, k = q["p"], q["n"], q["k"]
+    if not 0 < k < p or (n + 1 - k) % 2 or k > n + 1:
         raise ValueError(f"label k={k} invalid for p={p}, n={n}")
 
 
-def _validate_character(params):
-    _need(params, ["p", "tau"])
-    _odd_prime(params["p"])
-    a, b = _diagram(params)
-    if not 0 <= a - b <= params["p"] - 2:
-        raise ValueError(f"diagram [{a},{b}] outside the labelled range for p={params['p']}")
+def _character_label(q):
+    a, b = q["tau"]
+    if a - b > q["p"] - 2:
+        raise ValueError(f"diagram [{a},{b}] outside the labelled range for p={q['p']}")
 
 
-def _validate_factors(params):
-    _need(params, ["p", "tau"])
-    _odd_prime(params["p"])
-    _diagram(params)
+def _alexander_word(q, work):
+    # the trace applies the word to each of the 4^g monomials
+    word = q.get("word")
+    if word:
+        parse_word(word, q["g"])
+    tokens = len(word.split()) if word else q["length"]
+    if tokens * 4 ** q["g"] > work:
+        raise ValueError(f"{tokens} tokens at genus {q['g']} are over the cap tokens * 4^g <= {work}")
 
 
-def _validate_dims(params):
-    _need(params, ["p", "g"])
-    _odd_prime(params["p"])
-    if params["g"] < 0:
-        raise ValueError("genus must be nonnegative")
-
-
-def _validate_fusion(params):
-    _need(params, ["p"])
-    _odd_prime(params["p"])
-
-
-def _validate_alexander(params):
-    _need(params, ["g"])
-    if params["g"] < 0:
-        raise ValueError("genus must be nonnegative")
-    if params.get("p") is not None:
-        _odd_prime(params["p"])
-    if params.get("word"):
-        parse_word(params["word"], params["g"])
-
-
-def _validate_jm(params):
-    _need(params, ["p", "k", "g"])
-    _odd_prime(params["p"])
-    if not 0 < params["k"] < params["p"] - 3:
+def _jm_label(q):
+    if not 0 < q["k"] < q["p"] - 3:
         raise ValueError("need 0 < k < p - 3")
-    if params["g"] < 0:
-        raise ValueError("genus must be nonnegative")
 
 
-def _validate_selftest(params):
-    pass
+_SEED = Param("int", "seed of the job's random choices", default=0, cli="")
 
 
-_VALIDATORS = {
-    "resolve": _validate_resolve,
-    "character": _validate_character,
-    "factors": _validate_factors,
-    "dims": _validate_dims,
-    "fusion": _validate_fusion,
-    "alexander": _validate_alexander,
-    "jm": _validate_jm,
-    "selftest": _validate_selftest,
+SCHEMA = {
+    "resolve": Command("build one complex and verify exactness", {
+        "p": Param("prime", "an odd prime", True, lo=3, hi=211),
+        "n": Param("int", "degree", True, lo=0, hi=16),
+        "k": Param("int", "label: 0 < k < p, k <= n + 1, n + 1 - k even", True),
+    }, _resolve_label),
+    "character": Command("modular character identity over all cycle types", {
+        "p": Param("prime", "an odd prime", True, lo=3, hi=211),
+        "tau": Param("tau", "two row lengths, e.g. 3,2", True, lo=0, hi=12),
+    }, _character_label),
+    "factors": Command("composition factor oracle and partition check", {
+        "p": Param("prime", "an odd prime", True, lo=3, hi=211),
+        "tau": Param("tau", "two row lengths, e.g. 6,4", True, lo=0, hi=16),
+    }),
+    "dims": Command("genus multiplicities and closed forms", {
+        "p": Param("prime", "an odd prime", True, lo=3, hi=211),
+        "g": Param("int", "genus", True, lo=0, hi=100),
+    }),
+    "fusion": Command("fusion table, norms and growth polynomial", {
+        "p": Param("prime", "an odd prime", True, lo=3, hi=211),
+    }),
+    "alexander": Command("weighted trace and its reductions", {
+        "g": Param("int", "genus", True, lo=0, hi=5),
+        "word": Param("word", "token word, e.g. 'S1 U2 P1'; random when absent", lo=0, hi=1000),
+        "p": Param("prime", "an odd prime", lo=3, hi=211),
+        "length": Param("int", "length of the random word", default=4, lo=0, hi=1000),
+    }, partial(_alexander_word, work=2**16)),
+    "jm": Command("block extension suite", {
+        "p": Param("prime", "an odd prime", True, lo=3, hi=211),
+        "k": Param("int", "label: 0 < k < p - 3", True),
+        "g": Param("int", "genus", True, lo=0, hi=4),
+        "pairs": Param("int", "random products checked", default=10, lo=0, hi=1000),
+    }, _jm_label),
+    "selftest": Command("run the acceptance checks", {
+        "quick": Param("bool", "the smaller job list"),
+        "seed": Param("int", "", default=0, cli="global"),
+        "workers": Param("int", "", default=1, cli="global"),
+    }),
 }
+COMMANDS = tuple(SCHEMA)
 
 
 def parse_word(text: str, g: int) -> list:
@@ -341,7 +377,7 @@ def _run_fusion(params, rng) -> tuple[dict, list]:
         ),
         _check(
             "growth-polynomial",
-            abs(poly(norm_small) - norm_big) < 1e-9,
+            dims_mod.growth_identity(p),
             f"R_p(|f|)={poly(norm_small):.12f} |F|={norm_big:.12f}",
         ),
     ]
@@ -353,7 +389,7 @@ def _run_alexander(params, rng) -> tuple[dict, list]:
     if params.get("word"):
         word = parse_word(params["word"], g)
     else:
-        word = surf_mod.random_group_word(g, params.get("length", 4), rng)
+        word = surf_mod.random_group_word(g, params["length"], rng)
     try:
         at = surf_mod.alexander_trace(word, g)
         decomposition_ok = True
@@ -378,7 +414,7 @@ def _run_alexander(params, rng) -> tuple[dict, list]:
 
 def _run_jm(params, rng) -> tuple[dict, list]:
     p, k, g = params["p"], params["k"], params["g"]
-    idents = ext_mod.wedge_pair_identities(min(g, 2), seed=params.get("seed", 0), samples=6)
+    idents = ext_mod.wedge_pair_identities(min(g, 2), seed=params["seed"], samples=6)
     witness_rep = ext_mod.nonsplit_witness(p, k, g)
     checks = [_check("wedge-pair-identities", idents["ok"], str({k: v for k, v in idents.items() if not v}))]
     results: dict = {
@@ -395,7 +431,7 @@ def _run_jm(params, rng) -> tuple[dict, list]:
     mod = ext_mod.block_module(p, k, 3, g, "quotient")
     _, _, complement, masks = ext_mod.form_quotient_data(p, 3, g)
     hom_ok = True
-    for _ in range(params.get("pairs", 10)):
+    for _ in range(params["pairs"]):
         def rand_elem():
             x = surf_mod.ExteriorVector(
                 g, {masks[complement[rng.randrange(len(complement))]]: rng.randrange(1, p) for _ in range(2)}
@@ -457,8 +493,8 @@ def _selftest_jobs(quick: bool, seed: int) -> list[Job]:
 
 def _run_selftest(params, rng) -> tuple[dict, list]:
     quick = bool(params.get("quick"))
-    seed = params.get("seed", 0)
-    workers = params.get("workers", 1)
+    seed = params["seed"]
+    workers = params["workers"]
     jobs = _selftest_jobs(quick, seed)
     reports = run_batch(jobs, workers=workers, seed=seed)
     checks = []
@@ -497,8 +533,9 @@ def run(job: Job, seed: int = 0) -> Report:
     job.validate()
     t0 = time.perf_counter()
     rng = random.Random(job.params.get("seed", seed))
+    params = SCHEMA[job.command].with_defaults(job.params)
     try:
-        results, checks = _RUNNERS[job.command](job.params, rng)
+        results, checks = _RUNNERS[job.command](params, rng)
     except Exception as exc:  # surfaced as a failed check, not a crash
         results, checks = {}, [_check("error", False, f"{type(exc).__name__}: {exc}")]
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -548,62 +585,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--jobs", help="JSON file with a list of job objects")
     ap.add_argument("--workers", type=int, default=1)
     sub = ap.add_subparsers(dest="command")
-
-    sp = sub.add_parser("resolve", help="build one complex and verify exactness")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = sub.add_parser("character", help="modular character identity over all cycle types")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--tau", required=True, help="two row lengths, e.g. 3,2")
-
-    sp = sub.add_parser("factors", help="composition factor oracle and partition check")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--tau", required=True)
-
-    sp = sub.add_parser("dims", help="genus multiplicities and closed forms")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--g", type=int, required=True)
-
-    sp = sub.add_parser("fusion", help="fusion table, norms and growth polynomial")
-    sp.add_argument("--p", type=int, required=True)
-
-    sp = sub.add_parser("alexander", help="weighted trace and its reductions")
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--word", help="token word, e.g. 'S1 U2 P1'")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--length", type=int, default=4)
-
-    sp = sub.add_parser("jm", help="block extension suite")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--pairs", type=int, default=10)
-
-    sp = sub.add_parser("selftest", help="run the acceptance checks")
-    sp.add_argument("--quick", action="store_true")
-
+    for name, spec in SCHEMA.items():
+        sp = sub.add_parser(name, help=spec.help)
+        for key, param in spec.params.items():
+            if param.cli == "sub":
+                text = param.help if param.lo is None else f"{param.help} [{param.lo}, {param.hi}]"
+                options = {"required": param.required, "default": param.default, "help": text, **_KINDS[param.kind][3]}
+                sp.add_argument(f"--{key}", **options)
     return ap
 
 
 def _job_from_args(args) -> Job:
-    params = {}
-    for key in ("p", "n", "k", "g", "word", "length", "pairs"):
-        if getattr(args, key, None) is not None:
-            params[key] = getattr(args, key)
-    if getattr(args, "tau", None):
-        try:
-            a, b = (int(x) for x in args.tau.replace(",", " ").split())
-        except ValueError as exc:
-            raise ValueError(f"malformed diagram {args.tau!r}") from exc
-        params["tau"] = [a, b]
-    if getattr(args, "quick", False):
-        params["quick"] = True
-    if args.command == "selftest":
-        params["workers"] = args.workers
-        params["seed"] = args.seed
-    return Job(args.command, params)
+    params = SCHEMA[args.command].params
+    return Job(args.command, {k: getattr(args, k) for k in params if params[k].cli and getattr(args, k) is not None})
 
 
 def load_jobs(path: str) -> list[Job]:
@@ -615,32 +609,22 @@ def load_jobs(path: str) -> list[Job]:
     for idx, entry in enumerate(data):
         if not isinstance(entry, dict) or "command" not in entry:
             raise ValueError(f"job {idx}: each entry needs a 'command' field")
-        params = {k: v for k, v in entry.items() if k != "command"}
-        if "tau" in params and isinstance(params["tau"], str):
-            a, b = (int(x) for x in params["tau"].replace(",", " ").split())
-            params["tau"] = [a, b]
-        job = Job(entry["command"], params)
-        try:
-            job.validate()
-        except ValueError as exc:
-            raise ValueError(f"job {idx}: {exc}") from exc
-        jobs.append(job)
+        jobs.append(Job(entry["command"], {k: v for k, v in entry.items() if k != "command"}))
     return jobs
 
 
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
+    if bool(args.jobs) == bool(args.command):
+        ap.error("give a command or --jobs FILE, not both")
     try:
-        if args.jobs:
-            jobs = load_jobs(args.jobs)
-        elif args.command:
-            jobs = [_job_from_args(args)]
-        else:
-            ap.print_usage(sys.stderr)
-            return 2
-        for j in jobs:
-            j.validate()
+        jobs = load_jobs(args.jobs) if args.jobs else [_job_from_args(args)]
+        for i, job in enumerate(jobs):  # each job once, before any of them runs
+            try:
+                job.validate()
+            except ValueError as exc:
+                raise ValueError(f"job {i}: {exc}") from None
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,6 +36,7 @@ __all__ = [
     "squares_doubling_check",
     "closed_form_genus_dims",
     "growth_polynomial",
+    "growth_identity",
     "perron_norms",
     "perron_power_iteration",
     "quantum_dim_identity",
@@ -409,6 +410,19 @@ def growth_polynomial(p: int) -> IntPolynomial:
         n_j = (p - 1 - j) // 2 if j % 2 == 0 else (j + 1) // 2
         total = total + n_j * _p_chebyshev(j).compose(shift)
     return total
+
+
+def growth_identity(p: int) -> bool:
+    """Exact check of R_p(|f|) = |F|, where R_p is `growth_polynomial(p)`.
+
+    With z a primitive p-th root of unity, |f| = 2 - z^((p+1)/2) - z^((p-1)/2)
+    and |F| = p / (2 - z - z^(p-1)), so the identity is
+    R_p(|f|) (2 - z - z^(p-1)) = p in Z[z]."""
+    f = CyclotomicElem.from_powers(p, {0: 2, (p + 1) // 2: -1, (p - 1) // 2: -1})
+    value = CyclotomicElem.zero(p)
+    for c in reversed(growth_polynomial(p).coeffs):
+        value = f * value + CyclotomicElem.from_powers(p, {0: c})  # f first: its three terms drive the product loop
+    return CyclotomicElem.from_powers(p, {0: 2, 1: -1, p - 1: -1}) * value == CyclotomicElem.from_powers(p, {0: p})
 
 
 def perron_norms(p: int) -> tuple[float, float]:

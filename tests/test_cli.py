@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -208,23 +209,124 @@ def test_long_random_word_passes_all_three_checks():
 
 
 @pytest.mark.parametrize(
-    "job",
+    "job, command",
     [
-        {"command": "dims", "p": "5", "g": 2},
-        {"command": "alexander", "g": 2, "length": "4"},
-        {"command": "alexander", "g": True},
-        {"command": "factors", "p": 5, "tau": [True, False]},
-        {"command": "alexander", "g": 2, "length": -3},
-        {"command": "jm", "p": 7, "k": 1, "g": 2, "pairs": -1},
+        ({"command": "dims", "p": "5", "g": 2}, []),
+        ({"command": "alexander", "g": 2, "length": "4"}, []),
+        ({"command": "alexander", "g": True}, []),
+        ({"command": "factors", "p": 5, "tau": [True, False]}, []),
+        ({"command": "alexander", "g": 2, "length": -3}, []),
+        ({"command": "jm", "p": 7, "k": 1, "g": 2, "pairs": -1}, []),
+        ({"command": "alexander", "g": 2, "lenght": 50}, []),
+        ({"command": "alexander", "g": 1, "word": 5}, []),
+        ({"command": "selftest", "quick": "no"}, []),
+        ({"command": "factors", "p": 3, "tau": "3,x"}, []),
+        ({"command": "resolve", "p": 3, "n": 4, "k": 1}, ["resolve", "--p", "3", "--n", "4", "--k", "1"]),
+        # over the resource caps; none of these is run
+        ({"command": "resolve", "p": 3, "n": 17, "k": 2}, []),
+        ({"command": "resolve", "p": 223, "n": 4, "k": 1}, []),
+        ({"command": "resolve", "p": 10**18 + 9, "n": 4, "k": 1}, []),
+        ({"command": "character", "p": 3, "tau": [7, 6]}, []),
+        ({"command": "factors", "p": 3, "tau": "10,8"}, []),
+        ({"command": "dims", "p": 223, "g": 2}, []),
+        ({"command": "dims", "p": 5, "g": 101}, []),
+        ({"command": "fusion", "p": 223}, []),
+        ({"command": "alexander", "g": 6}, []),
+        ({"command": "alexander", "g": 2, "length": 1001}, []),
+        ({"command": "alexander", "g": 1, "word": "S1 " * 1001}, []),
+        ({"command": "alexander", "g": 2, "p": 223}, []),
+        ({"command": "alexander", "g": 5, "length": 65}, []),
+        ({"command": "alexander", "g": 4, "word": "S1 " * 257}, []),
+        ({"command": "jm", "p": 7, "k": 1, "g": 5}, []),
+        ({"command": "jm", "p": 223, "k": 1, "g": 3}, []),
+        ({"command": "jm", "p": 7, "k": 1, "g": 3, "pairs": 1001}, []),
     ],
-    ids=["string-p", "string-length", "bool-g", "bool-tau", "negative-length", "negative-pairs"],
+    ids=[
+        "string-p", "string-length", "bool-g", "bool-tau", "negative-length", "negative-pairs",
+        "unknown-key", "integer-word", "string-quick", "malformed-tau-string", "job-file-and-command",
+        "resolve-n", "resolve-p", "huge-p", "character-tau", "factors-tau", "dims-p", "dims-g",
+        "fusion-p", "alexander-g", "alexander-length", "alexander-word", "alexander-p",
+        "alexander-random-word-work", "alexander-word-work", "jm-g", "jm-p", "jm-pairs",
+    ],
 )
-def test_job_parameters_of_the_wrong_type_or_sign_exit_two(job, tmp_path):
+def test_job_parameters_of_the_wrong_type_or_sign_exit_two(job, command, tmp_path, capsys):
+    # in process, so that a traceback fails the test as an uncaught exception
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps([job]))
-    proc = run_cli(["--jobs", str(path)])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: job 0: ") and "Traceback" not in proc.stderr
+    start = time.perf_counter()
+    try:
+        code = cli.main(["--jobs", str(path), *command])
+    except SystemExit as exc:  # usage errors leave through argparse
+        code = exc.code
+    assert code == 2
+    assert time.perf_counter() - start < 5  # refused before any work, trial division included
+    err = capsys.readouterr().err
+    assert "error: " in err if command else err.startswith("error: job 0: ")
+
+
+# One job per command, as subcommand options and as a job-file entry.
+_SAME_JOBS = [
+    (["resolve", "--p", "3", "--n", "4", "--k", "1"], {"command": "resolve", "p": 3, "n": 4, "k": 1}),
+    (["character", "--p", "5", "--tau", "3,1"], {"command": "character", "p": 5, "tau": "3 1"}),
+    (["factors", "--p", "3", "--tau", "4 2"], {"command": "factors", "p": 3, "tau": [4, 2]}),
+    (["dims", "--p", "5", "--g", "3"], {"command": "dims", "p": 5, "g": 3}),
+    (["fusion", "--p", "7"], {"command": "fusion", "p": 7}),
+    (
+        ["alexander", "--g", "2", "--word", "S1 P1", "--p", "5"],
+        {"command": "alexander", "g": 2, "word": "S1 P1", "p": 5, "length": 4},
+    ),
+    (
+        ["jm", "--p", "5", "--k", "1", "--g", "3", "--pairs", "2"],
+        {"command": "jm", "p": 5, "k": 1, "g": 3, "pairs": 2},
+    ),
+    (
+        ["--seed", "2", "--workers", "3", "selftest", "--quick"],
+        {"command": "selftest", "quick": True, "seed": 2, "workers": 3},
+    ),
+]
+
+
+def test_argparse_and_job_file_give_the_same_job(tmp_path):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([entry for _, entry in _SAME_JOBS]))
+    from_args = [cli._job_from_args(cli._build_parser().parse_args(argv)) for argv, _ in _SAME_JOBS]
+    from_file = cli.load_jobs(str(path))
+    for job in from_args + from_file:
+        job.validate()
+    assert from_args == from_file
+    assert sorted(job.command for job in from_args) == sorted(cli.COMMANDS)
+
+
+class _Reads(dict):
+    """Parameters that record which keys the runner reads."""
+
+    def __init__(self, params, seen):
+        super().__init__(params)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add(key)
+        return super().get(key, default)
+
+
+def test_every_table_key_is_read_by_its_runner_or_is_seed(monkeypatch):
+    monkeypatch.setattr(cli, "run_batch", lambda jobs, workers, seed: [])  # selftest's own jobs
+    seen = {command: set() for command in cli.COMMANDS}
+    for command, runner in list(cli._RUNNERS.items()):
+        def reading(params, rng, runner=runner, keys=seen[command]):
+            return runner(_Reads(params, keys), rng)
+
+        monkeypatch.setitem(cli._RUNNERS, command, reading)
+    random_word = {"command": "alexander", "g": 1, "p": 3, "length": 2}
+    for entry in [entry for _, entry in _SAME_JOBS] + [random_word]:
+        rep = cli.run(cli.Job(entry["command"], {k: v for k, v in entry.items() if k != "command"}))
+        assert rep.status == "pass", rep.checks
+    for command, spec in cli.SCHEMA.items():
+        assert set(spec.params) - {"seed"} <= seen[command], command
 
 
 def test_batch_order_independent_of_workers():

@@ -13,6 +13,7 @@ from spechtres.dims import (
     fusion_label,
     fusion_unit,
     genus_element,
+    growth_identity,
     growth_polynomial,
     odd_squares_dim,
     perron_norms,
@@ -192,6 +193,16 @@ def test_perron_norms():
     for p in (5, 7, 11, 13):
         cb, cs = perron_norms(p)
         assert abs(growth_polynomial(p)(cs) - cb) < 1e-9
+
+
+@pytest.mark.parametrize("p", [23, 53, 101])
+def test_growth_identity_is_exact_where_float_evaluation_fails(p, monkeypatch):
+    # at these primes the float64 value at |f| misses |F| by more than 1e-9
+    big, small = perron_norms(p)
+    assert abs(growth_polynomial(p)(small) - big) > 1e-9
+    assert growth_identity(p)
+    monkeypatch.setattr("spechtres.dims.growth_polynomial", lambda q: growth_polynomial(q) + IntPolynomial.of(1))
+    assert not growth_identity(p)
 
 
 def test_quantum_dim_identity():
