@@ -414,9 +414,12 @@ def _run_alexander(params, rng) -> tuple[dict, list]:
 
 def _run_jm(params, rng) -> tuple[dict, list]:
     p, k, g = params["p"], params["k"], params["g"]
-    idents = ext_mod.wedge_pair_identities(min(g, 2), seed=params["seed"], samples=6)
+    if g:
+        idents = ext_mod.wedge_pair_identities(min(g, 2), seed=params["seed"], samples=6)
+        checks = [_check("wedge-pair-identities", idents["ok"], str({k: v for k, v in idents.items() if not v}))]
+    else:
+        checks = [_skip("wedge-pair-identities", "genus 0 has no forms of positive degree to sample")]
     witness_rep = ext_mod.nonsplit_witness(p, k, g)
-    checks = [_check("wedge-pair-identities", idents["ok"], str({k: v for k, v in idents.items() if not v}))]
     results: dict = {
         "top_dim": witness_rep["top_dim"],
         "bottom_dim": witness_rep["bottom_dim"],
@@ -430,19 +433,22 @@ def _run_jm(params, rng) -> tuple[dict, list]:
         checks.append(_check("nonsplit-witness", not section["splits"], "no equivariant section"))
     mod = ext_mod.block_module(p, k, 3, g, "quotient")
     _, _, complement, masks = ext_mod.form_quotient_data(p, 3, g)
-    hom_ok = True
-    for _ in range(params["pairs"]):
-        def rand_elem():
-            x = surf_mod.ExteriorVector(
-                g, {masks[complement[rng.randrange(len(complement))]]: rng.randrange(1, p) for _ in range(2)}
-            )
-            return ext_mod.JmElement(x, rng.randrange(1, p), tuple(surf_mod.random_group_word(g, rng.randrange(0, 3), rng)))
+    if params["pairs"] and not complement:
+        checks.append(_skip("block-homomorphism", f"no degree-3 forms outside the 2-form multiples at genus {g}"))
+    else:
+        hom_ok = True
+        for _ in range(params["pairs"]):
+            def rand_elem():
+                x = surf_mod.ExteriorVector(
+                    g, {masks[complement[rng.randrange(len(complement))]]: rng.randrange(1, p) for _ in range(2)}
+                )
+                return ext_mod.JmElement(x, rng.randrange(1, p), tuple(surf_mod.random_group_word(g, rng.randrange(0, 3), rng)))
 
-        e1, e2 = rand_elem(), rand_elem()
-        lhs = ext_mod.block_action_matrix(ext_mod.jm_multiply(e1, e2, g), mod)
-        rhs = fp_matmul(ext_mod.block_action_matrix(e1, mod), ext_mod.block_action_matrix(e2, mod), p)
-        hom_ok = hom_ok and bool(np.array_equal(lhs, rhs))
-    checks.append(_check("block-homomorphism", hom_ok))
+            e1, e2 = rand_elem(), rand_elem()
+            lhs = ext_mod.block_action_matrix(ext_mod.jm_multiply(e1, e2, g), mod)
+            rhs = fp_matmul(ext_mod.block_action_matrix(e1, mod), ext_mod.block_action_matrix(e2, mod), p)
+            hom_ok = hom_ok and bool(np.array_equal(lhs, rhs))
+        checks.append(_check("block-homomorphism", hom_ok))
     strands = ext_mod.strand_resolution_check(p, k, g)
     checks.append(_check("strand-resolutions", strands["exact"]))
     results["strand_dims"] = {
@@ -532,7 +538,8 @@ def run(job: Job, seed: int = 0) -> Report:
     information never enters the JSON body so reports stay byte-stable."""
     job.validate()
     t0 = time.perf_counter()
-    rng = random.Random(job.params.get("seed", seed))
+    given = job.params.get("seed")  # a null seed counts as absent
+    rng = random.Random(seed if given is None else given)
     params = SCHEMA[job.command].with_defaults(job.params)
     try:
         results, checks = _RUNNERS[job.command](params, rng)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .rings import CyclotomicElem, LaurentInt, cyclotomic_eval, quantum_integer, read_only, zeta_quantum
+from .rings import CyclotomicElem, LaurentInt, cyclotomic_eval, quantum_integer, zeta_quantum
 
 __all__ = [
     "binom",
@@ -191,44 +192,13 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 # fusion ring on the labels 1 .. p-1
 #
-# Only three families of relations are given for the generators; general
-# products come from the structure matrices built once per p through the
-# recursion label(j+1) = label(2) * label(j) - label(j-1).  Multiplicities
-# grow exponentially with the genus, so products run in Python integers.
-
-
-@lru_cache(maxsize=None)
-def _structure_matrices(p: int) -> tuple[np.ndarray, ...]:
-    """mats[j][l, k] is the multiplicity of label l+1 in label(j+1) *
-    label(k+1).  Read-only."""
-    d = p - 1
-    mats = [np.zeros((d, d), dtype=np.int64) for _ in range(d)]
-    mats[0] = np.eye(d, dtype=np.int64)
-    if d >= 2:
-        m2 = np.zeros((d, d), dtype=np.int64)
-        for k in range(1, d + 1):
-            if k == 1:
-                m2[1, 0] = 1
-            elif k == d:
-                m2[p - 2 - 1, d - 1] = 1
-            else:
-                m2[k - 2, k - 1] += 1
-                m2[k, k - 1] += 1
-        mats[1] = m2
-        for j in range(3, d + 1):
-            mats[j - 1] = m2 @ mats[j - 2] - mats[j - 3]
-    return tuple(read_only(m) for m in mats)
-
-
-@lru_cache(maxsize=None)
-def _structure_constants(p: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """table[j][k]: the nonzero (l, multiplicity) pairs of label(j+1) *
-    label(k+1), as Python integers."""
-    mats = _structure_matrices(p)
-    return tuple(
-        tuple(tuple((l, int(m[l, k])) for l in np.flatnonzero(m[:, k])) for k in range(p - 1))
-        for m in mats
-    )
+# The sl2 fusion ring at level p - 2 (Verlinde, Nucl. Phys. B 300, 1988):
+# label i * label j is the sum of the labels k from |i - j| + 1 to
+# min(i + j - 1, 2p - 1 - i - j) in steps of 2, the truncated Clebsch-Gordan
+# rule, which meets the relations that define the ring: label 1 is the unit,
+# label(p-1) * label k = label(p-k) and label 2 * label k = label(k-1) +
+# label(k+1) for 1 < k < p - 1.  Multiplicities grow exponentially with the
+# genus, so products run in Python integers.
 
 
 class FusionElement:
@@ -238,7 +208,7 @@ class FusionElement:
     __slots__ = ("p", "mults")
 
     def __init__(self, p: int, mults):
-        mults = tuple(int(m) for m in mults)
+        mults = tuple(map(int, mults))
         if len(mults) != p - 1:
             raise ValueError(f"need {p - 1} multiplicities")
         self.p = p
@@ -300,17 +270,24 @@ def fusion_label(p: int, k: int) -> FusionElement:
 
 
 def fusion_multiply(a: FusionElement, b: FusionElement) -> FusionElement:
+    """Product by the truncated Clebsch-Gordan rule.  Each pair of nonzero
+    labels adds x * y on one interval of labels of one parity, marked in a
+    difference array with step 2 and summed once at the end."""
     if a.p != b.p:
         raise ValueError("mixed fusion rings")
-    table = _structure_constants(a.p)
-    out = [0] * (a.p - 1)
-    for j, x in enumerate(a.mults):
+    p = a.p
+    diff = [0] * (p + 2)  # indexed by label; interval lo..hi adds at lo, removes at hi + 2
+    b_terms = [(j, y) for j, y in enumerate(b.mults, start=1) if y]
+    for i, x in enumerate(a.mults, start=1):
         if x:
-            for k, y in enumerate(b.mults):
-                if y:
-                    for l, m in table[j][k]:
-                        out[l] += x * y * m
-    return FusionElement(a.p, out)
+            for j, y in b_terms:
+                w = x * y
+                diff[abs(i - j) + 1] += w
+                diff[min(i + j - 1, 2 * p - 1 - i - j) + 2] -= w
+    out = [0] * (p - 1)
+    out[0::2] = accumulate(diff[1:p:2])  # odd labels
+    out[1::2] = accumulate(diff[2:p:2])  # even labels
+    return FusionElement(p, out)
 
 
 def genus_element(p: int) -> FusionElement:
@@ -453,13 +430,14 @@ def _dominant_eigenvalue(mat: np.ndarray, tol: float = 1e-13, max_iter: int = 10
 def perron_power_iteration(p: int) -> tuple[float, float]:
     """Dominant eigenvalues of multiplication by the squares-sum and the
     per-handle element, computed by plain power iteration."""
-    mats = _structure_matrices(p)
 
     def mult_matrix(elem: FusionElement) -> np.ndarray:
-        return sum(int(m) * mats[j] for j, m in enumerate(elem.mults) if m)
+        # row k - 1 is elem * label k; the structure constants are symmetric
+        # in all three labels, so this is also the matrix's column k - 1
+        return np.array([(elem * fusion_label(p, k)).mults for k in range(1, p)], dtype=float)
 
-    big = _dominant_eigenvalue(mult_matrix(odd_squares_element(p)).astype(float))
-    small = _dominant_eigenvalue(mult_matrix(genus_element(p)).astype(float))
+    big = _dominant_eigenvalue(mult_matrix(odd_squares_element(p)))
+    small = _dominant_eigenvalue(mult_matrix(genus_element(p)))
     return big, small
 
 

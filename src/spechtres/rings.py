@@ -11,17 +11,15 @@ Everything here is exact.  Python integers cannot overflow.  Matrices over
 F_p are int64 arrays of residues in [0, p).  Products run in float64
 through BLAS: every partial sum is an integer below 2**53, which float64
 represents exactly, so summation order cannot change a result (the
-delayed-reduction technique of FFLAS-FFPACK).  int64 products remain only
-where that bound would leave too small a chunk of the inner dimension,
-and there every partial sum is kept below 2**63.
+delayed-reduction technique of FFLAS-FFPACK).  A modulus for which that
+bound leaves too small a chunk of the inner dimension is refused.
 
 Elimination is blocked: a matrix wider than one column panel is reduced
 a panel at a time, with the per-pivot loop confined to the panel and the
 rest of the matrix updated by products.  Narrower matrices keep the
 per-pivot loop alone.  The
 reduced row echelon form is unique, so the blocking changes no result.
-A modulus whose residue products would wrap int64 is refused, by
-elimination as by products.
+Elimination refuses the same moduli as products.
 """
 
 from __future__ import annotations
@@ -53,12 +51,6 @@ __all__ = [
     "cyclotomic_eval",
     "zeta_quantum",
 ]
-
-# Auxiliary prime for Z-computations done through a single modular image.
-# Any integer result with known absolute value < AUX_PRIME // 2 is recovered
-# exactly from its symmetric residue.
-AUX_PRIME = 67108859
-
 
 def read_only(a: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it.  Cached arrays are marked so
@@ -200,23 +192,20 @@ class FpMatrix:
 # Integers up to 2**53 are exact in float64.
 _FLOAT_EXACT = 2**53
 
-# Below this many inner-dimension terms per reduction the float64 route
-# would reduce the accumulator too often to pay; int64 takes over.
+# The smallest chunk accepted; a modulus with a smaller one (p above about
+# 8.4 * 10**6) is refused.
 _MIN_FLOAT_CHUNK = 128
 
 
 @lru_cache(maxsize=None)
-def _product_chunk(p: int) -> tuple[int, bool]:
-    """Inner-dimension terms per exact chunk of a product mod p, and
-    whether the chunk runs in float64."""
+def _product_chunk(p: int) -> int:
+    """Inner-dimension terms per exact float64 chunk of a product mod p.
+    Raises ValueError when fewer than _MIN_FLOAT_CHUNK terms fit."""
     chunk = (_FLOAT_EXACT - p) // ((p - 1) * (p - 1))
-    if chunk >= _MIN_FLOAT_CHUNK:
-        assert chunk * (p - 1) ** 2 + p - 1 < _FLOAT_EXACT
-        return chunk, True
-    chunk = (2**62) // ((p - 1) * (p - 1))
-    if chunk == 0:
-        raise ValueError(f"modulus {p} too large for exact int64 products")
-    return chunk, False
+    if chunk < _MIN_FLOAT_CHUNK:
+        raise ValueError(f"modulus {p} too large for exact float64 products")
+    assert chunk * (p - 1) ** 2 + p - 1 < _FLOAT_EXACT
+    return chunk
 
 
 def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -226,18 +215,13 @@ def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     in chunks of the inner dimension small enough that chunk * (p-1)**2 +
     p - 1 < 2**53: every partial sum, the reduced accumulator of the
     previous chunks included, is then an integer that float64 holds
-    exactly, so BLAS summation order cannot change the result.  Only when
-    that bound leaves fewer than _MIN_FLOAT_CHUNK terms per chunk (p above
-    about 8 * 10**6, such as AUX_PRIME) does the product run in int64,
-    chunked so that its partial sums stay below 2**63; a modulus too large
-    for that is refused.
+    exactly, so BLAS summation order cannot change the result.  A modulus
+    for which that bound leaves fewer than _MIN_FLOAT_CHUNK terms per chunk
+    (p above about 8.4 * 10**6) is refused with ValueError.
     """
-    chunk, in_float = _product_chunk(p)
-    a = a % p
-    b = b % p
-    if in_float:
-        a = a.astype(np.float64)
-        b = b.astype(np.float64)
+    chunk = _product_chunk(p)
+    a = (a % p).astype(np.float64)
+    b = (b % p).astype(np.float64)
     acc = a[..., :chunk] @ b[:chunk]
     for lo in range(chunk, a.shape[-1], chunk):
         acc = acc % p + a[..., lo : lo + chunk] @ b[lo : lo + chunk]
@@ -331,8 +315,8 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     reduced form of those rows, and every row gets A[:, c0:] -= A[:, P] X,
     which zeroes the P columns outside S and, below the pivot rows, the
     whole panel, since the panel's rows lie in the span of its rows S.
-    Both products run through fp_matmul.  A modulus whose residue products
-    would wrap int64 is refused with ValueError.
+    Both products run through fp_matmul, and a modulus that fp_matmul
+    refuses is refused here too, with ValueError.
     """
     _product_chunk(p)  # raises ValueError for such a modulus
     m = np.asarray(a, dtype=np.int64) % p

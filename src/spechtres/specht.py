@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .rings import AUX_PRIME, fp_matmul, frac_solve, int_gram, read_only, unitriangular_inverse
+from .rings import fp_matmul, frac_solve, int_gram, read_only, unitriangular_inverse
 
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
@@ -39,7 +39,6 @@ __all__ = [
     "specht_basis",
     "specht_dim",
     "basis_matrix",
-    "gram_matrix",
     "gram_of_diagram",
     "BasisSolver",
     "basis_solver",
@@ -241,14 +240,6 @@ def basis_matrix(n: int, c: int) -> np.ndarray:
     return read_only(out)
 
 
-def gram_matrix(basis: list[TensorVector]) -> np.ndarray:
-    """Exact integer Gram matrix of a list of equal-length vectors."""
-    if not basis:
-        return np.zeros((0, 0), dtype=np.int64)
-    b = next(iter(basis[0].coeffs)).bit_count() if basis[0].coeffs else 0
-    return int_gram(vectors_to_matrix(basis, b))
-
-
 @lru_cache(maxsize=None)
 def gram_of_diagram(diag: Diagram2) -> np.ndarray:
     """Gram matrix of the standard polytabloids of a diagram.  Read-only."""
@@ -355,29 +346,36 @@ def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:
-    """Trace of the plain permutation action on the standard basis over Z.
+    """Trace of the plain permutation action on the standard basis over Z,
+    by Young's rule.
 
-    Computed through a single large modular image: the trace is an integer
-    of absolute value at most the dimension (the action has finite order),
-    which is far below half the auxiliary prime, so the symmetric residue
-    is the exact value.
+    The permutation module on b-subsets of 1..n is the sum of the Specht
+    lattices [n-j, j] for j <= b (James, LNM 682, section 14), so the
+    character of [n-b, b] is f_b - f_(b-1), where f_j counts the j-subsets
+    that sigma fixes: the coefficient of x^j in the product over the cycles
+    of sigma of (1 + x^length).  Exact in Python ints at every n.
     """
-    n, c = tau.n, tau.c
-    d = specht_dim(n, tau.b)
-    if d == 0:
-        return 0
-    mat = permutation_matrix_on_basis(n, c, sigma, AUX_PRIME)
-    t = int(np.trace(mat)) % AUX_PRIME
-    if t > AUX_PRIME // 2:
-        t -= AUX_PRIME
-    if abs(t) > d:
-        raise ArithmeticError("character bound violated; auxiliary prime too small")
-    return t
+    n, b = tau.n, tau.b
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError("not a permutation of 1..n")
+    fixed = [1] + [0] * b  # fixed[j] = f_j, truncated at degree b
+    unseen = set(range(1, n + 1))
+    while unseen:
+        i = unseen.pop()  # walk the cycle of i
+        length = 1
+        while sigma[i - 1] in unseen:
+            i = sigma[i - 1]
+            unseen.remove(i)
+            length += 1
+        for j in range(b, length - 1, -1):
+            fixed[j] += fixed[j - length]
+    return fixed[b] - (fixed[b - 1] if b else 0)
 
 
 def ordinary_character_fraction(tau: Diagram2, sigma) -> int:
     """Reference implementation of the character trace with exact rational
-    elimination; used to cross-check the modular route in tests."""
+    elimination on the polytabloid basis; used to cross-check Young's rule
+    in tests."""
     n, c = tau.n, tau.c
     basis = specht_basis(n, c)
     if not basis:

@@ -441,8 +441,10 @@ def group_token_pool(g: int) -> list:
 
 
 def random_group_word(g: int, length: int, rng) -> list:
+    """length tokens drawn from the pool; at genus 0 the pool and the group
+    are trivial, and the word is empty."""
     pool = group_token_pool(g)
-    return [pool[rng.randrange(len(pool))] for _ in range(length)]
+    return [pool[rng.randrange(len(pool))] for _ in range(length)] if pool else []
 
 
 # ---------------------------------------------------------------------------

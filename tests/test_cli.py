@@ -354,3 +354,88 @@ def test_check_names_cover_acceptance_map():
     # every selftest sub-check name used by the runners is a stable label
     rep = cli.run(cli.Job("selftest", {"quick": True, "seed": 0, "workers": 1}))
     assert rep.checks[0]["name"] == "selftest"
+
+
+def test_a_null_seed_counts_as_absent(tmp_path, capsys):
+    # a null seed once seeded the job from the operating system
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([{"command": "alexander", "g": 2, "length": 20, "seed": None}]))
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["--output", "json", "--jobs", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    for seed in (0, 7):
+        (null_seed,) = cli.load_jobs(str(path))
+        no_key = cli.Job("alexander", {"g": 2, "length": 20})
+        assert cli.run(null_seed, seed).results == cli.run(no_key, seed).results
+
+
+@pytest.mark.parametrize("g, pairs", [(2, 3), (1, 3), (0, 0), (0, 5), (2, 0)])
+def test_jm_below_genus_three_skips_what_it_cannot_sample(g, pairs):
+    # below genus 3 every degree-3 form is a multiple of the 2-form, and at
+    # genus 0 there is no form of positive degree
+    rep = cli.run(cli.Job("jm", {"p": 5, "k": 1, "g": g, "pairs": pairs}))
+    status = {c["name"]: c["status"] for c in rep.checks}
+    assert status == {
+        "wedge-pair-identities": "skip" if g == 0 else "pass",
+        "nonsplit-witness": "skip",
+        "block-homomorphism": "skip" if pairs else "pass",
+        "strand-resolutions": "pass",
+    }
+
+
+# Jobs at the ends of the range of every ranged parameter of every command,
+# each under about 2 s in process; the other parameters sit at cheap values.
+_CORNERS = [
+    {"command": "resolve", "p": 3, "n": 0, "k": 1},
+    {"command": "resolve", "p": 211, "n": 0, "k": 1},
+    {"command": "character", "p": 3, "tau": [0, 0]},
+    {"command": "character", "p": 211, "tau": [0, 0]},
+    {"command": "character", "p": 3, "tau": [6, 6]},
+    {"command": "factors", "p": 3, "tau": [0, 0]},
+    {"command": "factors", "p": 211, "tau": [0, 0]},
+    {"command": "dims", "p": 3, "g": 0},
+    {"command": "dims", "p": 211, "g": 100},
+    {"command": "fusion", "p": 3},
+    {"command": "alexander", "g": 0, "word": "", "p": 3, "length": 0},
+    {"command": "alexander", "g": 0, "p": 211, "length": 1000},
+    {"command": "alexander", "g": 5, "length": 0},
+    {"command": "alexander", "g": 1, "word": "S1 U1 " * 500},
+    {"command": "jm", "p": 5, "k": 1, "g": 0, "pairs": 0},
+    {"command": "jm", "p": 211, "k": 1, "g": 0, "pairs": 1000},
+    {"command": "jm", "p": 7, "k": 1, "g": 4, "pairs": 0},
+    {"command": "selftest", "quick": True},
+]
+# Ends not run, with their single cold run time on 2 vCPUs.
+_SLOW_ENDS = {
+    ("resolve", "n", 16): "about 30 s",
+    ("factors", "tau", 16): "about 15 s",
+    ("fusion", "p", 211): "about 10 s, most of it rendering its 100 MB report",
+}
+# Ends that no job reaches: at p = 3 no label satisfies 0 < k < p - 3.
+_UNREACHABLE_ENDS = {("jm", "p", 3): {"p": 3, "k": 1, "g": 0}}
+
+
+@pytest.mark.parametrize("entry", _CORNERS, ids=lambda e: ",".join(f"{k}={str(v)[:12]}" for k, v in e.items()))
+def test_schema_corner_passes_with_a_stable_report(entry):
+    params = {k: v for k, v in entry.items() if k != "command"}
+    reports = [cli.run(cli.Job(entry["command"], dict(params))) for _ in range(2)]
+    assert not [c for c in reports[0].checks if c["status"] == "fail"], reports[0].checks
+    assert cli.render_json(reports[:1]) == cli.render_json(reports[1:])
+
+
+def test_schema_corners_cover_every_end_of_every_range():
+    for command, spec in cli.SCHEMA.items():
+        for key, param in spec.params.items():
+            if param.lo is None:
+                continue
+            size = cli._KINDS[param.kind][2]
+            for end in (param.lo, param.hi):
+                where = (command, key, end)
+                if where in _UNREACHABLE_ENDS:
+                    with pytest.raises(ValueError):
+                        cli.Job(command, dict(_UNREACHABLE_ENDS[where])).validate()
+                    continue
+                run = any(e["command"] == command and key in e and size(e[key]) == end for e in _CORNERS)
+                assert run or where in _SLOW_ENDS, where

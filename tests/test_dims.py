@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,6 +119,50 @@ def test_fusion_relations():
     assert (fusion_label(5, 4) * fusion_label(5, 2)) == fusion_label(5, 3)
     got = fusion_label(5, 2) * fusion_label(5, 2)
     assert got == fusion_label(5, 1) + fusion_label(5, 3)
+
+
+def _recursion_table(p):
+    """table[j][k]: multiplicities of label(j+1) * label(k+1) from the
+    relation label 2 * label k = label(k-1) + label(k+1) (label 2 at k = 1,
+    label p-2 at k = p-1) and the recursion label(j+1) = label 2 * label j
+    - label(j-1)."""
+    d = p - 1
+
+    def times_two(v):
+        out = [0] * d
+        for k, x in enumerate(v, start=1):
+            if k > 1:
+                out[k - 2] += x
+            if k < d:
+                out[k] += x
+        return out
+
+    unit = [[int(i == k) for i in range(d)] for k in range(d)]
+    table = [unit, [times_two(v) for v in unit]][:d]
+    while len(table) < d:
+        table.append([[x - y for x, y in zip(times_two(v), w)] for v, w in zip(table[-1], table[-2])])
+    return table
+
+
+def test_clebsch_gordan_rule_matches_the_recursion():
+    primes = [p for p in range(3, 60) if all(p % q for q in range(2, p))]
+    assert len(primes) == 16
+    for p in primes:
+        table = _recursion_table(p)
+        for i in range(1, p):
+            for j in range(1, p):
+                assert (fusion_label(p, i) * fusion_label(p, j)).mults == tuple(table[i - 1][j - 1]), (p, i, j)
+        rng = random.Random(p)
+        for density in (0.2, 1.0):
+            for _ in range(3):
+                x = [rng.randrange(1, 10**30) if rng.random() < density else 0 for _ in range(p - 1)]
+                y = [rng.randrange(1, 10**30) if rng.random() < density else 0 for _ in range(p - 1)]
+                expected = [0] * (p - 1)
+                for j, a in enumerate(x):
+                    for k, b in enumerate(y):
+                        for l, m in enumerate(table[j][k]):
+                            expected[l] += a * b * m
+                assert (FusionElement(p, x) * FusionElement(p, y)).mults == tuple(expected), p
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from spechtres.rings import (
     _PANEL,
-    AUX_PRIME,
     CyclotomicElem,
     FpMatrix,
     FpScalar,
@@ -205,7 +204,7 @@ def _python_matmul(a, b, p):
         (1000003, 9008),  # one term more forces a second chunk
         (3, 50),
         (13, 50),
-        (AUX_PRIME, 3000),  # the float64 chunk is too small: int64 route
+        (8388593, 3000),  # the largest prime kept: 128-term chunks
     ],
 )
 def test_fp_matmul_matches_python_integers_at_the_largest_entries(p, inner):
@@ -217,13 +216,19 @@ def test_fp_matmul_matches_python_integers_at_the_largest_entries(p, inner):
     assert np.array_equal(out, _python_matmul(a, b, p))
 
 
+# The float64 chunk of these primes is under 128 terms: 8388617, the next
+# prime after 8388593, leaves 127, 67108859 leaves 2, and for 2**32 + 15
+# even one residue product exceeds 2**53 (and 2**62).
+_REFUSED_PRIMES = (8388617, 67108859, 2**32 + 15)
+
+
 def test_fp_matmul_refuses_a_modulus_beyond_int64_products():
-    p = 2**32 + 15  # prime; (p - 1)**2 exceeds 2**62
-    with pytest.raises(ValueError, match="too large"):
-        fp_matmul(np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64), p)
+    for p in _REFUSED_PRIMES:
+        with pytest.raises(ValueError, match="too large"):
+            fp_matmul(np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64), p)
 
 
-@pytest.mark.parametrize("p", [3, 13, 1000003, AUX_PRIME])
+@pytest.mark.parametrize("p", [3, 13, 1000003, 8388593])
 def test_fp_matmul_random_entries_any_sign(p):
     rng = np.random.RandomState(p % 1000)
     a = rng.randint(-(2**62), 2**62, size=(4, 9100), dtype=np.int64)
@@ -259,7 +264,7 @@ def test_kernel_basis_from_one_elimination():
 
 def test_unitriangular_inverse():
     rng = np.random.RandomState(3)
-    for p in (3, 7, AUX_PRIME):
+    for p in (3, 7, 8388593):
         for d in (0, 1, 5, 33, 70):
             u = np.triu(rng.randint(-5, 6, size=(d, d)), 1) + np.eye(d, dtype=np.int64)
             inv = unitriangular_inverse(u, p)
@@ -326,10 +331,10 @@ def _rref_cases(rng, p):
         yield np.zeros(shape, dtype=np.int64)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 8388593, AUX_PRIME])
+@pytest.mark.parametrize("p", [3, 5, 7, 8388593])
 def test_fp_rref_matches_python_integer_elimination(p):
-    # 8388593 is the float64 product route at its smallest chunk (128
-    # terms); AUX_PRIME is the int64 route
+    # 8388593, the largest prime products accept, has the smallest chunk
+    # (128 terms)
     rng = np.random.RandomState(p % 1009)
     for a in _rref_cases(rng, p):
         got, pivots = fp_rref(a, p)
@@ -340,7 +345,8 @@ def test_fp_rref_matches_python_integer_elimination(p):
 
 
 def test_fp_rref_accepts_any_integer_entries():
-    a = np.array([[-1, 2 * AUX_PRIME + 3, 5], [7, -AUX_PRIME, 2]] * 40, dtype=np.int64)
+    q = 67108859
+    a = np.array([[-1, 2 * q + 3, 5], [7, -q, 2]] * 40, dtype=np.int64)
     a = np.concatenate([a] * (_PANEL // 3 + 1), axis=1)
     got, pivots = fp_rref(a, 7)
     ref, ref_pivots = _rref_python_ints(a, 7)
@@ -348,12 +354,12 @@ def test_fp_rref_accepts_any_integer_entries():
 
 
 def test_eliminations_refuse_a_modulus_beyond_int64_products():
-    # (p - 1)**2 wraps int64; the reduced form would come back wrong
-    p = 2**32 + 15
-    a = np.array([[p - 1, p - 2, 3], [p - 3, 1, p - 5]], dtype=np.int64)
-    with pytest.raises(ValueError, match="too large"):
-        fp_rref(a, p)
-    with pytest.raises(ValueError, match="too large"):
-        fp_solve(a[:, :2], a[:, 2], p)
-    with pytest.raises(ValueError, match="too large"):
-        fp_inverse(a[:, :2], p)
+    # eliminations refuse what products refuse, even when no product runs
+    for p in _REFUSED_PRIMES:
+        a = np.array([[p - 1, p - 2, 3], [p - 3, 1, p - 5]], dtype=np.int64)
+        with pytest.raises(ValueError, match="too large"):
+            fp_rref(a, p)
+        with pytest.raises(ValueError, match="too large"):
+            fp_solve(a[:, :2], a[:, 2], p)
+        with pytest.raises(ValueError, match="too large"):
+            fp_inverse(a[:, :2], p)

@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from spechtres.rings import AUX_PRIME, fp_rref
+from spechtres.rings import fp_rref
 from spechtres.specht import (
     Diagram2,
     Tableau2,
@@ -84,8 +84,8 @@ def test_dimension_formula():
 
 def test_span_equals_kernel_intersection():
     # polytabloid span = joint kernel of lowering and the weight equation,
-    # computed independently by elimination through a large modular image
-    q = AUX_PRIME
+    # computed independently by elimination mod a large prime
+    q = 8388593
     for n in range(1, 11):
         for b in range(0, n // 2 + 1):
             c = n + 1 - 2 * b
@@ -119,14 +119,30 @@ def test_character_examples():
 
 
 def test_character_matches_fraction_reference():
+    # Young's rule against the trace of the action on the polytabloid basis
+    # by exact rational elimination, for every cycle type with n <= 7, at
+    # its canonical representative and at random permutations
     rng = random.Random(2)
-    for n in (3, 4, 5, 6):
+    for n in range(1, 8):
         for b in range(0, n // 2 + 1):
             tau = Diagram2(n - b, b)
+            sigmas = [cycle_type_representative(ct, n) for ct in partitions(n)]
             for _ in range(3):
                 sigma = list(range(1, n + 1))
                 rng.shuffle(sigma)
-                assert ordinary_character(tau, tuple(sigma)) == ordinary_character_fraction(tau, tuple(sigma))
+                sigmas.append(tuple(sigma))
+            for sigma in sigmas:
+                assert ordinary_character(tau, sigma) == ordinary_character_fraction(tau, sigma), (tau, sigma)
+
+
+def test_character_of_the_identity_is_the_dimension_past_int64():
+    # C(80, 40) is about 1.08 * 10**23
+    identity = tuple(range(1, 81))
+    for b in (0, 1, 39, 40):
+        assert ordinary_character(Diagram2(80 - b, b), identity) == specht_dim(80, b)
+    assert specht_dim(80, 40) > 2**63
+    with pytest.raises(ValueError):
+        ordinary_character(Diagram2(2, 1), (1, 1, 2))
 
 
 def test_character_matches_subset_count_oracle():
@@ -238,7 +254,7 @@ def test_permutation_matrix_is_the_perm_action_on_the_basis():
             for _ in range(2):
                 sigma = tuple(rng.sample(range(1, n + 1), n))
                 images = vectors_to_matrix([perm_action(sigma, v) for v in basis], b)
-                for p in (3, 7, AUX_PRIME):
+                for p in (3, 7, 8388593):
                     expected = basis_solver(p, n, c).coords(images)
                     assert np.array_equal(permutation_matrix_on_basis(n, c, sigma, p), expected)
     with pytest.raises(ValueError):
@@ -257,7 +273,6 @@ def test_solver_coords_and_membership_check():
 
 
 def test_cached_arrays_are_read_only():
-    from spechtres.dims import _structure_matrices
     from spechtres.tensor import _raising_sites
 
     from spechtres.surface import component_solver
@@ -271,7 +286,6 @@ def test_cached_arrays_are_read_only():
         *raising_step(6, 2),
         src,
         dst,
-        _structure_matrices(5)[1],
         solver.matrix,
         solver.rows,
         solver.inv,
