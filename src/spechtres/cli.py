@@ -168,9 +168,9 @@ def _character_label(q):
 def _alexander_word(q, work):
     # the trace applies the word to each of the 4^g monomials
     word = q.get("word")
-    if word:
+    if word is not None:
         parse_word(word, q["g"])
-    tokens = len(word.split()) if word else q["length"]
+    tokens = q["length"] if word is None else len(word.split())
     if tokens * 4 ** q["g"] > work:
         raise ValueError(f"{tokens} tokens at genus {q['g']} are over the cap tokens * 4^g <= {work}")
 
@@ -386,7 +386,7 @@ def _run_fusion(params, rng) -> tuple[dict, list]:
 
 def _run_alexander(params, rng) -> tuple[dict, list]:
     g = params["g"]
-    if params.get("word"):
+    if params.get("word") is not None:
         word = parse_word(params["word"], g)
     else:
         word = surf_mod.random_group_word(g, params["length"], rng)
@@ -403,8 +403,9 @@ def _run_alexander(params, rng) -> tuple[dict, list]:
         results["component_traces"] = list(at.component_traces)
     p = params.get("p")
     if p and at is not None:
+        traces = {j: int(surf_mod.modular_quotient_trace(p, j, word, g)) for j in range(1, p)}
         for sign in (1, -1):
-            rep = surf_mod.cyclotomic_trace_check(p, word, g, sign)
+            rep = surf_mod.cyclotomic_reduction_check(p, at, traces, sign)
             checks.append(
                 _check(f"cyclotomic-trace-sign{'+' if sign > 0 else '-'}", rep["ok"])
             )

@@ -19,14 +19,13 @@ import numpy as np
 from .rings import FpScalar, GramQuotient, fp_matmul, fp_rref
 from .specht import (
     Diagram2,
-    basis_matrix,
     basis_solver,
     gram_of_diagram,
     ordinary_character,
     permutation_matrix_on_basis,
+    raised_basis_matrix,
     specht_dim,
 )
-from .tensor import apply_raising_power
 
 __all__ = [
     "e_power_map",
@@ -46,9 +45,14 @@ def e_power_map(p: int, n: int, c: int, c0: int) -> np.ndarray:
     """Matrix of the c0-fold raising operator from the weight-c standard
     Specht basis to the weight-(c - 2 c0) one, mod p.
 
-    The containment of the raised lattice in the target Specht lattice
-    plus p times the ambient lattice is what makes the coordinate solve
-    succeed; an inconsistency would be an implementation bug and raises.
+    The raised basis vectors come in closed form from
+    specht.raised_basis_matrix, as residues: c0! times each polytabloid
+    with c0 of its unpaired top positions flipped to plus, summed over the
+    choices.  Their coordinates are solved against the target basis and
+    verified on every row by multiplying back.  The containment of the
+    raised lattice in the target Specht lattice plus p times the ambient
+    lattice is what makes that solve succeed; an inconsistency would be an
+    implementation bug and raises.
     """
     if c % p == 0:
         raise ValueError(f"weight {c} divisible by p={p}")
@@ -59,10 +63,7 @@ def e_power_map(p: int, n: int, c: int, c0: int) -> np.ndarray:
         raise ValueError(f"target weight {target} invalid")
     if c > n + 1:
         raise ValueError(f"weight {c} exceeds n+1={n + 1}")
-    b = Diagram2.from_weight(n, c).b
-    domain = basis_matrix(n, c) % p
-    raised = apply_raising_power(n, b, domain, c0, p)
-    return basis_solver(p, n, target).coords(raised)
+    return basis_solver(p, n, target).coords(raised_basis_matrix(n, c, c0, p))
 
 
 @dataclass(frozen=True)

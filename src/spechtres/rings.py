@@ -8,13 +8,16 @@ radical of a Gram matrix (GramQuotient), the one simple-quotient type of
 the package.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
-F_p are int64 arrays of residues in [0, p).  Products run in float64
-through BLAS: every partial sum is an integer below 2**53, which float64
-represents exactly, so summation order cannot change a result (the
+F_p are computed as int64 arrays of residues in [0, p); residues that are
+kept (cached bases) are stored in the smallest unsigned dtype that holds
+p - 1, one byte for every p below 257, and widened before any arithmetic.
+Products run in float64 through BLAS, one block of rows of the left
+operand at a time: every partial sum is an integer below 2**53, which
+float64 represents exactly, so summation order cannot change a result (the
 delayed-reduction technique of FFLAS-FFPACK).  A modulus for which that
 bound leaves too small a chunk of the inner dimension is refused.
 
-Elimination is blocked: a matrix wider than one column panel is reduced
+Elimination is blocked: a matrix wider than two column panels is reduced
 a panel at a time, with the per-pivot loop confined to the panel and the
 rest of the matrix updated by products.  Narrower matrices keep the
 per-pivot loop alone.  The
@@ -35,7 +38,9 @@ __all__ = [
     "is_prime",
     "FpScalar",
     "FpMatrix",
+    "residues",
     "fp_matmul",
+    "fp_product_equals",
     "int_gram",
     "fp_rref",
     "fp_rank_kernel_image",
@@ -208,11 +213,43 @@ def _product_chunk(p: int) -> int:
     return chunk
 
 
-def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p as an int64 array of residues.
+# Rows of the left operand of a product reduced and cast to float64 at a
+# time, so that no float64 copy of a large operand is ever made whole.
+_ROW_BLOCK = 512
 
-    The operands are reduced mod p, cast to float64 and multiplied by BLAS
-    in chunks of the inner dimension small enough that chunk * (p-1)**2 +
+
+def _reduced(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p as integers: a itself when it is unsigned with entries below
+    p, so that stored residues are only read; otherwise reduced in int64,
+    or in Python ints when a holds objects, and returned as int64.  Byte
+    arrays are widened before the remainder is taken."""
+    a = np.asarray(a)
+    if a.dtype == object:
+        return (a % p).astype(np.int64)
+    if a.dtype.kind == "u" and not (a.size and a.max() >= p):
+        return a
+    return np.remainder(a, p, dtype=np.int64)
+
+
+def residues(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p stored in the smallest unsigned dtype that holds p - 1: one
+    byte for every p below 257.  The reduction runs in int64 one block of
+    rows at a time, so no int64 copy of a large array is made whole."""
+    a = np.asarray(a)
+    out = np.empty(a.shape, dtype=np.min_scalar_type(p - 1))
+    for lo in range(0, len(a), _ROW_BLOCK):
+        out[lo : lo + _ROW_BLOCK] = _reduced(a[lo : lo + _ROW_BLOCK], p)
+    return out
+
+
+def _row_products(a: np.ndarray, b: np.ndarray, p: int):
+    """Yield (rows, a[rows] @ b mod p) for consecutive blocks `rows` of
+    _ROW_BLOCK rows of the 2-d array a, each product an int64 array of
+    residues.
+
+    b is reduced mod p and cast to float64 once; each block of a is reduced
+    and cast when its turn comes.  The blocks are multiplied by BLAS in
+    chunks of the inner dimension small enough that chunk * (p-1)**2 +
     p - 1 < 2**53: every partial sum, the reduced accumulator of the
     previous chunks included, is then an integer that float64 holds
     exactly, so BLAS summation order cannot change the result.  A modulus
@@ -220,39 +257,63 @@ def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     (p above about 8.4 * 10**6) is refused with ValueError.
     """
     chunk = _product_chunk(p)
-    a = (a % p).astype(np.float64)
-    b = (b % p).astype(np.float64)
-    acc = a[..., :chunk] @ b[:chunk]
-    for lo in range(chunk, a.shape[-1], chunk):
-        acc = acc % p + a[..., lo : lo + chunk] @ b[lo : lo + chunk]
-    del a, b  # free the reduced operand copies before the result is made
-    out = acc.astype(np.int64, copy=False)
-    out %= p
+    b = _reduced(b, p).astype(np.float64)
+    for lo in range(0, len(a), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        block = _reduced(a[rows], p).astype(np.float64)
+        acc = block[:, :chunk] @ b[:chunk]
+        for k in range(chunk, block.shape[1], chunk):
+            acc = acc % p + block[:, k : k + chunk] @ b[k : k + chunk]
+        out = acc.astype(np.int64)
+        out %= p
+        yield rows, out
+
+
+def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b mod p for a 2-d array a, as an int64 array of residues,
+    computed one block of rows of a at a time (see _row_products).  A
+    modulus whose float64 chunk would be under _MIN_FLOAT_CHUNK terms (p
+    above about 8.4 * 10**6) is refused with ValueError."""
+    out = np.empty((len(a),) + np.shape(b)[1:], dtype=np.int64)
+    for rows, block in _row_products(a, b, p):
+        out[rows] = block
     return out
+
+
+def fp_product_equals(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> bool:
+    """Whether a @ b = c mod p, for a 2-d array a, compared one block of
+    rows at a time, so that neither the product nor a reduced copy of c is
+    ever made whole."""
+    return all(np.array_equal(block, _reduced(c[rows], p)) for rows, block in _row_products(a, b, p))
 
 
 def int_gram(m: np.ndarray) -> np.ndarray:
     """Exact integer Gram matrix m.T @ m of an integer matrix.
 
     Every partial sum is bounded by rows * max|entry|**2.  Below 2**53 the
-    product runs in float64 through BLAS, which always holds for the 0/+-1
-    polytabloid matrices; below 2**63 it runs in int64; beyond that it is
-    refused rather than allowed to wrap.
+    product runs in float64 through BLAS, summed over blocks of rows cast
+    one at a time, which always holds for the 0/+-1 polytabloid matrices;
+    below 2**63 it runs in int64, widened first; beyond that it is refused
+    rather than allowed to wrap.
     """
     m = np.asarray(m)
     top = max(-int(m.min()), int(m.max())) if m.size else 0
     bound = m.shape[0] * top * top
     if bound < _FLOAT_EXACT:
-        f = m.astype(np.float64)
-        return (f.T @ f).astype(np.int64)
+        gram = np.zeros((m.shape[1], m.shape[1]))
+        for lo in range(0, len(m), _ROW_BLOCK):
+            f = m[lo : lo + _ROW_BLOCK].astype(np.float64)
+            gram += f.T @ f
+        return gram.astype(np.int64)
     if bound < 2**63:
+        m = m.astype(np.int64)
         return m.T @ m
     raise OverflowError("Gram matrix entries may exceed the int64 range")
 
 
 # Width of a column panel of the blocked elimination.  A matrix no wider
-# than one panel is reduced by the per-pivot loop alone, so the many small
-# eliminations pay for no products.
+# than two panels is reduced by the per-pivot loop alone: below that the
+# products and workspace of two panels cost more than the loop saves.
 _PANEL = 64
 
 
@@ -306,7 +367,7 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Returns the reduced matrix and the list of pivot column indices.  The
     reduced form is unique, so it does not depend on how it is computed.
 
-    A matrix wider than one panel is reduced a column panel at a time
+    A matrix wider than two panels is reduced a column panel at a time
     (Jeannerod, Pernet and Storjohann, JSC 2013).  Rows 0..r-1 hold the
     pivot rows found so far and the other rows are zero left of the panel.
     The per-pivot loop on a copy of the panel's remaining rows finds its
@@ -315,13 +376,14 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     reduced form of those rows, and every row gets A[:, c0:] -= A[:, P] X,
     which zeroes the P columns outside S and, below the pivot rows, the
     whole panel, since the panel's rows lie in the span of its rows S.
-    Both products run through fp_matmul, and a modulus that fp_matmul
-    refuses is refused here too, with ValueError.
+    Both products run through _row_products, the update one block of
+    rows at a time, and a modulus that products refuse is refused here
+    too, with ValueError.
     """
     _product_chunk(p)  # raises ValueError for such a modulus
     m = np.asarray(a, dtype=np.int64) % p
     rows, cols = m.shape
-    if cols <= _PANEL:
+    if cols <= 2 * _PANEL:
         return m, _pivot_loop(m, p, cols)[0]
     pivots: list[int] = []
     for c0 in range(0, cols, _PANEL):
@@ -341,8 +403,9 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         m[r + moved] = m[r + order[moved]]
         cp = [c0 + c for c in found]
         x = fp_matmul(panel[:k, w : w + k], m[r : r + k, c0:], p)
-        m[:, c0:] -= fp_matmul(m[:, cp], x, p)
-        m[:, c0:] %= p
+        for band, update in _row_products(m[:, cp], x, p):
+            m[band, c0:] -= update
+            m[band, c0:] %= p
         m[r : r + k, c0:] = x
         pivots += cp
     return m, pivots

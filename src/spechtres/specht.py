@@ -13,10 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 
-from .rings import fp_matmul, frac_solve, int_gram, read_only, unitriangular_inverse
+from .rings import (
+    fp_matmul,
+    fp_product_equals,
+    frac_solve,
+    int_gram,
+    read_only,
+    residues,
+    unitriangular_inverse,
+)
 
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
@@ -39,6 +48,7 @@ __all__ = [
     "specht_basis",
     "specht_dim",
     "basis_matrix",
+    "raised_basis_matrix",
     "gram_of_diagram",
     "BasisSolver",
     "basis_solver",
@@ -201,43 +211,80 @@ def specht_basis(n: int, c: int, p: int | None = None) -> list[TensorVector]:
     return basis
 
 
-def _standard_words(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+def _standard_words(n: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabloid word of each standard tableau of shape [n-b, b], in basis
-    order, and the change of word made by swapping each of its columns.
+    order, the change of word made by swapping each of its columns, and
+    the bit of each of its n - 2b unpaired top positions.
 
     The standard bottom rows are the b-subsets of 1..n whose k-th entry is
-    at least 2k, in combination order.  Swapping column top over bottom
-    moves a plus from position bottom to position top, which adds
-    2^(top-1) - 2^(bottom-1) to the word.
+    at least 2k, in combination order.  Column k pairs the k-th top entry
+    over the k-th bottom entry.  Swapping column top over bottom moves a
+    plus from position bottom to position top, which adds 2^(top-1) -
+    2^(bottom-1) to the word.
     """
     combos = list(combinations(range(1, n + 1), b))
     bottoms = np.asarray(combos, dtype=np.int64).reshape(len(combos), b)
     bottoms = bottoms[(bottoms >= 2 * np.arange(1, b + 1)).all(axis=1)]
     in_bottom = np.zeros((len(bottoms), n + 1), dtype=bool)
     in_bottom[np.arange(len(bottoms))[:, None], bottoms] = True
-    tops = np.nonzero(~in_bottom[:, 1:])[1].reshape(len(bottoms), n - b)[:, :b] + 1
+    tops = np.nonzero(~in_bottom[:, 1:])[1].reshape(len(bottoms), n - b) + 1
     base = (np.int64(1) << (bottoms - 1)).sum(axis=1)
-    swaps = (np.int64(1) << (tops - 1)) - (np.int64(1) << (bottoms - 1))
-    return base, swaps
+    swaps = (np.int64(1) << (tops[:, :b] - 1)) - (np.int64(1) << (bottoms - 1))
+    return base, swaps, np.int64(1) << (tops[:, b:] - 1)
+
+
+def _polytabloid_words(n: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words of the standard polytabloids of shape [n-b, b]: an array of
+    2^b rows, one per subset of swapped columns, and one column per basis
+    vector; whether each subset is odd, which makes the sign of its words
+    negative; and the unpaired top bits of _standard_words."""
+    base, swaps, free = _standard_words(n, b)
+    subsets = (np.arange(1 << b)[:, None] >> np.arange(b) & 1).astype(np.int64)
+    return base + subsets @ swaps.T, subsets.sum(axis=1) & 1, free
 
 
 @lru_cache(maxsize=None)
 def basis_matrix(n: int, c: int) -> np.ndarray:
     """Integer matrix of standard polytabloids in weight-class coordinates:
-    one column per basis vector, rows ordered by word mask.  Read-only.
+    one column per basis vector, rows ordered by word mask.  Its entries
+    are 0 and +-1, held as int8.  Read-only.
 
     The 2^b words of a polytabloid are its tabloid word plus the swap
     changes of a subset of its columns, with sign (-1)^|subset|; the words
     are distinct, so each entry is set once."""
     b = Diagram2.from_weight(n, c).b
-    base, swaps = _standard_words(n, b)
-    subsets = (np.arange(1 << b)[:, None] >> np.arange(b) & 1).astype(np.int64)
-    words = base + subsets @ swaps.T
-    signs = 1 - 2 * (subsets.sum(axis=1) & 1)
+    words, odd, _ = _polytabloid_words(n, b)
     masks = np.asarray(weight_class_masks(n, b)[0], dtype=np.int64)
-    out = np.zeros((len(masks), len(base)), dtype=np.int64)
-    out[np.searchsorted(masks, words), np.arange(len(base))] = signs[:, None]
+    out = np.zeros((len(masks), words.shape[1]), dtype=np.int8)
+    signs = np.array([1, -1], dtype=np.int8)
+    out[np.searchsorted(masks, words), np.arange(words.shape[1])] = signs[odd, None]
     return read_only(out)
+
+
+def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
+    """The standard polytabloids of weight c on n letters raised c0 times,
+    mod p: one column per basis vector in the weight-class coordinates c0
+    pluses up, as residues (see rings.residues).
+
+    Each height-2 column of a tableau t carries the sl2 singlet (-+) - (+-)
+    in its two positions, which the raising operator E kills.  E acts on a
+    tensor product as a derivation, so E^c0 acts on the unpaired top
+    positions alone, where every word of e_t carries a minus:
+    E^c0(e_t) = c0! * sum over the c0-subsets S of those positions of e_t
+    with the positions of S flipped to plus.  A column thus has 2^b *
+    C(n - 2b, c0) entries +-c0! at distinct words, so each is set once.
+    """
+    b = Diagram2.from_weight(n, c).b
+    words, odd, free = _polytabloid_words(n, b)
+    chosen = list(combinations(range(n - 2 * b), c0))
+    flips = free[:, np.asarray(chosen, dtype=np.intp).reshape(len(chosen), c0)].sum(axis=-1)
+    masks = np.asarray(weight_class_masks(n, b + c0)[0], dtype=np.int64)
+    value = factorial(c0) % p
+    signed = residues(np.array([value, -value]), p)
+    out = np.zeros((len(masks), words.shape[1]), dtype=signed.dtype)
+    raised = words[:, None, :] + flips.T[None, :, :]
+    out[np.searchsorted(masks, raised), np.arange(words.shape[1])] = signed[odd, None, None]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -259,31 +306,37 @@ class BasisSolver:
 
     matrix holds the basis vectors as columns, rows picks a square of it
     that is invertible over the ring, and inv is that square's inverse.
-    The coordinates of target columns are inv times their entries at rows;
-    they are then verified by multiplying back, so a column outside the
-    span is always detected.  matrix, rows and inv are read-only.
+    Mod p, matrix and inv are stored as residues (see rings.residues).  The
+    coordinates of target columns are inv times their entries at rows;
+    they are then verified by multiplying back, one block of rows at a
+    time, so a column outside the span is always detected.  matrix, rows
+    and inv are read-only.
     """
 
     def __init__(self, p: int | None, matrix: np.ndarray, rows: np.ndarray, inv: np.ndarray):
         self.p = p
+        if p is None:
+            matrix, inv = np.asarray(matrix, dtype=object), np.asarray(inv, dtype=object)
+        else:
+            matrix, inv = residues(matrix, p), residues(inv, p)
         self.matrix = read_only(matrix)
         self.rows = read_only(rows)
         self.inv = read_only(inv)
 
-    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b if self.p is None else fp_matmul(a, b, self.p)
-
     def coords(self, columns: np.ndarray) -> np.ndarray:
         """Coordinates of column vectors; raises ValueError when a column is
         outside the span."""
-        if self.p is None:
-            columns = np.asarray(columns, dtype=object)
-        else:
-            columns = np.asarray(columns, dtype=np.int64) % self.p
+        columns = np.asarray(columns)
         if columns.ndim == 1:
             columns = columns[:, None]
-        x = self._product(self.inv, columns[self.rows])
-        if not np.array_equal(self._product(self.matrix, x), columns):
+        if self.p is None:
+            columns = columns.astype(object)
+            x = self.inv @ columns[self.rows]
+            consistent = np.array_equal(self.matrix @ x, columns)
+        else:
+            x = fp_matmul(self.inv, columns[self.rows], self.p)
+            consistent = fp_product_equals(self.matrix, x, columns, self.p)
+        if not consistent:
             raise ValueError("coordinate solve inconsistent: vector not in the basis span")
         return x
 
@@ -301,7 +354,6 @@ def basis_solver(p: int | None, n: int, c: int) -> BasisSolver:
     unitriangular over Z and is inverted by back-substitution.
     """
     matrix = basis_matrix(n, c)
-    matrix = matrix.astype(object) if p is None else matrix % p
     rows = _tabloid_rows(n, c)
     return BasisSolver(p, matrix, rows, unitriangular_inverse(matrix[rows], p))
 

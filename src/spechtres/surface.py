@@ -79,6 +79,7 @@ __all__ = [
     "alexander_trace",
     "modular_quotient_trace",
     "cyclotomic_trace_check",
+    "cyclotomic_reduction_check",
 ]
 
 
@@ -907,10 +908,9 @@ def component_solver(p: int | None, j: int, g: int) -> BasisSolver:
             signs.append(sign)
             rows.append(index[mask])
         end = start + len(signs)
-        inv[start:end, start:end] = block.inv * np.asarray(signs, dtype=np.int64)
+        inv[start:end, start:end] = block.inv.astype(inv.dtype) * np.asarray(signs, dtype=np.int64)
         start = end
-    matrix = basis.matrix.astype(object) if p is None else basis.matrix % p
-    return BasisSolver(p, matrix, np.asarray(rows, dtype=np.intp), inv if p is None else inv % p)
+    return BasisSolver(p, basis.matrix, np.asarray(rows, dtype=np.intp), inv)
 
 
 def lefschetz_action_matrix(word, j: int, g: int, p: int | None = None) -> np.ndarray:
@@ -1005,11 +1005,18 @@ def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:
     mod-p coefficients, and compare with the quantum-integer combination of
     the simple-quotient traces over the paired component labels."""
     at = alexander_trace(word, g)
+    traces = {j: int(modular_quotient_trace(p, j, word, g)) for j in range(1, p)}
+    return cyclotomic_reduction_check(p, at, traces, sign)
+
+
+def cyclotomic_reduction_check(p: int, at: AlexanderTrace, traces: dict, sign: int) -> dict:
+    """cyclotomic_trace_check from a computed weighted trace `at` and the
+    simple-quotient traces `traces[j]` mod p of the components j = 1..p-1,
+    so that a caller checking both signs computes each of them once."""
     lhs = cyclotomic_eval(at.polynomial, p, sign, mod_p=True)
     rhs = CyclotomicElem.zero(p, p)
     for k in range(1, (p - 1) // 2 + 1):
-        t_k = int(modular_quotient_trace(p, k, word, g))
-        t_pk = int(modular_quotient_trace(p, p - k, word, g))
+        t_k, t_pk = traces[k], traces[p - k]
         qk = zeta_quantum(p, k, 1, mod_p=True)
         if sign == 1:
             rhs = rhs + qk * ((t_k - t_pk) % p)
@@ -1018,7 +1025,7 @@ def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:
             rhs = rhs + qk * (coeff % p)
     return {
         "p": p,
-        "g": g,
+        "g": at.g,
         "sign": sign,
         "lhs": lhs,
         "rhs": rhs,

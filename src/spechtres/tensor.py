@@ -290,7 +290,9 @@ def apply_raising_power(n: int, b: int, mat: np.ndarray, power: int, p: int | No
     Each step is one scatter-add per site: for a fixed site j the map
     w -> w | 2^j is injective, so no target row repeats within a scatter.
     Coefficients stay exact; with p given they are reduced after every
-    step, which keeps the int64 intermediate values tiny.
+    step, which keeps the int64 intermediate values tiny.  Resolutions
+    raise polytabloid bases in closed form (specht.raised_basis_matrix);
+    this general routine is the reference that form is tested against.
     """
     cur = np.asarray(mat, dtype=np.int64)
     for step in range(power):

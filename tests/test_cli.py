@@ -196,6 +196,25 @@ def test_overflow_is_an_error_not_a_decomposition_failure(monkeypatch):
     assert [(c["name"], c["status"]) for c in rep.checks] == [("alexander-decomposition", "fail")]
 
 
+def test_an_empty_word_is_the_word_of_no_tokens(capsys):
+    # it used to run a random word of `length` tokens
+    assert cli.main(["--output", "json", "alexander", "--g", "1", "--word", "", "--length", "4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"]["tokens"] == 0
+    assert [c["status"] for c in rep["checks"]] == ["pass"]
+
+
+def test_alexander_computes_each_trace_once(monkeypatch):
+    calls = []
+    for name in ("alexander_trace", "modular_quotient_trace"):
+        real = getattr(cli.surf_mod, name)
+        monkeypatch.setattr(cli.surf_mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    rep = cli.run(cli.Job("alexander", {"g": 2, "word": "S1 U2", "p": 5}))
+    assert rep.status == "pass"
+    assert calls.count("alexander_trace") == 1
+    assert calls.count("modular_quotient_trace") == 4  # one per component label 1..p-1
+
+
 def test_long_random_word_passes_all_three_checks():
     # the word's coefficients pass 2**100; they used to overflow int64
     proc = subprocess.run(
@@ -409,7 +428,7 @@ _CORNERS = [
 ]
 # Ends not run, with their single cold run time on 2 vCPUs.
 _SLOW_ENDS = {
-    ("resolve", "n", 16): "about 30 s",
+    ("resolve", "n", 16): "about 20 s",
     ("factors", "tau", 16): "about 15 s",
     ("fusion", "p", 211): "about 10 s, most of it rendering its 100 MB report",
 }

@@ -9,6 +9,7 @@ from spechtres.rings import (
     FpScalar,
     LaurentInt,
     cyclotomic_eval,
+    GramQuotient,
     fp_kernel_basis,
     fp_matmul,
     fp_rank_kernel_image,
@@ -242,7 +243,8 @@ def test_int_gram_is_exact_on_every_route():
     rng = np.random.RandomState(1)
     small = rng.randint(-1, 2, size=(300, 20))  # float64 route
     big = rng.randint(-(2**24), 2**24, size=(300, 5))  # int64 route
-    for m in (small, big):
+    # int32 entries are widened before the int64 route multiplies them
+    for m in (small, big, big.astype(np.int32)):
         assert np.array_equal(int_gram(m), m.astype(object).T @ m.astype(object))
     with pytest.raises(OverflowError):
         int_gram(np.full((4, 2), 2**31, dtype=np.int64))
@@ -284,6 +286,35 @@ def test_unitriangular_inverse():
             unitriangular_inverse(np.array([[2, 0], [0, 1]]), p)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_byte_inputs_give_the_int64_results(dtype):
+    # 211, the largest prime the commands accept, has residue 210; int8
+    # reaches -128 and uint8 255, neither of them a residue
+    p = 211
+    rng = np.random.RandomState(11)
+    info = np.iinfo(dtype)
+    a = rng.randint(info.min, info.max + 1, size=(1100, 60)).astype(dtype)  # three row blocks
+    b = rng.randint(info.min, info.max + 1, size=(60, 7)).astype(dtype)
+    a[-1, :] = b[:, 0] = -1 if dtype == np.int8 else p - 1
+    wide_a, wide_b = a.astype(np.int64), b.astype(np.int64)
+    assert np.array_equal(fp_matmul(a, b, p), fp_matmul(wide_a, wide_b, p))
+    assert np.array_equal(fp_matmul(a, b, p), _python_matmul(wide_a, wide_b, p))
+    assert np.array_equal(int_gram(a), int_gram(wide_a))
+
+    u = np.triu(rng.randint(info.min, info.max + 1, size=(70, 70)), 1).astype(dtype)
+    u[0, 1:] = -1 if dtype == np.int8 else p - 1
+    np.fill_diagonal(u, 1)
+    for q in (p, None):
+        assert np.array_equal(unitriangular_inverse(u, q), unitriangular_inverse(u.astype(np.int64), q))
+
+    gram = int_gram(rng.randint(-1, 2, size=(30, 40))) % p
+    byte_gram = gram.astype(np.uint8) if dtype == np.uint8 else (gram - p * (gram > 127)).astype(np.int8)
+    ours, ref = GramQuotient(byte_gram, p), GramQuotient(gram, p)
+    assert np.array_equal(ours.radical, ref.radical) and np.array_equal(ours.pivot_idx, ref.pivot_idx)
+    cols = a[:40, :5]
+    assert np.array_equal(ours.project_columns(cols), ref.project_columns(cols.astype(np.int64)))
+
+
 def _rref_python_ints(a, p):
     """Reference: the per-pivot Gauss-Jordan elimination with the fixed
     pivot scan, in Python integers."""
@@ -314,7 +345,8 @@ def _staircase(rng, rows, cols, p):
 
 
 def _rref_cases(rng, p):
-    for cols in (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL - 1, 2 * _PANEL, 2 * _PANEL + 1):
+    # the per-pivot loop alone up to 2 * _PANEL columns, blocked beyond
+    for cols in (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL - 1, 2 * _PANEL, 2 * _PANEL + 1, 3 * _PANEL, 3 * _PANEL + 1):
         yield _staircase(rng, cols // 3, cols, p)
         # rank-deficient, with dependent rows interleaved
         yield (rng.randint(0, p, size=(cols // 2, cols // 4)) @ _staircase(rng, cols // 4, cols, p)) % p

@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from spechtres.rings import fp_rref
+from spechtres.rings import _ROW_BLOCK, fp_rref, residues
 from spechtres.specht import (
     Diagram2,
     Tableau2,
@@ -18,6 +18,7 @@ from spechtres.specht import (
     partitions,
     permutation_matrix_on_basis,
     polytabloid,
+    raised_basis_matrix,
     specht_basis,
     specht_dim,
     standard_tableaux,
@@ -26,6 +27,7 @@ from spechtres.specht import (
 )
 from spechtres.tensor import (
     TensorVector,
+    apply_raising_power,
     apply_sl2,
     inner_product,
     perm_action,
@@ -272,6 +274,49 @@ def test_solver_coords_and_membership_check():
             solver.coords(lone_word)
 
 
+def test_raised_basis_matches_the_raising_oracle():
+    # every (n, b, c0) with n <= 12, c0 up to one past the unpaired top
+    # positions (where the raised basis vanishes)
+    for n in range(0, 13):
+        for b in range(n // 2 + 1):
+            c = n + 1 - 2 * b
+            for c0 in range(0, min(n - 2 * b + 1, n - b) + 1):
+                for p in (3, 5, 7, 211):
+                    raised = raised_basis_matrix(n, c, c0, p)
+                    oracle = apply_raising_power(n, b, residues(basis_matrix(n, c), p), c0, p)
+                    assert raised.dtype == np.uint8
+                    assert np.array_equal(raised, oracle), (n, b, c0, p)
+
+
+def test_solver_coords_of_byte_columns():
+    p = 211
+    mat = basis_matrix(8, 3)  # [5,3]
+    solver = basis_solver(p, 8, 3)
+    x = np.arange(mat.shape[1] * 2).reshape(-1, 2) * 37 % p
+    x[0] = p - 1
+    columns = mat.astype(np.int64) @ x
+    expected = solver.coords(columns)
+    assert np.array_equal(expected, x)
+    assert np.array_equal(solver.coords(residues(columns, p)), expected)
+    assert np.array_equal(solver.coords(mat), np.eye(mat.shape[1], dtype=np.int64))
+    assert np.array_equal(basis_solver(None, 8, 3).coords(mat), np.eye(mat.shape[1], dtype=np.int64))
+
+
+def test_coords_rejects_a_column_wrong_only_in_the_last_row_block():
+    n, c = 12, 3  # [7,5]: 792 words, two row blocks
+    mat = basis_matrix(n, c)
+    assert _ROW_BLOCK < mat.shape[0] <= 2 * _ROW_BLOCK
+    for p in (3, 211):
+        solver = basis_solver(p, n, c)
+        columns = residues(mat[:, :3].astype(np.int64) * 2, p)
+        solver.coords(columns)
+        # a word in the last block that no coordinate is read from
+        bad = max(set(range(_ROW_BLOCK, mat.shape[0])) - set(solver.rows.tolist()))
+        columns[bad, 1] = (int(columns[bad, 1]) + 1) % p
+        with pytest.raises(ValueError):
+            solver.coords(columns)
+
+
 def test_cached_arrays_are_read_only():
     from spechtres.tensor import _raising_sites
 
@@ -296,3 +341,8 @@ def test_cached_arrays_are_read_only():
             a[0] = 0
         with pytest.raises(ValueError):
             a += 1
+    # residues are stored in one byte, the 0/+-1 basis in int8
+    assert basis_matrix(6, 3).dtype == np.int8
+    for a in (solver.matrix, solver.inv, components[0].matrix, components[0].inv):
+        assert a.dtype == np.uint8
+    assert components[1].matrix.dtype == components[1].inv.dtype == object
