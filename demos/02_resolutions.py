@@ -26,4 +26,4 @@ tau = Diagram2(3, 2)
 for ct in partitions(5):
     sigma = cycle_type_representative(ct, 5)
     lhs, rhs, ok = modular_character_check(3, tau, sigma)
-    print(f"  {str(ct):16s} quotient trace {int(lhs)}  alternating sum {int(rhs)}  equal: {ok}")
+    print(f"  {str(ct):16s} quotient trace {lhs}  alternating sum {rhs}  equal: {ok}")

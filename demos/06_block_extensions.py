@@ -32,7 +32,7 @@ print("equivariant section exists:", section["splits"], "(so the extension is no
 
 print("\nblock action is a homomorphism (spot check):")
 rng = random.Random(3)
-mod = block_module(5, 1, 3, 3, "quotient")
+mod = block_module(5, 1, 3, 3)
 _, _, complement, masks = form_quotient_data(5, 3, 3)
 x1 = ExteriorVector.monomial(3, masks[complement[0]])
 x2 = ExteriorVector.monomial(3, masks[complement[1]], 2)

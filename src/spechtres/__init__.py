@@ -5,9 +5,6 @@ multiplicities, and trace invariants on surface homology."""
 from .specht import Diagram2, Tableau2, Tabloid2, polytabloid, specht_basis, ordinary_character
 from .tensor import TensorVector, apply_sl2, inner_product, perm_action, coev_ev
 from .rings import (
-    FpScalar,
-    FpMatrix,
-    fp_rank_kernel_image,
     LaurentInt,
     CyclotomicElem,
     quantum_integer,

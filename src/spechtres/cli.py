@@ -291,7 +291,7 @@ def _run_character(params, rng) -> tuple[dict, list]:
     for ct in partitions(tau.n):
         sigma = cycle_type_representative(ct, tau.n)
         lhs, rhs, ok = res_mod.modular_character_check(p, tau, sigma)
-        rows.append({"cycle_type": list(ct), "lhs": int(lhs), "rhs": int(rhs), "equal": ok})
+        rows.append({"cycle_type": list(ct), "lhs": lhs, "rhs": rhs, "equal": ok})
         all_ok = all_ok and ok
     return {"table": rows}, [_check("character-identity", all_ok)]
 
@@ -403,7 +403,7 @@ def _run_alexander(params, rng) -> tuple[dict, list]:
         results["component_traces"] = list(at.component_traces)
     p = params.get("p")
     if p and at is not None:
-        traces = {j: int(surf_mod.modular_quotient_trace(p, j, word, g)) for j in range(1, p)}
+        traces = {j: surf_mod.modular_quotient_trace(p, j, word, g) for j in range(1, p)}
         for sign in (1, -1):
             rep = surf_mod.cyclotomic_reduction_check(p, at, traces, sign)
             checks.append(
@@ -432,7 +432,7 @@ def _run_jm(params, rng) -> tuple[dict, list]:
         results["witness"] = repr(witness_rep["witness"])
         section = ext_mod.equivariant_section_exists(p, k, g, witness_rep["witness"])
         checks.append(_check("nonsplit-witness", not section["splits"], "no equivariant section"))
-    mod = ext_mod.block_module(p, k, 3, g, "quotient")
+    mod = ext_mod.block_module(p, k, 3, g)
     _, _, complement, masks = ext_mod.form_quotient_data(p, 3, g)
     if params["pairs"] and not complement:
         checks.append(_skip("block-homomorphism", f"no degree-3 forms outside the 2-form multiples at genus {g}"))

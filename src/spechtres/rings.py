@@ -1,6 +1,6 @@
 """Exact scalar and matrix arithmetic.
 
-Prime-field scalars and matrices, integer Laurent polynomials, cyclotomic
+Matrices over the prime field F_p, integer Laurent polynomials, cyclotomic
 quotients Z[z]/(1 + z + ... + z^(p-1)) with optional mod-p coefficients,
 balanced quantum integers, deterministic Gaussian elimination, inverses of
 unitriangular matrices mod p or over Z, and the quotient of F_p^d by the
@@ -28,7 +28,6 @@ Elimination refuses the same moduli as products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -36,14 +35,11 @@ import numpy as np
 
 __all__ = [
     "is_prime",
-    "FpScalar",
-    "FpMatrix",
     "residues",
     "fp_matmul",
     "fp_product_equals",
     "int_gram",
     "fp_rref",
-    "fp_rank_kernel_image",
     "fp_solve",
     "fp_inverse",
     "unitriangular_inverse",
@@ -71,128 +67,12 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# prime field scalars
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue in the field with p elements, p an odd prime."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"modulus must be an odd prime, got {self.p}")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _other(self, x) -> int:
-        if isinstance(x, FpScalar):
-            if x.p != self.p:
-                raise ValueError("modulus mismatch")
-            return x.value
-        return int(x)
-
-    def __add__(self, x):
-        return FpScalar(self.value + self._other(x), self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, x):
-        return FpScalar(self.value - self._other(x), self.p)
-
-    def __rsub__(self, x):
-        return FpScalar(self._other(x) - self.value, self.p)
-
-    def __mul__(self, x):
-        return FpScalar(self.value * self._other(x), self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.p)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return FpScalar(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, x):
-        return self * FpScalar(self._other(x), self.p).inverse()
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-
-# ---------------------------------------------------------------------------
 # matrices over F_p
 
 # Entries live in [0, p).  The elimination scan is fixed: columns left to
 # right, within a column the first nonzero entry from the top.  The reduced
 # form and its pivot columns are unique, so every basis produced downstream
 # is deterministic.
-
-
-class FpMatrix:
-    """Dense matrix over F_p backed by an int64 array."""
-
-    __slots__ = ("p", "a")
-
-    def __init__(self, p: int, data):
-        if p < 3 or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime, got {p}")
-        a = np.asarray(data, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError("matrix data must be two-dimensional")
-        self.p = p
-        self.a = a % p
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls(p, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls(p, np.zeros((rows, cols), dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.p, self.a.T)
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        return FpMatrix(self.p, fp_matmul(self.a, other.a, self.p))
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        return FpMatrix(self.p, self.a + other.a)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.a.shape == other.a.shape
-            and bool(np.array_equal(self.a, other.a))
-        )
-
-    def __repr__(self):
-        return f"FpMatrix(p={self.p}, shape={self.a.shape})"
-
 
 # Integers up to 2**53 are exact in float64.
 _FLOAT_EXACT = 2**53
@@ -427,21 +307,6 @@ def kernel_from_rref(rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
 def fp_kernel_basis(a: np.ndarray, p: int) -> list[np.ndarray]:
     """Column vectors spanning the null space, one per free column."""
     return list(kernel_from_rref(*fp_rref(a, p), p).T)
-
-
-def fp_rank_kernel_image(m: FpMatrix):
-    """Rank, kernel basis and image basis of a matrix over F_p.
-
-    The image basis consists of the original columns at the pivot
-    positions; together with the fixed pivot rule this makes all three
-    outputs deterministic.
-    """
-    rref, pivots = fp_rref(m.a, m.p)
-    kernel = list(kernel_from_rref(rref, pivots, m.p).T)
-    image = [m.a[:, c].copy() for c in pivots]
-    rank = len(pivots)
-    assert rank + len(kernel) == m.cols
-    return rank, kernel, image
 
 
 def fp_solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

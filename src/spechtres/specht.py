@@ -131,13 +131,6 @@ class Tableau2:
     def columns(self):
         return list(zip(self.top, self.bottom))
 
-    def is_standard(self) -> bool:
-        rows_increase = all(x < y for x, y in zip(self.top, self.top[1:])) and all(
-            x < y for x, y in zip(self.bottom, self.bottom[1:])
-        )
-        cols_increase = all(i < j for i, j in self.columns())
-        return rows_increase and cols_increase
-
     def __eq__(self, other):
         return isinstance(other, Tableau2) and (self.top, self.bottom) == (other.top, other.bottom)
 
@@ -198,17 +191,10 @@ def specht_dim(n: int, b: int) -> int:
     return comb(n, b) - (comb(n, b - 1) if b >= 1 else 0)
 
 
-def specht_basis(n: int, c: int, p: int | None = None) -> list[TensorVector]:
-    """Standard polytabloids for the diagram of weight c on n letters.
-
-    With p given the coefficients are reduced mod p; the vectors stay a
-    basis since standard polytabloids are unitriangular on tabloid words.
-    """
+def specht_basis(n: int, c: int) -> list[TensorVector]:
+    """Standard polytabloids for the diagram of weight c on n letters."""
     diag = Diagram2.from_weight(n, c)
-    basis = [polytabloid(t) for t in standard_tableaux(diag)]
-    if p is not None:
-        basis = [v.reduce(p) for v in basis]
-    return basis
+    return [polytabloid(t) for t in standard_tableaux(diag)]
 
 
 def _standard_words(n: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

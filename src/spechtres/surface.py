@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .rings import (
-    FpScalar,
     GramQuotient,
     LaurentInt,
     int_gram,
@@ -144,9 +143,6 @@ class ExteriorVector:
         return ExteriorVector(self.g, {m: c * k for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def reduce(self, p: int) -> "ExteriorVector":
-        return ExteriorVector(self.g, {m: c % p for m, c in self.coeffs.items()})
 
     def _check(self, other):
         if not isinstance(other, ExteriorVector) or other.g != self.g:
@@ -971,33 +967,19 @@ def component_quotient(p: int, j: int, g: int) -> GramQuotient:
     return GramQuotient(int_gram(lefschetz_basis(j, g).matrix), p)
 
 
-def modular_quotient_trace(p: int, j: int, word, g: int, debug: bool = False) -> FpScalar:
-    """Trace of a group word on the simple quotient of the j-th component
-    mod p.  Radical invariance is verified on every call; with `debug` the
-    trace is recomputed against a second complement choice."""
+def modular_quotient_trace(p: int, j: int, word, g: int) -> int:
+    """Trace mod p, a residue in [0, p), of a group word on the simple
+    quotient of the j-th component.  Radical invariance is verified on
+    every call."""
     require_group_word(word)
     if j > g + 1:
-        return FpScalar(0, p)
+        return 0
     q = component_quotient(p, j, g)
     if q.quotient_dim == 0:
-        return FpScalar(0, p)
+        return 0
     action = lefschetz_action_matrix(word, j, g, p=p)
     q.check_radical_invariance(action)
-    t = int(np.trace(q.quotient_matrix(action))) % p
-    if debug:
-        alt = _alternate_complement_trace(p, j, g, action)
-        if alt != t:
-            raise AssertionError("quotient trace depends on the complement choice")
-    return FpScalar(t, p)
-
-
-def _alternate_complement_trace(p: int, j: int, g: int, action: np.ndarray) -> int:
-    gram = int_gram(lefschetz_basis(j, g).matrix)
-    flip = list(range(gram.shape[0] - 1, -1, -1))
-    alt = GramQuotient(gram[np.ix_(flip, flip)], p)
-    action_flipped = action[np.ix_(flip, flip)]
-    alt.check_radical_invariance(action_flipped)
-    return int(np.trace(alt.quotient_matrix(action_flipped))) % p
+    return int(np.trace(q.quotient_matrix(action))) % p
 
 
 def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:
@@ -1005,7 +987,7 @@ def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:
     mod-p coefficients, and compare with the quantum-integer combination of
     the simple-quotient traces over the paired component labels."""
     at = alexander_trace(word, g)
-    traces = {j: int(modular_quotient_trace(p, j, word, g)) for j in range(1, p)}
+    traces = {j: modular_quotient_trace(p, j, word, g) for j in range(1, p)}
     return cyclotomic_reduction_check(p, at, traces, sign)
 
 

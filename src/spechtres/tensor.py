@@ -22,7 +22,6 @@ __all__ = [
     "inner_product",
     "perm_action",
     "coev_ev",
-    "perm_sign",
     "weight_class_masks",
     "raising_step",
     "apply_raising_power",
@@ -77,9 +76,6 @@ class TensorVector:
         return TensorVector(self.n, {w: c * k for w, c in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def reduce(self, p: int) -> "TensorVector":
-        return TensorVector(self.n, {w: c % p for w, c in self.coeffs.items()})
 
     def _check(self, other: "TensorVector"):
         if not isinstance(other, TensorVector) or other.n != self.n:
@@ -143,41 +139,20 @@ def inner_product(v: TensorVector, w: TensorVector) -> int:
     return sum(c * w.coeffs.get(m, 0) for m, c in v.coeffs.items())
 
 
-def perm_sign(sigma) -> int:
-    """Sign of a permutation given as a 1-indexed image tuple."""
-    n = len(sigma)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def perm_action(sigma, v: TensorVector, signed: bool = False) -> TensorVector:
+def perm_action(sigma, v: TensorVector) -> TensorVector:
     """Permute tensor positions; position i of the result carries what
-    position sigma^(-1)(i) carried before.  The signed variant multiplies
-    by the sign of the permutation."""
+    position sigma^(-1)(i) carried before."""
     n = v.n
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("not a permutation of 1..n")
-    s = perm_sign(sigma) if signed else 1
     out: dict[int, int] = {}
     for w, c in v.coeffs.items():
         m = 0
         for i in range(n):
             if w >> i & 1:
                 m |= 1 << (sigma[i] - 1)
-        out[m] = out.get(m, 0) + s * c
+        out[m] = out.get(m, 0) + c
     return TensorVector(n, out)
 
 

@@ -6,7 +6,6 @@ import pytest
 from spechtres.rings import fp_matmul
 from spechtres.surface import (
     ExteriorVector,
-    component_quotient,
     random_group_word,
     s_token,
     symplectic_form_vector,
@@ -23,6 +22,7 @@ from spechtres.extension import (
     form_quotient_data,
     jm_multiply,
     mu,
+    mu_component_map,
     mu_induced,
     nonsplit_witness,
     nu,
@@ -77,7 +77,7 @@ def test_mu_kills_form_multiples_on_kernel():
     omega = symplectic_form_vector(g)
     for y in (ExteriorVector.gen_a(g, 2), ExteriorVector.gen_b(g, 3)):
         x = wedge(omega, y)
-        assert not mu_induced(p, 1, 3, x, "full").any()
+        assert not mu_component_map(p, 1, 3, x).any()
         assert canonical_form_rep(x, p).is_zero()
 
 
@@ -91,8 +91,8 @@ def test_mu_induced_covariance():
     from spechtres.surface import apply_token, lefschetz_action_matrix
 
     gx = apply_token(tok, x)
-    m_x = mu_induced(p, 1, 3, x, "full")
-    m_gx = mu_induced(p, 1, 3, gx, "full")
+    m_x = mu_component_map(p, 1, 3, x)
+    m_gx = mu_component_map(p, 1, 3, gx)
     a_src = lefschetz_action_matrix([tok], 1, g, p=p)
     a_tgt = lefschetz_action_matrix([tok], 4, g, p=p)
     assert np.array_equal(fp_matmul(a_tgt, m_x, p), fp_matmul(m_gx, a_src, p))
@@ -139,22 +139,6 @@ def test_mu_degree_bookkeeping():
         assert r1 == r2  # containment in the image
 
 
-def test_radical_variant_containment():
-    # a configuration with a nonzero null space on both sides
-    p, g = 3, 4
-    q1 = component_quotient(p, 1, g)
-    if q1.radical.shape[1] == 0:
-        pytest.skip("no radical at this size")
-    _, _, complement, masks = form_quotient_data(p, 3, g)
-    x = ExteriorVector.monomial(g, masks[complement[0]])
-    rad = mu_induced(p, 1, 3, x, "radical")
-    assert rad.shape[1] == q1.radical.shape[1]
-    # the trivial-radical configuration degenerates gracefully
-    _, _, comp5, masks5 = form_quotient_data(5, 3, 3)
-    rad5 = mu_induced(5, 1, 3, ExteriorVector.monomial(3, masks5[comp5[0]]), "radical")
-    assert rad5.shape == (0, 0)
-
-
 def test_nonsplit_witness_absent_at_genus_two():
     rep = nonsplit_witness(5, 1, 2)
     assert rep["witness"] is None
@@ -176,13 +160,13 @@ def test_form_multiples_never_witness():
     omega = symplectic_form_vector(g)
     for y in (ExteriorVector.gen_a(g, 1), ExteriorVector.gen_b(g, 2)):
         x = wedge(omega, y)
-        assert not mu_induced(5, 1, 3, x, "quotient").any()
+        assert not mu_induced(5, 1, 3, x).any()
 
 
 def test_block_action_homomorphism():
     rng = random.Random(7)
     p, k, m_deg, g = 5, 1, 3, 3
-    mod = block_module(p, k, m_deg, g, "quotient")
+    mod = block_module(p, k, m_deg, g)
     _, _, complement, masks = form_quotient_data(p, m_deg, g)
 
     def rand_elem():
@@ -201,7 +185,7 @@ def test_block_action_homomorphism():
 
 def test_block_action_identities():
     p, k, m_deg, g = 5, 1, 3, 3
-    mod = block_module(p, k, m_deg, g, "quotient")
+    mod = block_module(p, k, m_deg, g)
     d = mod.top_dim + mod.bottom_dim
     ident = JmElement(ExteriorVector.zero(g), 1, ())
     assert np.array_equal(block_action_matrix(ident, mod), np.eye(d, dtype=np.int64))
@@ -214,7 +198,7 @@ def test_block_action_identities():
 def test_bottom_factor_is_invariant():
     rng = random.Random(8)
     p, k, m_deg, g = 5, 1, 3, 3
-    mod = block_module(p, k, m_deg, g, "quotient")
+    mod = block_module(p, k, m_deg, g)
     dt = mod.top_dim
     _, _, complement, masks = form_quotient_data(p, m_deg, g)
     for _ in range(10):
@@ -232,9 +216,15 @@ def test_operator_pair_rejects_inhomogeneous_forms():
         mu(mixed, ExteriorVector.unit(2))
 
 
+def test_block_modules_are_built_on_simple_quotients_only():
+    assert block_module(5, 1, 3, 3, "quotient") == block_module(5, 1, 3, 3)
+    with pytest.raises(ValueError):
+        block_module(5, 1, 3, 3, "full")
+
+
 def test_block_denominator_must_be_unit():
     p, g = 5, 3
-    mod = block_module(p, 1, 3, g, "quotient")
+    mod = block_module(p, 1, 3, g)
     elem = JmElement(ExteriorVector.zero(g), 5, ())
     with pytest.raises(ValueError):
         block_action_matrix(elem, mod)

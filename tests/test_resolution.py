@@ -162,9 +162,9 @@ def test_factor_partition_against_gram_dims():
 def test_modular_character_examples():
     tau = Diagram2(2, 2)
     lhs, rhs, ok = modular_character_check(3, tau, (1, 2, 3, 4))
-    assert ok and int(lhs) == 1
+    assert ok and lhs == 1
     lhs, rhs, ok = modular_character_check(3, tau, (2, 1, 3, 4))
-    assert ok and int(lhs) == 2 and int(rhs) == 2
+    assert ok and lhs == 2 and rhs == 2
     # single-term case: the character identity degenerates to a reduction
     from spechtres.specht import ordinary_character
 
@@ -172,7 +172,16 @@ def test_modular_character_examples():
         sigma = cycle_type_representative(ct, 4)
         lhs, rhs, ok = modular_character_check(5, tau, sigma)
         assert ok
-        assert int(rhs) == ordinary_character(tau, sigma) % 5
+        assert rhs == ordinary_character(tau, sigma) % 5
+
+
+def test_modular_character_check_returns_residues():
+    for p, tau in ((3, Diagram2(3, 2)), (5, Diagram2(4, 2))):
+        for ct in partitions(tau.n):
+            lhs, rhs, ok = modular_character_check(p, tau, cycle_type_representative(ct, tau.n))
+            assert type(lhs) is int and type(rhs) is int, (p, ct)
+            assert lhs in range(p) and rhs in range(p)
+            assert ok == (lhs == rhs)
 
 
 def test_modular_character_all_cycle_types():
@@ -185,7 +194,7 @@ def test_modular_character_all_cycle_types():
                 for ct in partitions(n):
                     sigma = cycle_type_representative(ct, n)
                     lhs, rhs, ok = modular_character_check(p, tau, sigma)
-                    assert ok, (p, tau, ct, int(lhs), int(rhs))
+                    assert ok, (p, tau, ct, lhs, rhs)
 
 
 def test_quotient_trace_identity_is_dimension():

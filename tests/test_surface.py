@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spechtres.dims import verlinde_dim
-from spechtres.rings import LaurentInt, frac_solve
+from spechtres.rings import GramQuotient, LaurentInt, frac_solve, int_gram
 from spechtres.specht import Diagram2, specht_dim, standard_tableaux
 from spechtres.surface import (
     ExteriorVector,
@@ -334,7 +334,7 @@ def test_alexander_trace_is_exact_past_int64():
 
 
 def test_modular_quotient_trace_reduces_large_coefficients():
-    assert int(modular_quotient_trace(5, 1, [_GROWING] * 60, 2)) == 0
+    assert modular_quotient_trace(5, 1, [_GROWING] * 60, 2) == 0
 
 
 def test_alexander_trace_examples():
@@ -359,16 +359,44 @@ def test_alexander_decomposition_random_words():
 
 def test_modular_quotient_traces():
     ident = []
-    assert int(modular_quotient_trace(5, 1, ident, 2, debug=True)) == 0  # dim 5
-    assert int(modular_quotient_trace(5, 2, ident, 2)) == 4
-    assert int(modular_quotient_trace(3, 2, [s_token(1, 1)], 1)) == 1
+    assert modular_quotient_trace(5, 1, ident, 2) == 0  # dim 5
+    assert modular_quotient_trace(5, 2, ident, 2) == 4
+    assert modular_quotient_trace(3, 2, [s_token(1, 1)], 1) == 1
     for p in (3, 5, 7):
         for g in (1, 2, 3):
             for j in range(1, g + 2):
-                got = int(modular_quotient_trace(p, j, ident, g, debug=True))
+                got = modular_quotient_trace(p, j, ident, g)
                 assert got == _assembled_quotient_dim(p, j, g) % p
                 if j < p:
                     assert got == verlinde_dim(p, j, g) % p
+
+
+def _reversed_complement_trace(p, j, word, g):
+    # the quotient trace through the complement that the reversed basis
+    # order picks: a trace on the quotient cannot depend on that choice
+    gram = int_gram(lefschetz_basis(j, g).matrix)
+    flip = np.arange(len(gram))[::-1]
+    q = GramQuotient(gram[np.ix_(flip, flip)], p)
+    action = lefschetz_action_matrix(word, j, g, p=p)[np.ix_(flip, flip)]
+    q.check_radical_invariance(action)
+    return int(np.trace(q.quotient_matrix(action))) % p
+
+
+def test_quotient_trace_does_not_depend_on_the_complement():
+    # below genus 4 only component 2 at p = 3, g = 3 has a radical, so a
+    # complement to choose; at genus 4, p = 3, components 1 and 2 have one
+    rng = random.Random(31)
+    radicals = 0
+    for p in (3, 5, 7):
+        for g in (1, 2, 3, 4):
+            for _ in range(4):
+                word = random_group_word(g, rng.randrange(1, 6), rng)
+                for j in range(1, g + 2):
+                    got = modular_quotient_trace(p, j, word, g)
+                    assert type(got) is int and got in range(p)
+                    assert got == _reversed_complement_trace(p, j, word, g), (p, g, j, word)
+                    radicals += component_quotient(p, j, g).radical.shape[1] > 0
+    assert radicals == 12
 
 
 def _assembled_quotient_dim(p, j, g):
@@ -467,4 +495,4 @@ def test_trace_contributions_vanish_beyond_top_component():
     for p in (5, 7):
         g = 2
         for j in range(g + 2, p):
-            assert int(modular_quotient_trace(p, j, [s_token(1, g)], g)) == 0
+            assert modular_quotient_trace(p, j, [s_token(1, g)], g) == 0

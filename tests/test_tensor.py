@@ -48,7 +48,6 @@ def test_perm_action_examples():
     assert perm_action((1, 2), v) == v
     swapped = perm_action((2, 1), v)
     assert swapped == TensorVector.word(2, 0b01)
-    assert perm_action((2, 1), v, signed=True) == TensorVector(2, {0b01: -1})
 
 
 def test_perm_action_is_group_action():
