@@ -458,3 +458,77 @@ def test_schema_corners_cover_every_end_of_every_range():
                     continue
                 run = any(e["command"] == command and key in e and size(e[key]) == end for e in _CORNERS)
                 assert run or where in _SLOW_ENDS, where
+
+
+# Per-job results and check statuses of a fixed job list.  The selftest
+# report holds only check counts, so a change that alters a trace or a
+# dimension without failing a check would leave it byte-identical; these
+# values pin what the jobs compute.
+_ALL_PASS = ("alexander-decomposition", "cyclotomic-trace-sign+", "cyclotomic-trace-sign-")
+_PINNED = [
+    (
+        {"command": "alexander", "g": 2, "word": "S1 U2 P1", "p": 5},
+        {
+            "component_traces": [0, 0, 1],
+            "genus": 2,
+            "reduction_sign+": [1, 0, 1, 1],
+            "reduction_sign-": [1, 0, 1, 1],
+            "tokens": 3,
+            "trace": {"-2": 1, "0": 1, "2": 1},
+        },
+        {name: "pass" for name in _ALL_PASS},
+    ),
+    (
+        {"command": "alexander", "g": 3, "word": "S1 U1 P2 S3 U3", "p": 3},
+        {
+            "component_traces": [0, 1, -1, 1],
+            "genus": 3,
+            "reduction_sign+": [0, 0],
+            "reduction_sign-": [0, 0],
+            "tokens": 5,
+            "trace": {"-1": 2, "-2": -1, "-3": 1, "0": -1, "1": 2, "2": -1, "3": 1},
+        },
+        {name: "pass" for name in _ALL_PASS},
+    ),
+    (
+        {"command": "alexander", "g": 5, "word": "S1 U1", "p": 3},
+        {
+            "component_traces": [6, 21, 29, 20, 7, 1],
+            "genus": 5,
+            "reduction_sign+": [1, 0],
+            "reduction_sign-": [0, 0],
+            "tokens": 2,
+            "trace": {
+                "-1": 42, "-2": 36, "-3": 21, "-4": 7, "-5": 1,
+                "0": 42, "1": 42, "2": 36, "3": 21, "4": 7, "5": 1,
+            },
+        },
+        {name: "pass" for name in _ALL_PASS},
+    ),
+    (
+        {"command": "jm", "p": 5, "k": 1, "g": 3, "pairs": 3},
+        {
+            "bottom_dim": 1,
+            "candidates": 14,
+            "strand_dims": {"1": {"1": 14}, "4": {"4": 1}},
+            "top_dim": 14,
+            "witness": "ExteriorVector(g=3, 1*a1^a2^a3)",
+        },
+        {
+            "wedge-pair-identities": "pass",
+            "nonsplit-witness": "pass",
+            "block-homomorphism": "pass",
+            "strand-resolutions": "pass",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,results,statuses", _PINNED, ids=[",".join(f"{k}={v}" for k, v in e.items()) for e, _, _ in _PINNED]
+)
+def test_pinned_job_results(entry, results, statuses):
+    params = {k: v for k, v in entry.items() if k != "command"}
+    rep = cli.run(cli.Job(entry["command"], params))
+    assert {c["name"]: c["status"] for c in rep.checks} == statuses
+    assert rep.results == results
