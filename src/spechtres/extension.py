@@ -28,7 +28,6 @@ from .surface import (
     apply_token,
     apply_word,
     component_quotient,
-    component_solver,
     group_token_pool,
     j_token,
     lefschetz_action_matrix,
@@ -81,8 +80,11 @@ def mu(x: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
     """Adjoint of wedge multiplication by the calibrated x: a degree
     -m contraction when x is homogeneous of degree m."""
     _require_homogeneous(x)
-    jx = calibrate(x)
-    g = v.g
+    return _contract(calibrate(x), v)
+
+
+def _contract(jx: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
+    """mu(x, v) from the calibrated form jx = calibrate(x)."""
     out: dict[int, int] = {}
     for xm, xc in jx.coeffs.items():
         for vm, vc in v.coeffs.items():
@@ -91,7 +93,7 @@ def mu(x: ExteriorVector, v: ExteriorVector) -> ExteriorVector:
             rest = vm ^ xm
             s, _ = wedge_monomials(xm, rest)
             out[rest] = out.get(rest, 0) + s * xc * vc
-    return ExteriorVector(g, out)
+    return ExteriorVector(v.g, out)
 
 
 def operator_matrix(op, g: int) -> np.ndarray:
@@ -203,7 +205,10 @@ def wedge_pair_identities(g: int, seed: int = 0, samples: int = 20) -> dict:
 
 def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
     """Matrix mod p of the contraction by a degree-m form, from the
-    component basis at index j to the one at index j + m_deg."""
+    component basis at index j to the one at index j + m_deg: the exact
+    matrix as int64 residues.  F = mu(omega) commutes with mu(x), so mu(x)
+    maps ker F into ker F, where the blocks' unitriangular squares give
+    integral coordinates."""
     if not x.is_zero() and x.is_homogeneous() != m_deg:
         raise ValueError(f"x must be homogeneous of degree {m_deg}")
     g = x.g
@@ -211,8 +216,10 @@ def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarra
     tgt_j = j + m_deg
     if tgt_j > g + 1:
         return np.zeros((0, src.dim), dtype=np.int64)
-    cols = lefschetz_basis(tgt_j, g).columns([mu(x, v) for v in src.vectors], p)
-    return component_solver(p, tgt_j, g).coords(cols)
+    jx = calibrate(x)
+    tgt = lefschetz_basis(tgt_j, g)
+    exact = tgt.coords(tgt.columns([_contract(jx, v) for v in src.vectors]))
+    return (exact % p).astype(np.int64)
 
 
 def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:

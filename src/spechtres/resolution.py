@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import GramQuotient, fp_matmul, fp_rref
+from .rings import GramQuotient, fp_matmul, fp_rref, residues
 from .specht import (
     Diagram2,
     basis_solver,
@@ -43,7 +43,7 @@ __all__ = [
 
 def e_power_map(p: int, n: int, c: int, c0: int) -> np.ndarray:
     """Matrix of the c0-fold raising operator from the weight-c standard
-    Specht basis to the weight-(c - 2 c0) one, mod p.
+    Specht basis to the weight-(c - 2 c0) one, as residues mod p.
 
     The raised basis vectors come in closed form from
     specht.raised_basis_matrix, as residues: c0! times each polytabloid
@@ -63,7 +63,7 @@ def e_power_map(p: int, n: int, c: int, c0: int) -> np.ndarray:
         raise ValueError(f"target weight {target} invalid")
     if c > n + 1:
         raise ValueError(f"weight {c} exceeds n+1={n + 1}")
-    return basis_solver(p, n, target).coords(raised_basis_matrix(n, c, c0, p))
+    return residues(basis_solver(p, n, target).coords(raised_basis_matrix(n, c, c0, p)), p)
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ class ComplexSpec:
 
 @dataclass
 class ComplexOverFp:
-    """A built complex: matrices in the standard Specht bases, with the
-    domain of maps[i] the term of weight weights[i]."""
+    """A built complex: residue matrices in the standard Specht bases, with
+    the domain of maps[i] the term of weight weights[i]."""
 
     spec: ComplexSpec
     dims: tuple[int, ...]

@@ -10,21 +10,23 @@ centred at g.  Weight spaces are isometric to sign-word lattices, which
 is how everything connects to the Specht machinery.
 
 Each lowest-weight component has a basis assembled weight block by weight
-block from standard Specht bases, so its coordinates are solved by one
-specht.BasisSolver built from the Specht solvers of its blocks
-(component_solver): exactly over Z in Python ints when p is None, mod p
-otherwise.  Its simple quotient mod p is a rings.GramQuotient.
+block from standard Specht bases, so its coordinates are solved exactly
+over Z, one weight block at a time, by the Specht solvers of its blocks
+(LefschetzBasis.coords).  That is the only coordinate route: an action
+mod p is the exact action reduced mod p.  The simple quotient of a
+component mod p is a rings.GramQuotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .rings import (
     GramQuotient,
+    read_only,
     LaurentInt,
     int_gram,
     cyclotomic_eval,
@@ -36,7 +38,7 @@ from .rings import (
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
 from .rings import fp_inverse, fp_rref  # noqa: F401
-from .specht import BasisSolver, Tableau2, basis_solver, polytabloid, specht_basis
+from .specht import Tableau2, basis_solver, polytabloid, specht_basis
 from .tensor import TensorVector, weight_class_masks
 
 __all__ = [
@@ -71,7 +73,6 @@ __all__ = [
     "lefschetz_weights",
     "LefschetzBasis",
     "lefschetz_basis",
-    "component_solver",
     "lefschetz_action_matrix",
     "DecompositionError",
     "AlexanderTrace",
@@ -823,30 +824,53 @@ def lefschetz_weights(j: int, g: int) -> list[tuple[int, ...]]:
 @dataclass
 class LefschetzBasis:
     """Ordered basis of the j-th component at genus g, assembled weight
-    block by weight block from standard Specht bases."""
+    block by weight block from standard Specht bases.
+
+    blocks holds, for each weight of lefschetz_weights(j, g) in basis
+    order, its zero-set size n and, in word order, the rows of masks and
+    the signs that upsilon gives its weight-class words.  The blocks
+    partition masks.  Their arrays and matrix are read-only.
+    """
 
     j: int
     g: int
-    lams: list
     vectors: list
     degree: int
     masks: tuple[int, ...]
-    matrix: np.ndarray  # monomial coordinates, one column per basis vector
+    blocks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
-    def columns(self, vectors, p: int | None) -> np.ndarray:
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Monomial coordinates of the basis, one int64 column per vector."""
+        return read_only(self.columns(self.vectors).astype(np.int64))
+
+    def columns(self, vectors) -> np.ndarray:
         """Monomial coordinates of vectors of this basis's degree, one column
-        per vector: Python ints in an object array when p is None, else
-        residues mod p, each reduced before it enters int64."""
+        per vector, as Python ints in an object array."""
         index = _degree_mask_index(self.g, self.degree)
-        out = np.zeros((len(self.masks), len(vectors)), dtype=object if p is None else np.int64)
+        out = np.zeros((len(self.masks), len(vectors)), dtype=object)
         for col, v in enumerate(vectors):
             for m, c in v.coeffs.items():
-                out[index[m], col] = c if p is None else c % p
+                out[index[m], col] = c
         return out
+
+    def coords(self, columns: np.ndarray) -> np.ndarray:
+        """Exact coordinates over Z of the columns of an integer matrix in
+        monomial coordinates, as Python ints in an object array; raises
+        ValueError when a column is outside the span.
+
+        Each weight block is pulled back to sign-word coordinates and solved
+        by the exact Specht solver of its diagram, which checks every word
+        of the block; the blocks partition the monomials, so every entry of
+        a column is checked.
+        """
+        return np.concatenate(
+            [basis_solver(None, n, self.j).coords(signs[:, None] * columns[rows]) for n, rows, signs in self.blocks]
+        )
 
 
 @lru_cache(maxsize=None)
@@ -861,60 +885,28 @@ def _degree_mask_index(g: int, degree: int) -> dict:
 
 @lru_cache(maxsize=None)
 def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
-    lams = lefschetz_weights(j, g)
-    vectors = []
-    for lam in lams:
-        n = len(zero_set(lam))
-        for v in specht_basis(n, j):
-            vectors.append(upsilon_to_surface(lam, v, g))
     degree = g - j + 1
-    masks = _degree_masks(g, degree)
     index = _degree_mask_index(g, degree)
-    matrix = np.zeros((len(masks), len(vectors)), dtype=np.int64)
-    for col, v in enumerate(vectors):
-        for m, c in v.coeffs.items():
-            matrix[index[m], col] = c
-    return LefschetzBasis(j, g, lams, vectors, degree, masks, matrix)
-
-
-@lru_cache(maxsize=None)
-def component_solver(p: int | None, j: int, g: int) -> BasisSolver:
-    """Coordinate solver of the j-th component basis at genus g, mod p, or
-    exactly over Z when p is None.
-
-    Each weight block of the basis is the upsilon image of a standard
-    Specht basis, so its rows are the images of the Specht solver's
-    tabloid rows and its inverse is the Specht inverse with the upsilon
-    signs of those rows folded into its columns.  Blocks of different
-    weights share no monomial, so the square at all rows is block diagonal
-    and one block-diagonal inverse solves every block at once.
-    """
-    basis = lefschetz_basis(j, g)
-    index = _degree_mask_index(g, basis.degree)
-    rows = []
-    inv = np.zeros((basis.dim, basis.dim), dtype=object if p is None else np.int64)
-    start = 0
-    for lam in basis.lams:
+    vectors, blocks = [], []
+    for lam in lefschetz_weights(j, g):
         n = len(zero_set(lam))
-        block = basis_solver(p, n, j)
+        vectors += [upsilon_to_surface(lam, v, g) for v in specht_basis(n, j)]
+        # a monomial of this degree and weight holds both generators at
+        # (n + 1 - j) // 2 of the n zero positions
         words = weight_class_masks(n, (n + 1 - j) // 2)[0]
-        signs = []
-        for r in block.rows:
-            sign, mask = _upsilon_monomial(lam, words[r], g)
-            signs.append(sign)
-            rows.append(index[mask])
-        end = start + len(signs)
-        inv[start:end, start:end] = block.inv.astype(inv.dtype) * np.asarray(signs, dtype=np.int64)
-        start = end
-    return BasisSolver(p, basis.matrix, np.asarray(rows, dtype=np.intp), inv)
+        signs, images = zip(*(_upsilon_monomial(lam, w, g) for w in words))
+        blocks.append((n, read_only(np.array([index[m] for m in images])), read_only(np.array(signs))))
+    covered = np.sort(np.concatenate([rows for _, rows, _ in blocks]))
+    assert np.array_equal(covered, np.arange(len(index))), "weight blocks must partition the monomials"
+    return LefschetzBasis(j, g, vectors, degree, _degree_masks(g, degree), tuple(blocks))
 
 
 def lefschetz_action_matrix(word, j: int, g: int, p: int | None = None) -> np.ndarray:
     """Matrix of a token word on the j-th component basis: exact Python-int
-    entries in an object array when p is None, otherwise residues mod p."""
+    entries in an object array, reduced to int64 residues when p is given."""
     basis = lefschetz_basis(j, g)
-    cols = basis.columns([apply_word(word, v) for v in basis.vectors], p)
-    return component_solver(p, j, g).coords(cols)
+    exact = basis.coords(basis.columns([apply_word(word, v) for v in basis.vectors]))
+    return exact if p is None else (exact % p).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

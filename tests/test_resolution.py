@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from spechtres.dims import d_dim
 from spechtres.factors import composition_factors, make_context, simple_dim
 from spechtres.rings import fp_matmul, fp_rref
 from spechtres.resolution import (
+    ComplexOverFp,
     build_complex,
     complex_weights,
     e_power_map,
@@ -69,6 +71,23 @@ def test_truncation_rule_matches_enumeration():
                 weights, _ = complex_weights(p, n, k)
                 l = truncation_index(p, n, k)
                 assert weights[0] == n + 1 - 2 * l, (p, n, k)
+
+
+def test_complex_maps_are_stored_as_byte_residues():
+    # ranks recorded while the maps were int64; the stored dtype must not
+    # change a report, nor must widening the maps back
+    pinned = {
+        (3, 12, 1): ([1, 11, 154, 275, 132], [1, 10, 144, 131], 1),
+        (5, 13, 2): ([12, 208, 429], [12, 196], 233),
+        (7, 13, 6): ([208, 429], [208], 221),
+    }
+    for (p, n, k), (dims, ranks, dim_simple) in pinned.items():
+        cx = build_complex(p, n, k)
+        assert [m.dtype for m in cx.maps] == [np.uint8] * len(ranks)
+        rep = verify_exactness(cx)
+        assert (rep["dims"], rep["ranks"], rep["dim_simple"], rep["exact"]) == (dims, ranks, dim_simple, True)
+        wide = ComplexOverFp(cx.spec, cx.dims, [m.astype(np.int64) for m in cx.maps])
+        assert verify_exactness(wide) == rep
 
 
 def test_exactness_examples():

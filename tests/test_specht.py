@@ -320,10 +320,10 @@ def test_coords_rejects_a_column_wrong_only_in_the_last_row_block():
 def test_cached_arrays_are_read_only():
     from spechtres.tensor import _raising_sites
 
-    from spechtres.surface import component_solver
+    from spechtres.surface import lefschetz_basis
 
-    solver = basis_solver(5, 6, 3)
-    components = [component_solver(p, 2, 3) for p in (5, None)]
+    solvers = [basis_solver(p, 6, 3) for p in (5, None)]
+    component = lefschetz_basis(2, 3)
     src, dst = _raising_sites(6, 2)[0]
     cached = [
         basis_matrix(6, 3),
@@ -331,10 +331,9 @@ def test_cached_arrays_are_read_only():
         *raising_step(6, 2),
         src,
         dst,
-        solver.matrix,
-        solver.rows,
-        solver.inv,
-        *(a for c in components for a in (c.matrix, c.rows, c.inv)),
+        *(a for s in solvers for a in (s.matrix, s.rows, s.inv)),
+        component.matrix,
+        *(a for _, rows, signs in component.blocks for a in (rows, signs)),
     ]
     for a in cached:
         with pytest.raises(ValueError):
@@ -343,6 +342,5 @@ def test_cached_arrays_are_read_only():
             a += 1
     # residues are stored in one byte, the 0/+-1 basis in int8
     assert basis_matrix(6, 3).dtype == np.int8
-    for a in (solver.matrix, solver.inv, components[0].matrix, components[0].inv):
-        assert a.dtype == np.uint8
-    assert components[1].matrix.dtype == components[1].inv.dtype == object
+    assert solvers[0].matrix.dtype == solvers[0].inv.dtype == np.uint8
+    assert solvers[1].matrix.dtype == solvers[1].inv.dtype == object

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from spechtres import surface
 from spechtres.dims import verlinde_dim
 from spechtres.rings import GramQuotient, LaurentInt, frac_solve, int_gram
 from spechtres.specht import Diagram2, specht_dim, standard_tableaux
@@ -13,7 +14,6 @@ from spechtres.surface import (
     apply_token,
     apply_word,
     component_quotient,
-    component_solver,
     cyclotomic_trace_check,
     group_token_pool,
     handle_map,
@@ -280,8 +280,8 @@ def test_lefschetz_vectors_are_lowest_weight():
 
 
 def test_component_action_matches_the_fraction_oracle():
-    # exact entries against Fraction elimination, and their residues
-    # against the mod-p path
+    # exact entries against Fraction elimination, and the mod-p matrices
+    # as their residues
     rng = random.Random(15)
     for g in (1, 2, 3):
         for j in range(1, g + 2):
@@ -291,7 +291,7 @@ def test_component_action_matches_the_fraction_oracle():
             for word in words:
                 exact = lefschetz_action_matrix(word, j, g)
                 assert exact.dtype == object
-                images = basis.columns([apply_word(word, v) for v in basis.vectors], None)
+                images = basis.columns([apply_word(word, v) for v in basis.vectors])
                 oracle = frac_solve(basis.matrix.tolist(), images.tolist())
                 assert exact.tolist() == oracle, (g, j, word)
                 for p in (3, 5, 7):
@@ -299,15 +299,20 @@ def test_component_action_matches_the_fraction_oracle():
                     assert np.array_equal(modular, (exact % p).astype(np.int64)), (g, j, p)
 
 
-def test_component_solvers_refuse_a_lone_monomial():
-    for p in (None, 5):
-        for g, j in ((2, 1), (3, 2)):
-            solver = component_solver(p, j, g)
-            masks = lefschetz_basis(j, g).masks
-            lone = np.zeros(len(masks), dtype=np.int64)
-            lone[masks.index(1 | 1 << g)] = 1  # a_1 b_1: not primitive alone
-            with pytest.raises(ValueError):
-                solver.coords(lone)
+def test_component_solvers_refuse_a_lone_monomial(monkeypatch):
+    # a_1 b_1 alone is not primitive: the block solves refuse it, and so
+    # does the action mod p, which reduces the exact one
+    for g, j in ((2, 1), (3, 2)):
+        basis = lefschetz_basis(j, g)
+        lone = np.zeros((len(basis.masks), 1), dtype=np.int64)
+        lone[basis.masks.index(1 | 1 << g), 0] = 1
+        with pytest.raises(ValueError):
+            basis.coords(lone)
+        with monkeypatch.context() as m:
+            m.setattr(surface, "apply_word", lambda word, v: ExteriorVector.monomial(g, 1 | 1 << g))
+            for p in (None, 5):
+                with pytest.raises(ValueError):
+                    lefschetz_action_matrix([], j, g, p=p)
 
 
 def test_weight_blocks_partition_the_degree_masks():
