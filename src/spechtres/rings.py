@@ -22,7 +22,9 @@ a panel at a time, with the per-pivot loop confined to the panel and the
 rest of the matrix updated by products.  Narrower matrices keep the
 per-pivot loop alone.  The
 reduced row echelon form is unique, so the blocking changes no result.
-Elimination refuses the same moduli as products.
+Elimination refuses the same moduli as products.  Within the per-pivot
+loop reduction is delayed too: entries may sit unreduced, within the same
+2**53 bound, until the loop ends.
 """
 
 from __future__ import annotations
@@ -69,10 +71,15 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # matrices over F_p
 
-# Entries live in [0, p).  The elimination scan is fixed: columns left to
-# right, within a column the first nonzero entry from the top.  The reduced
-# form and its pivot columns are unique, so every basis produced downstream
-# is deterministic.
+# Every array a function here takes or returns holds residues in [0, p), or
+# is reduced on entry by np.remainder, which is exact for any int64.  Only
+# the kernel's own int64 intermediates may be unreduced: the entries of the
+# per-pivot loop's matrix between its pivots, and sums and differences of
+# residues, all bounded far inside int64 (see _pivot_loop).  They are
+# reduced by _reduce_in_place.  The elimination scan is fixed: columns left
+# to right, within a column the first nonzero entry from the top.  The
+# reduced form and its pivot columns are unique, so every basis produced
+# downstream is deterministic.
 
 # Integers up to 2**53 are exact in float64.
 _FLOAT_EXACT = 2**53
@@ -99,16 +106,54 @@ _ROW_BLOCK = 512
 
 
 def _reduced(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p as integers: a itself when it is unsigned with entries below
-    p, so that stored residues are only read; otherwise reduced in int64,
-    or in Python ints when a holds objects, and returned as int64.  Byte
-    arrays are widened before the remainder is taken."""
+    """a mod p as integers: a itself when it is unsigned or int64 with
+    entries in [0, p), so that residues are only read; otherwise reduced by
+    np.remainder in int64, which cannot wrap, or in Python ints when a
+    holds objects, and returned as int64.  Byte arrays are widened before
+    the remainder is taken."""
     a = np.asarray(a)
     if a.dtype == object:
         return (a % p).astype(np.int64)
-    if a.dtype.kind == "u" and not (a.size and a.max() >= p):
+    # read as unsigned, a negative int64 is at least 2**63, so one maximum
+    # checks both ends of [0, p)
+    unsigned = a.view(np.uint64) if a.dtype == np.int64 else a
+    if unsigned.dtype.kind == "u" and not (a.size and unsigned.max() >= p):
         return a
     return np.remainder(a, p, dtype=np.int64)
+
+
+# Entries reduced at a time by _reduce_in_place, so that its scratch stays
+# at 256 kB, in cache, however large the array it reduces.  A 512 x 3640
+# product block reduced whole took three times as long, and scratch of
+# 512 kB or more raised the peak RSS of selftest-mix by 0.5 MB.
+_REDUCE_ENTRIES = 2**15
+
+# Up to this many entries one np.remainder call costs less than the three
+# calls of a - (a // p) * p; from about twice as many on, the remainder's
+# cost per entry dominates.  A pivot's column and row are mostly this short.
+_FEW_ENTRIES = 512
+
+
+def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the int64 array a mod p in place, and return it.  Past
+    _FEW_ENTRIES entries the reduction is a - (a // p) * p: numpy's floor
+    division by a scalar is several times faster than its int64 remainder.
+    The product (a // p) * p leaves the int64 range when |a| is within p of
+    its limits, and no int64 may wrap, even where two's-complement
+    arithmetic would still give the right difference.  So this is only for
+    the kernel's own intermediates, which stay below 2**53 (see
+    _pivot_loop); input from a caller goes through _reduced."""
+    if a.size <= _FEW_ENTRIES:
+        return np.remainder(a, p, out=a)
+    if a.size > _REDUCE_ENTRIES and len(a) > 1:
+        step = max(1, _REDUCE_ENTRIES * len(a) // a.size)
+        for lo in range(0, len(a), step):
+            _reduce_in_place(a[lo : lo + step], p)
+        return a
+    q = a // p
+    q *= p
+    a -= q
+    return a
 
 
 def residues(a: np.ndarray, p: int) -> np.ndarray:
@@ -144,9 +189,7 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
         acc = block[:, :chunk] @ b[:chunk]
         for k in range(chunk, block.shape[1], chunk):
             acc = acc % p + block[:, k : k + chunk] @ b[k : k + chunk]
-        out = acc.astype(np.int64)
-        out %= p
-        yield rows, out
+        yield rows, _reduce_in_place(acc.astype(np.int64), p)
 
 
 def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -212,6 +255,15 @@ def _pivot_loop(m: np.ndarray, p: int, width: int) -> tuple[list[int], np.ndarra
     been added to another, and afterwards only pivot rows are, so at the
     end the workspace of the k pivot rows holds the inverse of the pivot
     block: the input rows order[:k] in the pivot columns.
+
+    m must hold residues on entry and holds residues on return.  In
+    between, only the pivot column and the pivot row are reduced at each
+    pivot; the rank-1 updates of the other rows are subtracted unreduced.
+    Each pivot moves an entry by a multiplier times a pivot-row entry, both
+    residues, so by at most (p - 1)**2.  A loop makes at most width pivots,
+    and its callers keep width at most 2 * _PANEL = 128, so no entry
+    strays from a residue by more than 128 * (p - 1)**2, which
+    _product_chunk asserts is below 2**53 for every accepted modulus.
     """
     rows, cols = m.shape
     order = np.arange(rows)
@@ -220,6 +272,9 @@ def _pivot_loop(m: np.ndarray, p: int, width: int) -> tuple[list[int], np.ndarra
     for c in range(width):
         if r == rows:
             break
+        # the pivot column is reduced in every row: the rows below r to
+        # find the pivot, the others because they are the multipliers
+        _reduce_in_place(m[:, c], p)
         nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
             continue
@@ -231,13 +286,16 @@ def _pivot_loop(m: np.ndarray, p: int, width: int) -> tuple[list[int], np.ndarra
             order[[r, i]] = order[[i, r]]
         if width < cols:
             m[r, width + r] = 1
-        m[r, c:end] = m[r, c:end] * pow(int(m[r, c]), -1, p) % p
+        row = _reduce_in_place(m[r, c:end], p)
+        row *= pow(int(row[0]), -1, p)
+        _reduce_in_place(row, p)
         others = np.flatnonzero(m[:, c])
         others = others[others != r]
         if others.size:
-            m[others, c:end] = (m[others, c:end] - np.outer(m[others, c], m[r, c:end])) % p
+            m[others, c:end] -= np.outer(m[others, c], row)
         pivots.append(c)
         r += 1
+    _reduce_in_place(m, p)
     return pivots, order
 
 
@@ -261,7 +319,10 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     too, with ValueError.
     """
     _product_chunk(p)  # raises ValueError for such a modulus
-    m = np.asarray(a, dtype=np.int64) % p
+    a = np.asarray(a)
+    m = _reduced(a, p)
+    if m is a:  # residues are passed through; the elimination runs on a copy
+        m = m.astype(np.int64)
     rows, cols = m.shape
     if cols <= 2 * _PANEL:
         return m, _pivot_loop(m, p, cols)[0]
@@ -284,8 +345,9 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         cp = [c0 + c for c in found]
         x = fp_matmul(panel[:k, w : w + k], m[r : r + k, c0:], p)
         for band, update in _row_products(m[:, cp], x, p):
-            m[band, c0:] -= update
-            m[band, c0:] %= p
+            block = m[band, c0:]
+            block -= update
+            _reduce_in_place(block, p)
         m[r : r + k, c0:] = x
         pivots += cp
     return m, pivots
@@ -300,7 +362,7 @@ def kernel_from_rref(rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     free = [f for f in range(cols) if f not in pivot_set]
     kernel = np.zeros((cols, len(free)), dtype=np.int64)
     kernel[free, range(len(free))] = 1
-    kernel[pivots] = -rref[: len(pivots)][:, free] % p
+    kernel[pivots] = _reduce_in_place(-rref[: len(pivots)][:, free], p)
     return kernel
 
 
@@ -367,7 +429,7 @@ def _unitriangular_inverse(u: np.ndarray, p: int | None, leaf: int) -> np.ndarra
         inv = np.eye(d, dtype=u.dtype)
         for i in range(d - 2, -1, -1):
             row = -(u[i, i + 1 :] @ inv[i + 1 :, i + 1 :])
-            inv[i, i + 1 :] = row if p is None else row % p
+            inv[i, i + 1 :] = row if p is None else _reduce_in_place(row, p)
         return inv
     h = d // 2
     top = _unitriangular_inverse(u[:h, :h], p, leaf)
@@ -375,7 +437,7 @@ def _unitriangular_inverse(u: np.ndarray, p: int | None, leaf: int) -> np.ndarra
     inv = np.zeros((d, d), dtype=np.int64)
     inv[:h, :h] = top
     inv[h:, h:] = bottom
-    inv[:h, h:] = -fp_matmul(top, fp_matmul(u[:h, h:], bottom, p), p) % p
+    inv[:h, h:] = _reduce_in_place(-fp_matmul(top, fp_matmul(u[:h, h:], bottom, p), p), p)
     return inv
 
 
@@ -405,7 +467,7 @@ class GramQuotient:
         radical component."""
         cols = np.asarray(cols, dtype=np.int64) % self.p
         if self.radical.shape[1]:
-            cols = (cols - fp_matmul(self.radical, cols[self.free_idx], self.p)) % self.p
+            cols = _reduce_in_place(cols - fp_matmul(self.radical, cols[self.free_idx], self.p), self.p)
             if cols[self.free_idx].any():
                 raise AssertionError("radical reduction failed")
         return cols[self.pivot_idx]
@@ -421,8 +483,7 @@ class GramQuotient:
         if not self.radical.shape[1]:
             return
         moved = fp_matmul(action, self.radical, self.p)
-        reduced = (moved - fp_matmul(self.radical, moved[self.free_idx], self.p)) % self.p
-        if reduced.any():
+        if not fp_product_equals(self.radical, moved[self.free_idx], moved, self.p):
             raise AssertionError("action does not preserve the radical")
 
 

@@ -19,7 +19,7 @@ component mod p is a rings.GramQuotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -281,12 +281,12 @@ def _check_symplectic(m):
                 raise ValueError("matrix token does not preserve the skew form")
 
 
-def _gen_images_matrix(m, g: int) -> list[dict[int, int]]:
-    cols = []
-    for j in range(2 * g):
-        col = {i: m[i][j] for i in range(2 * g) if m[i][j]}
-        cols.append(col)
-    return cols
+@lru_cache(maxsize=None)
+def _gen_images_matrix(m, g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The image of each generator under the matrix token m, as its
+    (generator, coefficient) terms.  Built once per token: tokens are drawn
+    from a few generators, and a word applies each of them many times."""
+    return tuple(tuple((i, m[i][j]) for i in range(2 * g) if m[i][j]) for j in range(2 * g))
 
 
 def s_token(j: int, g: int):
@@ -343,7 +343,7 @@ def _apply_sp_matrix(m, v: ExteriorVector) -> ExteriorVector:
             idx = bit.bit_length() - 1
             nxt: dict[int, int] = {}
             for pm, pc in partials.items():
-                for tgt, tc in images[idx].items():
+                for tgt, tc in images[idx]:
                     sw = wedge_monomials(pm, 1 << tgt)
                     if sw is None:
                         continue
@@ -921,11 +921,15 @@ class DecompositionError(ArithmeticError):
 class AlexanderTrace:
     """Weighted trace of a group word on the full exterior algebra, with its
     per-component decomposition.  Construction verifies that the weighted
-    trace equals the quantum-integer combination of component traces."""
+    trace equals the quantum-integer combination of component traces.
+    component_actions holds the word's exact, read-only matrices on the
+    components 1..g+1 whose traces these are, so that their reductions mod
+    p are not computed again."""
 
     g: int
     polynomial: LaurentInt
     component_traces: tuple[int, ...]
+    component_actions: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
         total = LaurentInt.zero()
@@ -946,11 +950,9 @@ def alexander_trace(word, g: int) -> AlexanderTrace:
         if c:
             e = g - m.bit_count()  # exponent of y^(-H) on this monomial
             poly[e] = poly.get(e, 0) + c
-    traces = []
-    for j in range(1, g + 2):
-        mat = lefschetz_action_matrix(word, j, g, p=None)
-        traces.append(int(np.trace(mat)) if mat.size else 0)
-    return AlexanderTrace(g, LaurentInt(poly), tuple(traces))
+    actions = tuple(read_only(lefschetz_action_matrix(word, j, g, p=None)) for j in range(1, g + 2))
+    traces = tuple(int(np.trace(mat)) if mat.size else 0 for mat in actions)
+    return AlexanderTrace(g, LaurentInt(poly), traces, actions)
 
 
 @lru_cache(maxsize=None)
@@ -959,17 +961,19 @@ def component_quotient(p: int, j: int, g: int) -> GramQuotient:
     return GramQuotient(int_gram(lefschetz_basis(j, g).matrix), p)
 
 
-def modular_quotient_trace(p: int, j: int, word, g: int) -> int:
+def modular_quotient_trace(p: int, j: int, word, g: int, at: AlexanderTrace | None = None) -> int:
     """Trace mod p, a residue in [0, p), of a group word on the simple
     quotient of the j-th component.  Radical invariance is verified on
-    every call."""
+    every call.  `at`, the word's alexander_trace when the caller has it,
+    supplies the exact component matrix to reduce."""
     require_group_word(word)
     if j > g + 1:
         return 0
     q = component_quotient(p, j, g)
     if q.quotient_dim == 0:
         return 0
-    action = lefschetz_action_matrix(word, j, g, p=p)
+    exact = lefschetz_action_matrix(word, j, g) if at is None else at.component_actions[j - 1]
+    action = (exact % p).astype(np.int64)
     q.check_radical_invariance(action)
     return int(np.trace(q.quotient_matrix(action))) % p
 
@@ -979,7 +983,7 @@ def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:
     mod-p coefficients, and compare with the quantum-integer combination of
     the simple-quotient traces over the paired component labels."""
     at = alexander_trace(word, g)
-    traces = {j: modular_quotient_trace(p, j, word, g) for j in range(1, p)}
+    traces = {j: modular_quotient_trace(p, j, word, g, at) for j in range(1, p)}
     return cyclotomic_reduction_check(p, at, traces, sign)
 
 

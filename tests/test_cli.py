@@ -206,13 +206,17 @@ def test_an_empty_word_is_the_word_of_no_tokens(capsys):
 
 def test_alexander_computes_each_trace_once(monkeypatch):
     calls = []
-    for name in ("alexander_trace", "modular_quotient_trace"):
+    for name in ("alexander_trace", "modular_quotient_trace", "lefschetz_action_matrix"):
         real = getattr(cli.surf_mod, name)
-        monkeypatch.setattr(cli.surf_mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        monkeypatch.setattr(
+            cli.surf_mod, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw)
+        )
     rep = cli.run(cli.Job("alexander", {"g": 2, "word": "S1 U2", "p": 5}))
     assert rep.status == "pass"
     assert calls.count("alexander_trace") == 1
     assert calls.count("modular_quotient_trace") == 4  # one per component label 1..p-1
+    # the quotient traces reduce the exact matrices of the components 1..g+1
+    assert calls.count("lefschetz_action_matrix") == 3
 
 
 def test_long_random_word_passes_all_three_checks():

@@ -342,6 +342,44 @@ def test_fp_rref_accepts_any_integer_entries():
     assert pivots == ref_pivots and got.tolist() == ref.tolist()
 
 
+def test_delayed_reduction_holds_at_its_tightest_bound():
+    # The per-pivot loop subtracts each rank-1 update unreduced, up to
+    # (p - 1)**2 per pivot.  At the largest prime kept, a full-rank square
+    # of 2 * _PANEL columns puts all 128 pivots through one loop, and a
+    # 3 * _PANEL square has every panel of the blocked elimination find
+    # _PANEL pivots; entries in [p - 64, p) make the first updates the
+    # largest residue products.
+    p = 8388593
+    rng = np.random.RandomState(17)
+    for n in (2 * _PANEL, 3 * _PANEL):
+        a = rng.randint(p - 64, p, size=(n, n))
+        kept = a.copy()
+        got, pivots = fp_rref(a, p)
+        ref, ref_pivots = _rref_python_ints(a, p)
+        assert pivots == ref_pivots == list(range(n))
+        assert got.tolist() == ref.tolist()
+        assert np.array_equal(a, kept)  # residues are read, not reduced in place
+
+
+def test_int64_extremes_are_reduced_without_wrapping():
+    # entries at the int64 limits come out as their exact residues; the
+    # fast reduction of intermediates, a - (a // p) * p, would pass the
+    # int64 range on them, so input is reduced by np.remainder
+    info = np.iinfo(np.int64)
+    rng = np.random.RandomState(19)
+    for p, cols in ((3, _PANEL), (211, 2 * _PANEL + 3), (8388593, 2 * _PANEL + 3)):
+        a = rng.randint(-(2**62), 2**62, size=(12, cols), dtype=np.int64)
+        a[::2, ::3] = info.min
+        a[1::2, 1::3] = info.max
+        got, pivots = fp_rref(a, p)
+        ref, ref_pivots = _rref_python_ints(a, p)
+        assert pivots == ref_pivots and got.tolist() == ref.tolist()
+        b = rng.randint(-(2**62), 2**62, size=(a.shape[1], 4), dtype=np.int64)
+        b[::2, 0] = info.min
+        b[1::2, 1] = info.max
+        assert np.array_equal(fp_matmul(a, b, p), _python_matmul(a, b, p))
+
+
 def test_eliminations_refuse_a_modulus_beyond_int64_products():
     # eliminations refuse what products refuse, even when no product runs
     for p in _REFUSED_PRIMES:

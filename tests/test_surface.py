@@ -34,6 +34,7 @@ from spechtres.surface import (
     s_token,
     sorting_permutation,
     tableau_raising_rule,
+    transvection_token,
     upsilon_from_surface,
     upsilon_to_surface,
     weight_decompose,
@@ -396,9 +397,12 @@ def test_quotient_trace_does_not_depend_on_the_complement():
         for g in (1, 2, 3, 4):
             for _ in range(4):
                 word = random_group_word(g, rng.randrange(1, 6), rng)
+                at = alexander_trace(word, g)
                 for j in range(1, g + 2):
                     got = modular_quotient_trace(p, j, word, g)
                     assert type(got) is int and got in range(p)
+                    # the same trace from the exact matrix alexander_trace kept
+                    assert modular_quotient_trace(p, j, word, g, at) == got
                     assert got == _reversed_complement_trace(p, j, word, g), (p, g, j, word)
                     radicals += component_quotient(p, j, g).radical.shape[1] > 0
     assert radicals == 12
@@ -476,6 +480,13 @@ def test_cyclotomic_trace_identity():
                     word = random_group_word(g, rng.randrange(0, 6), rng)
                     rep = cyclotomic_trace_check(p, word, g, sign)
                     assert rep["ok"], (p, g, sign)
+
+
+def test_generator_images_are_built_once_per_token():
+    surface._gen_images_matrix.cache_clear()
+    alexander_trace([s_token(1, 2), transvection_token(2, 2)] * 3, 2)
+    info = surface._gen_images_matrix.cache_info()
+    assert info.misses == 2 and info.hits > 0
 
 
 def test_trace_words_must_be_invertible():
