@@ -213,7 +213,7 @@ SCHEMA = {
     "jm": Command("block extension suite", {
         "p": Param("prime", "an odd prime", True, lo=3, hi=211),
         "k": Param("int", "label: 0 < k < p - 3", True),
-        "g": Param("int", "genus", True, lo=0, hi=4),
+        "g": Param("int", "genus", True, lo=0, hi=5),
         "pairs": Param("int", "random products checked", default=10, lo=0, hi=1000),
     }, _jm_label),
     "selftest": Command("run the acceptance checks", {

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dims import binom
-from .rings import fp_matmul, fp_rref, fp_solve
+from .rings import fp_matmul, fp_rref
 from .resolution import build_complex, verify_exactness
 from .surface import (
     ExteriorVector,
@@ -413,44 +413,26 @@ def nonsplit_witness(p: int, k: int, g: int) -> dict:
 
 
 def equivariant_section_exists(p: int, k: int, g: int, x: ExteriorVector) -> dict:
-    """Solve for a linear section of the block projection that commutes
-    with every generator token and with one abelian element.
+    """Decide whether the block projection has a section that commutes
+    with every generator token and with the abelian element of x.
 
-    The unknown is a bottom-by-top matrix; group tokens impose homogeneous
-    intertwining rows and the abelian element imposes constant rows equal
-    to its induced map, so a nonzero induced map makes the system
-    inconsistent and the extension non-split.
+    The abelian element acts on top + bottom coordinates as
+    [[I, 0], [mu, I]], mu the induced contraction.  A section is the graph
+    t -> (t, s t) of a bottom-by-top matrix s, and the element sends it to
+    t -> (t, (mu + s) t), which is the graph again only when mu = 0.  When
+    mu = 0, s = 0 intertwines every token, so a section exists exactly
+    when mu vanishes mod p; a vanishing factor leaves mu empty and splits.
     """
     mod = block_module(p, k, 3, g)
-    dt, db = mod.top_dim, mod.bottom_dim
-    unknowns = dt * db
-    rows: list[np.ndarray] = []
-    rhs: list[int] = []
-    for tok in group_token_pool(g):
-        a = mod.factor_action((tok,), k)
-        b = mod.factor_action((tok,), k + 3)
-        # B s - s A = 0, flattened with s[r, c] at index r * dt + c
-        for r in range(db):
-            for c in range(dt):
-                row = np.zeros(unknowns, dtype=np.int64)
-                for t in range(db):
-                    row[t * dt + c] += b[r, t]
-                for t in range(dt):
-                    row[r * dt + t] -= a[t, c]
-                rows.append(row % p)
-                rhs.append(0)
-    mu_mat = mod.mu_matrix(x)
-    for r in range(db):
-        for c in range(dt):
-            rows.append(np.zeros(unknowns, dtype=np.int64))
-            rhs.append((-int(mu_mat[r, c])) % p)
-    big = np.stack(rows, axis=0)
-    target = np.asarray(rhs, dtype=np.int64)
-    try:
-        fp_solve(big, target, p)
-        return {"splits": True, "section_found": True}
-    except ValueError:
-        return {"splits": False, "section_found": False}
+    dt = mod.top_dim
+    act = block_action_matrix(JmElement(x, 1, ()), mod)
+    # the argument above holds only for this block form
+    unipotent = np.eye(len(act), dtype=np.int64)
+    unipotent[dt:, :dt] = act[dt:, :dt]
+    if not np.array_equal(act, unipotent):
+        raise AssertionError("the abelian element does not act as [[I, 0], [mu, I]]")
+    splits = not act[dt:, :dt].any()
+    return {"splits": splits, "section_found": splits}
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ __all__ = [
     "fp_product_equals",
     "int_gram",
     "fp_rref",
-    "fp_solve",
+    "kernel_from_rref",
     "fp_inverse",
     "unitriangular_inverse",
     "GramQuotient",
@@ -364,32 +364,6 @@ def kernel_from_rref(rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
     kernel[free, range(len(free))] = 1
     kernel[pivots] = _reduce_in_place(-rref[: len(pivots)][:, free], p)
     return kernel
-
-
-def fp_kernel_basis(a: np.ndarray, p: int) -> list[np.ndarray]:
-    """Column vectors spanning the null space, one per free column."""
-    return list(kernel_from_rref(*fp_rref(a, p), p).T)
-
-
-def fp_solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Solve a @ x = b mod p for each column of b.
-
-    Free variables are set to zero, so the solution is deterministic.
-    Raises ValueError when the system is inconsistent.
-    """
-    b = np.asarray(b, dtype=np.int64)
-    single = b.ndim == 1
-    if single:
-        b = b[:, None]
-    ncols = a.shape[1]
-    aug = np.concatenate([a % p, b % p], axis=1)
-    rref, pivots = fp_rref(aug, p)
-    if any(c >= ncols for c in pivots):
-        raise ValueError("inconsistent linear system over F_p")
-    x = np.zeros((ncols, b.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = rref[i, ncols:]
-    return x[:, 0] if single else x
 
 
 def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:

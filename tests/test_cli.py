@@ -260,7 +260,7 @@ def test_long_random_word_passes_all_three_checks():
         ({"command": "alexander", "g": 2, "p": 223}, []),
         ({"command": "alexander", "g": 5, "length": 65}, []),
         ({"command": "alexander", "g": 4, "word": "S1 " * 257}, []),
-        ({"command": "jm", "p": 7, "k": 1, "g": 5}, []),
+        ({"command": "jm", "p": 7, "k": 1, "g": 6}, []),
         ({"command": "jm", "p": 223, "k": 1, "g": 3}, []),
         ({"command": "jm", "p": 7, "k": 1, "g": 3, "pairs": 1001}, []),
     ],
@@ -427,7 +427,7 @@ _CORNERS = [
     {"command": "alexander", "g": 1, "word": "S1 U1 " * 500},
     {"command": "jm", "p": 5, "k": 1, "g": 0, "pairs": 0},
     {"command": "jm", "p": 211, "k": 1, "g": 0, "pairs": 1000},
-    {"command": "jm", "p": 7, "k": 1, "g": 4, "pairs": 0},
+    {"command": "jm", "p": 7, "k": 1, "g": 5, "pairs": 0},
     {"command": "selftest", "quick": True},
 ]
 # Ends not run, with their single cold run time on 2 vCPUs.
@@ -517,6 +517,22 @@ _PINNED = [
             "strand_dims": {"1": {"1": 14}, "4": {"4": 1}},
             "top_dim": 14,
             "witness": "ExteriorVector(g=3, 1*a1^a2^a3)",
+        },
+        {
+            "wedge-pair-identities": "pass",
+            "nonsplit-witness": "pass",
+            "block-homomorphism": "pass",
+            "strand-resolutions": "pass",
+        },
+    ),
+    (
+        {"command": "jm", "p": 7, "k": 1, "g": 5, "pairs": 3},
+        {
+            "bottom_dim": 44,
+            "candidates": 110,
+            "strand_dims": {"1": {"1": 132}, "4": {"4": 44}},
+            "top_dim": 132,
+            "witness": "ExteriorVector(g=5, 1*a1^a2^a3)",
         },
         {
             "wedge-pair-identities": "pass",

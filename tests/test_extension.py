@@ -146,13 +146,22 @@ def test_nonsplit_witness_absent_at_genus_two():
 
 
 def test_nonsplit_witness_found_at_genus_three():
-    rep = nonsplit_witness(5, 1, 3)
-    assert rep["witness"] is not None
-    assert rep["top_dim"] == 14 and rep["bottom_dim"] == 1
-    section = equivariant_section_exists(5, 1, 3, rep["witness"])
-    assert not section["splits"]
-    # without the abelian obstruction a section exists
-    assert equivariant_section_exists(5, 1, 3, ExteriorVector.zero(3))["splits"]
+    # genus 5 is the top of the jm genus cap
+    for p, k, g, top, bottom in ((5, 1, 3, 14, 1), (7, 1, 4, 42, 8), (7, 1, 5, 132, 44)):
+        rep = nonsplit_witness(p, k, g)
+        assert rep["witness"] is not None
+        assert rep["top_dim"] == top and rep["bottom_dim"] == bottom
+        section = equivariant_section_exists(p, k, g, rep["witness"])
+        assert not section["splits"] and not section["section_found"]
+        # without the abelian obstruction a section exists
+        assert equivariant_section_exists(p, k, g, ExteriorVector.zero(g))["splits"]
+
+
+@pytest.mark.parametrize("p,k,g", [(5, 1, 0), (5, 1, 1), (5, 1, 2), (7, 3, 3)])
+def test_section_exists_when_a_factor_vanishes(p, k, g):
+    rep = nonsplit_witness(p, k, g)
+    assert rep["witness"] is None and 0 in (rep["top_dim"], rep["bottom_dim"])
+    assert equivariant_section_exists(p, k, g, ExteriorVector.zero(g)) == {"splits": True, "section_found": True}
 
 
 def test_form_multiples_never_witness():

@@ -8,14 +8,13 @@ from spechtres.rings import (
     LaurentInt,
     cyclotomic_eval,
     GramQuotient,
-    fp_kernel_basis,
     fp_matmul,
     fp_inverse,
     fp_rref,
-    fp_solve,
     frac_solve,
     int_det,
     int_gram,
+    kernel_from_rref,
     quantum_integer,
     unitriangular_inverse,
     zeta_quantum,
@@ -27,10 +26,10 @@ def test_rank_kernel_image_on_degenerate_form():
     from spechtres.specht import Diagram2, gram_of_diagram
 
     gram = gram_of_diagram(Diagram2(2, 2))
-    _, pivots = fp_rref(gram, 3)
-    assert len(pivots) == 1 and len(fp_kernel_basis(gram, 3)) == 1
-    _, pivots5 = fp_rref(gram, 5)
-    assert len(pivots5) == 2 and fp_kernel_basis(gram, 5) == []
+    rref, pivots = fp_rref(gram, 3)
+    assert len(pivots) == 1 and len(kernel_from_rref(rref, pivots, 3).T) == 1
+    rref5, pivots5 = fp_rref(gram, 5)
+    assert len(pivots5) == 2 and len(kernel_from_rref(rref5, pivots5, 5).T) == 0
 
 
 def test_rank_kernel_properties_random():
@@ -40,23 +39,12 @@ def test_rank_kernel_properties_random():
             rows, cols = rng.randint(1, 8), rng.randint(1, 8)
             m = rng.randint(0, p, size=(rows, cols))
             rank = len(fp_rref(m, p)[1])
-            kernel = fp_kernel_basis(m, p)
+            kernel = kernel_from_rref(*fp_rref(m, p), p).T
             assert rank + len(kernel) == cols
             for v in kernel:
                 assert not ((m @ v) % p).any()
             # transposing preserves rank
             assert len(fp_rref(m.T, p)[1]) == rank
-
-
-def test_fp_solve_consistency():
-    p = 7
-    a = np.array([[1, 2], [3, 4], [5, 6]])
-    x = np.array([[2], [5]])
-    b = (a @ x) % p
-    got = fp_solve(a, b, p)
-    assert np.array_equal((a @ got) % p, b)
-    with pytest.raises(ValueError):
-        fp_solve(np.array([[1, 0], [0, 0]]), np.array([0, 1]), p)
 
 
 def test_frac_solve_and_det():
@@ -213,7 +201,7 @@ def test_kernel_basis_from_one_elimination():
         for _ in range(10):
             a = rng.randint(0, p, size=(rng.randint(1, 9), rng.randint(1, 9)))
             rref, pivots = fp_rref(a, p)
-            kernel = fp_kernel_basis(a, p)
+            kernel = kernel_from_rref(rref, pivots, p).T
             assert len(pivots) + len(kernel) == a.shape[1]
             free = [f for f in range(a.shape[1]) if f not in pivots]
             for f, v in zip(free, kernel):
@@ -386,7 +374,5 @@ def test_eliminations_refuse_a_modulus_beyond_int64_products():
         a = np.array([[p - 1, p - 2, 3], [p - 3, 1, p - 5]], dtype=np.int64)
         with pytest.raises(ValueError, match="too large"):
             fp_rref(a, p)
-        with pytest.raises(ValueError, match="too large"):
-            fp_solve(a[:, :2], a[:, 2], p)
         with pytest.raises(ValueError, match="too large"):
             fp_inverse(a[:, :2], p)
