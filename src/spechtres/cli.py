@@ -166,7 +166,7 @@ def _character_label(q):
 
 
 def _alexander_word(q, work):
-    # the trace applies the word to each of the 4^g monomials
+    # the component bases take each token, on a size that grows like 4^g
     word = q.get("word")
     if word is not None:
         parse_word(word, q["g"])

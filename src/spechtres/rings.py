@@ -509,7 +509,7 @@ def int_det(a) -> int:
         raise ValueError("determinant needs a square matrix")
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if swap is None:
@@ -521,7 +521,7 @@ def int_det(a) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
 # ---------------------------------------------------------------------------
@@ -632,21 +632,15 @@ def _as_laurent(x) -> LaurentInt:
     raise TypeError(f"cannot coerce {type(x)!r} to LaurentInt")
 
 
-def quantum_integer(n: int, x=None):
+def quantum_integer(n: int) -> LaurentInt:
     """Balanced quantum integer x^(n-1) + x^(n-3) + ... + x^(1-n).
 
-    The balanced sum avoids the quotient form, so the result is defined in
-    any commutative ring in which x is invertible; in particular it makes
-    sense at roots of unity where x - x^(-1) fails to be a unit.
+    The balanced sum avoids the quotient form, so it can be evaluated where
+    x - x^(-1) fails to be a unit, in particular at roots of unity.
     """
     if n < 0:
         raise ValueError("quantum integers are defined for n >= 0 here")
-    if x is None:
-        x = LaurentInt.x()
-    result = x * 0
-    for i in range(n):
-        result = result + x ** (n - 1 - 2 * i)
-    return result
+    return LaurentInt({n - 1 - 2 * i: 1 for i in range(n)})
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .rings import (
     GramQuotient,
     read_only,
     LaurentInt,
+    int_det,
     int_gram,
     cyclotomic_eval,
     CyclotomicElem,
@@ -428,14 +430,15 @@ def require_group_word(word):
             raise ValueError(f"non-invertible token {token!r} in a trace word")
 
 
-def group_token_pool(g: int) -> list:
+@lru_cache(maxsize=None)
+def group_token_pool(g: int) -> tuple:
     pool = [s_token(j, g) for j in range(1, g + 1)]
     pool += [transvection_token(j, g) for j in range(1, g + 1)]
     for i in range(1, g):
         sigma = list(range(1, g + 1))
         sigma[i - 1], sigma[i] = sigma[i], sigma[i - 1]
         pool.append(perm_token(sigma, g))
-    return pool
+    return tuple(pool)
 
 
 def random_group_word(g: int, length: int, rng) -> list:
@@ -941,15 +944,17 @@ class AlexanderTrace:
 
 def alexander_trace(word, g: int) -> AlexanderTrace:
     """Trace of y^(-H) times a group word, as an exact Laurent polynomial,
-    with exact traces on the lowest-weight components."""
+    with exact traces on the lowest-weight components.
+
+    A degree-d monomial adds to the coefficient of y^(g-d) its diagonal
+    entry in the exterior power of W = M_1 ... M_k, the word's 2g x 2g
+    matrix in Python ints: the principal minor of W on its generators.  The
+    component traces come from the component actions, not from W."""
     require_group_word(word)
-    poly: dict[int, int] = {}
-    for m in range(1 << (2 * g)):
-        img = apply_word(word, ExteriorVector.monomial(g, m))
-        c = img.coeffs.get(m, 0)
-        if c:
-            e = g - m.bit_count()  # exponent of y^(-H) on this monomial
-            poly[e] = poly.get(e, 0) + c
+    w = np.identity(2 * g, dtype=object)
+    for _, m in word:
+        w = w @ np.array(m, dtype=object)
+    poly = {g - d: sum(int_det(w[np.ix_(s, s)]) for s in combinations(range(2 * g), d)) for d in range(2 * g + 1)}
     actions = tuple(read_only(lefschetz_action_matrix(word, j, g, p=None)) for j in range(1, g + 2))
     traces = tuple(int(np.trace(mat)) if mat.size else 0 for mat in actions)
     return AlexanderTrace(g, LaurentInt(poly), traces, actions)

@@ -55,6 +55,7 @@ def test_frac_solve_and_det():
     assert int_det([[2, 1], [1, 1]]) == 1
     assert int_det([[0, 1], [1, 0]]) == -1
     assert int_det([[1, 2], [2, 4]]) == 0
+    assert int_det([]) == 1
 
 
 def test_quantum_integer_small_values():

@@ -9,6 +9,7 @@ from spechtres.dims import verlinde_dim
 from spechtres.rings import GramQuotient, LaurentInt, frac_solve, int_gram
 from spechtres.specht import Diagram2, specht_dim, standard_tableaux
 from spechtres.surface import (
+    DecompositionError,
     ExteriorVector,
     alexander_trace,
     apply_token,
@@ -89,7 +90,7 @@ def test_sp_generator_examples():
 def test_tokens_commute_with_sl2():
     rng = random.Random(1)
     for g in (1, 2, 3):
-        toks = group_token_pool(g) + [lie_e_token(i) for i in range(1, g + 1)] + [
+        toks = [*group_token_pool(g)] + [lie_e_token(i) for i in range(1, g + 1)] + [
             lie_f_token(i) for i in range(1, g + 1)
         ]
         for _ in range(10):
@@ -354,6 +355,15 @@ def test_alexander_trace_examples():
     assert at3.polynomial == LaurentInt({2: 1, 0: -2, -2: 1})
 
 
+def test_decomposition_check_compares_independent_computations(monkeypatch):
+    # with every group token acting as the identity on the components, the
+    # component traces are those of the empty word, while the weighted trace
+    # still comes from the word's matrix
+    monkeypatch.setattr(surface, "_apply_sp_matrix", lambda m, v: v)
+    with pytest.raises(DecompositionError):
+        alexander_trace([s_token(1, 1)], 1)
+
+
 def test_alexander_decomposition_random_words():
     rng = random.Random(12)
     for g in (1, 2, 3):
@@ -434,7 +444,7 @@ def test_cyclic_generation_of_quotients():
     rng = random.Random(13)
     p = 5
     for g in (1, 2, 3):
-        toks = group_token_pool(g) + [lie_e_token(i) for i in range(1, g + 1)]
+        toks = [*group_token_pool(g)] + [lie_e_token(i) for i in range(1, g + 1)]
         for j in range(1, g + 2):
             q = component_quotient(p, j, g)
             if q.quotient_dim == 0:
@@ -487,6 +497,16 @@ def test_generator_images_are_built_once_per_token():
     alexander_trace([s_token(1, 2), transvection_token(2, 2)] * 3, 2)
     info = surface._gen_images_matrix.cache_info()
     assert info.misses == 2 and info.hits > 0
+
+
+def test_token_pool_is_built_once_per_genus(monkeypatch):
+    rng = random.Random(3)
+    first = random_group_word(3, 5, rng)
+    calls = []
+    monkeypatch.setattr(surface, "_check_symplectic", calls.append)
+    second = random_group_word(3, 5, rng)
+    assert not calls
+    assert set(first + second) <= set(group_token_pool(3))
 
 
 def test_trace_words_must_be_invertible():
