@@ -100,12 +100,7 @@ def operator_matrix(op, g: int) -> np.ndarray:
     """Exact matrix of an operator on the full exterior algebra, in the
     monomial basis ordered by mask."""
     dim = 1 << (2 * g)
-    out = np.zeros((dim, dim), dtype=np.int64)
-    for m in range(dim):
-        img = op(ExteriorVector.monomial(g, m))
-        for mm, c in img.coeffs.items():
-            out[mm, m] = c
-    return out
+    return ExteriorVector.columns([op(ExteriorVector.monomial(g, m)) for m in range(dim)], range(dim), np.int64)
 
 
 def _random_vector(g: int, degree: int, rng) -> ExteriorVector:
@@ -212,10 +207,11 @@ def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarra
     if not x.is_zero() and x.is_homogeneous() != m_deg:
         raise ValueError(f"x must be homogeneous of degree {m_deg}")
     g = x.g
-    src = lefschetz_basis(j, g)
     tgt_j = j + m_deg
     if tgt_j > g + 1:
-        return np.zeros((0, src.dim), dtype=np.int64)
+        # a label past g + 1 is the zero space, as in _factor_dim
+        return np.zeros((0, lefschetz_basis(j, g).dim if j <= g + 1 else 0), dtype=np.int64)
+    src = lefschetz_basis(j, g)
     jx = calibrate(x)
     tgt = lefschetz_basis(tgt_j, g)
     exact = tgt.coords(tgt.columns([_contract(jx, v) for v in src.vectors]))
@@ -226,9 +222,9 @@ def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
     """The contraction map of mu_component_map descended to the simple
     quotients of the two components."""
     full = mu_component_map(p, j, m_deg, x)
-    q_src = component_quotient(p, j, x.g)
     if j + m_deg > x.g + 1:
-        return np.zeros((0, q_src.quotient_dim), dtype=np.int64)
+        return np.zeros((0, _factor_dim(p, j, x.g)), dtype=np.int64)
+    q_src = component_quotient(p, j, x.g)
     return component_quotient(p, j + m_deg, x.g).project_columns(full[:, q_src.pivot_idx])
 
 
@@ -242,25 +238,12 @@ def form_quotient_data(p: int, m_deg: int, g: int):
     the 2-form: reduced rows, their pivot mask positions, and the
     complementary masks that represent the quotient."""
     masks = _degree_masks(g, m_deg)
-    index = _degree_mask_index(g, m_deg)
     omega = symplectic_form_vector(g)
-    lower = _degree_masks(g, m_deg - 2)
-    cols = []
-    for lm in lower:
-        v = wedge(omega, ExteriorVector.monomial(g, lm))
-        col = np.zeros(len(masks), dtype=np.int64)
-        for mm, c in v.coeffs.items():
-            col[index[mm]] = c
-        cols.append(col)
-    if cols:
-        mat = np.stack(cols, axis=0) % p  # rows spanning the subspace
-        rref, pivots = fp_rref(mat, p)
-        rref = rref[: len(pivots)]
-    else:
-        rref = np.zeros((0, len(masks)), dtype=np.int64)
-        pivots = []
+    # rows spanning the subspace
+    multiples = [wedge(omega, ExteriorVector.monomial(g, lm)) for lm in _degree_masks(g, m_deg - 2)]
+    rref, pivots = fp_rref(ExteriorVector.columns(multiples, _degree_mask_index(g, m_deg), np.int64).T % p, p)
     complement = tuple(i for i in range(len(masks)) if i not in set(pivots))
-    return rref, tuple(pivots), complement, masks
+    return rref[: len(pivots)], tuple(pivots), complement, masks
 
 
 def canonical_form_rep(x: ExteriorVector, p: int) -> ExteriorVector:
@@ -271,10 +254,8 @@ def canonical_form_rep(x: ExteriorVector, p: int) -> ExteriorVector:
         raise ValueError("need a homogeneous form")
     g = x.g
     rref, pivots, _, masks = form_quotient_data(p, m_deg, g)
-    index = _degree_mask_index(g, m_deg)
-    col = np.zeros(len(masks), dtype=np.int64)
-    for mm, c in x.coeffs.items():
-        col[index[mm]] = c % p
+    # reduced while the coefficients are Python ints, so none can overflow int64
+    col = (ExteriorVector.columns([x], _degree_mask_index(g, m_deg), object)[:, 0] % p).astype(np.int64)
     for row, piv in enumerate(pivots):
         if col[piv]:
             col = (col - col[piv] * rref[row]) % p
@@ -333,10 +314,7 @@ def _factor_dim(p: int, label: int, g: int) -> int:
 def _factor_action(p: int, label: int, g: int, word: tuple) -> np.ndarray:
     if label > g + 1:
         return np.zeros((0, 0), dtype=np.int64)
-    full = lefschetz_action_matrix(list(word), label, g, p=p)
-    q = component_quotient(p, label, g)
-    q.check_radical_invariance(full)
-    return q.quotient_matrix(full)
+    return component_quotient(p, label, g).quotient_matrix(lefschetz_action_matrix(list(word), label, g, p=p))
 
 
 def block_module(p: int, j: int, m_deg: int, g: int, variant: str = "quotient") -> BlockModule:

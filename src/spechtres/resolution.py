@@ -211,9 +211,7 @@ def simple_quotient(p: int, tau: Diagram2) -> GramQuotient:
 def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
     """Trace mod p of a permutation acting on the simple quotient."""
     q = simple_quotient(p, tau)
-    action = permutation_matrix_on_basis(tau.n, tau.c, sigma, p)
-    q.check_radical_invariance(action)
-    return int(np.trace(q.quotient_matrix(action))) % p
+    return int(np.trace(q.quotient_matrix(permutation_matrix_on_basis(tau.n, tau.c, sigma, p)))) % p
 
 
 def modular_character_check(p: int, tau: Diagram2, sigma) -> tuple[int, int, bool]:

@@ -1,11 +1,12 @@
 """Exact scalar and matrix arithmetic.
 
-Matrices over the prime field F_p, integer Laurent polynomials, cyclotomic
-quotients Z[z]/(1 + z + ... + z^(p-1)) with optional mod-p coefficients,
-balanced quantum integers, deterministic Gaussian elimination, inverses of
-unitriangular matrices mod p or over Z, and the quotient of F_p^d by the
-radical of a Gram matrix (GramQuotient), the one simple-quotient type of
-the package.
+Matrices over the prime field F_p, sparse exact vectors (SparseVector,
+the one arithmetic of sign-word tensors, exterior forms and integer
+Laurent polynomials), cyclotomic quotients Z[z]/(1 + z + ... + z^(p-1))
+with optional mod-p coefficients, balanced quantum integers, deterministic
+Gaussian elimination, inverses of unitriangular matrices mod p or over Z,
+and the quotient of F_p^d by the radical of a Gram matrix (GramQuotient),
+the one simple-quotient type of the package.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
 F_p are computed as int64 arrays of residues in [0, p); residues that are
@@ -48,6 +49,7 @@ __all__ = [
     "GramQuotient",
     "frac_solve",
     "int_det",
+    "SparseVector",
     "LaurentInt",
     "quantum_integer",
     "CyclotomicElem",
@@ -447,8 +449,9 @@ class GramQuotient:
         return cols[self.pivot_idx]
 
     def quotient_matrix(self, action: np.ndarray) -> np.ndarray:
-        """Matrix induced on the quotient by an action that preserves the
-        radical."""
+        """Matrix induced on the quotient by the action, which is first
+        checked to preserve the radical (check_radical_invariance)."""
+        self.check_radical_invariance(action)
         return self.project_columns(action[:, self.pivot_idx])
 
     def check_radical_invariance(self, action: np.ndarray):
@@ -525,19 +528,109 @@ def int_det(a) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer Laurent polynomials
+# sparse exact vectors and integer Laurent polynomials
 
 
-class LaurentInt:
-    """Integer Laurent polynomial, stored sparsely as {exponent: coefficient}.
+class SparseVector:
+    """Sparse vector with exact integer coefficients, stored as {key:
+    coefficient} in Python ints.  Zero coefficients are never stored, so
+    equality is structural.
 
-    Zero coefficients are never stored, so equality is structural.
+    The one arithmetic of tensor.TensorVector (keys: sign words),
+    surface.ExteriorVector (keys: exterior monomials) and LaurentInt (keys:
+    exponents).  A subclass names its `space`, the attributes that both
+    operands of +, -, == and dot must share and that its constructor takes
+    before the coefficients, and its messages for an operand from another
+    space (_MISMATCH) and for a key out of range (_RANGE); keys limited to
+    `bits` bits are checked on construction.
     """
 
     __slots__ = ("coeffs",)
+    _MISMATCH = "operands from different spaces"
+    _RANGE = "key {0} out of range"
 
-    def __init__(self, coeffs=None):
-        self.coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c != 0}
+    def __init__(self, coeffs=None, bits: int | None = None):
+        self.coeffs = {int(k): int(c) for k, c in (coeffs or {}).items() if c != 0}
+        if bits is not None:
+            for k in self.coeffs:
+                if k < 0 or k >> bits:
+                    raise ValueError(self._RANGE.format(k, self))
+
+    @property
+    def space(self) -> tuple:
+        return ()
+
+    def _like(self, coeffs):
+        return type(self)(*self.space, coeffs)
+
+    def _operand(self, other):
+        """other as the second operand of a binary operation; ValueError
+        when it is not a vector of the same space."""
+        if not isinstance(other, type(self)) or other.space != self.space:
+            raise ValueError(self._MISMATCH)
+        return other
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def terms(self):
+        return sorted(self.coeffs.items())
+
+    def __add__(self, other):
+        other = self._operand(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + -self._operand(other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.coeffs.items()})
+
+    def __mul__(self, scalar: int):
+        return self._like({k: c * scalar for k, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        try:
+            other = self._operand(other)
+        except (TypeError, ValueError):
+            return False
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.space, tuple(self.terms())))
+
+    def dot(self, other) -> int:
+        """The symmetric bilinear form for which the keys are orthonormal."""
+        small, large = sorted((self.coeffs, self._operand(other).coeffs), key=len)
+        return sum(c * large.get(k, 0) for k, c in small.items())
+
+    @staticmethod
+    def columns(vectors, index, dtype) -> np.ndarray:
+        """The coefficients of vectors as the columns of a dtype matrix with
+        one row per key of index, key k in row index[k]: index is a dict, or
+        a range for keys that are their own rows.  In an object matrix the
+        coefficients stay Python ints; in an int64 one a coefficient that
+        int64 cannot hold raises OverflowError instead of wrapping.  Raises
+        ValueError for a key outside index."""
+        out = np.zeros((len(index), len(vectors)), dtype=dtype)
+        for col, v in enumerate(vectors):
+            for k, c in v.coeffs.items():
+                if k not in index:
+                    raise ValueError(f"key {k} is outside the column index")
+                out[index[k], col] = c
+        return out
+
+
+class LaurentInt(SparseVector):
+    """Integer Laurent polynomial, stored sparsely as {exponent: coefficient}.
+    An int operand of +, -, * or == is the constant polynomial."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "LaurentInt":
@@ -551,34 +644,22 @@ class LaurentInt:
     def x(cls, exp: int = 1, coeff: int = 1) -> "LaurentInt":
         return cls({exp: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _operand(self, other) -> "LaurentInt":
+        if isinstance(other, LaurentInt):
+            return other
+        if isinstance(other, int):
+            return LaurentInt({0: other})
+        raise TypeError(f"cannot coerce {type(other)!r} to LaurentInt")
 
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def __add__(self, other):
-        other = _as_laurent(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentInt(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_as_laurent(other))
+    __radd__ = SparseVector.__add__
 
     def __rsub__(self, other):
-        return _as_laurent(other) + (-self)
-
-    def __neg__(self):
-        return LaurentInt({e: -c for e, c in self.coeffs.items()})
+        return self._operand(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentInt({e: c * other for e, c in self.coeffs.items()})
-        other = _as_laurent(other)
+            return super().__mul__(other)
+        other = self._operand(other)
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -602,14 +683,6 @@ class LaurentInt:
             n >>= 1
         return result
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = _as_laurent(other)
-        return isinstance(other, LaurentInt) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.terms()))
-
     def __repr__(self):
         if not self.coeffs:
             return "LaurentInt(0)"
@@ -622,14 +695,6 @@ class LaurentInt:
             else:
                 bits.append(f"{c}*x^{e}")
         return "LaurentInt(" + " + ".join(bits) + ")"
-
-
-def _as_laurent(x) -> LaurentInt:
-    if isinstance(x, LaurentInt):
-        return x
-    if isinstance(x, int):
-        return LaurentInt({0: x})
-    raise TypeError(f"cannot coerce {type(x)!r} to LaurentInt")
 
 
 def quantum_integer(n: int) -> LaurentInt:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .rings import (
     GramQuotient,
+    SparseVector,
     read_only,
     LaurentInt,
     int_det,
@@ -41,7 +42,7 @@ from .rings import (
 # this module's namespace.
 from .rings import fp_inverse, fp_rref  # noqa: F401
 from .specht import Tableau2, basis_solver, polytabloid, specht_basis
-from .tensor import TensorVector, weight_class_masks
+from .tensor import TensorVector, coev_ev, weight_class_masks
 
 __all__ = [
     "ExteriorVector",
@@ -85,19 +86,24 @@ __all__ = [
 ]
 
 
-class ExteriorVector:
+class ExteriorVector(SparseVector):
     """Sparse exact-coefficient element of the exterior algebra on the 2g
-    homology generators; coefficients are integers, zeros never stored."""
+    homology generators, keyed by 2g-bit monomials; the arithmetic is
+    rings.SparseVector's."""
 
-    __slots__ = ("g", "coeffs")
+    __slots__ = ("g",)
+    _MISMATCH = "genus mismatch"
+    _RANGE = "monomial {0} out of range for genus {1.g}"
 
     def __init__(self, g: int, coeffs=None):
         self.g = g
-        self.coeffs = {int(m): int(c) for m, c in (coeffs or {}).items() if c != 0}
-        top = 1 << (2 * g)
-        for m in self.coeffs:
-            if m < 0 or m >= top:
-                raise ValueError(f"monomial {m} out of range for genus {g}")
+        # called directly: super() adds a fifth to the cost of a
+        # construction, and word application makes one per token and term
+        SparseVector.__init__(self, coeffs, 2 * g)
+
+    @property
+    def space(self) -> tuple:
+        return (self.g,)
 
     @classmethod
     def zero(cls, g: int) -> "ExteriorVector":
@@ -119,43 +125,9 @@ class ExteriorVector:
     def gen_b(cls, g: int, i: int) -> "ExteriorVector":
         return cls.monomial(g, 1 << (g + i - 1))
 
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_homogeneous(self) -> int | None:
         degs = {m.bit_count() for m in self.coeffs}
         return degs.pop() if len(degs) == 1 else None
-
-    def __add__(self, other: "ExteriorVector") -> "ExteriorVector":
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return ExteriorVector(self.g, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ExteriorVector(self.g, {m: -c for m, c in self.coeffs.items()})
-
-    def __mul__(self, k: int) -> "ExteriorVector":
-        return ExteriorVector(self.g, {m: c * k for m, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def _check(self, other):
-        if not isinstance(other, ExteriorVector) or other.g != self.g:
-            raise ValueError("genus mismatch")
-
-    def __eq__(self, other):
-        return isinstance(other, ExteriorVector) and (self.g, self.coeffs) == (other.g, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.g, tuple(self.terms())))
 
     def __repr__(self):
         if not self.coeffs:
@@ -173,11 +145,7 @@ def format_monomial(mask: int, g: int) -> str:
     return "^".join(names) if names else "1"
 
 
-def inner_product_ext(v: ExteriorVector, w: ExteriorVector) -> int:
-    """Monomials are orthonormal."""
-    if v.g != w.g:
-        raise ValueError("genus mismatch")
-    return sum(c * w.coeffs.get(m, 0) for m, c in v.coeffs.items())
+inner_product_ext = ExteriorVector.dot
 
 
 def _merge_sign(m1: int, m2: int) -> int:
@@ -324,6 +292,7 @@ def transvection_token(j: int, g: int):
     return matrix_token(m)
 
 
+@lru_cache(maxsize=None)
 def j_token(g: int):
     """The calibration map a_i -> b_i, b_i -> -a_i."""
     m = [[0] * (2 * g) for _ in range(2 * g)]
@@ -603,12 +572,8 @@ def invert_permutation(sigma) -> tuple[int, ...]:
 
 
 def _tensor_op_matrix(op, n_from: int, n_to: int) -> np.ndarray:
-    out = np.zeros((1 << n_to, 1 << n_from), dtype=np.int64)
-    for w in range(1 << n_from):
-        img = op(TensorVector.word(n_from, w))
-        for m, c in img.coeffs.items():
-            out[m, w] = c
-    return out
+    images = [op(TensorVector.word(n_from, w)) for w in range(1 << n_from)]
+    return TensorVector.columns(images, range(1 << n_to), np.int64)
 
 
 def raising_generator_block(i: int, lam, g: int) -> dict:
@@ -617,8 +582,6 @@ def raising_generator_block(i: int, lam, g: int) -> dict:
 
     Returns the case label, both matrices, and the comparison flag.
     """
-    from .tensor import coev_ev
-
     lam = tuple(lam)
     n = len(zero_set(lam))
     if not 1 <= i <= g:
@@ -629,24 +592,13 @@ def raising_generator_block(i: int, lam, g: int) -> dict:
         target = lam[:i - 1] + (lam[i - 1] + 1, lam[i] - 1) + lam[i + 1:]
     valid = all(abs(x) <= 1 for x in target)
     # computed side
-    token = lie_e_token(i)
+    images = [apply_token(lie_e_token(i), upsilon_to_surface(lam, TensorVector.word(n, w), g)) for w in range(1 << n)]
     if valid:
-        n_to = len(zero_set(target))
-        computed = np.zeros((1 << n_to, 1 << n), dtype=np.int64)
-        for w in range(1 << n):
-            img = apply_token(token, upsilon_to_surface(lam, TensorVector.word(n, w), g))
-            if img.is_zero():
-                continue
-            back = upsilon_from_surface(target, img, g)
-            for m, c in back.coeffs.items():
-                computed[m, w] = c
+        back = [upsilon_from_surface(target, img, g) for img in images]
+        computed = TensorVector.columns(back, range(1 << len(zero_set(target))), np.int64)
     else:
-        n_to = 0
-        computed = np.zeros((1, 1 << n), dtype=np.int64)
-        for w in range(1 << n):
-            img = apply_token(token, upsilon_to_surface(lam, TensorVector.word(n, w), g))
-            if not img.is_zero():
-                computed[0, w] = 1  # flags a nonzero image where none is allowed
+        # flags a nonzero image where none is allowed
+        computed = np.array([[0 if img.is_zero() else 1 for img in images]], dtype=np.int64)
     # expected side
     if not valid:
         case = "invalid-target"
@@ -854,12 +806,7 @@ class LefschetzBasis:
     def columns(self, vectors) -> np.ndarray:
         """Monomial coordinates of vectors of this basis's degree, one column
         per vector, as Python ints in an object array."""
-        index = _degree_mask_index(self.g, self.degree)
-        out = np.zeros((len(self.masks), len(vectors)), dtype=object)
-        for col, v in enumerate(vectors):
-            for m, c in v.coeffs.items():
-                out[index[m], col] = c
-        return out
+        return ExteriorVector.columns(vectors, _degree_mask_index(self.g, self.degree), object)
 
     def coords(self, columns: np.ndarray) -> np.ndarray:
         """Exact coordinates over Z of the columns of an integer matrix in
@@ -978,9 +925,7 @@ def modular_quotient_trace(p: int, j: int, word, g: int, at: AlexanderTrace | No
     if q.quotient_dim == 0:
         return 0
     exact = lefschetz_action_matrix(word, j, g) if at is None else at.component_actions[j - 1]
-    action = (exact % p).astype(np.int64)
-    q.check_radical_invariance(action)
-    return int(np.trace(q.quotient_matrix(action))) % p
+    return int(np.trace(q.quotient_matrix((exact % p).astype(np.int64)))) % p
 
 
 def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .rings import read_only
+from .rings import SparseVector, read_only
 
 __all__ = [
     "TensorVector",
@@ -28,22 +28,23 @@ __all__ = [
 ]
 
 
-class TensorVector:
-    """Sparse exact-coefficient vector in the sign-word lattice.
+class TensorVector(SparseVector):
+    """Sparse exact-coefficient vector in the sign-word lattice, keyed by
+    n-bit words; the arithmetic is rings.SparseVector's."""
 
-    Coefficients are Python integers; zero coefficients are never stored.
-    """
-
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n",)
+    _MISMATCH = "tensor length mismatch"
+    _RANGE = "word {0} does not fit in {1.n} positions"
 
     def __init__(self, n: int, coeffs=None):
         if n < 0:
             raise ValueError("tensor length must be nonnegative")
         self.n = n
-        self.coeffs = {int(w): int(c) for w, c in (coeffs or {}).items() if c != 0}
-        for w in self.coeffs:
-            if w < 0 or w >> n:
-                raise ValueError(f"word {w} does not fit in {n} positions")
+        SparseVector.__init__(self, coeffs, n)
+
+    @property
+    def space(self) -> tuple:
+        return (self.n,)
 
     @classmethod
     def zero(cls, n: int) -> "TensorVector":
@@ -52,40 +53,6 @@ class TensorVector:
     @classmethod
     def word(cls, n: int, mask: int, coeff: int = 1) -> "TensorVector":
         return cls(n, {mask: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def terms(self):
-        return sorted(self.coeffs.items())
-
-    def __add__(self, other: "TensorVector") -> "TensorVector":
-        self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
-        return TensorVector(self.n, out)
-
-    def __sub__(self, other: "TensorVector") -> "TensorVector":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorVector":
-        return TensorVector(self.n, {w: -c for w, c in self.coeffs.items()})
-
-    def __mul__(self, k: int) -> "TensorVector":
-        return TensorVector(self.n, {w: c * k for w, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "TensorVector"):
-        if not isinstance(other, TensorVector) or other.n != self.n:
-            raise ValueError("tensor length mismatch")
-
-    def __eq__(self, other):
-        return isinstance(other, TensorVector) and self.n == other.n and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.terms())))
 
     def __repr__(self):
         if not self.coeffs:
@@ -130,13 +97,7 @@ def apply_sl2(gen: str, v: TensorVector) -> TensorVector:
     return TensorVector(n, out)
 
 
-def inner_product(v: TensorVector, w: TensorVector) -> int:
-    """The symmetric bilinear form for which the words are orthonormal."""
-    if v.n != w.n:
-        raise ValueError("tensor length mismatch")
-    if len(v.coeffs) > len(w.coeffs):
-        v, w = w, v
-    return sum(c * w.coeffs.get(m, 0) for m, c in v.coeffs.items())
+inner_product = TensorVector.dot
 
 
 def perm_action(sigma, v: TensorVector) -> TensorVector:
@@ -280,25 +241,9 @@ def apply_raising_power(n: int, b: int, mat: np.ndarray, power: int, p: int | No
     return cur
 
 
-def vector_in_class_coords(v: TensorVector, b: int) -> np.ndarray:
-    """Column of coefficients of v in its weight class ordering."""
-    masks, index = weight_class_masks(v.n, b)
-    col = np.zeros(len(masks), dtype=np.int64)
-    for w, c in v.coeffs.items():
-        if w.bit_count() != b:
-            raise ValueError("vector is not homogeneous of the requested weight")
-        col[index[w]] = c
-    return col
-
-
 def vectors_to_matrix(vectors, b: int) -> np.ndarray:
-    """Stack homogeneous vectors as columns in weight-class coordinates."""
+    """Stack vectors of weight b as columns in weight-class coordinates;
+    raises ValueError for a word of another weight."""
     if not vectors:
-        n = 0
         return np.zeros((1, 0), dtype=np.int64)
-    n = vectors[0].n
-    masks, index = weight_class_masks(n, b)
-    out = np.zeros((len(masks), len(vectors)), dtype=np.int64)
-    for j, v in enumerate(vectors):
-        out[:, j] = vector_in_class_coords(v, b)
-    return out
+    return TensorVector.columns(vectors, weight_class_masks(vectors[0].n, b)[1], np.int64)

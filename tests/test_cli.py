@@ -408,6 +408,16 @@ def test_jm_below_genus_three_skips_what_it_cannot_sample(g, pairs):
     }
 
 
+@pytest.mark.parametrize("p, k, g, pairs", [(11, 7, 3, 1), (13, 9, 4, 2), (11, 7, 5, 2)])
+def test_jm_labels_past_the_top_component_are_zero_spaces(p, k, g, pairs, capsys):
+    # with k > g + 1 both factors of the block module are the zero space
+    rep = cli.run(cli.Job("jm", {"p": p, "k": k, "g": g, "pairs": pairs}))
+    assert "error" not in {c["name"] for c in rep.checks}
+    assert rep.results["top_dim"] == rep.results["bottom_dim"] == 0
+    assert cli.main(["jm", "--p", str(p), "--k", str(k), "--g", str(g), "--pairs", str(pairs)]) == 0
+    capsys.readouterr()
+
+
 # Jobs at the ends of the range of every ranged parameter of every command,
 # each under about 2 s in process; the other parameters sit at cheap values.
 _CORNERS = [

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from spechtres import surface
 from spechtres.rings import fp_matmul
 from spechtres.surface import (
     ExteriorVector,
@@ -253,3 +254,12 @@ def test_strand_resolutions():
     assert rep_boundary["exact"]
     with pytest.raises(ValueError):
         strand_resolution_check(5, 2, 3)
+
+
+def test_calibration_token_is_built_once_per_genus(monkeypatch):
+    x = ExteriorVector(3, {0b000111: 2, 0b100001: -1})
+    first = calibrate(x)
+    calls = []
+    monkeypatch.setattr(surface, "_check_symplectic", calls.append)
+    assert calibrate(x) == first
+    assert not calls

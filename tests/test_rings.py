@@ -1,11 +1,14 @@
+import operator
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spechtres.rings import (
     _PANEL,
     CyclotomicElem,
     LaurentInt,
+    SparseVector,
     cyclotomic_eval,
     GramQuotient,
     fp_matmul,
@@ -19,6 +22,8 @@ from spechtres.rings import (
     unitriangular_inverse,
     zeta_quantum,
 )
+from spechtres.surface import ExteriorVector
+from spechtres.tensor import TensorVector, vectors_to_matrix
 
 
 def test_rank_kernel_image_on_degenerate_form():
@@ -377,3 +382,101 @@ def test_eliminations_refuse_a_modulus_beyond_int64_products():
             fp_rref(a, p)
         with pytest.raises(ValueError, match="too large"):
             fp_inverse(a[:, :2], p)
+
+
+def test_quotient_matrix_refuses_an_action_that_moves_the_radical():
+    # the radical of [[1, 1], [1, 1]] mod 5 is spanned by (4, 1); the
+    # diagonal action (1, 2) sends it to (4, 2), outside the radical
+    q = GramQuotient(np.array([[1, 1], [1, 1]]), 5)
+    assert q.quotient_matrix(np.identity(2, dtype=np.int64)).tolist() == [[1]]
+    with pytest.raises(AssertionError, match="radical"):
+        q.quotient_matrix(np.array([[1, 0], [0, 2]]))
+
+
+# ---------------------------------------------------------------------------
+# the contract of SparseVector, for each of its three types: the spaces a
+# type's vectors come in, the keys of a space, and the constructor
+
+_SPARSE_TYPES = {
+    "tensor": (st.integers(0, 4), lambda n: range(1 << n), TensorVector),
+    "exterior": (st.integers(0, 2), lambda g: range(1 << (2 * g)), ExteriorVector),
+    "laurent": (st.just(None), lambda _: range(-4, 5), lambda _, coeffs: LaurentInt(coeffs)),
+}
+
+
+@st.composite
+def _one_space(draw, kind):
+    """A constructor of vectors of one space, its keys, and two coefficient
+    maps on them that may hold zeros."""
+    spaces, keys_of, make = _SPARSE_TYPES[kind]
+    space = draw(spaces)
+    keys = keys_of(space)
+    coeffs = st.dictionaries(st.sampled_from(keys), st.integers(-3, 3), max_size=6)
+    return (lambda c: make(space, c)), keys, draw(coeffs), draw(coeffs)
+
+
+@pytest.mark.parametrize("kind", sorted(_SPARSE_TYPES))
+@given(data=st.data())
+def test_sparse_vector_arithmetic_contract(kind, data):
+    make, _, c1, c2 = data.draw(_one_space(kind))
+    v, w = make(c1), make(c2)
+    assert v.coeffs == {k: c for k, c in c1.items() if c}
+    assert (v - v).is_zero() and v - v == make({})
+    assert v + w == w + v and hash(v + w) == hash(w + v)
+    assert v + w - w == v and -(-v) == v and v * 3 == v + v + v
+    # the same value from a map with extra zeros and another key order
+    same = make({**{k: 0 for k in reversed(list(c2))}, **c1})
+    assert same == v and hash(same) == hash(v)
+    assert v.dot(w) == sum(c * w.coeffs.get(k, 0) for k, c in v.coeffs.items()) == w.dot(v)
+
+
+@pytest.mark.parametrize("kind", sorted(_SPARSE_TYPES))
+@given(data=st.data())
+def test_columns_put_each_coefficient_in_the_row_of_its_key(kind, data):
+    make, keys, c1, c2 = data.draw(_one_space(kind))
+    vectors = [make(c1), make(c2)]
+    index = {k: row for row, k in enumerate(keys)}
+    cols = SparseVector.columns(vectors, index, np.int64)
+    for col, v in enumerate(vectors):
+        assert {k: int(cols[index[k], col]) for k in keys if cols[index[k], col]} == v.coeffs
+    assert SparseVector.columns(vectors, index, object).tolist() == cols.tolist()
+    assume(any(c1.values()))
+    del index[next(iter(vectors[0].coeffs))]
+    with pytest.raises(ValueError):
+        SparseVector.columns(vectors, index, np.int64)
+
+
+def test_columns_keep_large_coefficients_exact_or_refuse_them():
+    big = [LaurentInt({0: 2**63, 1: -(2**70)})]
+    with pytest.raises(OverflowError):
+        SparseVector.columns(big, range(2), np.int64)
+    assert SparseVector.columns(big, range(2), object)[:, 0].tolist() == [2**63, -(2**70)]
+    # a word outside the weight class of the columns
+    with pytest.raises(ValueError):
+        vectors_to_matrix([TensorVector.word(3, 0b011), TensorVector.word(3, 0b111)], 2)
+
+
+@pytest.mark.parametrize("cls", [TensorVector, ExteriorVector])
+@given(st.integers(0, 3), st.integers(0, 3))
+def test_vectors_of_different_sizes_do_not_mix(cls, a, b):
+    assume(a != b)
+    v, w = cls(a, {0: 1}), cls(b, {0: 1})
+    for op in (operator.add, operator.sub, SparseVector.dot):
+        with pytest.raises(ValueError):
+            op(v, w)
+    assert v != w
+
+
+@pytest.mark.parametrize(
+    "v, w, error",
+    [
+        (TensorVector(2, {1: 1}), ExteriorVector(1, {1: 1}), ValueError),
+        (ExteriorVector(1, {1: 1}), TensorVector(2, {1: 1}), ValueError),
+        (LaurentInt({1: 1}), TensorVector(2, {1: 1}), TypeError),
+    ],
+)
+def test_vectors_of_different_types_do_not_mix(v, w, error):
+    for op in (operator.add, operator.sub):
+        with pytest.raises(error):
+            op(v, w)
+    assert v != w
