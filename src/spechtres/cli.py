@@ -381,7 +381,7 @@ def _run_fusion(params, rng) -> tuple[dict, list]:
             f"R_p(|f|)={poly(norm_small):.12f} |F|={norm_big:.12f}",
         ),
     ]
-    return {"table": table, "growth_polynomial": list(poly.coeffs)}, checks
+    return {"table": table, "growth_polynomial": list(poly.dense())}, checks
 
 
 def _run_alexander(params, rng) -> tuple[dict, list]:
@@ -434,7 +434,9 @@ def _run_jm(params, rng) -> tuple[dict, list]:
         checks.append(_check("nonsplit-witness", not section["splits"], "no equivariant section"))
     mod = ext_mod.block_module(p, k, 3, g)
     _, _, complement, masks = ext_mod.form_quotient_data(p, 3, g)
-    if params["pairs"] and not complement:
+    if mod.top_dim + mod.bottom_dim == 0:
+        checks.append(_skip("block-homomorphism", f"labels {k} and {k + 3} are zero spaces at genus {g}"))
+    elif params["pairs"] and not complement:
         checks.append(_skip("block-homomorphism", f"no degree-3 forms outside the 2-form multiples at genus {g}"))
     else:
         hom_ok = True
@@ -451,7 +453,10 @@ def _run_jm(params, rng) -> tuple[dict, list]:
             hom_ok = hom_ok and bool(np.array_equal(lhs, rhs))
         checks.append(_check("block-homomorphism", hom_ok))
     strands = ext_mod.strand_resolution_check(p, k, g)
-    checks.append(_check("strand-resolutions", strands["exact"]))
+    if any(s["blocks"] for s in strands["strands"].values()):
+        checks.append(_check("strand-resolutions", strands["exact"]))
+    else:
+        checks.append(_skip("strand-resolutions", f"labels {k} and {k + 3} have no strand block at genus {g}"))
     results["strand_dims"] = {
         str(label): {str(w): d for w, d in s["surface_term_dims"].items()}
         for label, s in strands["strands"].items()

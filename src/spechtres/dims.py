@@ -10,13 +10,12 @@ Everything except the float Perron norms is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
-from .rings import CyclotomicElem, LaurentInt, cyclotomic_eval, quantum_integer, zeta_quantum
+from .rings import CyclotomicElem, LaurentInt, cyclotomic_eval, power, quantum_integer, zeta_quantum
 
 __all__ = [
     "binom",
@@ -116,58 +115,32 @@ def fib_catalan_identities(r: int) -> dict:
 # integer polynomials
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial; coeffs[i] is the coefficient of degree i."""
+class IntPolynomial(LaurentInt):
+    """Integer polynomial in f: a LaurentInt without negative exponents."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+    def __init__(self, coeffs=None):
+        super().__init__(coeffs)
+        if any(e < 0 for e in self.coeffs):
+            raise ValueError("a polynomial has no negative exponents")
 
     @classmethod
     def of(cls, *coeffs) -> "IntPolynomial":
-        return cls(tuple(coeffs))
+        """The polynomial whose coefficient of degree i is coeffs[i]."""
+        return cls(dict(enumerate(coeffs)))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self.coeffs, default=-1)
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
-
-    def __neg__(self):
-        return IntPolynomial(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(x * other for x in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, x in enumerate(self.coeffs):
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
-    def compose(self, inner: "IntPolynomial") -> "IntPolynomial":
-        result = IntPolynomial.of()
-        for c in reversed(self.coeffs):
-            result = result * inner + IntPolynomial.of(c)
-        return result
+    def dense(self) -> tuple[int, ...]:
+        """The coefficients of degrees 0 .. degree."""
+        return tuple(self.coeffs.get(i, 0) for i in range(self.degree + 1))
 
     def __call__(self, x):
         result = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.dense()):
             result = result * x + c
         return result
 
@@ -175,10 +148,7 @@ class IntPolynomial:
         if not self.coeffs:
             return "IntPolynomial(0)"
         bits = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
+        for i, c in reversed(self.terms()):
             term = "1" if i == 0 else ("f" if i == 1 else f"f^{i}")
             if i > 0 and abs(c) == 1:
                 bits.append(("-" if c < 0 else "") + term)
@@ -232,17 +202,7 @@ class FusionElement:
     __rmul__ = __mul__
 
     def __pow__(self, g: int) -> "FusionElement":
-        if g < 0:
-            raise ValueError("negative fusion powers undefined")
-        result = fusion_unit(self.p)
-        base = self
-        while g:
-            if g & 1:
-                result = result * base
-            g >>= 1
-            if g:
-                base = base * base
-        return result
+        return power(self, g, fusion_unit(self.p))
 
     def _check(self, other):
         if not isinstance(other, FusionElement) or other.p != self.p:
@@ -366,14 +326,12 @@ def closed_form_genus_dims(g: int) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _p_chebyshev(j: int) -> IntPolynomial:
-    # P_{j+1} + P_{j-1} = x P_j with P_0 = 1, P_1 = x
-    if j == 0:
-        return IntPolynomial.of(1)
-    if j == 1:
-        return IntPolynomial.of(0, 1)
-    x = IntPolynomial.of(0, 1)
-    return x * _p_chebyshev(j - 1) - _p_chebyshev(j - 2)
+def _shifted_chebyshev(j: int) -> IntPolynomial:
+    # Q_j(f) = P_j(f - 2) for P_{j+1} + P_{j-1} = x P_j with P_0 = 1, P_1 = x
+    shift = IntPolynomial.of(-2, 1)
+    if j < 2:
+        return shift**j
+    return shift * _shifted_chebyshev(j - 1) - _shifted_chebyshev(j - 2)
 
 
 def growth_polynomial(p: int) -> IntPolynomial:
@@ -381,11 +339,10 @@ def growth_polynomial(p: int) -> IntPolynomial:
     growth rate through the per-handle growth rate."""
     if p < 3 or p % 2 == 0:
         raise ValueError("p must be odd and at least 3")
-    shift = IntPolynomial.of(-2, 1)
-    total = IntPolynomial.of()
+    total = IntPolynomial()
     for j in range(0, (p - 3) // 2 + 1):
         n_j = (p - 1 - j) // 2 if j % 2 == 0 else (j + 1) // 2
-        total = total + n_j * _p_chebyshev(j).compose(shift)
+        total = total + n_j * _shifted_chebyshev(j)
     return total
 
 
@@ -397,7 +354,7 @@ def growth_identity(p: int) -> bool:
     R_p(|f|) (2 - z - z^(p-1)) = p in Z[z]."""
     f = CyclotomicElem.from_powers(p, {0: 2, (p + 1) // 2: -1, (p - 1) // 2: -1})
     value = CyclotomicElem.zero(p)
-    for c in reversed(growth_polynomial(p).coeffs):
+    for c in reversed(growth_polynomial(p).dense()):
         value = f * value + CyclotomicElem.from_powers(p, {0: c})  # f first: its three terms drive the product loop
     return CyclotomicElem.from_powers(p, {0: 2, 1: -1, p - 1: -1}) * value == CyclotomicElem.from_powers(p, {0: p})
 
@@ -449,7 +406,7 @@ def quantum_dim_identity(p: int, n: int) -> dict:
     """Exact check that the n-th power of [2] at the p-th root of unity is
     the d-dimension-weighted sum of the quantum integers [k]."""
     two = quantum_integer(2)
-    lhs = cyclotomic_eval(two**n if n else LaurentInt.one(), p)
+    lhs = cyclotomic_eval(two**n, p)
     rhs = CyclotomicElem.zero(p)
     used = {}
     for k in range(1, p):

@@ -1,12 +1,12 @@
 """Exact scalar and matrix arithmetic.
 
 Matrices over the prime field F_p, sparse exact vectors (SparseVector,
-the one arithmetic of sign-word tensors, exterior forms and integer
-Laurent polynomials), cyclotomic quotients Z[z]/(1 + z + ... + z^(p-1))
-with optional mod-p coefficients, balanced quantum integers, deterministic
-Gaussian elimination, inverses of unitriangular matrices mod p or over Z,
-and the quotient of F_p^d by the radical of a Gram matrix (GramQuotient),
-the one simple-quotient type of the package.
+the one arithmetic of sign-word tensors, exterior forms, integer Laurent
+polynomials and the cyclotomic quotients Z[z]/(1 + z + ... + z^(p-1)) with
+optional mod-p coefficients), one repeated-squaring power, balanced
+quantum integers, deterministic Gaussian elimination, inverses of
+unitriangular matrices mod p or over Z, and the quotient of F_p^d by the
+radical of a Gram matrix (GramQuotient), the one simple-quotient type.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
 F_p are computed as int64 arrays of residues in [0, p); residues that are
@@ -51,6 +51,7 @@ __all__ = [
     "int_det",
     "SparseVector",
     "LaurentInt",
+    "power",
     "quantum_integer",
     "CyclotomicElem",
     "cyclotomic_eval",
@@ -528,7 +529,7 @@ def int_det(a) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sparse exact vectors and integer Laurent polynomials
+# sparse exact vectors, integer Laurent polynomials and powers
 
 
 class SparseVector:
@@ -537,10 +538,11 @@ class SparseVector:
     equality is structural.
 
     The one arithmetic of tensor.TensorVector (keys: sign words),
-    surface.ExteriorVector (keys: exterior monomials) and LaurentInt (keys:
-    exponents).  A subclass names its `space`, the attributes that both
-    operands of +, -, == and dot must share and that its constructor takes
-    before the coefficients, and its messages for an operand from another
+    surface.ExteriorVector (keys: exterior monomials), LaurentInt and
+    CyclotomicElem (keys: exponents).  A subclass names its `space`, the
+    attributes that both operands of +, -, == and dot must share and that
+    its constructor takes before the coefficients (or overrides _like, which
+    builds every result), and its messages for an operand from another
     space (_MISMATCH) and for a key out of range (_RANGE); keys limited to
     `bits` bits are checked on construction.
     """
@@ -654,34 +656,27 @@ class LaurentInt(SparseVector):
     __radd__ = SparseVector.__add__
 
     def __rsub__(self, other):
-        return self._operand(other) - self
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return super().__mul__(other)
+            return SparseVector.__mul__(self, other)
         other = self._operand(other)
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentInt(out)
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        base = self
         if n < 0:
-            inv = LaurentInt({-e: c for e, c in self.coeffs.items()})
             if len(self.coeffs) != 1 or abs(next(iter(self.coeffs.values()))) != 1:
                 raise ValueError("only unit monomials have Laurent inverses")
-            return inv ** (-n)
-        result = LaurentInt.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            base, n = self._like({-e: c for e, c in self.coeffs.items()}), -n
+        return power(base, n, self.one())
 
     def __repr__(self):
         if not self.coeffs:
@@ -695,6 +690,21 @@ class LaurentInt(SparseVector):
             else:
                 bits.append(f"{c}*x^{e}")
         return "LaurentInt(" + " + ".join(bits) + ")"
+
+
+def power(base, n: int, one):
+    """base ** n by repeated squaring from the unit `one`, skipping the
+    squaring that no later factor would use.  Raises ValueError for n < 0."""
+    if n < 0:
+        raise ValueError("negative powers are not defined here")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def quantum_integer(n: int) -> LaurentInt:
@@ -712,29 +722,42 @@ def quantum_integer(n: int) -> LaurentInt:
 # cyclotomic quotients
 
 
-class CyclotomicElem:
+class CyclotomicElem(SparseVector):
     """Element of Z[z]/(1 + z + ... + z^(p-1)), coefficients optionally mod p.
 
-    Coordinates are stored in the fixed basis z^0 ... z^(p-2); the relation
-    z^(p-1) = -(1 + z + ... + z^(p-2)) performs the reduction.  `mod=None`
-    means integer coefficients, `mod=p` reduces them to F_p.
+    A sparse vector keyed by the exponents 0 ... p-2 of the fixed basis
+    z^0 ... z^(p-2); the relation z^(p-1) = -(1 + z + ... + z^(p-2))
+    performs the reduction.  `mod=None` means integer coefficients, `mod=p`
+    reduces them to F_p.  The constructor takes the p - 1 dense
+    coordinates, which `coords` reads back.
     """
 
-    __slots__ = ("p", "coords", "mod")
+    __slots__ = ("p", "mod")
+    _MISMATCH = "mixed cyclotomic rings"
 
     def __init__(self, p: int, coords, mod: int | None = None):
         if p < 3 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if mod is not None and mod != p:
             raise ValueError("coefficient modulus must equal p when given")
-        coords = [int(c) for c in coords]
+        coords = list(map(int, coords))
         if len(coords) != p - 1:
             raise ValueError(f"need {p - 1} coordinates, got {len(coords)}")
         if mod is not None:
             coords = [c % mod for c in coords]
+        # SparseVector.__init__ without a second int conversion, since every
+        # sum and product builds a whole element
+        self.coeffs = {e: c for e, c in enumerate(coords) if c}
         self.p = p
-        self.coords = tuple(coords)
         self.mod = mod
+
+    @property
+    def space(self) -> tuple:
+        return (self.p, self.mod)
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return tuple(self.coeffs.get(e, 0) for e in range(self.p - 1))
 
     @classmethod
     def zero(cls, p: int, mod: int | None = None) -> "CyclotomicElem":
@@ -752,69 +775,32 @@ class CyclotomicElem:
     def from_powers(cls, p: int, powers: dict, mod: int | None = None) -> "CyclotomicElem":
         """Build from a {exponent: coefficient} map; exponents wrap mod p."""
         coords = [0] * (p - 1)
+        top = 0  # the coefficient of z^(p-1)
         for e, c in powers.items():
             e %= p
             if e == p - 1:
-                for j in range(p - 1):
-                    coords[j] -= c
+                top += c
             else:
                 coords[e] += c
-        return cls(p, coords, mod)
+        return cls(p, [c - top for c in coords] if top else coords, mod)
 
-    def _check(self, other: "CyclotomicElem"):
+    def _like(self, coeffs):
+        return CyclotomicElem.from_powers(self.p, coeffs, self.mod)
+
+    def _operand(self, other) -> "CyclotomicElem":
         if not isinstance(other, CyclotomicElem):
             raise TypeError("expected a CyclotomicElem")
-        if other.p != self.p or other.mod != self.mod:
-            raise ValueError("mixed cyclotomic rings")
+        return SparseVector._operand(self, other)
 
-    def __add__(self, other):
-        self._check(other)
-        return CyclotomicElem(self.p, [a + b for a, b in zip(self.coords, other.coords)], self.mod)
-
-    def __sub__(self, other):
-        self._check(other)
-        return CyclotomicElem(self.p, [a - b for a, b in zip(self.coords, other.coords)], self.mod)
-
-    def __neg__(self):
-        return CyclotomicElem(self.p, [-a for a in self.coords], self.mod)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicElem(self.p, [a * other for a in self.coords], self.mod)
-        self._check(other)
-        powers: dict[int, int] = {}
-        for e1, c1 in enumerate(self.coords):
-            if c1 == 0:
-                continue
-            for e2, c2 in enumerate(other.coords):
-                if c2 == 0:
-                    continue
-                e = (e1 + e2) % self.p
-                powers[e] = powers.get(e, 0) + c1 * c2
-        return CyclotomicElem.from_powers(self.p, powers, self.mod)
-
-    __rmul__ = __mul__
+    # LaurentInt's product; _like folds the exponents from p - 1 on back
+    __mul__ = __rmul__ = LaurentInt.__mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = CyclotomicElem.one(self.p, self.mod)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, CyclotomicElem.one(self.p, self.mod))
 
     def conjugate(self) -> "CyclotomicElem":
         """The involution z -> z^(-1)."""
-        return CyclotomicElem.from_powers(
-            self.p, {(-e) % self.p: c for e, c in enumerate(self.coords)}, self.mod
-        )
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self._like({-e: c for e, c in self.coeffs.items()})
 
     def invariant_coords(self) -> tuple[int, ...]:
         """Coordinates in the canonical basis of the conjugation-invariant
@@ -826,17 +812,6 @@ class CyclotomicElem:
             raise ValueError("element is not conjugation-invariant")
         a = self.coords
         return (a[0],) + tuple(a[m] for m in range(2, (self.p - 1) // 2 + 1))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclotomicElem)
-            and self.p == other.p
-            and self.mod == other.mod
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.mod, self.coords))
 
     def __repr__(self):
         ring = f"F_{self.p}" if self.mod else "Z"
@@ -857,6 +832,8 @@ def cyclotomic_eval(f: LaurentInt, p: int, sign: int = 1, mod_p: bool = False) -
     return CyclotomicElem.from_powers(p, powers, p if mod_p else None)
 
 
+@lru_cache(maxsize=None)
 def zeta_quantum(p: int, n: int, sign: int = 1, mod_p: bool = False) -> CyclotomicElem:
-    """The quantum integer [n] evaluated at sign * zeta_p."""
+    """The quantum integer [n] evaluated at sign * zeta_p, cached because
+    the cyclotomic checks of both signs read the same values."""
     return cyclotomic_eval(quantum_integer(n), p, sign, mod_p)

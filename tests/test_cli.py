@@ -414,6 +414,11 @@ def test_jm_labels_past_the_top_component_are_zero_spaces(p, k, g, pairs, capsys
     rep = cli.run(cli.Job("jm", {"p": p, "k": k, "g": g, "pairs": pairs}))
     assert "error" not in {c["name"] for c in rep.checks}
     assert rep.results["top_dim"] == rep.results["bottom_dim"] == 0
+    # with both factors zero, the two checks below compare nothing
+    checks = {c["name"]: c for c in rep.checks}
+    for name in ("block-homomorphism", "strand-resolutions"):
+        assert checks[name]["status"] == "skip"
+        assert f"labels {k} and {k + 3}" in checks[name]["details"] and f"genus {g}" in checks[name]["details"]
     assert cli.main(["jm", "--p", str(p), "--k", str(k), "--g", str(g), "--pairs", str(pairs)]) == 0
     capsys.readouterr()
 

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spechtres.rings import LaurentInt
+
 from spechtres.dims import (
     FusionElement,
     IntPolynomial,
@@ -223,6 +225,30 @@ def test_growth_polynomials_printed_list():
     assert growth_polynomial(13) == IntPolynomial.of(13, 26, -91, 78, -26, 3)
     for p in (5, 7, 9, 11, 13):
         assert growth_polynomial(p).degree == (p - 3) // 2
+
+
+def test_growth_polynomial_reprs_are_the_printed_ones():
+    printed = {
+        5: "IntPolynomial(f)",
+        7: "IntPolynomial(2f^2 - 7f + 7)",
+        9: "IntPolynomial(2f^3 - 9f^2 + 9f + 3)",
+        11: "IntPolynomial(3f^4 - 22f^3 + 55f^2 - 55f + 22)",
+        13: "IntPolynomial(3f^5 - 26f^4 + 78f^3 - 91f^2 + 26f + 13)",
+    }
+    for p, text in printed.items():
+        assert repr(growth_polynomial(p)) == text
+
+
+def test_int_polynomials_refuse_negative_exponents_and_multiply_as_polynomials():
+    with pytest.raises(ValueError):
+        IntPolynomial({-1: 1})
+    assert IntPolynomial.of(0, 0).degree == -1 and repr(IntPolynomial.of()) == "IntPolynomial(0)"
+    f = IntPolynomial.of(-2, 1)
+    for value in (f * f, f * 3, 3 * f, f + 1, 1 - f, f**4):
+        assert type(value) is IntPolynomial
+    assert (f * f).dense() == (4, -4, 1) and (f * f)(5) == 9
+    with pytest.raises(ValueError):
+        f * LaurentInt.x(-1)
 
 
 def test_perron_norms():

@@ -263,3 +263,20 @@ def test_calibration_token_is_built_once_per_genus(monkeypatch):
     monkeypatch.setattr(surface, "_check_symplectic", calls.append)
     assert calibrate(x) == first
     assert not calls
+
+
+@pytest.mark.parametrize("samples", [1, 4])
+def test_wedge_pair_identities_calibrate_each_form_once(samples, monkeypatch):
+    # one calibration for the 2-form and at most five per sample, not one
+    # per basis monomial of every operator matrix
+    from spechtres import extension
+
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return calibrate(x)
+
+    monkeypatch.setattr(extension, "calibrate", counting)
+    assert wedge_pair_identities(2, seed=1, samples=samples)["ok"]
+    assert 0 < len(calls) <= 1 + 5 * samples

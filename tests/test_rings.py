@@ -18,6 +18,7 @@ from spechtres.rings import (
     int_det,
     int_gram,
     kernel_from_rref,
+    power,
     quantum_integer,
     unitriangular_inverse,
     zeta_quantum,
@@ -143,6 +144,53 @@ def test_laurent_negative_powers():
     assert x**-2 == LaurentInt.x(-2)
     with pytest.raises(ValueError):
         (x + LaurentInt.one()) ** -1
+
+
+@pytest.mark.parametrize("other", [3, LaurentInt.one(), ExteriorVector(1, {1: 1})])
+def test_cyclotomic_operands_of_another_type_raise_type_error(other):
+    # an int is a scalar of *, not an element of the ring
+    z = CyclotomicElem.zeta(5)
+    for op in (operator.add, operator.sub) if isinstance(other, int) else (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(z, other)
+    assert z != other
+
+
+@pytest.mark.parametrize("other", [CyclotomicElem.zeta(7), CyclotomicElem.zeta(5, mod=5)])
+def test_cyclotomic_operands_of_another_ring_raise_value_error(other):
+    z = CyclotomicElem.zeta(5)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="mixed cyclotomic rings"):
+            op(z, other)
+    assert z != other
+
+
+@given(st.sampled_from([3, 5, 7]), st.data())
+def test_cyclotomic_coords_round_trip_and_scalars_stay_reduced(p, data):
+    coords = data.draw(st.lists(st.integers(-50, 50), min_size=p - 1, max_size=p - 1))
+    elem = CyclotomicElem(p, coords)
+    assert elem.coords == tuple(coords)
+    assert CyclotomicElem(p, elem.coords) == elem
+    reduced = CyclotomicElem(p, coords, mod=p)
+    assert reduced.coords == tuple(c % p for c in coords)
+    scalar = data.draw(st.integers(-100, 100))
+    for product in (reduced * scalar, scalar * reduced):
+        assert product.coords == tuple(c * scalar % p for c in coords)
+
+
+def test_power_by_repeated_squaring():
+    z = CyclotomicElem.zeta(7)
+    one = CyclotomicElem.one(7)
+    assert power(z, 0, one) is one
+    assert power(z, 7, one) == one and z**9 == CyclotomicElem.zeta(7, 2)
+    assert power(3, 5, 1) == 243
+    with pytest.raises(ValueError):
+        power(z, -1, one)
+    with pytest.raises(ValueError):
+        z**-1
+    # a Laurent unit monomial is inverted before the power is taken
+    x = LaurentInt.x()
+    assert (-x) ** -3 == LaurentInt.x(-3, -1) and x**0 == LaurentInt.one()
 
 
 def _python_matmul(a, b, p):
