@@ -17,7 +17,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -165,14 +164,9 @@ def _character_label(q):
         raise ValueError(f"diagram [{a},{b}] outside the labelled range for p={q['p']}")
 
 
-def _alexander_word(q, work):
-    # the component bases take each token, on a size that grows like 4^g
-    word = q.get("word")
-    if word is not None:
-        parse_word(word, q["g"])
-    tokens = q["length"] if word is None else len(word.split())
-    if tokens * 4 ** q["g"] > work:
-        raise ValueError(f"{tokens} tokens at genus {q['g']} are over the cap tokens * 4^g <= {work}")
+def _alexander_word(q):
+    if q.get("word") is not None:
+        parse_word(q["word"], q["g"])
 
 
 def _jm_label(q):
@@ -209,7 +203,7 @@ SCHEMA = {
         "word": Param("word", "token word, e.g. 'S1 U2 P1'; random when absent", lo=0, hi=1000),
         "p": Param("prime", "an odd prime", lo=3, hi=211),
         "length": Param("int", "length of the random word", default=4, lo=0, hi=1000),
-    }, partial(_alexander_word, work=2**16)),
+    }, _alexander_word),
     "jm": Command("block extension suite", {
         "p": Param("prime", "an odd prime", True, lo=3, hi=211),
         "k": Param("int", "label: 0 < k < p - 3", True),
@@ -436,7 +430,9 @@ def _run_jm(params, rng) -> tuple[dict, list]:
     _, _, complement, masks = ext_mod.form_quotient_data(p, 3, g)
     if mod.top_dim + mod.bottom_dim == 0:
         checks.append(_skip("block-homomorphism", f"labels {k} and {k + 3} are zero spaces at genus {g}"))
-    elif params["pairs"] and not complement:
+    elif not params["pairs"]:
+        checks.append(_skip("block-homomorphism", "no pairs drawn"))
+    elif not complement:
         checks.append(_skip("block-homomorphism", f"no degree-3 forms outside the 2-form multiples at genus {g}"))
     else:
         hom_ok = True

@@ -60,6 +60,7 @@ __all__ = [
     "matrix_token",
     "apply_token",
     "apply_word",
+    "word_matrix",
     "require_group_word",
     "group_token_pool",
     "random_group_word",
@@ -98,7 +99,7 @@ class ExteriorVector(SparseVector):
     def __init__(self, g: int, coeffs=None):
         self.g = g
         # called directly: super() adds a fifth to the cost of a
-        # construction, and word application makes one per token and term
+        # construction, and a word's action makes one per monomial image
         SparseVector.__init__(self, coeffs, 2 * g)
 
     @property
@@ -251,14 +252,6 @@ def _check_symplectic(m):
                 raise ValueError("matrix token does not preserve the skew form")
 
 
-@lru_cache(maxsize=None)
-def _gen_images_matrix(m, g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The image of each generator under the matrix token m, as its
-    (generator, coefficient) terms.  Built once per token: tokens are drawn
-    from a few generators, and a word applies each of them many times."""
-    return tuple(tuple((i, m[i][j]) for i in range(2 * g) if m[i][j]) for j in range(2 * g))
-
-
 def s_token(j: int, g: int):
     """The local rotation a_j -> -b_j, b_j -> a_j."""
     m = [[0] * (2 * g) for _ in range(2 * g)]
@@ -302,31 +295,40 @@ def j_token(g: int):
     return matrix_token(m)
 
 
-def _apply_sp_matrix(m, v: ExteriorVector) -> ExteriorVector:
-    g = v.g
-    images = _gen_images_matrix(m, g)
-    out: dict[int, int] = {}
-    for mask, coeff in v.coeffs.items():
-        partials = {0: coeff}
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            idx = bit.bit_length() - 1
-            nxt: dict[int, int] = {}
-            for pm, pc in partials.items():
-                for tgt, tc in images[idx]:
-                    sw = wedge_monomials(pm, 1 << tgt)
-                    if sw is None:
-                        continue
-                    s, nm = sw
-                    nxt[nm] = nxt.get(nm, 0) + s * pc * tc
-            partials = nxt
-            if not partials:
-                break
-            mm ^= bit
-        for nm, nc in partials.items():
-            out[nm] = out.get(nm, 0) + nc
-    return ExteriorVector(g, out)
+def word_matrix(word, g: int) -> np.ndarray:
+    """W = M_1 ... M_k, the 2g x 2g matrix of a group word, in Python ints
+    in an object array; the rightmost token acts first, as in apply_word."""
+    w = np.identity(2 * g, dtype=object)
+    for _, m in word:
+        w = w @ np.array(m, dtype=object)
+    return w
+
+
+def _apply_sp_matrix(m, vectors) -> list[ExteriorVector]:
+    """Images of forms under the integral 2g x 2g matrix m, extended
+    multiplicatively.  The image of a monomial is the column of m at its
+    lowest generator wedged with the image of the rest of the monomial;
+    images are kept for the whole call, so monomials share their tails."""
+    n = len(m)
+    g = n // 2
+    images = {1 << j: ExteriorVector(g, {1 << i: m[i][j] for i in range(n) if m[i][j]}) for j in range(n)}
+    images[0] = ExteriorVector.unit(g)
+
+    def image(mask):
+        img = images.get(mask)
+        if img is None:
+            bit = mask & -mask
+            img = images[mask] = wedge(images[bit], image(mask ^ bit))
+        return img
+
+    out = []
+    for v in vectors:
+        acc: dict[int, int] = {}
+        for mask, c in v.coeffs.items():
+            for nm, nc in image(mask).coeffs.items():
+                acc[nm] = acc.get(nm, 0) + c * nc
+        out.append(ExteriorVector(g, acc))
+    return out
 
 
 def _lie_images(kind: str, i: int, g: int) -> list[dict[int, int]]:
@@ -379,7 +381,7 @@ def _apply_derivation(images, v: ExteriorVector) -> ExteriorVector:
 def apply_token(token, v: ExteriorVector) -> ExteriorVector:
     kind = token[0]
     if kind == "sp":
-        return _apply_sp_matrix(token[1], v)
+        return _apply_sp_matrix(token[1], [v])[0]
     if kind in ("lie_e", "lie_f"):
         return _apply_derivation(_lie_images(kind, token[1], v.g), v)
     raise ValueError(f"unknown token {token!r}")
@@ -852,10 +854,12 @@ def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
 
 
 def lefschetz_action_matrix(word, j: int, g: int, p: int | None = None) -> np.ndarray:
-    """Matrix of a token word on the j-th component basis: exact Python-int
-    entries in an object array, reduced to int64 residues when p is given."""
+    """Matrix of a group word on the j-th component basis: exact Python-int
+    entries in an object array, reduced to int64 residues when p is given.
+    The word acts through its 2g x 2g matrix, formed once."""
+    require_group_word(word)
     basis = lefschetz_basis(j, g)
-    exact = basis.coords(basis.columns([apply_word(word, v) for v in basis.vectors]))
+    exact = basis.coords(basis.columns(_apply_sp_matrix(word_matrix(word, g), basis.vectors)))
     return exact if p is None else (exact % p).astype(np.int64)
 
 
@@ -896,11 +900,10 @@ def alexander_trace(word, g: int) -> AlexanderTrace:
     A degree-d monomial adds to the coefficient of y^(g-d) its diagonal
     entry in the exterior power of W = M_1 ... M_k, the word's 2g x 2g
     matrix in Python ints: the principal minor of W on its generators.  The
-    component traces come from the component actions, not from W."""
+    component traces come from W acting on the component bases, not from
+    its minors."""
     require_group_word(word)
-    w = np.identity(2 * g, dtype=object)
-    for _, m in word:
-        w = w @ np.array(m, dtype=object)
+    w = word_matrix(word, g)
     poly = {g - d: sum(int_det(w[np.ix_(s, s)]) for s in combinations(range(2 * g), d)) for d in range(2 * g + 1)}
     actions = tuple(read_only(lefschetz_action_matrix(word, j, g, p=None)) for j in range(1, g + 2))
     traces = tuple(int(np.trace(mat)) if mat.size else 0 for mat in actions)
@@ -942,15 +945,13 @@ def cyclotomic_reduction_check(p: int, at: AlexanderTrace, traces: dict, sign: i
     simple-quotient traces `traces[j]` mod p of the components j = 1..p-1,
     so that a caller checking both signs computes each of them once."""
     lhs = cyclotomic_eval(at.polynomial, p, sign, mod_p=True)
-    rhs = CyclotomicElem.zero(p, p)
+    powers: dict[int, int] = {}  # the sum's coefficients, reduced once at the end
     for k in range(1, (p - 1) // 2 + 1):
         t_k, t_pk = traces[k], traces[p - k]
-        qk = zeta_quantum(p, k, 1, mod_p=True)
-        if sign == 1:
-            rhs = rhs + qk * ((t_k - t_pk) % p)
-        else:
-            coeff = ((-1) ** (k - 1)) * (t_k + t_pk)
-            rhs = rhs + qk * (coeff % p)
+        coeff = t_k - t_pk if sign == 1 else (-1) ** (k - 1) * (t_k + t_pk)
+        for e, c in zeta_quantum(p, k, 1, mod_p=True).coeffs.items():
+            powers[e] = powers.get(e, 0) + c * coeff
+    rhs = CyclotomicElem.from_powers(p, powers, p)
     return {
         "p": p,
         "g": at.g,

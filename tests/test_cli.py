@@ -258,8 +258,6 @@ def test_long_random_word_passes_all_three_checks():
         ({"command": "alexander", "g": 2, "length": 1001}, []),
         ({"command": "alexander", "g": 1, "word": "S1 " * 1001}, []),
         ({"command": "alexander", "g": 2, "p": 223}, []),
-        ({"command": "alexander", "g": 5, "length": 65}, []),
-        ({"command": "alexander", "g": 4, "word": "S1 " * 257}, []),
         ({"command": "jm", "p": 7, "k": 1, "g": 6}, []),
         ({"command": "jm", "p": 223, "k": 1, "g": 3}, []),
         ({"command": "jm", "p": 7, "k": 1, "g": 3, "pairs": 1001}, []),
@@ -268,8 +266,7 @@ def test_long_random_word_passes_all_three_checks():
         "string-p", "string-length", "bool-g", "bool-tau", "negative-length", "negative-pairs",
         "unknown-key", "integer-word", "string-quick", "malformed-tau-string", "job-file-and-command",
         "resolve-n", "resolve-p", "huge-p", "character-tau", "factors-tau", "dims-p", "dims-g",
-        "fusion-p", "alexander-g", "alexander-length", "alexander-word", "alexander-p",
-        "alexander-random-word-work", "alexander-word-work", "jm-g", "jm-p", "jm-pairs",
+        "fusion-p", "alexander-g", "alexander-length", "alexander-word", "alexander-p", "jm-g", "jm-p", "jm-pairs",
     ],
 )
 def test_job_parameters_of_the_wrong_type_or_sign_exit_two(job, command, tmp_path, capsys):
@@ -403,9 +400,18 @@ def test_jm_below_genus_three_skips_what_it_cannot_sample(g, pairs):
     assert status == {
         "wedge-pair-identities": "skip" if g == 0 else "pass",
         "nonsplit-witness": "skip",
-        "block-homomorphism": "skip" if pairs else "pass",
+        "block-homomorphism": "skip",
         "strand-resolutions": "pass",
     }
+
+
+def test_jm_without_pairs_skips_the_block_homomorphism():
+    # at genus 3 there are products to sample, but none is drawn
+    rep = cli.run(cli.Job("jm", {"p": 5, "k": 1, "g": 3, "pairs": 0}))
+    checks = {c["name"]: c for c in rep.checks}
+    assert checks["block-homomorphism"]["status"] == "skip"
+    assert checks["block-homomorphism"]["details"] == "no pairs drawn"
+    assert rep.status == "pass"
 
 
 @pytest.mark.parametrize("p, k, g, pairs", [(11, 7, 3, 1), (13, 9, 4, 2), (11, 7, 5, 2)])
@@ -439,6 +445,7 @@ _CORNERS = [
     {"command": "alexander", "g": 0, "word": "", "p": 3, "length": 0},
     {"command": "alexander", "g": 0, "p": 211, "length": 1000},
     {"command": "alexander", "g": 5, "length": 0},
+    {"command": "alexander", "g": 5, "length": 1000, "p": 211},
     {"command": "alexander", "g": 1, "word": "S1 U1 " * 500},
     {"command": "jm", "p": 5, "k": 1, "g": 0, "pairs": 0},
     {"command": "jm", "p": 211, "k": 1, "g": 0, "pairs": 1000},

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from spechtres import surface
 from spechtres.dims import verlinde_dim
-from spechtres.rings import GramQuotient, LaurentInt, frac_solve, int_gram
+from spechtres.rings import CyclotomicElem, GramQuotient, LaurentInt, frac_solve, int_det, int_gram, zeta_quantum
 from spechtres.specht import Diagram2, specht_dim, standard_tableaux
 from spechtres.surface import (
     DecompositionError,
@@ -15,11 +16,13 @@ from spechtres.surface import (
     apply_token,
     apply_word,
     component_quotient,
+    cyclotomic_reduction_check,
     cyclotomic_trace_check,
     group_token_pool,
     handle_map,
     inner_product_ext,
     invert_permutation,
+    j_token,
     labeled_tableau_vector,
     lefschetz_action_matrix,
     lefschetz_basis,
@@ -281,6 +284,16 @@ def test_lefschetz_vectors_are_lowest_weight():
                 assert wedge_sl2("H", v) == (1 - j) * v
 
 
+def _component_action(word, j, g, p=None):
+    # lefschetz_action_matrix for a group word; for a Lie word, which it
+    # refuses, the basis coordinates of the word applied token by token
+    if all(tok[0] == "sp" for tok in word):
+        return lefschetz_action_matrix(word, j, g, p=p)
+    basis = lefschetz_basis(j, g)
+    exact = basis.coords(basis.columns([apply_word(word, v) for v in basis.vectors]))
+    return exact if p is None else (exact % p).astype(np.int64)
+
+
 def test_component_action_matches_the_fraction_oracle():
     # exact entries against Fraction elimination, and the mod-p matrices
     # as their residues
@@ -291,13 +304,13 @@ def test_component_action_matches_the_fraction_oracle():
             words = [random_group_word(g, rng.randrange(0, 6), rng) for _ in range(3)]
             words += [[lie_e_token(i)] for i in range(1, g + 1)]
             for word in words:
-                exact = lefschetz_action_matrix(word, j, g)
+                exact = _component_action(word, j, g)
                 assert exact.dtype == object
                 images = basis.columns([apply_word(word, v) for v in basis.vectors])
                 oracle = frac_solve(basis.matrix.tolist(), images.tolist())
                 assert exact.tolist() == oracle, (g, j, word)
                 for p in (3, 5, 7):
-                    modular = lefschetz_action_matrix(word, j, g, p=p)
+                    modular = _component_action(word, j, g, p=p)
                     assert np.array_equal(modular, (exact % p).astype(np.int64)), (g, j, p)
 
 
@@ -311,7 +324,8 @@ def test_component_solvers_refuse_a_lone_monomial(monkeypatch):
         with pytest.raises(ValueError):
             basis.coords(lone)
         with monkeypatch.context() as m:
-            m.setattr(surface, "apply_word", lambda word, v: ExteriorVector.monomial(g, 1 | 1 << g))
+            lone_image = ExteriorVector.monomial(g, 1 | 1 << g)
+            m.setattr(surface, "_apply_sp_matrix", lambda w, vectors: [lone_image] * len(vectors))
             for p in (None, 5):
                 with pytest.raises(ValueError):
                     lefschetz_action_matrix([], j, g, p=p)
@@ -359,7 +373,7 @@ def test_decomposition_check_compares_independent_computations(monkeypatch):
     # with every group token acting as the identity on the components, the
     # component traces are those of the empty word, while the weighted trace
     # still comes from the word's matrix
-    monkeypatch.setattr(surface, "_apply_sp_matrix", lambda m, v: v)
+    monkeypatch.setattr(surface, "_apply_sp_matrix", lambda m, vectors: list(vectors))
     with pytest.raises(DecompositionError):
         alexander_trace([s_token(1, 1)], 1)
 
@@ -451,7 +465,7 @@ def test_cyclic_generation_of_quotients():
                 continue
             mats = []
             for tok in toks:
-                full = lefschetz_action_matrix([tok], j, g, p=p)
+                full = _component_action([tok], j, g, p=p)
                 q.check_radical_invariance(full)
                 mats.append(q.quotient_matrix(full))
             for _ in range(10):
@@ -492,11 +506,50 @@ def test_cyclotomic_trace_identity():
                     assert rep["ok"], (p, g, sign)
 
 
-def test_generator_images_are_built_once_per_token():
-    surface._gen_images_matrix.cache_clear()
-    alexander_trace([s_token(1, 2), transvection_token(2, 2)] * 3, 2)
-    info = surface._gen_images_matrix.cache_info()
-    assert info.misses == 2 and info.hits > 0
+def test_cyclotomic_reduction_sums_the_quantum_integers():
+    # the right side against the sum of whole elements, term by term, for
+    # residues that need not come from a word
+    rng = random.Random(16)
+    at = alexander_trace([], 1)
+    for p in (3, 5, 7, 211):
+        for sign in (1, -1):
+            traces = {j: rng.randrange(p) for j in range(1, p)}
+            expect = CyclotomicElem.zero(p, p)
+            for k in range(1, (p - 1) // 2 + 1):
+                coeff = traces[k] - traces[p - k] if sign == 1 else (-1) ** (k - 1) * (traces[k] + traces[p - k])
+                expect = expect + zeta_quantum(p, k, 1, mod_p=True) * (coeff % p)
+            rhs = cyclotomic_reduction_check(p, at, traces, sign)["rhs"]
+            assert rhs == expect and rhs.mod == p, (p, sign)
+
+
+def test_monomial_images_are_built_once_per_action(monkeypatch):
+    # each image past degree 1 is one wedge, and the images of distinct
+    # monomials under an invertible matrix differ: a repeated result would
+    # be one monomial's image built twice
+    g, j = 3, 1
+    word = [s_token(1, g), transvection_token(2, g), perm_token((2, 1, 3), g)] * 3
+    lefschetz_basis(j, g)
+    built = []
+    real = surface.wedge
+    monkeypatch.setattr(surface, "wedge", lambda v, w: built.append(real(v, w)) or built[-1])
+    lefschetz_action_matrix(word, j, g)
+    assert built and len(set(built)) == len(built)
+
+
+def test_matrix_tokens_act_by_their_minors():
+    # Cauchy-Binet: the coefficient of the monomial on the generators R in
+    # the image of the monomial on C is the minor of the matrix on rows R
+    # and columns C
+    for g in (1, 2, 3):
+        tokens = [*group_token_pool(g), j_token(g)] + ([_GROWING] if g == 2 else [])
+        for tok in tokens:
+            m = np.array(tok[1], dtype=object)
+            for d in range(2 * g + 1):
+                subsets = list(combinations(range(2 * g), d))
+                for cols in subsets:
+                    minors = {sum(1 << r for r in rows): int_det(m[np.ix_(rows, cols)]) for rows in subsets}
+                    image = apply_token(tok, ExteriorVector.monomial(g, sum(1 << c for c in cols)))
+                    assert image == ExteriorVector(g, minors), (g, tok, cols)
 
 
 def test_token_pool_is_built_once_per_genus(monkeypatch):
@@ -514,6 +567,8 @@ def test_trace_words_must_be_invertible():
         alexander_trace([lie_e_token(1)], 2)
     with pytest.raises(ValueError):
         modular_quotient_trace(5, 1, [lie_f_token(1)], 2)
+    with pytest.raises(ValueError):
+        lefschetz_action_matrix([lie_e_token(1)], 1, 2)
 
 
 def test_matrix_tokens_must_be_symplectic():
