@@ -213,7 +213,7 @@ SCHEMA = {
     "selftest": Command("run the acceptance checks", {
         "quick": Param("bool", "the smaller job list"),
         "seed": Param("int", "", default=0, cli="global"),
-        "workers": Param("int", "", default=1, cli="global"),
+        "workers": Param("int", "", default=1, lo=1, hi=64, cli="global"),
     }),
 }
 COMMANDS = tuple(SCHEMA)
@@ -628,6 +628,7 @@ def main(argv=None) -> int:
     if bool(args.jobs) == bool(args.command):
         ap.error("give a command or --jobs FILE, not both")
     try:
+        SCHEMA["selftest"].params["workers"].check("workers", args.workers)
         jobs = load_jobs(args.jobs) if args.jobs else [_job_from_args(args)]
         for i, job in enumerate(jobs):  # each job once, before any of them runs
             try:

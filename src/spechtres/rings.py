@@ -31,7 +31,6 @@ loop reduction is delayed too: entries may sit unreduced, within the same
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -47,7 +46,6 @@ __all__ = [
     "fp_inverse",
     "unitriangular_inverse",
     "GramQuotient",
-    "frac_solve",
     "int_det",
     "SparseVector",
     "LaurentInt",
@@ -216,25 +214,21 @@ def fp_product_equals(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> bo
 def int_gram(m: np.ndarray) -> np.ndarray:
     """Exact integer Gram matrix m.T @ m of an integer matrix.
 
-    Every partial sum is bounded by rows * max|entry|**2.  Below 2**53 the
-    product runs in float64 through BLAS, summed over blocks of rows cast
-    one at a time, which always holds for the 0/+-1 polytabloid matrices;
-    below 2**63 it runs in int64, widened first; beyond that it is refused
-    rather than allowed to wrap.
+    Every partial sum is bounded by rows * max|entry|**2.  The product runs
+    in float64 through BLAS, summed over blocks of rows cast one at a time,
+    which is exact below 2**53; that always holds for the 0/+-1 polytabloid
+    and component matrices, and a larger bound is refused rather than
+    rounded.
     """
     m = np.asarray(m)
     top = max(-int(m.min()), int(m.max())) if m.size else 0
-    bound = m.shape[0] * top * top
-    if bound < _FLOAT_EXACT:
-        gram = np.zeros((m.shape[1], m.shape[1]))
-        for lo in range(0, len(m), _ROW_BLOCK):
-            f = m[lo : lo + _ROW_BLOCK].astype(np.float64)
-            gram += f.T @ f
-        return gram.astype(np.int64)
-    if bound < 2**63:
-        m = m.astype(np.int64)
-        return m.T @ m
-    raise OverflowError("Gram matrix entries may exceed the int64 range")
+    if m.shape[0] * top * top >= _FLOAT_EXACT:
+        raise OverflowError("Gram matrix entries may exceed 2**53, the float64 limit of exact integers")
+    gram = np.zeros((m.shape[1], m.shape[1]))
+    for lo in range(0, len(m), _ROW_BLOCK):
+        f = m[lo : lo + _ROW_BLOCK].astype(np.float64)
+        gram += f.T @ f
+    return gram.astype(np.int64)
 
 
 # Width of a column panel of the blocked elimination.  A matrix no wider
@@ -466,43 +460,7 @@ class GramQuotient:
 
 
 # ---------------------------------------------------------------------------
-# exact rational / integer elimination (small systems only)
-
-
-def frac_solve(a, b):
-    """Exact solution of a @ x = b over Q via fraction elimination.
-
-    a is m x n with full column rank expected; b is m x k.  Raises
-    ValueError if the system is inconsistent or underdetermined.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    k = len(b[0])
-    rows = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i][j]) for j in range(k)] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < n:
-        raise ValueError("system is underdetermined")
-    for i in range(r, m):
-        if any(x != 0 for x in rows[i][n:]):
-            raise ValueError("inconsistent linear system over Q")
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n:]
-    return x
+# exact integer determinants
 
 
 def int_det(a) -> int:

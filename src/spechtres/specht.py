@@ -20,7 +20,6 @@ import numpy as np
 from .rings import (
     fp_matmul,
     fp_product_equals,
-    frac_solve,
     int_gram,
     read_only,
     residues,
@@ -32,9 +31,7 @@ from .rings import (
 from .rings import fp_inverse, fp_rref  # noqa: F401
 from .tensor import (
     TensorVector,
-    perm_action,
     perm_action_rows,
-    vectors_to_matrix,
     weight_class_masks,
 )
 
@@ -409,19 +406,3 @@ def ordinary_character(tau: Diagram2, sigma) -> int:
             fixed[j] += fixed[j - length]
     return fixed[b] - (fixed[b - 1] if b else 0)
 
-
-def ordinary_character_fraction(tau: Diagram2, sigma) -> int:
-    """Reference implementation of the character trace with exact rational
-    elimination on the polytabloid basis; used to cross-check Young's rule
-    in tests."""
-    n, c = tau.n, tau.c
-    basis = specht_basis(n, c)
-    if not basis:
-        return 0
-    b = tau.b
-    cols = vectors_to_matrix(basis, b).tolist()
-    images = vectors_to_matrix([perm_action(sigma, v) for v in basis], b).tolist()
-    x = frac_solve(cols, images)
-    trace = sum(x[i][i] for i in range(len(basis)))
-    assert trace.denominator == 1
-    return int(trace)

@@ -858,9 +858,15 @@ def lefschetz_action_matrix(word, j: int, g: int, p: int | None = None) -> np.nd
     entries in an object array, reduced to int64 residues when p is given.
     The word acts through its 2g x 2g matrix, formed once."""
     require_group_word(word)
-    basis = lefschetz_basis(j, g)
-    exact = basis.coords(basis.columns(_apply_sp_matrix(word_matrix(word, g), basis.vectors)))
+    exact = _component_action(word_matrix(word, g), j, g)
     return exact if p is None else (exact % p).astype(np.int64)
+
+
+def _component_action(w: np.ndarray, j: int, g: int) -> np.ndarray:
+    """Exact matrix, in an object array, of the integral 2g x 2g matrix w
+    on the j-th component basis."""
+    basis = lefschetz_basis(j, g)
+    return basis.coords(basis.columns(_apply_sp_matrix(w, basis.vectors)))
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +911,7 @@ def alexander_trace(word, g: int) -> AlexanderTrace:
     require_group_word(word)
     w = word_matrix(word, g)
     poly = {g - d: sum(int_det(w[np.ix_(s, s)]) for s in combinations(range(2 * g), d)) for d in range(2 * g + 1)}
-    actions = tuple(read_only(lefschetz_action_matrix(word, j, g, p=None)) for j in range(1, g + 2))
+    actions = tuple(read_only(_component_action(w, j, g)) for j in range(1, g + 2))
     traces = tuple(int(np.trace(mat)) if mat.size else 0 for mat in actions)
     return AlexanderTrace(g, LaurentInt(poly), traces, actions)
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .rings import SparseVector, read_only
+from .rings import SparseVector
 
 __all__ = [
     "TensorVector",
@@ -23,8 +23,6 @@ __all__ = [
     "perm_action",
     "coev_ev",
     "weight_class_masks",
-    "raising_step",
-    "apply_raising_power",
 ]
 
 
@@ -158,11 +156,10 @@ def coev_ev(kind: str, k: int, v: TensorVector) -> TensorVector:
 
 
 # ---------------------------------------------------------------------------
-# vectorized raising-operator steps on fixed-weight word classes
+# fixed-weight word classes
 #
 # All Specht-level linear algebra happens inside one weight class at a
-# time, so the words of a fixed plus-count b are enumerated once and the
-# raising step between consecutive classes is stored as index arrays.
+# time, so the words of a fixed plus-count b are enumerated once.
 
 
 @lru_cache(maxsize=None)
@@ -185,60 +182,6 @@ def perm_action_rows(sigma, n: int, b: int) -> np.ndarray:
     for i, target in enumerate(sigma):
         source |= (masks >> (target - 1) & 1) << i
     return np.searchsorted(masks, source)
-
-
-@lru_cache(maxsize=None)
-def raising_step(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (rows, cols) of the raising operator from the weight
-    class with b pluses to the one with b+1; every entry equals one.
-    Read-only."""
-    masks, _ = weight_class_masks(n, b)
-    _, up_index = weight_class_masks(n, b + 1)
-    rows = []
-    cols = []
-    for col, w in enumerate(masks):
-        for j in range(n):
-            if not (w >> j & 1):
-                rows.append(up_index[w | (1 << j)])
-                cols.append(col)
-    return read_only(np.asarray(rows, dtype=np.intp)), read_only(np.asarray(cols, dtype=np.intp))
-
-
-@lru_cache(maxsize=None)
-def _raising_sites(n: int, b: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The raising step from class b to class b+1 split by site: for each
-    position j, the class-b words src with a minus at j and the class-(b+1)
-    index dst of each word with that minus flipped.  Read-only."""
-    masks = np.asarray(weight_class_masks(n, b)[0], dtype=np.int64)
-    up = np.asarray(weight_class_masks(n, b + 1)[0], dtype=np.int64)
-    sites = []
-    for j in range(n):
-        src = np.flatnonzero((masks >> j & 1) == 0)
-        dst = np.searchsorted(up, masks[src] | (1 << j))
-        sites.append((read_only(src), read_only(dst)))
-    return tuple(sites)
-
-
-def apply_raising_power(n: int, b: int, mat: np.ndarray, power: int, p: int | None = None) -> np.ndarray:
-    """Apply the raising operator `power` times to columns given in the
-    weight-class-b coordinates, returning weight-class-(b+power) rows.
-
-    Each step is one scatter-add per site: for a fixed site j the map
-    w -> w | 2^j is injective, so no target row repeats within a scatter.
-    Coefficients stay exact; with p given they are reduced after every
-    step, which keeps the int64 intermediate values tiny.  Resolutions
-    raise polytabloid bases in closed form (specht.raised_basis_matrix);
-    this general routine is the reference that form is tested against.
-    """
-    cur = np.asarray(mat, dtype=np.int64)
-    for step in range(power):
-        out = np.zeros((len(weight_class_masks(n, b + step + 1)[0]), cur.shape[1]), dtype=np.int64)
-        for src, dst in _raising_sites(n, b + step):
-            out[dst] += cur[src]
-        if p is not None:
-            np.remainder(out, p, out=out)
-        cur = out
-    return cur
 
 
 def vectors_to_matrix(vectors, b: int) -> np.ndarray:

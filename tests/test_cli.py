@@ -206,7 +206,7 @@ def test_an_empty_word_is_the_word_of_no_tokens(capsys):
 
 def test_alexander_computes_each_trace_once(monkeypatch):
     calls = []
-    for name in ("alexander_trace", "modular_quotient_trace", "lefschetz_action_matrix"):
+    for name in ("alexander_trace", "modular_quotient_trace", "word_matrix", "_component_action"):
         real = getattr(cli.surf_mod, name)
         monkeypatch.setattr(
             cli.surf_mod, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw)
@@ -215,8 +215,10 @@ def test_alexander_computes_each_trace_once(monkeypatch):
     assert rep.status == "pass"
     assert calls.count("alexander_trace") == 1
     assert calls.count("modular_quotient_trace") == 4  # one per component label 1..p-1
-    # the quotient traces reduce the exact matrices of the components 1..g+1
-    assert calls.count("lefschetz_action_matrix") == 3
+    # the word's matrix is formed once, and the quotient traces reduce the
+    # exact matrices of the components 1..g+1
+    assert calls.count("word_matrix") == 1
+    assert calls.count("_component_action") == 3
 
 
 def test_long_random_word_passes_all_three_checks():
@@ -282,6 +284,24 @@ def test_job_parameters_of_the_wrong_type_or_sign_exit_two(job, command, tmp_pat
     assert time.perf_counter() - start < 5  # refused before any work, trial division included
     err = capsys.readouterr().err
     assert "error: " in err if command else err.startswith("error: job 0: ")
+
+
+def test_workers_outside_one_to_sixty_four_exit_two(monkeypatch, tmp_path, capsys):
+    # refused before run_batch, so no thread is started
+    monkeypatch.setattr(cli, "run_batch", lambda *a, **kw: pytest.fail("a job ran"))
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([{"command": "dims", "p": 5, "g": 2}]))
+    selftest_entry = tmp_path / "selftest.json"
+    selftest_entry.write_text(json.dumps([{"command": "selftest", "quick": True, "workers": 65}]))
+    for argv in (
+        ["--workers", "65", "selftest", "--quick"],
+        ["--workers", "0", "selftest", "--quick"],
+        ["--workers", "65", "--jobs", str(path)],
+        ["--workers", "0", "--jobs", str(path)],
+        ["--jobs", str(selftest_entry)],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert "workers out of range" in capsys.readouterr().err
 
 
 # One job per command, as subcommand options and as a job-file entry.
@@ -451,6 +471,8 @@ _CORNERS = [
     {"command": "jm", "p": 211, "k": 1, "g": 0, "pairs": 1000},
     {"command": "jm", "p": 7, "k": 1, "g": 5, "pairs": 0},
     {"command": "selftest", "quick": True},
+    {"command": "selftest", "quick": True, "workers": 1},
+    {"command": "selftest", "quick": True, "workers": 64},
 ]
 # Ends not run, with their single cold run time on 2 vCPUs.
 _SLOW_ENDS = {

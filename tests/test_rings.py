@@ -14,7 +14,6 @@ from spechtres.rings import (
     fp_matmul,
     fp_inverse,
     fp_rref,
-    frac_solve,
     int_det,
     int_gram,
     kernel_from_rref,
@@ -53,11 +52,7 @@ def test_rank_kernel_properties_random():
             assert len(fp_rref(m.T, p)[1]) == rank
 
 
-def test_frac_solve_and_det():
-    a = [[2, 1], [1, 1]]
-    b = [[3], [2]]
-    x = frac_solve(a, b)
-    assert [int(v[0]) for v in x] == [1, 1]
+def test_int_det():
     assert int_det([[2, 1], [1, 1]]) == 1
     assert int_det([[0, 1], [1, 0]]) == -1
     assert int_det([[1, 2], [2, 4]]) == 0
@@ -240,13 +235,15 @@ def test_fp_matmul_random_entries_any_sign(p):
 
 def test_int_gram_is_exact_on_every_route():
     rng = np.random.RandomState(1)
-    small = rng.randint(-1, 2, size=(300, 20))  # float64 route
-    big = rng.randint(-(2**24), 2**24, size=(300, 5))  # int64 route
-    # int32 entries are widened before the int64 route multiplies them
-    for m in (small, big, big.astype(np.int32)):
-        assert np.array_equal(int_gram(m), m.astype(object).T @ m.astype(object))
-    with pytest.raises(OverflowError):
-        int_gram(np.full((4, 2), 2**31, dtype=np.int64))
+    small = rng.randint(-1, 2, size=(300, 20))  # 0/+-1 entries, as in the polytabloid bases
+    assert np.array_equal(int_gram(small), small.astype(object).T @ small.astype(object))
+    # past 2**53 float64 would round, so it is refused
+    big = rng.randint(-(2**24), 2**24, size=(300, 5))
+    for m in (big, big.astype(np.int32), np.full((4, 2), 2**31, dtype=np.int64), np.full((2, 1), 2**26)):
+        with pytest.raises(OverflowError):
+            int_gram(m)
+    # the largest bound below 2**53 is still exact
+    assert int_gram(np.full((1, 1), 2**26)).tolist() == [[2**52]]
 
 
 def test_kernel_basis_from_one_elimination():

@@ -14,7 +14,6 @@ from spechtres.specht import (
     cycle_type_representative,
     gram_of_diagram,
     ordinary_character,
-    ordinary_character_fraction,
     partitions,
     permutation_matrix_on_basis,
     polytabloid,
@@ -27,11 +26,9 @@ from spechtres.specht import (
 )
 from spechtres.tensor import (
     TensorVector,
-    apply_raising_power,
     apply_sl2,
     inner_product,
     perm_action,
-    raising_step,
     vectors_to_matrix,
     weight_class_masks,
 )
@@ -93,10 +90,7 @@ def test_span_equals_kernel_intersection():
             c = n + 1 - 2 * b
             masks, _ = weight_class_masks(n, b)
             if b:
-                rows_idx, cols_idx = raising_step(n, b - 1)
-                lowering = np.zeros((len(weight_class_masks(n, b - 1)[0]), len(masks)), dtype=np.int64)
-                # lowering is the transpose of the raising step one class down
-                np.add.at(lowering, (cols_idx, rows_idx), 1)
+                lowering = vectors_to_matrix([apply_sl2("F", TensorVector.word(n, w)) for w in masks], b - 1)
             else:
                 lowering = np.zeros((1, len(masks)), dtype=np.int64)
             _, pivots = fp_rref(lowering % q, q)
@@ -120,21 +114,26 @@ def test_character_examples():
     assert ordinary_character(tau, cycle_type_representative((3,), 3)) == -1
 
 
-def test_character_matches_fraction_reference():
-    # Young's rule against the trace of the action on the polytabloid basis
-    # by exact rational elimination, for every cycle type with n <= 7, at
-    # its canonical representative and at random permutations
+def test_character_matches_the_exact_trace_on_the_basis():
+    # Young's rule against the trace of the action on the polytabloid basis,
+    # solved exactly over Z (the solver multiplies back, so a wrong column
+    # is refused), for every cycle type with n <= 7, at its canonical
+    # representative and at random permutations
     rng = random.Random(2)
     for n in range(1, 8):
         for b in range(0, n // 2 + 1):
             tau = Diagram2(n - b, b)
+            basis = specht_basis(n, tau.c)
+            solver = basis_solver(None, n, tau.c)
             sigmas = [cycle_type_representative(ct, n) for ct in partitions(n)]
             for _ in range(3):
                 sigma = list(range(1, n + 1))
                 rng.shuffle(sigma)
                 sigmas.append(tuple(sigma))
             for sigma in sigmas:
-                assert ordinary_character(tau, sigma) == ordinary_character_fraction(tau, sigma), (tau, sigma)
+                images = vectors_to_matrix([perm_action(sigma, v) for v in basis], b)
+                trace = int(np.trace(solver.coords(images)))
+                assert ordinary_character(tau, sigma) == trace, (tau, sigma)
 
 
 def test_character_of_the_identity_is_the_dimension_past_int64():
@@ -276,14 +275,18 @@ def test_solver_coords_and_membership_check():
 
 def test_raised_basis_matches_the_raising_oracle():
     # every (n, b, c0) with n <= 12, c0 up to one past the unpaired top
-    # positions (where the raised basis vanishes)
+    # positions (where the raised basis vanishes), against E applied c0
+    # times to the polytabloids
     for n in range(0, 13):
         for b in range(n // 2 + 1):
             c = n + 1 - 2 * b
+            powers = [specht_basis(n, c)]
             for c0 in range(0, min(n - 2 * b + 1, n - b) + 1):
+                if c0:
+                    powers.append([apply_sl2("E", v) for v in powers[-1]])
                 for p in (3, 5, 7, 211):
                     raised = raised_basis_matrix(n, c, c0, p)
-                    oracle = apply_raising_power(n, b, residues(basis_matrix(n, c), p), c0, p)
+                    oracle = residues(vectors_to_matrix(powers[c0], b + c0), p)
                     assert raised.dtype == np.uint8
                     assert np.array_equal(raised, oracle), (n, b, c0, p)
 
@@ -318,19 +321,13 @@ def test_coords_rejects_a_column_wrong_only_in_the_last_row_block():
 
 
 def test_cached_arrays_are_read_only():
-    from spechtres.tensor import _raising_sites
-
     from spechtres.surface import lefschetz_basis
 
     solvers = [basis_solver(p, 6, 3) for p in (5, None)]
     component = lefschetz_basis(2, 3)
-    src, dst = _raising_sites(6, 2)[0]
     cached = [
         basis_matrix(6, 3),
         gram_of_diagram(Diagram2(4, 2)),
-        *raising_step(6, 2),
-        src,
-        dst,
         *(a for s in solvers for a in (s.matrix, s.rows, s.inv)),
         component.matrix,
         *(a for _, rows, signs in component.blocks for a in (rows, signs)),

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from spechtres.tensor import (
     TensorVector,
-    apply_raising_power,
     apply_sl2,
     coev_ev,
     inner_product,
     perm_action,
     perm_action_rows,
-    raising_step,
     vectors_to_matrix,
     weight_class_masks,
 )
@@ -86,31 +84,18 @@ def test_adjointness_and_commutator(n, seed_v, seed_w):
 
 
 def test_raising_pth_power_vanishes_mod_p():
-    # the p-th power of the raising step annihilates every word class mod p
+    # the p-th power of the raising operator annihilates every word mod p
     for p in (3, 5, 7):
         for n in range(1, 13):
             for b in range(0, n + 1):
                 if b + p > n:
                     continue
-                masks, _ = weight_class_masks(n, b)
-                mat = np.eye(len(masks), dtype=np.int64)
-                out = apply_raising_power(n, b, mat, p, p=p)
-                assert not out.any(), (p, n, b)
-
-
-def test_raising_power_matches_repeated_apply():
-    rng = random.Random(3)
-    for n in (3, 5):
-        for b in (0, 1, 2):
-            masks, index = weight_class_masks(n, b)
-            v = TensorVector(n, {masks[rng.randrange(len(masks))]: rng.randrange(1, 5) for _ in range(2)})
-            col = vectors_to_matrix([v], b)
-            power = 2
-            fast = apply_raising_power(n, b, col, power)
-            slow = v
-            for _ in range(power):
-                slow = apply_sl2("E", slow)
-            assert vectors_to_matrix([slow], b + power).tolist() == fast.tolist()
+                for w in weight_class_masks(n, b)[0]:
+                    v = TensorVector.word(n, w)
+                    for _ in range(p):
+                        v = apply_sl2("E", v)
+                    # over Z it is p! times the sum of the words with p more pluses
+                    assert not v.is_zero() and all(c % p == 0 for c in v.coeffs.values()), (p, n, w)
 
 
 def test_coev_examples():
@@ -151,21 +136,6 @@ def test_coev_ev_commute_with_sl2():
             for k in range(1, n):
                 for gen in "EFH":
                     assert coev_ev("ev", k, apply_sl2(gen, v)) == apply_sl2(gen, coev_ev("ev", k, v))
-
-
-def test_raising_power_matches_add_at_reference():
-    rng = np.random.RandomState(0)
-    for n in range(1, 13):
-        for b in range(n):
-            for power, p in ((1, None), (min(3, n - b), 5)):
-                mat = rng.randint(-4, 5, size=(len(weight_class_masks(n, b)[0]), 2))
-                cur = mat
-                for step in range(power):
-                    rows, cols = raising_step(n, b + step)
-                    out = np.zeros((len(weight_class_masks(n, b + step + 1)[0]), 2), dtype=np.int64)
-                    np.add.at(out, rows, cur[cols])
-                    cur = out % p if p is not None else out
-                assert np.array_equal(apply_raising_power(n, b, mat, power, p), cur)
 
 
 def test_perm_action_rows_gather_the_images():
