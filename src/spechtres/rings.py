@@ -9,23 +9,32 @@ unitriangular matrices mod p or over Z, and the quotient of F_p^d by the
 radical of a Gram matrix (GramQuotient), the one simple-quotient type.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
-F_p are computed as int64 arrays of residues in [0, p); residues that are
+F_p are returned as int64 arrays of residues in [0, p); residues that are
 kept (cached bases) are stored in the smallest unsigned dtype that holds
 p - 1, one byte for every p below 257, and widened before any arithmetic.
-Products run in float64 through BLAS, one block of rows of the left
-operand at a time: every partial sum is an integer below 2**53, which
-float64 represents exactly, so summation order cannot change a result (the
-delayed-reduction technique of FFLAS-FFPACK).  A modulus for which that
-bound leaves too small a chunk of the inner dimension is refused.
+
+Each kernel computes in the narrowest type that is exact for its bound,
+chosen from p and the operand shapes alone (the rule of FFLAS-FFPACK:
+the float type follows from k * (p - 1)**2 against its mantissa):
+- Products run through BLAS, one block of rows of the left operand at a
+  time, in float32 when every partial sum stays below 2**24 and otherwise
+  in float64 over chunks of the inner dimension that keep it below 2**53.
+  Every partial sum is then an integer the float type holds exactly, so
+  summation order cannot change a result (delayed reduction).  A modulus
+  for which the float64 bound leaves too small a chunk is refused.
+- Gram matrices of integer matrices accumulate in float32 below 2**24 and
+  in float64 below 2**53; a larger bound is refused.
+- Elimination runs in int32 when the delayed reductions of its per-pivot
+  loop stay below 2**31, for every p up to 4093, and in int64 above.
 
 Elimination is blocked: a matrix wider than two column panels is reduced
 a panel at a time, with the per-pivot loop confined to the panel and the
 rest of the matrix updated by products.  Narrower matrices keep the
-per-pivot loop alone.  The
-reduced row echelon form is unique, so the blocking changes no result.
-Elimination refuses the same moduli as products.  Within the per-pivot
-loop reduction is delayed too: entries may sit unreduced, within the same
-2**53 bound, until the loop ends.
+per-pivot loop alone.  The reduced row echelon form is unique, so neither
+the blocking nor the type changes a result.  Elimination refuses the same
+moduli as products.  Within the per-pivot loop reduction is delayed too:
+entries may sit unreduced, within the bound of the loop's type, until the
+loop ends.
 """
 
 from __future__ import annotations
@@ -74,16 +83,19 @@ def is_prime(n: int) -> bool:
 
 # Every array a function here takes or returns holds residues in [0, p), or
 # is reduced on entry by np.remainder, which is exact for any int64.  Only
-# the kernel's own int64 intermediates may be unreduced: the entries of the
-# per-pivot loop's matrix between its pivots, and sums and differences of
-# residues, all bounded far inside int64 (see _pivot_loop).  They are
-# reduced by _reduce_in_place.  The elimination scan is fixed: columns left
-# to right, within a column the first nonzero entry from the top.  The
-# reduced form and its pivot columns are unique, so every basis produced
-# downstream is deterministic.
+# the kernel's own int32 or int64 intermediates may be unreduced: the
+# entries of the per-pivot loop's matrix between its pivots, and sums and
+# differences of residues, all bounded inside their type (see _pivot_loop).
+# They are reduced by _reduce_in_place.  The elimination scan is fixed:
+# columns left to right, within a column the first nonzero entry from the
+# top.  The reduced form and its pivot columns are unique, so every basis
+# produced downstream is deterministic.
 
-# Integers up to 2**53 are exact in float64.
+# Integers of magnitude below 2**24 are exact in float32 and below 2**53
+# in float64; int32 holds magnitudes below 2**31.
+_FLOAT32_EXACT = 2**24
 _FLOAT_EXACT = 2**53
+_INT32_LIMIT = 2**31
 
 # The smallest chunk accepted; a modulus with a smaller one (p above about
 # 8.4 * 10**6) is refused.
@@ -92,8 +104,11 @@ _MIN_FLOAT_CHUNK = 128
 
 @lru_cache(maxsize=None)
 def _product_chunk(p: int) -> int:
-    """Inner-dimension terms per exact float64 chunk of a product mod p.
-    Raises ValueError when fewer than _MIN_FLOAT_CHUNK terms fit."""
+    """Inner-dimension terms per exact float64 chunk of a product mod p:
+    chunk * (p - 1)**2 + p - 1 < 2**53.  A product whose whole inner
+    dimension meets the float32 bound runs as one float32 chunk instead
+    (_exact_float).  Raises ValueError when fewer than _MIN_FLOAT_CHUNK
+    terms fit."""
     chunk = (_FLOAT_EXACT - p) // ((p - 1) * (p - 1))
     if chunk < _MIN_FLOAT_CHUNK:
         raise ValueError(f"modulus {p} too large for exact float64 products")
@@ -101,32 +116,46 @@ def _product_chunk(p: int) -> int:
     return chunk
 
 
-# Rows of the left operand of a product reduced and cast to float64 at a
-# time, so that no float64 copy of a large operand is ever made whole.
+def _exact_float(bound: int) -> type:
+    """The float type in which every integer of magnitude up to bound is
+    exact: float32 below 2**24, float64 below 2**53.  bound must be below
+    2**53."""
+    assert bound < _FLOAT_EXACT
+    return np.float32 if bound < _FLOAT32_EXACT else np.float64
+
+
+# Rows of the left operand of a product reduced and cast to float at a
+# time, so that no float copy of a large operand is ever made whole.
 _ROW_BLOCK = 512
 
 
+# The unsigned type of the same width, through which _reduced reads the
+# signed types the kernels compute in.
+_UNSIGNED = {np.dtype(np.int32): np.uint32, np.dtype(np.int64): np.uint64}
+
+
 def _reduced(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p as integers: a itself when it is unsigned or int64 with
-    entries in [0, p), so that residues are only read; otherwise reduced by
-    np.remainder in int64, which cannot wrap, or in Python ints when a
-    holds objects, and returned as int64.  Byte arrays are widened before
-    the remainder is taken."""
+    """a mod p as integers: a itself when its entries are in [0, p), so
+    that residues are only read; otherwise reduced by np.remainder in
+    int64, which cannot wrap, or in Python ints when a holds objects, and
+    returned as int64.  Byte arrays are widened before the remainder is
+    taken."""
     a = np.asarray(a)
     if a.dtype == object:
         return (a % p).astype(np.int64)
-    # read as unsigned, a negative int64 is at least 2**63, so one maximum
-    # checks both ends of [0, p)
-    unsigned = a.view(np.uint64) if a.dtype == np.int64 else a
+    # read as unsigned, a negative int32 or int64 is at least 2**31, so
+    # when p is no larger one maximum checks both ends of [0, p)
+    unsigned = a.view(_UNSIGNED[a.dtype]) if a.dtype in _UNSIGNED and p <= _INT32_LIMIT else a
     if unsigned.dtype.kind == "u" and not (a.size and unsigned.max() >= p):
         return a
     return np.remainder(a, p, dtype=np.int64)
 
 
 # Entries reduced at a time by _reduce_in_place, so that its scratch stays
-# at 256 kB, in cache, however large the array it reduces.  A 512 x 3640
-# product block reduced whole took three times as long, and scratch of
-# 512 kB or more raised the peak RSS of selftest-mix by 0.5 MB.
+# at 256 kB in int64 (128 kB in int32), in cache, however large the array
+# it reduces.  A 512 x 3640 int64 product block reduced whole took three
+# times as long, and scratch of 512 kB or more raised the peak RSS of
+# selftest-mix by 0.5 MB.
 _REDUCE_ENTRIES = 2**15
 
 # Up to this many entries one np.remainder call costs less than the three
@@ -136,14 +165,16 @@ _FEW_ENTRIES = 512
 
 
 def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
-    """Reduce the int64 array a mod p in place, and return it.  Past
-    _FEW_ENTRIES entries the reduction is a - (a // p) * p: numpy's floor
-    division by a scalar is several times faster than its int64 remainder.
-    The product (a // p) * p leaves the int64 range when |a| is within p of
-    its limits, and no int64 may wrap, even where two's-complement
-    arithmetic would still give the right difference.  So this is only for
-    the kernel's own intermediates, which stay below 2**53 (see
-    _pivot_loop); input from a caller goes through _reduced."""
+    """Reduce the int32 or int64 array a mod p in place, and return it.
+    Past _FEW_ENTRIES entries the reduction is a - (a // p) * p: numpy's
+    floor division by a scalar is several times faster than its remainder,
+    and in int32 about ten times faster than in int64.  The product
+    (a // p) * p leaves the range of a's type when |a| is within p of its
+    limits, and no integer may wrap, even where two's-complement arithmetic
+    would still give the right difference.  So this is only for the
+    kernel's own intermediates, which stay within p of the type's limits
+    (see _pivot_loop and _row_products); input from a caller goes through
+    _reduced."""
     if a.size <= _FEW_ENTRIES:
         return np.remainder(a, p, out=a)
     if a.size > _REDUCE_ENTRIES and len(a) > 1:
@@ -170,34 +201,45 @@ def residues(a: np.ndarray, p: int) -> np.ndarray:
 
 def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     """Yield (rows, a[rows] @ b mod p) for consecutive blocks `rows` of
-    _ROW_BLOCK rows of the 2-d array a, each product an int64 array of
-    residues.
+    _ROW_BLOCK rows of the 2-d array a, each product an array of residues:
+    int32 from a float32 product, int64 from a float64 one.
 
-    b is reduced mod p and cast to float64 once; each block of a is reduced
-    and cast when its turn comes.  The blocks are multiplied by BLAS in
-    chunks of the inner dimension small enough that chunk * (p-1)**2 +
-    p - 1 < 2**53: every partial sum, the reduced accumulator of the
-    previous chunks included, is then an integer that float64 holds
-    exactly, so BLAS summation order cannot change the result.  A modulus
-    for which that bound leaves fewer than _MIN_FLOAT_CHUNK terms per chunk
-    (p above about 8.4 * 10**6) is refused with ValueError.
+    b is reduced mod p and cast once; each block of a is reduced and cast
+    when its turn comes.  When the whole inner dimension meets inner *
+    (p-1)**2 + p - 1 < 2**24, the operands are cast to float32 and
+    multiplied as one chunk.  Otherwise they are cast to float64 and
+    multiplied by BLAS in chunks of the inner dimension small enough that
+    chunk * (p-1)**2 + p - 1 < 2**53.  Either way every partial sum, the
+    reduced accumulator of the previous chunks included, is an integer that
+    the float type holds exactly, so BLAS summation order, and so its
+    thread count, cannot change the result.  A modulus for which the
+    float64 bound leaves fewer than _MIN_FLOAT_CHUNK terms per chunk (p
+    above about 8.4 * 10**6) is refused with ValueError.
     """
     chunk = _product_chunk(p)
-    b = _reduced(b, p).astype(np.float64)
+    b = _reduced(b, p)
+    # a float32 chunk holds the whole inner dimension: the float32 bound
+    # is the tighter one
+    dtype = _exact_float(min(chunk, len(b)) * (p - 1) ** 2 + p - 1)
+    # residues below 2**24 leave a float32 product as int32
+    itype = np.int32 if dtype is np.float32 else np.int64
+    b = b.astype(dtype)
     for lo in range(0, len(a), _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        block = _reduced(a[rows], p).astype(np.float64)
+        block = _reduced(a[rows], p).astype(dtype)
         acc = block[:, :chunk] @ b[:chunk]
         for k in range(chunk, block.shape[1], chunk):
             acc = acc % p + block[:, k : k + chunk] @ b[k : k + chunk]
-        yield rows, _reduce_in_place(acc.astype(np.int64), p)
+        yield rows, _reduce_in_place(acc.astype(itype), p)
 
 
 def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p for a 2-d array a, as an int64 array of residues,
-    computed one block of rows of a at a time (see _row_products).  A
-    modulus whose float64 chunk would be under _MIN_FLOAT_CHUNK terms (p
-    above about 8.4 * 10**6) is refused with ValueError."""
+    computed one block of rows of a at a time, in float32 when the whole
+    inner dimension keeps every partial sum below 2**24 and in float64
+    chunks otherwise (see _row_products).  A modulus whose float64 chunk
+    would be under _MIN_FLOAT_CHUNK terms (p above about 8.4 * 10**6) is
+    refused with ValueError."""
     out = np.empty((len(a),) + np.shape(b)[1:], dtype=np.int64)
     for rows, block in _row_products(a, b, p):
         out[rows] = block
@@ -215,18 +257,21 @@ def int_gram(m: np.ndarray) -> np.ndarray:
     """Exact integer Gram matrix m.T @ m of an integer matrix.
 
     Every partial sum is bounded by rows * max|entry|**2.  The product runs
-    in float64 through BLAS, summed over blocks of rows cast one at a time,
-    which is exact below 2**53; that always holds for the 0/+-1 polytabloid
-    and component matrices, and a larger bound is refused rather than
-    rounded.
+    through BLAS, summed over blocks of rows cast one at a time, in float32
+    when the bound is below 2**24 and in float64 below 2**53; either is
+    exact, so summation order cannot change the result.  The 0/+-1
+    polytabloid and component matrices take float32 below 2**24 rows.  A
+    bound at or above 2**53 is refused rather than rounded.
     """
     m = np.asarray(m)
     top = max(-int(m.min()), int(m.max())) if m.size else 0
-    if m.shape[0] * top * top >= _FLOAT_EXACT:
+    bound = m.shape[0] * top * top
+    if bound >= _FLOAT_EXACT:
         raise OverflowError("Gram matrix entries may exceed 2**53, the float64 limit of exact integers")
-    gram = np.zeros((m.shape[1], m.shape[1]))
+    dtype = _exact_float(bound)
+    gram = np.zeros((m.shape[1], m.shape[1]), dtype=dtype)
     for lo in range(0, len(m), _ROW_BLOCK):
-        f = m[lo : lo + _ROW_BLOCK].astype(np.float64)
+        f = m[lo : lo + _ROW_BLOCK].astype(dtype)
         gram += f.T @ f
     return gram.astype(np.int64)
 
@@ -235,6 +280,17 @@ def int_gram(m: np.ndarray) -> np.ndarray:
 # than two panels is reduced by the per-pivot loop alone: below that the
 # products and workspace of two panels cost more than the loop saves.
 _PANEL = 64
+
+
+@lru_cache(maxsize=None)
+def _elimination_type(p: int) -> type:
+    """The integer type elimination mod p runs in: int32 when the delayed
+    reductions of a per-pivot loop of 2 * _PANEL pivots stay inside it,
+    2 * _PANEL * (p - 1)**2 + p < 2**31, which holds for every p up to
+    4093; int64 otherwise, up to the moduli _product_chunk accepts.
+    Raises ValueError for a modulus that products refuse."""
+    _product_chunk(p)
+    return np.int32 if 2 * _PANEL * (p - 1) ** 2 + p < _INT32_LIMIT else np.int64
 
 
 def _pivot_loop(m: np.ndarray, p: int, width: int) -> tuple[list[int], np.ndarray]:
@@ -259,9 +315,12 @@ def _pivot_loop(m: np.ndarray, p: int, width: int) -> tuple[list[int], np.ndarra
     Each pivot moves an entry by a multiplier times a pivot-row entry, both
     residues, so by at most (p - 1)**2.  A loop makes at most width pivots,
     and its callers keep width at most 2 * _PANEL = 128, so no entry
-    strays from a residue by more than 128 * (p - 1)**2, which
-    _product_chunk asserts is below 2**53 for every accepted modulus.
+    strays from a residue by more than 128 * (p - 1)**2.  That bound plus
+    p is asserted to lie inside m's type: int32 (_elimination_type picks
+    it for every p up to 4093) holds it below 2**31, and in int64 it stays
+    below 2**53 for every modulus _product_chunk accepts.
     """
+    assert width * (p - 1) ** 2 + p < 1 << (8 * m.itemsize - 1)
     rows, cols = m.shape
     order = np.arange(rows)
     pivots: list[int] = []
@@ -314,22 +373,31 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     Both products run through _row_products, the update one block of
     rows at a time, and a modulus that products refuse is refused here
     too, with ValueError.
+
+    The elimination runs on a copy in the type _elimination_type(p) picks,
+    int32 for every p up to 4093 and int64 above, and the reduced form is
+    returned as int64.  A matrix of at most _FEW_ENTRIES entries stays in
+    int64: each of its reductions is one np.remainder call, which int32
+    does not speed up, and int64 needs no conversion back.
     """
-    _product_chunk(p)  # raises ValueError for such a modulus
+    dtype = _elimination_type(p)  # raises ValueError for such a modulus
     a = np.asarray(a)
+    if a.size <= _FEW_ENTRIES:
+        dtype = np.int64
     m = _reduced(a, p)
-    if m is a:  # residues are passed through; the elimination runs on a copy
-        m = m.astype(np.int64)
+    # residues are passed through; the elimination runs on a copy
+    m = m.astype(dtype, copy=m is a)
     rows, cols = m.shape
     if cols <= 2 * _PANEL:
-        return m, _pivot_loop(m, p, cols)[0]
-    pivots: list[int] = []
+        pivots = _pivot_loop(m, p, cols)[0]
+        return m.astype(np.int64, copy=False), pivots
+    pivots = []
     for c0 in range(0, cols, _PANEL):
         r = len(pivots)
         if r == rows:
             break
         w = min(_PANEL, cols - c0)
-        panel = np.zeros((rows - r, 2 * w), dtype=np.int64)
+        panel = np.zeros((rows - r, 2 * w), dtype=dtype)
         panel[:, :w] = m[r:, c0 : c0 + w]
         found, order = _pivot_loop(panel, p, w)
         k = len(found)
@@ -347,7 +415,7 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             _reduce_in_place(block, p)
         m[r : r + k, c0:] = x
         pivots += cp
-    return m, pivots
+    return m.astype(np.int64, copy=False), pivots
 
 
 def kernel_from_rref(rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:

@@ -308,17 +308,22 @@ def _apply_sp_matrix(m, vectors) -> list[ExteriorVector]:
     """Images of forms under the integral 2g x 2g matrix m, extended
     multiplicatively.  The image of a monomial is the column of m at its
     lowest generator wedged with the image of the rest of the monomial;
-    images are kept for the whole call, so monomials share their tails."""
+    images are kept for the whole call, so monomials share their tails, and
+    a column is read only when a monomial needs it."""
     n = len(m)
     g = n // 2
-    images = {1 << j: ExteriorVector(g, {1 << i: m[i][j] for i in range(n) if m[i][j]}) for j in range(n)}
-    images[0] = ExteriorVector.unit(g)
+    images = {0: ExteriorVector.unit(g)}
 
     def image(mask):
         img = images.get(mask)
         if img is None:
             bit = mask & -mask
-            img = images[mask] = wedge(images[bit], image(mask ^ bit))
+            if mask == bit:
+                j = bit.bit_length() - 1
+                img = ExteriorVector(g, {1 << i: m[i][j] for i in range(n) if m[i][j]})
+            else:
+                img = wedge(image(bit), image(mask ^ bit))
+            images[mask] = img
         return img
 
     out = []

@@ -200,6 +200,10 @@ def _python_matmul(a, b, p):
         (3, 50),
         (13, 50),
         (8388593, 3000),  # the largest prime kept: 128-term chunks
+        # float32 while inner * (p - 1)**2 + p - 1 < 2**24, float64 past it
+        (211, 380),
+        (211, 381),
+        (7, 466033),  # the last float32 inner dimension at p = 7
     ],
 )
 def test_fp_matmul_matches_python_integers_at_the_largest_entries(p, inner):
@@ -209,6 +213,10 @@ def test_fp_matmul_matches_python_integers_at_the_largest_entries(p, inner):
     assert out.dtype == np.int64
     assert out.tolist() == [[inner * (p - 1) ** 2 % p] * 2] * 3
     assert np.array_equal(out, _python_matmul(a, b, p))
+    # one odd term makes the sum odd, which a float type too narrow for it
+    # would round to an even neighbour
+    a[:, 0] = b[0] = p - 2
+    assert np.array_equal(fp_matmul(a, b, p), _python_matmul(a, b, p))
 
 
 # The float64 chunk of these primes is under 128 terms: 8388617, the next
@@ -244,6 +252,13 @@ def test_int_gram_is_exact_on_every_route():
             int_gram(m)
     # the largest bound below 2**53 is still exact
     assert int_gram(np.full((1, 1), 2**26)).tolist() == [[2**52]]
+    # float32 below a bound of 2**24, float64 from it on: 9 * 1864135 is
+    # 2**24 - 1, and 5 * 2047**2 is an odd Gram entry that float32 would round
+    assert int_gram(np.full((1864135, 1), 3)).tolist() == [[2**24 - 1]]
+    for rows, top in ((4, 2047), (4, 2048), (5, 2047)):  # bounds below, at and past 2**24
+        m = rng.randint(-top, top + 1, size=(rows, 30))
+        m[:, 0] = top
+        assert np.array_equal(int_gram(m), m.astype(object).T @ m.astype(object))
 
 
 def test_kernel_basis_from_one_elimination():
@@ -359,10 +374,11 @@ def _rref_cases(rng, p):
         yield np.zeros(shape, dtype=np.int64)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 8388593])
+@pytest.mark.parametrize("p", [3, 5, 7, 4093, 4099, 8388593])
 def test_fp_rref_matches_python_integer_elimination(p):
-    # 8388593, the largest prime products accept, has the smallest chunk
-    # (128 terms)
+    # 4093 is the largest prime eliminated in int32 and 4099 the first in
+    # int64; 8388593, the largest prime products accept, has the smallest
+    # chunk (128 terms)
     rng = np.random.RandomState(p % 1009)
     for a in _rref_cases(rng, p):
         got, pivots = fp_rref(a, p)
@@ -383,21 +399,22 @@ def test_fp_rref_accepts_any_integer_entries():
 
 def test_delayed_reduction_holds_at_its_tightest_bound():
     # The per-pivot loop subtracts each rank-1 update unreduced, up to
-    # (p - 1)**2 per pivot.  At the largest prime kept, a full-rank square
-    # of 2 * _PANEL columns puts all 128 pivots through one loop, and a
-    # 3 * _PANEL square has every panel of the blocked elimination find
-    # _PANEL pivots; entries in [p - 64, p) make the first updates the
-    # largest residue products.
-    p = 8388593
+    # (p - 1)**2 per pivot.  At the largest prime of each type (8388593 in
+    # int64, 4093 in int32) and the first past int32 (4099), a
+    # full-rank square of 2 * _PANEL columns puts all 128 pivots through
+    # one loop, and a 3 * _PANEL square has every panel of the blocked
+    # elimination find _PANEL pivots; entries in [p - 64, p) make the first
+    # updates the largest residue products.
     rng = np.random.RandomState(17)
-    for n in (2 * _PANEL, 3 * _PANEL):
-        a = rng.randint(p - 64, p, size=(n, n))
-        kept = a.copy()
-        got, pivots = fp_rref(a, p)
-        ref, ref_pivots = _rref_python_ints(a, p)
-        assert pivots == ref_pivots == list(range(n))
-        assert got.tolist() == ref.tolist()
-        assert np.array_equal(a, kept)  # residues are read, not reduced in place
+    for p in (8388593, 4093, 4099):
+        for n in (2 * _PANEL, 3 * _PANEL):
+            a = rng.randint(p - 64, p, size=(n, n))
+            kept = a.copy()
+            got, pivots = fp_rref(a, p)
+            ref, ref_pivots = _rref_python_ints(a, p)
+            assert pivots == ref_pivots == list(range(n))
+            assert got.tolist() == ref.tolist()
+            assert np.array_equal(a, kept)  # residues are read, not reduced in place
 
 
 def test_int64_extremes_are_reduced_without_wrapping():
