@@ -221,21 +221,18 @@ COMMANDS = tuple(SCHEMA)
 
 def parse_word(text: str, g: int) -> list:
     """Word grammar: whitespace-separated tokens S<j> (local rotation),
-    U<j> (transvection), P<i> (adjacent handle swap)."""
+    U<j> (transvection), P<i> (adjacent handle swap), in ASCII.  The tokens
+    are those of surface.group_token_pool(g), which holds S1..Sg, U1..Ug
+    and P1..P(g-1) in that order."""
+    pool = surf_mod.group_token_pool(g)
     word = []
     for tok in text.split():
         kind, num = tok[0].upper(), tok[1:]
-        if not num.isdigit():
+        if not (tok.isascii() and num.isdigit()):
             raise ValueError(f"malformed token {tok!r}")
         j = int(num)
-        if kind == "S" and 1 <= j <= g:
-            word.append(surf_mod.s_token(j, g))
-        elif kind == "U" and 1 <= j <= g:
-            word.append(surf_mod.transvection_token(j, g))
-        elif kind == "P" and 1 <= j <= g - 1:
-            sigma = list(range(1, g + 1))
-            sigma[j - 1], sigma[j] = sigma[j], sigma[j - 1]
-            word.append(surf_mod.perm_token(sigma, g))
+        if kind in ("S", "U", "P") and 1 <= j <= (g - 1 if kind == "P" else g):
+            word.append(pool["SUP".index(kind) * g + j - 1])
         else:
             raise ValueError(f"token {tok!r} out of range for genus {g}")
     return word

@@ -32,7 +32,6 @@ __all__ = [
     "odd_squares_element",
     "verlinde_dim",
     "verlinde_profile",
-    "odd_squares_dim",
     "squares_doubling_check",
     "closed_form_genus_dims",
     "growth_polynomial",
@@ -271,10 +270,6 @@ def verlinde_dim(p: int, k: int, g: int) -> int:
 
 def verlinde_profile(p: int, g: int) -> tuple[int, ...]:
     return (genus_element(p) ** g).mults
-
-
-def odd_squares_dim(p: int, g: int) -> int:
-    return (odd_squares_element(p) ** g).mult(1)
 
 
 def squares_doubling_check(p: int, g: int) -> dict:

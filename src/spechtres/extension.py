@@ -23,8 +23,6 @@ from .rings import fp_matmul, fp_rref
 from .resolution import build_complex, verify_exactness
 from .surface import (
     ExteriorVector,
-    _degree_mask_index,
-    _degree_masks,
     apply_token,
     apply_word,
     component_quotient,
@@ -37,6 +35,7 @@ from .surface import (
     wedge_monomials,
     wedge_sl2,
 )
+from .tensor import weight_class_masks
 
 __all__ = [
     "nu",
@@ -47,7 +46,6 @@ __all__ = [
     "mu_component_map",
     "mu_induced",
     "form_quotient_data",
-    "canonical_form_rep",
     "JmElement",
     "BlockModule",
     "block_module",
@@ -111,7 +109,7 @@ def operator_matrix(op, g: int) -> np.ndarray:
 
 
 def _random_vector(g: int, degree: int, rng) -> ExteriorVector:
-    masks = [m for m in range(1 << (2 * g)) if m.bit_count() == degree]
+    masks = weight_class_masks(2 * g, degree)[0]
     out = {}
     for _ in range(min(3, len(masks))):
         out[masks[rng.randrange(len(masks))]] = rng.randrange(-3, 4) or 1
@@ -236,7 +234,7 @@ def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the degree-m quotient and its canonical representatives
+# the degree-m quotient
 
 
 @lru_cache(maxsize=None)
@@ -244,29 +242,14 @@ def form_quotient_data(p: int, m_deg: int, g: int):
     """Echelon data of the subspace of degree-m forms that are multiples of
     the 2-form: reduced rows, their pivot mask positions, and the
     complementary masks that represent the quotient."""
-    masks = _degree_masks(g, m_deg)
+    masks, index = weight_class_masks(2 * g, m_deg)
     omega = symplectic_form_vector(g)
-    # rows spanning the subspace
-    multiples = [wedge(omega, ExteriorVector.monomial(g, lm)) for lm in _degree_masks(g, m_deg - 2)]
-    rref, pivots = fp_rref(ExteriorVector.columns(multiples, _degree_mask_index(g, m_deg), np.int64).T % p, p)
+    # rows spanning the subspace; below degree 2 there are none
+    lower = weight_class_masks(2 * g, m_deg - 2)[0] if m_deg >= 2 else ()
+    multiples = [wedge(omega, ExteriorVector.monomial(g, lm)) for lm in lower]
+    rref, pivots = fp_rref(ExteriorVector.columns(multiples, index, np.int64).T % p, p)
     complement = tuple(i for i in range(len(masks)) if i not in set(pivots))
     return rref[: len(pivots)], tuple(pivots), complement, masks
-
-
-def canonical_form_rep(x: ExteriorVector, p: int) -> ExteriorVector:
-    """Reduce a homogeneous form against the echelon basis of the 2-form
-    multiples; the result is supported on the complementary masks."""
-    m_deg = x.is_homogeneous()
-    if m_deg is None:
-        raise ValueError("need a homogeneous form")
-    g = x.g
-    rref, pivots, _, masks = form_quotient_data(p, m_deg, g)
-    # reduced while the coefficients are Python ints, so none can overflow int64
-    col = (ExteriorVector.columns([x], _degree_mask_index(g, m_deg), object)[:, 0] % p).astype(np.int64)
-    for row, piv in enumerate(pivots):
-        if col[piv]:
-            col = (col - col[piv] * rref[row]) % p
-    return ExteriorVector(g, {masks[i]: int(c) for i, c in enumerate(col) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +289,6 @@ class BlockModule:
     def bottom_dim(self) -> int:
         return _factor_dim(self.p, self.j + self.m_deg, self.g)
 
-    def factor_action(self, word, label: int) -> np.ndarray:
-        return _factor_action(self.p, label, self.g, tuple(word))
-
-    def mu_matrix(self, x: ExteriorVector) -> np.ndarray:
-        return mu_induced(self.p, self.j, self.m_deg, x)
-
 
 def _factor_dim(p: int, label: int, g: int) -> int:
     return 0 if label > g + 1 else component_quotient(p, label, g).quotient_dim
@@ -337,10 +314,9 @@ def block_action_matrix(elem: JmElement, mod: BlockModule) -> np.ndarray:
     p = mod.p
     if elem.denom % p == 0:
         raise ValueError("denominator must be a unit mod p")
-    a_top = mod.factor_action(elem.word, mod.j)
-    a_bot = mod.factor_action(elem.word, mod.j + mod.m_deg)
-    c = mod.mu_matrix(elem.x)
-    c = (pow(elem.denom, -1, p) * c) % p
+    a_top = _factor_action(p, mod.j, mod.g, elem.word)
+    a_bot = _factor_action(p, mod.j + mod.m_deg, mod.g, elem.word)
+    c = (pow(elem.denom, -1, p) * mu_induced(p, mod.j, mod.m_deg, elem.x)) % p
     dt, db = a_top.shape[0], a_bot.shape[0]
     out = np.zeros((dt + db, dt + db), dtype=np.int64)
     out[:dt, :dt] = a_top

@@ -40,8 +40,8 @@ class IntervalSet:
     """Disjoint union of half-open integer intervals, stored by the strictly
     increasing endpoint sequence (i1, i2, ..., i_{2u}).
 
-    Touching intervals are merged on construction, so every value has one
-    canonical representation.
+    Touching intervals must be given merged, since their shared endpoint
+    would repeat, so every value has one canonical representation.
     """
 
     ends: tuple[int, ...]
@@ -58,25 +58,6 @@ class IntervalSet:
     def empty(cls) -> "IntervalSet":
         return cls(())
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "IntervalSet":
-        """Build from (start, end) pairs, merging touching intervals."""
-        pairs = sorted((int(s), int(e)) for s, e in pairs)
-        merged: list[list[int]] = []
-        for s, e in pairs:
-            if s >= e:
-                raise ValueError(f"empty interval [{s},{e})")
-            if merged and s <= merged[-1][1]:
-                if s < merged[-1][1]:
-                    raise ValueError("overlapping intervals")
-                merged[-1][1] = e
-            else:
-                merged.append([s, e])
-        ends: list[int] = []
-        for s, e in merged:
-            ends.extend((s, e))
-        return cls(tuple(ends))
-
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(self.ends[::2], self.ends[1::2]))
@@ -85,14 +66,8 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.ends
 
-    def covers(self) -> frozenset:
-        return frozenset(i for s, e in self.pairs for i in range(s, e))
-
     def contains(self, i: int) -> bool:
         return any(s <= i < e for s, e in self.pairs)
-
-    def __le__(self, other: "IntervalSet") -> bool:
-        return self.covers() <= other.covers()
 
     def __repr__(self):
         if not self.ends:
@@ -127,14 +102,6 @@ class KsContext:
             if self.digits[j]:
                 return j
         return None
-
-    @property
-    def h_tau(self) -> int:
-        """Least positive digit position whose digit differs from p - 1."""
-        j = 1
-        while self.digit(j) == self.p - 1:
-            j += 1
-        return j
 
 
 def make_context(tau: Diagram2, p: int) -> KsContext:

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dims import catalan
 from .rings import GramQuotient, fp_matmul, fp_rref, residues
 from .specht import (
     Diagram2,
@@ -24,7 +25,6 @@ from .specht import (
     ordinary_character,
     permutation_matrix_on_basis,
     raised_basis_matrix,
-    specht_dim,
 )
 
 __all__ = [
@@ -136,7 +136,7 @@ def build_complex(p: int, n: int, k: int) -> ComplexOverFp:
         raise AssertionError(
             f"truncation mismatch: top weight {weights[0]} vs closed form {n + 1 - 2 * l}"
         )
-    dims = tuple(specht_dim(n, (n + 1 - w) // 2) for w in weights)
+    dims = tuple(catalan(n, (n + 1 - w) // 2) for w in weights)
     maps = [e_power_map(p, n, weights[j], powers[j]) for j in range(len(weights) - 1)]
     for j in range(len(maps) - 1):
         comp = fp_matmul(maps[j + 1], maps[j], p)

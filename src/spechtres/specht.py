@@ -43,7 +43,6 @@ __all__ = [
     "polytabloid",
     "standard_tableaux",
     "specht_basis",
-    "specht_dim",
     "basis_matrix",
     "raised_basis_matrix",
     "gram_of_diagram",
@@ -179,13 +178,6 @@ def standard_tableaux(diag: Diagram2) -> list[Tableau2]:
         if all(i < j for i, j in t.columns()):
             out.append(t)
     return out
-
-
-def specht_dim(n: int, b: int) -> int:
-    """Number of standard tableaux of shape [n-b, b]."""
-    from math import comb
-
-    return comb(n, b) - (comb(n, b - 1) if b >= 1 else 0)
 
 
 def specht_basis(n: int, c: int) -> list[TensorVector]:

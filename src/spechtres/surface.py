@@ -65,12 +65,10 @@ __all__ = [
     "group_token_pool",
     "random_group_word",
     "weight_of_mask",
-    "weight_decompose",
     "nabla_weights",
     "upsilon_to_surface",
     "upsilon_from_surface",
     "handle_map",
-    "sorting_permutation",
     "raising_generator_block",
     "tableau_raising_rule",
     "labeled_tableau_vector",
@@ -408,6 +406,9 @@ def require_group_word(word):
 
 @lru_cache(maxsize=None)
 def group_token_pool(g: int) -> tuple:
+    """The local rotations S1..Sg, the transvections U1..Ug and the
+    adjacent handle swaps P1..P(g-1), in that order, which cli.parse_word
+    indexes into."""
     pool = [s_token(j, g) for j in range(1, g + 1)]
     pool += [transvection_token(j, g) for j in range(1, g + 1)]
     for i in range(1, g):
@@ -435,16 +436,6 @@ def weight_of_mask(mask: int, g: int) -> tuple[int, ...]:
         has_b = mask >> (g + i) & 1
         lam.append(0 if has_a == has_b else (1 if has_a else -1))
     return tuple(lam)
-
-
-def weight_decompose(v: ExteriorVector) -> dict[tuple[int, ...], ExteriorVector]:
-    """Split into simultaneous eigencomponents of the diagonal symplectic
-    torus; every monomial lands in exactly one component."""
-    out: dict[tuple[int, ...], dict[int, int]] = {}
-    for m, c in v.coeffs.items():
-        lam = weight_of_mask(m, v.g)
-        out.setdefault(lam, {})[m] = c
-    return {lam: ExteriorVector(v.g, coeffs) for lam, coeffs in sorted(out.items())}
 
 
 def zero_set(lam) -> tuple[int, ...]:
@@ -551,27 +542,6 @@ def handle_map(direction: str, v: ExteriorVector) -> ExteriorVector:
             out[out_m] = out.get(out_m, 0) + s * c
         return ExteriorVector(gg, out)
     raise ValueError("direction must be '+' or '-'")
-
-
-def sorting_permutation(subset, g: int) -> tuple[int, ...]:
-    """The unique permutation sending the tail block to the subset with both
-    blocks kept increasing; used as the canonical weight-sector section."""
-    subset = sorted(subset)
-    n = len(subset)
-    complement = [i for i in range(1, g + 1) if i not in set(subset)]
-    image = [0] * g
-    for pos, val in enumerate(complement, start=1):
-        image[pos - 1] = val
-    for pos, val in enumerate(subset, start=g - n + 1):
-        image[pos - 1] = val
-    return tuple(image)
-
-
-def invert_permutation(sigma) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma, start=1):
-        inv[s - 1] = i
-    return tuple(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +783,7 @@ class LefschetzBasis:
     def columns(self, vectors) -> np.ndarray:
         """Monomial coordinates of vectors of this basis's degree, one column
         per vector, as Python ints in an object array."""
-        return ExteriorVector.columns(vectors, _degree_mask_index(self.g, self.degree), object)
+        return ExteriorVector.columns(vectors, weight_class_masks(2 * self.g, self.degree)[1], object)
 
     def coords(self, columns: np.ndarray) -> np.ndarray:
         """Exact coordinates over Z of the columns of an integer matrix in
@@ -831,19 +801,10 @@ class LefschetzBasis:
 
 
 @lru_cache(maxsize=None)
-def _degree_masks(g: int, degree: int) -> tuple[int, ...]:
-    return tuple(sorted(m for m in range(1 << (2 * g)) if m.bit_count() == degree))
-
-
-@lru_cache(maxsize=None)
-def _degree_mask_index(g: int, degree: int) -> dict:
-    return {m: i for i, m in enumerate(_degree_masks(g, degree))}
-
-
-@lru_cache(maxsize=None)
 def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
     degree = g - j + 1
-    index = _degree_mask_index(g, degree)
+    # the monomials of a degree are the 2g-bit words of that weight
+    masks, index = weight_class_masks(2 * g, degree)
     vectors, blocks = [], []
     for lam in lefschetz_weights(j, g):
         n = len(zero_set(lam))
@@ -855,7 +816,7 @@ def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
         blocks.append((n, read_only(np.array([index[m] for m in images])), read_only(np.array(signs))))
     covered = np.sort(np.concatenate([rows for _, rows, _ in blocks]))
     assert np.array_equal(covered, np.arange(len(index))), "weight blocks must partition the monomials"
-    return LefschetzBasis(j, g, vectors, degree, _degree_masks(g, degree), tuple(blocks))
+    return LefschetzBasis(j, g, vectors, degree, masks, tuple(blocks))
 
 
 def lefschetz_action_matrix(word, j: int, g: int, p: int | None = None) -> np.ndarray:

@@ -183,10 +183,3 @@ def perm_action_rows(sigma, n: int, b: int) -> np.ndarray:
         source |= (masks >> (target - 1) & 1) << i
     return np.searchsorted(masks, source)
 
-
-def vectors_to_matrix(vectors, b: int) -> np.ndarray:
-    """Stack vectors of weight b as columns in weight-class coordinates;
-    raises ValueError for a word of another weight."""
-    if not vectors:
-        return np.zeros((1, 0), dtype=np.int64)
-    return TensorVector.columns(vectors, weight_class_masks(vectors[0].n, b)[1], np.int64)

@@ -74,6 +74,26 @@ def test_word_parsing():
     proc = run_cli(["alexander", "--g", "2", "--word", "S1 P1", "--p", "5"])
     assert proc.returncode == 0
     assert run_cli(["alexander", "--g", "1", "--word", "P1"]).returncode == 2
+    # only ASCII digits count: an Arabic-Indic one would read as S1, and a
+    # superscript one passes isdigit() but not int()
+    for word in ("S\u0661", "S\u00b2"):
+        proc = run_cli(["alexander", "--g", "2", "--word", word])
+        assert proc.returncode == 2, word
+        assert "malformed token" in proc.stderr, word
+
+
+def test_parse_word_takes_the_tokens_of_the_pool(monkeypatch):
+    g = 3
+    pool = cli.surf_mod.group_token_pool(g)
+    swap = cli.surf_mod.perm_token((1, 3, 2), g)
+    built = [cli.surf_mod.s_token(2, g), cli.surf_mod.transvection_token(3, g), swap]
+    calls = []
+    monkeypatch.setattr(cli.surf_mod, "_check_symplectic", calls.append)
+    word = cli.parse_word("S2 U3 P2 s1 u1 p1", g)
+    assert not calls
+    assert word[:3] == built
+    assert [pool.index(tok) for tok in word] == [1, 5, 7, 0, 3, 6]
+    assert all(any(tok is t for t in pool) for tok in word)
 
 
 def test_job_file_batch_order_and_exit():
@@ -584,6 +604,18 @@ _PINNED = [
             "block-homomorphism": "pass",
             "strand-resolutions": "pass",
         },
+    ),
+    # c = 5 >= p, so the bijection audit runs (on 6 pairs) instead of skipping
+    (
+        {"command": "factors", "p": 3, "tau": [6, 2]},
+        {
+            "dim": 20,
+            "factors": [
+                {"diagram": [6, 2], "dim": 13, "dim_gram": 13},
+                {"diagram": [7, 1], "dim": 7, "dim_gram": 7},
+            ],
+        },
+        {"factor-partition": "pass", "bijection-audit": "pass"},
     ),
 ]
 

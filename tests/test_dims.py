@@ -19,7 +19,7 @@ from spechtres.dims import (
     genus_element,
     growth_identity,
     growth_polynomial,
-    odd_squares_dim,
+    odd_squares_element,
     perron_norms,
     perron_power_iteration,
     quantum_dim_identity,
@@ -214,7 +214,7 @@ def test_squares_sum_relations():
     # at p = 5 the squares sum dimension splits into the two outer labels
     for g in range(0, 7):
         prof = verlinde_profile(5, g)
-        assert odd_squares_dim(5, g) == prof[0] + prof[3]
+        assert (odd_squares_element(5) ** g).mult(1) == prof[0] + prof[3]
 
 
 def test_growth_polynomials_printed_list():

@@ -23,7 +23,7 @@ from spechtres.rings import (
     zeta_quantum,
 )
 from spechtres.surface import ExteriorVector
-from spechtres.tensor import TensorVector, vectors_to_matrix
+from spechtres.tensor import TensorVector, weight_class_masks
 
 
 def test_rank_kernel_image_on_degenerate_form():
@@ -514,8 +514,9 @@ def test_columns_keep_large_coefficients_exact_or_refuse_them():
         SparseVector.columns(big, range(2), np.int64)
     assert SparseVector.columns(big, range(2), object)[:, 0].tolist() == [2**63, -(2**70)]
     # a word outside the weight class of the columns
+    words = [TensorVector.word(3, 0b011), TensorVector.word(3, 0b111)]
     with pytest.raises(ValueError):
-        vectors_to_matrix([TensorVector.word(3, 0b011), TensorVector.word(3, 0b111)], 2)
+        TensorVector.columns(words, weight_class_masks(3, 2)[1], np.int64)
 
 
 @pytest.mark.parametrize("cls", [TensorVector, ExteriorVector])

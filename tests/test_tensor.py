@@ -11,7 +11,6 @@ from spechtres.tensor import (
     inner_product,
     perm_action,
     perm_action_rows,
-    vectors_to_matrix,
     weight_class_masks,
 )
 
@@ -147,7 +146,7 @@ def test_perm_action_rows_gather_the_images():
             rows = perm_action_rows(sigma, n, b)
             for _ in range(3):
                 v = TensorVector(n, {rng.choice(masks): rng.randrange(-4, 5) for _ in range(3)})
-                col = vectors_to_matrix([v], b)
-                assert np.array_equal(col[rows], vectors_to_matrix([perm_action(sigma, v)], b))
+                col = TensorVector.columns([v], index, np.int64)
+                assert np.array_equal(col[rows], TensorVector.columns([perm_action(sigma, v)], index, np.int64))
     with pytest.raises(ValueError):
         perm_action_rows((1, 3), 2, 1)
