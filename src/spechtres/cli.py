@@ -94,7 +94,7 @@ def _skip(name: str, details: str) -> dict:
 def _diagram(key, x):
     """tau as a list [a, b] with a >= b >= 0, from a pair or from "a,b"."""
     if isinstance(x, str):
-        x = [int(r) if r.isdecimal() else r for r in x.replace(",", " ").split()]
+        x = [int(r) if r.isascii() and r.isdecimal() else r for r in x.replace(",", " ").split()]
     if not (isinstance(x, (list, tuple)) and len(x) == 2 and all(type(r) is int for r in x) and x[0] >= x[1] >= 0):
         raise ValueError(f"{key} must be two row lengths a >= b >= 0, got {x!r}")
     return list(x)
@@ -227,14 +227,16 @@ def parse_word(text: str, g: int) -> list:
     pool = surf_mod.group_token_pool(g)
     word = []
     for tok in text.split():
-        kind, num = tok[0].upper(), tok[1:]
-        if not (tok.isascii() and num.isdigit()):
-            raise ValueError(f"malformed token {tok!r}")
-        j = int(num)
+        kind, num = tok[0].upper(), tok[1:].lstrip("0")
+        shown = repr(tok[:20] + "..." if len(tok) > 20 else tok)
+        if not (tok.isascii() and tok[1:].isdigit()):
+            raise ValueError(f"malformed token {shown}")
+        # int() reads no number longer than g's, leading zeros aside
+        j = int(num) if 0 < len(num) <= len(str(g)) else 0
         if kind in ("S", "U", "P") and 1 <= j <= (g - 1 if kind == "P" else g):
             word.append(pool["SUP".index(kind) * g + j - 1])
         else:
-            raise ValueError(f"token {tok!r} out of range for genus {g}")
+            raise ValueError(f"token {shown} out of range for genus {g}")
     return word
 
 
@@ -632,7 +634,7 @@ def main(argv=None) -> int:
                 job.validate()
             except ValueError as exc:
                 raise ValueError(f"job {i}: {exc}") from None
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # json recurses once per nesting level
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports = run_batch(jobs, workers=args.workers, seed=args.seed)

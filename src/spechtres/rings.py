@@ -4,9 +4,9 @@ Matrices over the prime field F_p, sparse exact vectors (SparseVector,
 the one arithmetic of sign-word tensors, exterior forms, integer Laurent
 polynomials and the cyclotomic quotients Z[z]/(1 + z + ... + z^(p-1)) with
 optional mod-p coefficients), one repeated-squaring power, balanced
-quantum integers, deterministic Gaussian elimination, inverses of
-unitriangular matrices mod p or over Z, and the quotient of F_p^d by the
-radical of a Gram matrix (GramQuotient), the one simple-quotient type.
+quantum integers, deterministic Gaussian elimination, and the quotient
+of F_p^d by the radical of a Gram matrix (GramQuotient), the one
+simple-quotient type.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
 F_p are returned as int64 arrays of residues in [0, p); residues that are
@@ -53,7 +53,6 @@ __all__ = [
     "fp_rref",
     "kernel_from_rref",
     "fp_inverse",
-    "unitriangular_inverse",
     "GramQuotient",
     "int_det",
     "SparseVector",
@@ -173,8 +172,8 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
     limits, and no integer may wrap, even where two's-complement arithmetic
     would still give the right difference.  So this is only for the
     kernel's own intermediates, which stay within p of the type's limits
-    (see _pivot_loop and _row_products); input from a caller goes through
-    _reduced."""
+    (see _pivot_loop, _row_products and specht.BasisSolver); input from a
+    caller goes through _reduced."""
     if a.size <= _FEW_ENTRIES:
         return np.remainder(a, p, out=a)
     if a.size > _REDUCE_ENTRIES and len(a) > 1:
@@ -440,44 +439,6 @@ def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular mod p")
     return rref[:, n:]
-
-
-def unitriangular_inverse(u: np.ndarray, p: int | None) -> np.ndarray:
-    """Inverse of an upper unitriangular matrix, by blocked back-substitution:
-    inv [[A, B], [0, C]] = [[A', -A' B C'], [0, C']] with A', C' the inverses
-    of the diagonal blocks.  No elimination is needed.
-
-    For a prime p the inverse is taken mod p.  For p None it is exact over
-    Z, in Python ints held in an object array, so no entry can wrap.
-    Raises ValueError when u is not upper unitriangular (mod p)."""
-    u = np.asarray(u, dtype=object) if p is None else np.asarray(u, dtype=np.int64) % p
-    d = u.shape[0]
-    if u.shape != (d, d) or not (np.diagonal(u) == 1).all() or np.tril(u, -1).any():
-        raise ValueError("matrix is not upper unitriangular")
-    if p is None:
-        return _unitriangular_inverse(u, None, d)
-    # blocks up to this size are solved row by row in int64: a row sums at
-    # most leaf - 1 products below p**2, which stays under 2**62
-    leaf = max(1, min(32, 2**62 // ((p - 1) * (p - 1))))
-    return _unitriangular_inverse(u, p, leaf)
-
-
-def _unitriangular_inverse(u: np.ndarray, p: int | None, leaf: int) -> np.ndarray:
-    d = u.shape[0]
-    if d <= leaf:
-        inv = np.eye(d, dtype=u.dtype)
-        for i in range(d - 2, -1, -1):
-            row = -(u[i, i + 1 :] @ inv[i + 1 :, i + 1 :])
-            inv[i, i + 1 :] = row if p is None else _reduce_in_place(row, p)
-        return inv
-    h = d // 2
-    top = _unitriangular_inverse(u[:h, :h], p, leaf)
-    bottom = _unitriangular_inverse(u[h:, h:], p, leaf)
-    inv = np.zeros((d, d), dtype=np.int64)
-    inv[:h, :h] = top
-    inv[h:, h:] = bottom
-    inv[:h, h:] = _reduce_in_place(-fp_matmul(top, fp_matmul(u[:h, h:], bottom, p), p), p)
-    return inv
 
 
 class GramQuotient:

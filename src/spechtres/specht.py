@@ -18,12 +18,12 @@ from math import factorial
 import numpy as np
 
 from .rings import (
-    fp_matmul,
+    _reduce_in_place,
+    _reduced,
     fp_product_equals,
     int_gram,
     read_only,
     residues,
-    unitriangular_inverse,
 )
 
 # Bound here only for perfbench's tracer tests, which wrap these two in
@@ -275,43 +275,82 @@ def _tabloid_rows(n: int, c: int) -> np.ndarray:
     return np.searchsorted(masks, _standard_words(n, b)[0])
 
 
+# Scratch entries of BasisSolver.coords: it solves this many, divided by the
+# square's rows or its entries, whichever is more, columns at a time.
+_SOLVE_ENTRIES = 2**18
+
+
 class BasisSolver:
     """Coordinate solver against a fixed basis, mod a prime p or, when p is
     None, exactly over Z in Python ints held in object arrays.
 
-    matrix holds the basis vectors as columns, rows picks a square of it
-    that is invertible over the ring, and inv is that square's inverse.
-    Mod p, matrix and inv are stored as residues (see rings.residues).  The
-    coordinates of target columns are inv times their entries at rows;
-    they are then verified by multiplying back, one block of rows at a
-    time, so a column outside the span is always detected.  matrix, rows
-    and inv are read-only.
+    matrix holds the basis vectors as columns (mod p as residues, see
+    rings.residues), and rows picks a square of it that is upper
+    unitriangular over the ring, or ValueError is raised.  Coordinates are
+    solved by back-substitution through the square, in int64 residues mod
+    p, one level at a time: a row with no entry right of the diagonal has
+    level 0, any other row one more than the deepest row it points to.
+    They are then verified by multiplying back, one block of rows at a
+    time, so a column outside the span is always detected.
+
+    Rows are solved in level order, within a level by falling entry count.
+    A level holds its positions start:end in that order, and cols and vals:
+    the first entry of each row, then the second of each row with two, and
+    so on, as the positions they point to and their values; counts[r] rows
+    have more than r entries.  All arrays here are read-only.
     """
 
-    def __init__(self, p: int | None, matrix: np.ndarray, rows: np.ndarray, inv: np.ndarray):
+    def __init__(self, p: int | None, matrix: np.ndarray, rows: np.ndarray):
         self.p = p
-        if p is None:
-            matrix, inv = np.asarray(matrix, dtype=object), np.asarray(inv, dtype=object)
-        else:
-            matrix, inv = residues(matrix, p), residues(inv, p)
-        self.matrix = read_only(matrix)
+        self.matrix = matrix = read_only(np.asarray(matrix, dtype=object) if p is None else residues(matrix, p))
         self.rows = read_only(rows)
-        self.inv = read_only(inv)
+        square = matrix[rows]
+        d = len(square)
+        if square.shape != (d, d) or not (np.diagonal(square) == 1).all() or np.tril(square, -1).any():
+            raise ValueError("basis square is not upper unitriangular")
+        i, j = np.nonzero(np.triu(square, 1))  # row by row, left to right
+        count = np.bincount(i, minlength=d)
+        # residues below p, summed over a row's entries, stay inside int64
+        assert p is None or count.max(initial=0) * (p - 1) ** 2 + p < 2**63
+        level, deeper = None, np.zeros(d, dtype=np.intp)
+        while not np.array_equal(level, deeper):  # each pass settles one more level
+            level, deeper = deeper, np.zeros(d, dtype=np.intp)
+            np.maximum.at(deeper, i, level[j] + 1)
+        self._order = read_only(np.lexsort((-count, level)))
+        position = np.argsort(self._order)
+        rank = np.arange(len(i)) - (np.cumsum(count) - count)[i]  # of each entry in its row
+        e = np.lexsort((position[i], rank, level[i]))
+        i, j, rank = i[e], j[e], rank[e]
+        vals = square[i, j].astype(object if p is None else np.int64)[:, None]
+        top = np.arange(1, level.max(initial=0) + 2)
+        ends, cuts = np.searchsorted(level[self._order], top), np.searchsorted(level[i], top)
+        self._levels = tuple(
+            (ends[t], ends[t + 1], read_only(position[j[lo:hi]]), read_only(vals[lo:hi]), tuple(np.bincount(rank[lo:hi])))
+            for t, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
+        )
+        self._width = max(1, _SOLVE_ENTRIES // max(d, len(i), 1))
 
     def coords(self, columns: np.ndarray) -> np.ndarray:
         """Coordinates of column vectors; raises ValueError when a column is
         outside the span."""
-        columns = np.asarray(columns)
+        p = self.p
+        columns = np.asarray(columns, dtype=object if p is None else None)
         if columns.ndim == 1:
             columns = columns[:, None]
-        if self.p is None:
-            columns = columns.astype(object)
-            x = self.inv @ columns[self.rows]
-            consistent = np.array_equal(self.matrix @ x, columns)
-        else:
-            x = fp_matmul(self.inv, columns[self.rows], self.p)
-            consistent = fp_product_equals(self.matrix, x, columns, self.p)
-        if not consistent:
+        x = np.empty((len(self._order), columns.shape[1]), dtype=object if p is None else np.int64)
+        for lo in range(0, columns.shape[1], self._width):
+            w = columns[self.rows[self._order], lo : lo + self._width]
+            if p is not None:
+                w = _reduced(w, p).astype(np.int64, copy=False)
+            for start, end, cols, vals, counts in self._levels:
+                terms = vals * w[cols]
+                for count in counts:
+                    w[start : start + count] -= terms[:count]
+                    terms = terms[count:]
+                if p is not None:
+                    _reduce_in_place(w[start:end], p)
+            x[self._order, lo : lo + self._width] = w
+        if not (np.array_equal(self.matrix @ x, columns) if p is None else fp_product_equals(self.matrix, x, columns, p)):
             raise ValueError("coordinate solve inconsistent: vector not in the basis span")
         return x
 
@@ -326,11 +365,9 @@ def basis_solver(p: int | None, n: int, c: int) -> BasisSolver:
     plus to a smaller position, so they precede its own word in the
     lexicographic order of bottom rows (and in bottom-entry-sum order);
     since the basis is ordered lexicographically, matrix[rows] is upper
-    unitriangular over Z and is inverted by back-substitution.
+    unitriangular over Z.
     """
-    matrix = basis_matrix(n, c)
-    rows = _tabloid_rows(n, c)
-    return BasisSolver(p, matrix, rows, unitriangular_inverse(matrix[rows], p))
+    return BasisSolver(p, basis_matrix(n, c), _tabloid_rows(n, c))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +404,8 @@ def cycle_type_representative(cycle_type, n: int) -> tuple[int, ...]:
 
 def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
     """Matrix mod p of the plain position permutation on the standard basis."""
-    b = Diagram2.from_weight(n, c).b
-    images = basis_matrix(n, c)[perm_action_rows(sigma, n, b)]
-    return basis_solver(p, n, c).coords(images)
+    solver = basis_solver(p, n, c)
+    return solver.coords(solver.matrix[perm_action_rows(sigma, n, Diagram2.from_weight(n, c).b)])
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spechtres import cli
 
@@ -68,6 +72,11 @@ def test_usage_errors_exit_two():
     assert run_cli(["resolve", "--p", "4", "--n", "4", "--k", "1"]).returncode == 2
     assert run_cli(["character", "--p", "3", "--tau", "oops"]).returncode == 2
     assert run_cli([]).returncode == 2
+    # only ASCII digits count: these once ran as [1, 1] and [3, 2]
+    for argv in (["character", "--p", "3", "--tau", "\u0661,1"], ["factors", "--p", "3", "--tau", "\u0663,2"]):
+        proc = run_cli(argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: job 0: tau must be two row lengths"), argv
 
 
 def test_word_parsing():
@@ -82,6 +91,17 @@ def test_word_parsing():
         assert "malformed token" in proc.stderr, word
 
 
+def test_a_long_token_is_refused_by_name_before_int_reads_it():
+    # Python's int() refuses more than 4300 digits with its own message
+    with pytest.raises(ValueError, match=r"^token 'S1{19}\.\.\.' out of range for genus 2$"):
+        cli.parse_word("S" + "1" * 5000, 2)
+    with pytest.raises(ValueError, match=r"^malformed token 'S1{18}x\.\.\.'$"):
+        cli.parse_word("S" + "1" * 18 + "x" * 5000, 2)
+    # leading zeros still count for nothing
+    assert cli.parse_word("S01 U0002", 2) == cli.parse_word("S1 U2", 2)
+    assert cli.parse_word("S" + "0" * 5000 + "1", 2) == cli.parse_word("S1", 2)
+
+
 def test_parse_word_takes_the_tokens_of_the_pool(monkeypatch):
     g = 3
     pool = cli.surf_mod.group_token_pool(g)
@@ -94,6 +114,14 @@ def test_parse_word_takes_the_tokens_of_the_pool(monkeypatch):
     assert word[:3] == built
     assert [pool.index(tok) for tok in word] == [1, 5, 7, 0, 3, 6]
     assert all(any(tok is t for t in pool) for tok in word)
+
+
+def test_a_deeply_nested_job_file_exits_two(tmp_path, capsys):
+    # json reads one nesting level per Python call
+    path = tmp_path / "jobs.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    assert cli.main(["--jobs", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: maximum recursion depth exceeded")
 
 
 def test_job_file_batch_order_and_exit():
@@ -266,6 +294,10 @@ def test_long_random_word_passes_all_three_checks():
         ({"command": "alexander", "g": 1, "word": 5}, []),
         ({"command": "selftest", "quick": "no"}, []),
         ({"command": "factors", "p": 3, "tau": "3,x"}, []),
+        # only ASCII digits count: these once ran as [1, 1] and [3, 2]
+        ({"command": "character", "p": 3, "tau": "\u0661,1"}, []),
+        ({"command": "factors", "p": 3, "tau": "\u0663,2"}, []),
+        ({"command": "alexander", "g": 2, "word": "S" + "1" * 5000}, []),
         ({"command": "resolve", "p": 3, "n": 4, "k": 1}, ["resolve", "--p", "3", "--n", "4", "--k", "1"]),
         # over the resource caps; none of these is run
         ({"command": "resolve", "p": 3, "n": 17, "k": 2}, []),
@@ -286,7 +318,8 @@ def test_long_random_word_passes_all_three_checks():
     ],
     ids=[
         "string-p", "string-length", "bool-g", "bool-tau", "negative-length", "negative-pairs",
-        "unknown-key", "integer-word", "string-quick", "malformed-tau-string", "job-file-and-command",
+        "unknown-key", "integer-word", "string-quick", "malformed-tau-string", "non-ascii-character-tau",
+        "non-ascii-factors-tau", "long-word-token", "job-file-and-command",
         "resolve-n", "resolve-p", "huge-p", "character-tau", "factors-tau", "dims-p", "dims-g",
         "fusion-p", "alexander-g", "alexander-length", "alexander-word", "alexander-p", "jm-g", "jm-p", "jm-pairs",
     ],
@@ -628,3 +661,94 @@ def test_pinned_job_results(entry, results, statuses):
     rep = cli.run(cli.Job(entry["command"], params))
     assert {c["name"]: c["status"] for c in rep.checks} == statuses
     assert rep.results == results
+
+
+# Fuzzing main.  Every integer a draw can make is either out of its range
+# or small enough that an accepted job is tiny: n, g, k, length and pairs
+# at most 2 and p at most 5.
+_TEXT = st.text(st.characters(exclude_categories=["Nd"]), max_size=6)  # never a number
+_WORDS = ["", "0", "1", "2", "-1", "2,1", "2 2", "S1 U1", "P1", "s2 u1", "\u0661", "\u0661,1", "S\u0661",
+          "S\u00b2", "1" * 5000, "S" + "1" * 5000, "1e3", "2.0", "Infinity", "NaN", "null", "true"]
+_SCALARS = st.one_of(
+    st.integers(-2, 2),
+    st.sampled_from([2**63, -(2**63) - 1, 10**30, 10**4000]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+    st.sampled_from(_WORDS),
+)
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=2), max_leaves=6
+)
+_KEYS = st.sampled_from(sorted({k for command in cli.SCHEMA.values() for k in command.params})) | _TEXT
+# Parameters of tiny jobs, most of them valid.  selftest is left out: it
+# runs its own job list.
+_PRIMES, _SMALL = st.sampled_from([3, 5]), st.integers(0, 2)
+_TINY = {  # the required parameters, then the optional ones
+    "resolve": ({"p": _PRIMES, "n": _SMALL, "k": _SMALL}, {}),
+    "character": ({"p": _PRIMES, "tau": st.sampled_from(["1,1", "2,1", "2 2", [2, 1], [1, 0]])}, {}),
+    "factors": ({"p": _PRIMES, "tau": st.sampled_from(["2,2", "3,1", [2, 0]])}, {}),
+    "dims": ({"p": _PRIMES, "g": _SMALL}, {}),
+    "fusion": ({"p": _PRIMES}, {}),
+    "alexander": ({"g": _SMALL}, {"word": st.sampled_from(["", "S1 U1", "P1", "s1 u2 p1"]), "p": _PRIMES, "length": _SMALL}),
+    "jm": ({"p": st.just(5), "k": st.just(1), "g": _SMALL}, {"pairs": _SMALL}),
+}
+_TINY_JOBS = st.sampled_from(sorted(_TINY)).flatmap(
+    lambda command: st.fixed_dictionaries({"command": st.just(command), **_TINY[command][0]}, optional=_TINY[command][1])
+)
+_ENTRIES = st.one_of(
+    _TINY_JOBS,
+    st.builds(lambda job, extra: {**job, **extra}, _TINY_JOBS, st.dictionaries(_KEYS, _VALUES, max_size=1)),
+    st.builds(lambda command, params: {"command": command, **params}, _VALUES, st.dictionaries(_KEYS, _VALUES, max_size=3)),
+    _VALUES,
+)
+# a job file: a list of entries, or any value, or text that is not JSON
+_JOB_FILES = st.one_of(
+    st.lists(_TINY_JOBS, max_size=3).map(json.dumps),
+    st.lists(_ENTRIES, max_size=3).map(json.dumps),
+    _VALUES.map(json.dumps),
+    st.sampled_from(["", "[", "[{]", "[" * 3000 + "]" * 3000, "[1e999999]", "[" + "9" * 5000 + "]"]),
+)
+# an argument list: a tiny job as options, with at most one option replaced
+# or added
+_ARGVS = st.builds(
+    lambda job, extra: [job["command"], *(x for k, v in {**job, **extra}.items() if k != "command" for x in (f"--{k}", str(v)))],
+    _TINY_JOBS,
+    st.dictionaries(_KEYS, st.sampled_from(_WORDS) | _TEXT, max_size=1),
+)
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # usage errors leave through argparse
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit(code, out, err):
+    assert "Traceback" not in err
+    if code == 2:
+        assert any(line.startswith("error: ") or ": error: " in line for line in err.splitlines()), err
+        assert not out
+    else:
+        assert code in (0, 1) and not err, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_JOB_FILES, output=st.sampled_from(["text", "json"]))
+def test_main_on_generated_job_files_exits_zero_one_or_two(text, output):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "jobs.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _assert_exit(*_main_in_process(["--output", output, "--jobs", path]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_ARGVS)
+def test_main_on_generated_argument_lists_exits_zero_one_or_two(argv):
+    _assert_exit(*_main_in_process(argv))

@@ -19,7 +19,6 @@ from spechtres.rings import (
     kernel_from_rref,
     power,
     quantum_integer,
-    unitriangular_inverse,
     zeta_quantum,
 )
 from spechtres.surface import ExteriorVector
@@ -275,28 +274,6 @@ def test_kernel_basis_from_one_elimination():
                 assert v[f] == 1 and not v[[g for g in free if g != f]].any()
 
 
-def test_unitriangular_inverse():
-    rng = np.random.RandomState(3)
-    for p in (3, 7, 8388593):
-        for d in (0, 1, 5, 33, 70):
-            u = np.triu(rng.randint(-5, 6, size=(d, d)), 1) + np.eye(d, dtype=np.int64)
-            inv = unitriangular_inverse(u, p)
-            assert np.array_equal(fp_matmul(u, inv, p), np.eye(d, dtype=np.int64))
-    # over Z the entries of a 70 x 70 inverse outgrow int64
-    for d in (0, 1, 5, 33, 70):
-        u = np.triu(rng.randint(-5, 6, size=(d, d)), 1) + np.eye(d, dtype=np.int64)
-        inv = unitriangular_inverse(u, None)
-        assert inv.dtype == object
-        assert np.array_equal(u.astype(object) @ inv, np.eye(d, dtype=np.int64))
-        for p in (3, 7):
-            assert np.array_equal(inv % p, unitriangular_inverse(u, p))
-    for p in (5, None):
-        with pytest.raises(ValueError):
-            unitriangular_inverse(np.array([[1, 0], [1, 1]]), p)
-        with pytest.raises(ValueError):
-            unitriangular_inverse(np.array([[2, 0], [0, 1]]), p)
-
-
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
 def test_byte_inputs_give_the_int64_results(dtype):
     # 211, the largest prime the commands accept, has residue 210; int8
@@ -311,12 +288,6 @@ def test_byte_inputs_give_the_int64_results(dtype):
     assert np.array_equal(fp_matmul(a, b, p), fp_matmul(wide_a, wide_b, p))
     assert np.array_equal(fp_matmul(a, b, p), _python_matmul(wide_a, wide_b, p))
     assert np.array_equal(int_gram(a), int_gram(wide_a))
-
-    u = np.triu(rng.randint(info.min, info.max + 1, size=(70, 70)), 1).astype(dtype)
-    u[0, 1:] = -1 if dtype == np.int8 else p - 1
-    np.fill_diagonal(u, 1)
-    for q in (p, None):
-        assert np.array_equal(unitriangular_inverse(u, q), unitriangular_inverse(u.astype(np.int64), q))
 
     gram = int_gram(rng.randint(-1, 2, size=(30, 40))) % p
     byte_gram = gram.astype(np.uint8) if dtype == np.uint8 else (gram - p * (gram > 127)).astype(np.int8)

@@ -6,7 +6,9 @@ import pytest
 
 from spechtres.dims import catalan
 from spechtres.rings import _ROW_BLOCK, fp_rref, residues
+from spechtres import specht
 from spechtres.specht import (
+    BasisSolver,
     Diagram2,
     Tableau2,
     Tabloid2,
@@ -331,7 +333,8 @@ def test_cached_arrays_are_read_only():
     cached = [
         basis_matrix(6, 3),
         gram_of_diagram(Diagram2(4, 2)),
-        *(a for s in solvers for a in (s.matrix, s.rows, s.inv)),
+        *(a for s in solvers for a in (s.matrix, s.rows, s._order)),
+        *(a for s in solvers for level in s._levels for a in level[2:4]),
         component.matrix,
         *(a for _, rows, signs in component.blocks for a in (rows, signs)),
     ]
@@ -342,5 +345,61 @@ def test_cached_arrays_are_read_only():
             a += 1
     # residues are stored in one byte, the 0/+-1 basis in int8
     assert basis_matrix(6, 3).dtype == np.int8
-    assert solvers[0].matrix.dtype == solvers[0].inv.dtype == np.uint8
-    assert solvers[1].matrix.dtype == solvers[1].inv.dtype == object
+    assert solvers[0].matrix.dtype == np.uint8
+    assert solvers[1].matrix.dtype == object
+
+
+def _unitriangular(rng, d, low, high, dtype=np.int64):
+    """A random upper unitriangular d x d matrix with entries in [low,
+    high) right of the diagonal, but +-1 next to it, so that its levels are
+    d deep mod every p."""
+    u = np.triu(rng.randint(low, high, size=(d, d)), 1)
+    u[np.arange(d - 1), np.arange(1, d)] = rng.choice([-1, 1], size=max(d - 1, 0))
+    np.fill_diagonal(u, 1)
+    return u.astype(dtype)
+
+
+@pytest.mark.parametrize("entries", [specht._SOLVE_ENTRIES, 1], ids=["one-block", "one-column-blocks"])
+def test_solver_back_substitutes_through_random_unitriangular_squares(monkeypatch, entries):
+    # with one scratch entry every column is a block of its own
+    monkeypatch.setattr(specht, "_SOLVE_ENTRIES", entries)
+    rng = np.random.RandomState(3)
+    for d in (0, 1, 5, 33, 70):
+        u = _unitriangular(rng, d, -5, 6)
+        # the square inside a taller basis, whose other rows the
+        # membership check reads
+        rows = rng.permutation(d + 3)[:d]
+        tall = rng.randint(-5, 6, size=(d + 3, d))
+        tall[rows] = u
+        x = rng.randint(-5, 6, size=(d, 4))
+        for p in (3, 7, 8388593, None):
+            solver = BasisSolver(p, tall, rows)
+            assert len(solver._levels) == max(d - 1, 0)
+            want = x.astype(object) if p is None else x % p
+            assert np.array_equal(solver.coords(tall.astype(object) @ x), want)
+            assert np.array_equal(solver.coords(tall), np.eye(d, dtype=np.int64))
+        # over Z the entries of a 70 x 70 inverse outgrow int64
+        inv = BasisSolver(None, u, np.arange(d)).coords(np.eye(d, dtype=np.int64))
+        assert inv.dtype == object
+        assert np.array_equal(u.astype(object) @ inv, np.eye(d, dtype=np.int64))
+        for p in (3, 7, 8388593):
+            assert np.array_equal(inv % p, BasisSolver(p, u, np.arange(d)).coords(np.eye(d, dtype=np.int64)))
+    for p in (5, None):
+        for square in ([[1, 0], [1, 1]], [[2, 0], [0, 1]]):
+            with pytest.raises(ValueError):
+                BasisSolver(p, np.array(square), np.arange(2))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_solver_of_a_byte_square_gives_the_int64_results(dtype):
+    # 211, the largest prime the commands accept, has residue 210; int8
+    # reaches -128 and uint8 255, neither of them a residue
+    p = 211
+    rng = np.random.RandomState(11)
+    info = np.iinfo(dtype)
+    u = _unitriangular(rng, 70, info.min, info.max + 1, dtype)
+    u[0, 1:] = -1 if dtype == np.int8 else p - 1
+    eye = np.eye(70, dtype=dtype)
+    for q in (p, None):
+        ours = BasisSolver(q, u, np.arange(70)).coords(eye)
+        assert np.array_equal(ours, BasisSolver(q, u.astype(np.int64), np.arange(70)).coords(eye))
