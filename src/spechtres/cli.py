@@ -91,20 +91,44 @@ def _skip(name: str, details: str) -> dict:
 # a single cold run on 2 vCPUs with 8 GB (README, "Command line").
 
 
+# int() refuses decimal strings of more digits, with its own message
+_INT_DIGITS = 4300
+
+
 def _diagram(key, x):
-    """tau as a list [a, b] with a >= b >= 0, from a pair or from "a,b"."""
+    """tau as a list [a, b] with a >= b >= 0, from a pair or from "a,b".  A
+    row counts only in ASCII digits and is read without its leading zeros;
+    one of more digits than int() reads (_INT_DIGITS) is refused before
+    int() sees it."""
     if isinstance(x, str):
-        x = [int(r) if r.isascii() and r.isdecimal() else r for r in x.replace(",", " ").split()]
+        rows, x = x.replace(",", " ").split(), []
+        for r in rows:
+            digits = r.lstrip("0") or "0"
+            if not (r.isascii() and r.isdecimal()):
+                x.append(r)
+            elif len(digits) > _INT_DIGITS:
+                raise ValueError(f"{key} out of range: a row of {len(digits)} digits")
+            else:
+                x.append(int(digits))
     if not (isinstance(x, (list, tuple)) and len(x) == 2 and all(type(r) is int for r in x) and x[0] >= x[1] >= 0):
         raise ValueError(f"{key} must be two row lengths a >= b >= 0, got {x!r}")
     return list(x)
 
 
+def integer(text: str) -> int:
+    """An integer option from ASCII text only: int() alone also reads the
+    decimal digits of other scripts, which a job file cannot carry.
+    argparse names the function in its refusal: "invalid integer value"."""
+    if not text.isascii():
+        raise ValueError(text)
+    return int(text)
+
+
 # kind: (Python type, its name in messages, the size its range bounds,
 # argparse keywords)
 _KINDS = {
-    "int": (int, "an integer", int, {"type": int}),
-    "prime": (int, "an integer", int, {"type": int}),
+    "int": (int, "an integer", int, {"type": integer}),
+    "prime": (int, "an integer", int, {"type": integer}),
     "bool": (bool, "true or false", None, {"action": "store_true"}),
     "word": (str, "a string", lambda w: len(w.split()), {}),
     "tau": (list, "two row lengths", sum, {}),
@@ -589,9 +613,9 @@ def render_json(reports: list[Report]) -> str:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spechtres", description=__doc__)
     ap.add_argument("--output", choices=("text", "json"), default="text")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=integer, default=0)
     ap.add_argument("--jobs", help="JSON file with a list of job objects")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=integer, default=1)
     sub = ap.add_subparsers(dest="command")
     for name, spec in SCHEMA.items():
         sp = sub.add_parser(name, help=spec.help)

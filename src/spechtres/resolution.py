@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dims import catalan
-from .rings import GramQuotient, fp_matmul, fp_rref, residues
+from .rings import GramQuotient, fp_matmul, fp_rank, residues
 from .specht import (
     Diagram2,
     basis_solver,
@@ -155,10 +155,7 @@ def verify_exactness(cx: ComplexOverFp) -> dict:
     is reported, never raised.
     """
     p = cx.spec.p
-    ranks = []
-    for m in cx.maps:
-        _, pivots = fp_rref(m, p)
-        ranks.append(len(pivots))
+    ranks = [fp_rank(m, p) for m in cx.maps]
     nodes = []
     exact = True
     tcount = len(cx.dims)
@@ -202,8 +199,9 @@ def verify_exactness(cx: ComplexOverFp) -> dict:
 def simple_quotient(p: int, tau: Diagram2) -> GramQuotient:
     """Quotient of the mod-p Specht module of tau by the null space of its
     invariant form, in standard-basis coordinates."""
-    q = GramQuotient(gram_of_diagram(tau), p)
-    if q.quotient_dim <= 0 and q.radical.shape[0] > 0:
+    gram = gram_of_diagram(tau)
+    q = GramQuotient(gram, p)
+    if q.quotient_dim <= 0 and len(gram) > 0:
         raise AssertionError("two-row simple quotients are never zero for odd p")
     return q
 

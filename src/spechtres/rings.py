@@ -24,23 +24,27 @@ the float type follows from k * (p - 1)**2 against its mantissa):
   for which the float64 bound leaves too small a chunk is refused.
 - Gram matrices of integer matrices accumulate in float32 below 2**24 and
   in float64 below 2**53; a larger bound is refused.
-- Elimination runs in int32 when the delayed reductions of its per-pivot
-  loop stay below 2**31, for every p up to 4093, and in int64 above.
+- Elimination runs in int16 when the delayed reductions of its per-pivot
+  loop stay below 2**15, for every p up to 23, in int32 below 2**31, for
+  every p up to 5791, and in int64 above.
 
 Elimination is blocked: a matrix wider than two column panels is reduced
-a panel at a time, with the per-pivot loop confined to the panel and the
-rest of the matrix updated by products.  Narrower matrices keep the
-per-pivot loop alone.  The reduced row echelon form is unique, so neither
-the blocking nor the type changes a result.  Elimination refuses the same
-moduli as products.  Within the per-pivot loop reduction is delayed too:
-entries may sit unreduced, within the bound of the loop's type, until the
-loop ends.
+a panel at a time, with the per-pivot loop confined to a transposed copy
+of the panel and the rest of the matrix updated by products.  Narrower
+matrices keep the per-pivot loop alone.  The reduced row echelon form is
+unique, so neither the blocking nor the type changes a result.
+Elimination refuses the same moduli as products.  Reduction is delayed
+throughout: entries may sit unreduced, within the bound of the
+elimination's type, until the loop ends or, outside the panel, until
+the panel updates subtracted since the last reduction would pass it.
+A rank alone (fp_rank) is read from the same panel step without the
+reduced form.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +55,7 @@ __all__ = [
     "fp_product_equals",
     "int_gram",
     "fp_rref",
+    "fp_rank",
     "kernel_from_rref",
     "fp_inverse",
     "GramQuotient",
@@ -82,19 +87,19 @@ def is_prime(n: int) -> bool:
 
 # Every array a function here takes or returns holds residues in [0, p), or
 # is reduced on entry by np.remainder, which is exact for any int64.  Only
-# the kernel's own int32 or int64 intermediates may be unreduced: the
-# entries of the per-pivot loop's matrix between its pivots, and sums and
-# differences of residues, all bounded inside their type (see _pivot_loop).
+# the kernel's own int16, int32 or int64 intermediates may be unreduced:
+# the entries of the eliminated matrix between its reductions, and sums
+# and differences of residues, all bounded inside their type (see
+# _pivot_loop and _eliminate).
 # They are reduced by _reduce_in_place.  The elimination scan is fixed:
 # columns left to right, within a column the first nonzero entry from the
 # top.  The reduced form and its pivot columns are unique, so every basis
 # produced downstream is deterministic.
 
 # Integers of magnitude below 2**24 are exact in float32 and below 2**53
-# in float64; int32 holds magnitudes below 2**31.
+# in float64.
 _FLOAT32_EXACT = 2**24
 _FLOAT_EXACT = 2**53
-_INT32_LIMIT = 2**31
 
 # The smallest chunk accepted; a modulus with a smaller one (p above about
 # 8.4 * 10**6) is refused.
@@ -128,9 +133,11 @@ def _exact_float(bound: int) -> type:
 _ROW_BLOCK = 512
 
 
-# The unsigned type of the same width, through which _reduced reads the
-# signed types the kernels compute in.
-_UNSIGNED = {np.dtype(np.int32): np.uint32, np.dtype(np.int64): np.uint64}
+# The signed types the kernels compute in: the magnitude below which each
+# holds integers, and the unsigned type of the same width, through which
+# _reduced reads it.
+_LIMIT = {np.dtype(t): 1 << (8 * np.dtype(t).itemsize - 1) for t in (np.int16, np.int32, np.int64)}
+_UNSIGNED = {np.dtype(t): u for t, u in ((np.int16, np.uint16), (np.int32, np.uint32), (np.int64, np.uint64))}
 
 
 def _reduced(a: np.ndarray, p: int) -> np.ndarray:
@@ -142,9 +149,10 @@ def _reduced(a: np.ndarray, p: int) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype == object:
         return (a % p).astype(np.int64)
-    # read as unsigned, a negative int32 or int64 is at least 2**31, so
-    # when p is no larger one maximum checks both ends of [0, p)
-    unsigned = a.view(_UNSIGNED[a.dtype]) if a.dtype in _UNSIGNED and p <= _INT32_LIMIT else a
+    # read as unsigned, a negative entry is at least the limit of its
+    # signed type, so when p is no larger one maximum checks both ends of
+    # [0, p)
+    unsigned = a.view(_UNSIGNED[a.dtype]) if a.dtype in _UNSIGNED and p <= _LIMIT[a.dtype] else a
     if unsigned.dtype.kind == "u" and not (a.size and unsigned.max() >= p):
         return a
     return np.remainder(a, p, dtype=np.int64)
@@ -164,7 +172,7 @@ _FEW_ENTRIES = 512
 
 
 def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
-    """Reduce the int32 or int64 array a mod p in place, and return it.
+    """Reduce the int16, int32 or int64 array a mod p in place, and return it.
     Past _FEW_ENTRIES entries the reduction is a - (a // p) * p: numpy's
     floor division by a scalar is several times faster than its remainder,
     and in int32 about ten times faster than in int64.  The product
@@ -172,8 +180,8 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
     limits, and no integer may wrap, even where two's-complement arithmetic
     would still give the right difference.  So this is only for the
     kernel's own intermediates, which stay within p of the type's limits
-    (see _pivot_loop, _row_products and specht.BasisSolver); input from a
-    caller goes through _reduced."""
+    (see _pivot_loop, _eliminate, _row_products and specht.BasisSolver);
+    input from a caller goes through _reduced."""
     if a.size <= _FEW_ENTRIES:
         return np.remainder(a, p, out=a)
     if a.size > _REDUCE_ENTRIES and len(a) > 1:
@@ -189,10 +197,16 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
 
 def residues(a: np.ndarray, p: int) -> np.ndarray:
     """a mod p stored in the smallest unsigned dtype that holds p - 1: one
-    byte for every p below 257.  The reduction runs in int64 one block of
-    rows at a time, so no int64 copy of a large array is made whole."""
+    byte for every p below 257.  A byte array is read through a table of
+    the residues of its 256 values, indexed by its uint8 view; any other is
+    reduced in int64 one block of rows at a time, so no int64 copy of a
+    large array is made whole."""
     a = np.asarray(a)
-    out = np.empty(a.shape, dtype=np.min_scalar_type(p - 1))
+    dtype = np.min_scalar_type(p - 1)
+    if a.dtype in (np.int8, np.uint8):
+        table = np.remainder(np.arange(256, dtype=np.uint8).view(a.dtype), p, dtype=np.int64)
+        return table.astype(dtype)[a.view(np.uint8)]
+    out = np.empty(a.shape, dtype=dtype)
     for lo in range(0, len(a), _ROW_BLOCK):
         out[lo : lo + _ROW_BLOCK] = _reduced(a[lo : lo + _ROW_BLOCK], p)
     return out
@@ -278,28 +292,32 @@ def int_gram(m: np.ndarray) -> np.ndarray:
 # Width of a column panel of the blocked elimination.  A matrix no wider
 # than two panels is reduced by the per-pivot loop alone: below that the
 # products and workspace of two panels cost more than the loop saves.
-_PANEL = 64
+_PANEL = 32
 
 
 @lru_cache(maxsize=None)
 def _elimination_type(p: int) -> type:
-    """The integer type elimination mod p runs in: int32 when the delayed
-    reductions of a per-pivot loop of 2 * _PANEL pivots stay inside it,
-    2 * _PANEL * (p - 1)**2 + p < 2**31, which holds for every p up to
-    4093; int64 otherwise, up to the moduli _product_chunk accepts.
-    Raises ValueError for a modulus that products refuse."""
+    """The integer type elimination mod p runs in: the narrowest in which
+    the delayed reductions of a per-pivot loop of 2 * _PANEL pivots stay,
+    2 * _PANEL * (p - 1)**2 + p below its limit.  That is int16 for every p
+    up to 23, int32 up to 5791 and int64 above, up to the moduli
+    _product_chunk accepts.  Raises ValueError for a modulus that products
+    refuse."""
     _product_chunk(p)
-    return np.int32 if 2 * _PANEL * (p - 1) ** 2 + p < _INT32_LIMIT else np.int64
+    return next(t for t in (np.int16, np.int32, np.int64) if 2 * _PANEL * (p - 1) ** 2 + p < _LIMIT[np.dtype(t)])
 
 
-def _pivot_loop(m: np.ndarray, p: int, width: int) -> tuple[list[int], np.ndarray]:
-    """Gauss-Jordan elimination mod p in place on m, one pivot at a time,
-    with the fixed pivot scan over the first `width` columns.
+def _pivot_loop(t: np.ndarray, p: int, width: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination mod p in place on the transpose t of a
+    matrix, one pivot at a time, with the fixed pivot scan over the first
+    `width` columns of the matrix.  Row j of t is column j of the matrix,
+    so the pivot column, which every step reads whole, is contiguous.
 
     Returns the pivot columns and the row order: row i of the result
     descends from row order[i] of the input.  When column c becomes pivot
-    row r, row r is zero left of c, so scaling and eliminating touch only
-    the columns from c on.
+    row r, rows r and below are zero left of c, so the pivot row is copied
+    out and the row it displaces moved in its place over the columns from
+    c on only, by basic slicing.
 
     Columns from `width` on, if any, are workspace that must start at zero
     and be at least as wide as the rank.  The row that becomes pivot row r
@@ -308,113 +326,180 @@ def _pivot_loop(m: np.ndarray, p: int, width: int) -> tuple[list[int], np.ndarra
     end the workspace of the k pivot rows holds the inverse of the pivot
     block: the input rows order[:k] in the pivot columns.
 
-    m must hold residues on entry and holds residues on return.  In
+    t must hold residues on entry and holds residues on return.  In
     between, only the pivot column and the pivot row are reduced at each
-    pivot; the rank-1 updates of the other rows are subtracted unreduced.
+    pivot; the rank-1 update of the other rows is subtracted unreduced.
     Each pivot moves an entry by a multiplier times a pivot-row entry, both
     residues, so by at most (p - 1)**2.  A loop makes at most width pivots,
-    and its callers keep width at most 2 * _PANEL = 128, so no entry
-    strays from a residue by more than 128 * (p - 1)**2.  That bound plus
-    p is asserted to lie inside m's type: int32 (_elimination_type picks
-    it for every p up to 4093) holds it below 2**31, and in int64 it stays
-    below 2**53 for every modulus _product_chunk accepts.
+    and its callers keep width at most 2 * _PANEL, so no entry strays from a
+    residue by more than 2 * _PANEL * (p - 1)**2.  That bound plus p is
+    asserted to lie inside t's type: the one _elimination_type picks holds
+    it, and in int64 it stays below 2**53 for every modulus _product_chunk
+    accepts.
     """
-    assert width * (p - 1) ** 2 + p < 1 << (8 * m.itemsize - 1)
-    rows, cols = m.shape
-    order = np.arange(rows)
+    assert width * (p - 1) ** 2 + p < _LIMIT[t.dtype]
+    total, rows = t.shape
+    order = list(range(rows))
     pivots: list[int] = []
     r = 0
     for c in range(width):
         if r == rows:
             break
-        # the pivot column is reduced in every row: the rows below r to
+        # the pivot column is reduced in every row: the rows from r on to
         # find the pivot, the others because they are the multipliers
-        _reduce_in_place(m[:, c], p)
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
+        col = _reduce_in_place(t[c], p)
+        i = r + int((col[r:] != 0).argmax())
+        if not col[i]:
             continue
-        i = r + int(nz[0])
         # workspace columns past width + r are still zero in every row
-        end = min(width + r + 1, cols)
+        end = min(width + r + 1, total)
+        row = np.remainder(t[c:end, i], p)
+        if width < total:
+            row[width + r - c] = 1
+        inverse = pow(int(row[0]), -1, p)
+        if inverse != 1:
+            row *= inverse
+            _reduce_in_place(row, p)
         if i != r:
-            m[[r, i], c:end] = m[[i, r], c:end]
-            order[[r, i]] = order[[i, r]]
-        if width < cols:
-            m[r, width + r] = 1
-        row = _reduce_in_place(m[r, c:end], p)
-        row *= pow(int(row[0]), -1, p)
-        _reduce_in_place(row, p)
-        others = np.flatnonzero(m[:, c])
-        others = others[others != r]
-        if others.size:
-            m[others, c:end] -= np.outer(m[others, c], row)
+            t[c:end, i] = t[c:end, r]
+            order[r], order[i] = order[i], order[r]
+        # every row, the pivot row included, loses its multiple of the
+        # pivot row; that zeroes column c, and the pivot row is then written
+        t[c:end] -= np.multiply.outer(row, col)
+        t[c:end, r] = row
         pivots.append(c)
         r += 1
-    _reduce_in_place(m, p)
+    _reduce_in_place(t, p)
     return pivots, order
 
 
-def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p.
+def _factor_panel(m: np.ndarray, r: int, c0: int, w: int, p: int) -> tuple[list[int], np.ndarray]:
+    """Find the pivots of the panel m[r:, c0:c0 + w], which must hold
+    residues, and move the rows S that carry them up to rows r..r+k-1 in
+    pivot order.  Returns the pivot columns P of m and the inverse of
+    m[S, P], from the per-pivot loop on a transposed copy of the panel
+    with its workspace.  At most 2k rows move, over the columns from c0
+    on: rows r and below are zero left of the panel, or no longer read."""
+    panel = np.zeros((2 * w, len(m) - r), dtype=m.dtype)
+    panel[:w] = m[r:, c0 : c0 + w].T
+    found, order = _pivot_loop(panel, p, w)
+    k = len(found)
+    order = np.array(order)
+    moved = np.flatnonzero(order != np.arange(len(order)))
+    m[r + moved, c0:] = m[r + order[moved], c0:]
+    return [c0 + c for c in found], panel[w : w + k, :k].T
 
-    Returns the reduced matrix and the list of pivot column indices.  The
-    reduced form is unique, so it does not depend on how it is computed.
 
-    A matrix wider than two panels is reduced a column panel at a time
-    (Jeannerod, Pernet and Storjohann, JSC 2013).  Rows 0..r-1 hold the
-    pivot rows found so far and the other rows are zero left of the panel.
-    The per-pivot loop on a copy of the panel's remaining rows finds its
-    pivot columns P, rows S that carry them and the inverse of A[S, P];
-    S moves up to rows r..r+k-1.  Then X = A[S, P]^-1 A[S, c0:] is the
-    reduced form of those rows, and every row gets A[:, c0:] -= A[:, P] X,
-    which zeroes the P columns outside S and, below the pivot rows, the
-    whole panel, since the panel's rows lie in the span of its rows S.
-    Both products run through _row_products, the update one block of
-    rows at a time, and a modulus that products refuse is refused here
-    too, with ValueError.
+def _eliminate(a: np.ndarray, p: int, reduced_form: bool) -> tuple[np.ndarray, list[int]]:
+    """The elimination behind fp_rref and fp_rank: the pivot columns of a
+    mod p and, with reduced_form, the reduced row echelon form as an int64
+    array; without it the returned matrix holds no result.
 
-    The elimination runs on a copy in the type _elimination_type(p) picks,
-    int32 for every p up to 4093 and int64 above, and the reduced form is
-    returned as int64.  A matrix of at most _FEW_ENTRIES entries stays in
-    int64: each of its reductions is one np.remainder call, which int32
-    does not speed up, and int64 needs no conversion back.
+    A matrix no wider than two panels goes through the per-pivot loop
+    whole, transposed, which gives the reduced form either way.  A wider
+    one is reduced a column panel at a time (Jeannerod, Pernet and
+    Storjohann, JSC 2013).  Rows 0..r-1 hold the pivot rows found so far
+    and the other rows are zero left of the panel.  _factor_panel finds
+    the panel's pivot columns P, moves the rows S that carry them up to
+    rows r..r+k-1 and returns the inverse of A[S, P]; X = A[S, P]^-1 A[S,
+    c0:] is the reduced form of those rows.  Every row below them gets
+    A[:, c0 + w:] -= A[:, P] X, the Schur complement, and its panel is
+    zero, since the panel's rows lie in the span of its rows S.  For the
+    reduced form the pivot rows above get A[:, c0:] -= A[:, P] X, which
+    zeroes their P columns, and rows S become X.  For the rank alone the
+    rows with pivots are dropped: nothing above row r + k is touched again
+    (Dumas, Pernet and Sultan, ISSAC 2013, read ranks off such a profile).
+
+    Reduction is delayed outside the panel too.  Only the panel is reduced
+    before it is factored, in the rows the update reads, and the pivot
+    rows before X is formed.  A panel's update A[:, P] X is a product of
+    residues over k <= _PANEL terms, at most k * (p - 1)**2 per entry, so
+    BLAS computes it exactly in float32 below 2**24 and in float64 below
+    2**53 (k is within every accepted modulus's chunk), and it is
+    subtracted unreduced.  The rest of the matrix is reduced only when the
+    updates since its last reduction, plus p, would pass the limit of its
+    type: rank * (p - 1)**2 + p at most in all.  The updates run one block
+    of _ROW_BLOCK rows at a time, so no temporary of the matrix's size is
+    made.
+
+    The elimination runs on a copy in the type _elimination_type(p)
+    picks: int16 for every p up to 23, int32 up to 5791 and int64 above.
+    A matrix of at most _FEW_ENTRIES entries stays in int64: each of its
+    reductions is one np.remainder call, which a narrower type does not
+    speed up, and int64 needs no conversion back.
     """
     dtype = _elimination_type(p)  # raises ValueError for such a modulus
     a = np.asarray(a)
     if a.size <= _FEW_ENTRIES:
         dtype = np.int64
     m = _reduced(a, p)
-    # residues are passed through; the elimination runs on a copy
-    m = m.astype(dtype, copy=m is a)
     rows, cols = m.shape
     if cols <= 2 * _PANEL:
-        pivots = _pivot_loop(m, p, cols)[0]
-        return m.astype(np.int64, copy=False), pivots
-    pivots = []
+        t = np.array(m.T, dtype=dtype, order="C")
+        pivots = _pivot_loop(t, p, cols)[0]
+        return np.array(t.T, dtype=np.int64, order="C"), pivots
+    # residues are passed through; the elimination runs on a copy
+    m = m.astype(dtype, copy=m is a)
+    step = (p - 1) ** 2  # the most one pivot's update moves an entry
+    drift = 0  # how far below a residue an entry right of the panel may sit
+    pivots: list[int] = []
     for c0 in range(0, cols, _PANEL):
         r = len(pivots)
         if r == rows:
             break
         w = min(_PANEL, cols - c0)
-        panel = np.zeros((rows - r, 2 * w), dtype=dtype)
-        panel[:, :w] = m[r:, c0 : c0 + w]
-        found, order = _pivot_loop(panel, p, w)
-        k = len(found)
+        top = 0 if reduced_form else r  # the rows the updates reach
+        _reduce_in_place(m[top:, c0 : c0 + w], p)
+        cp, inverse = _factor_panel(m, r, c0, w, p)
+        k = len(cp)
         if not k:
             continue
-        # reorder rows r.. as the loop did, which moves the rows S up to
-        # rows r..r+k-1 in pivot order; at most 2k rows move
-        moved = np.flatnonzero(order != np.arange(rows - r))
-        m[r + moved] = m[r + order[moved]]
-        cp = [c0 + c for c in found]
-        x = fp_matmul(panel[:k, w : w + k], m[r : r + k, c0:], p)
-        for band, update in _row_products(m[:, cp], x, p):
-            block = m[band, c0:]
-            block -= update
-            _reduce_in_place(block, p)
-        m[r : r + k, c0:] = x
+        x = fp_matmul(inverse, _reduce_in_place(m[r : r + k, c0:], p), p)
+        if drift + k * step + p >= _LIMIT[m.dtype]:
+            _reduce_in_place(m[top:, c0 + w :], p)
+            drift = 0
+        drift += k * step
+        assert drift + p < _LIMIT[m.dtype]
+        _subtract_products(m, range(r + k, rows), cp, x[:, w:], c0 + w, p)
+        if reduced_form:
+            m[r + k :, c0 : c0 + w] = 0
+            _subtract_products(m, range(r), cp, x, c0, p)
+            m[r : r + k, c0:] = x
         pivots += cp
-    return m.astype(np.int64, copy=False), pivots
+    if reduced_form:
+        m = _reduce_in_place(m, p).astype(np.int64, copy=False)
+    return m, pivots
+
+
+def _subtract_products(m: np.ndarray, rows: range, cp: list[int], x: np.ndarray, start: int, p: int) -> None:
+    """m[rows, start:] -= m[rows, cp] @ x, unreduced, one block of
+    _ROW_BLOCK rows at a time.  m[rows, cp] and x hold residues; each
+    product is exact in the float type its bound len(cp) * (p - 1)**2
+    picks, and the caller keeps the difference inside m's type."""
+    ftype = _exact_float(len(cp) * (p - 1) ** 2)
+    x = x.astype(ftype)
+    for lo in range(rows.start, rows.stop, _ROW_BLOCK):
+        band = slice(lo, min(lo + _ROW_BLOCK, rows.stop))
+        block = m[band, start:]
+        block -= (m[band, cp].astype(ftype) @ x).astype(m.dtype)
+
+
+def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p.
+
+    Returns the reduced matrix, as int64 residues, and the list of pivot
+    column indices.  The reduced form is unique, so it does not depend on
+    how it is computed (see _eliminate).  A modulus that products refuse
+    is refused here too, with ValueError."""
+    return _eliminate(a, p, True)
+
+
+def fp_rank(a: np.ndarray, p: int) -> int:
+    """Rank mod p, from the elimination of fp_rref without the reduced
+    form: past two panels each panel's pivot rows are dropped and only the
+    Schur complement of the other rows is carried on (see _eliminate).  A
+    modulus that products refuse is refused with ValueError."""
+    return len(_eliminate(a, p, False)[1])
 
 
 def kernel_from_rref(rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
@@ -443,24 +528,43 @@ def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
 
 class GramQuotient:
     """Quotient of F_p^d by the null space (the radical) of a symmetric Gram
-    matrix, from one elimination of that matrix.
+    matrix.
 
-    The radical columns are the kernel basis read off the reduced form: the
-    identity on the free coordinates, free_idx.  The complement is the span
-    of the pivot coordinate vectors, pivot_idx, so a trace on the quotient
-    needs only this index data.  Coordinates of vectors and actions are
-    taken in the basis whose Gram matrix was eliminated.  radical,
-    free_idx and pivot_idx are read-only.
+    quotient_dim, the rank of the Gram matrix, is read on construction,
+    through fp_rank.  The radical columns are the kernel basis read off the
+    reduced form: the identity on the free coordinates, free_idx.  The
+    complement is the span of the pivot coordinate vectors, pivot_idx, so a
+    trace on the quotient needs only this index data.  radical, free_idx
+    and pivot_idx come from one elimination on first use; a Gram matrix no
+    wider than the per-pivot loop takes alone has its reduced form from the
+    same loop as its rank, and it is kept.  Coordinates of vectors and
+    actions are taken in the basis whose Gram matrix was eliminated.
+    radical, free_idx and pivot_idx are read-only.
     """
 
     def __init__(self, gram: np.ndarray, p: int):
-        rref, pivots = fp_rref(gram, p)
         self.p = p
-        self.radical = read_only(kernel_from_rref(rref, pivots, p))
+        self._gram = gram
+        self._rref = fp_rref(gram, p) if np.shape(gram)[1] <= 2 * _PANEL else None
+        self.quotient_dim = len(self._rref[1]) if self._rref else fp_rank(gram, p)
+
+    @cached_property
+    def _fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """radical, free_idx and pivot_idx from the reduced form.  Nothing
+        is changed but the cache: jobs on a thread pool may read the same
+        quotient at once."""
+        rref, pivots = self._rref or fp_rref(self._gram, self.p)
         pivot_set = set(pivots)
-        self.free_idx = read_only(np.array([f for f in range(rref.shape[1]) if f not in pivot_set], dtype=np.intp))
-        self.pivot_idx = read_only(np.array(pivots, dtype=np.intp))
-        self.quotient_dim = len(pivots)
+        free = [f for f in range(rref.shape[1]) if f not in pivot_set]
+        return (
+            read_only(kernel_from_rref(rref, pivots, self.p)),
+            read_only(np.array(free, dtype=np.intp)),
+            read_only(np.array(pivots, dtype=np.intp)),
+        )
+
+    radical = property(lambda self: self._fields[0])
+    free_idx = property(lambda self: self._fields[1])
+    pivot_idx = property(lambda self: self._fields[2])
 
     def project_columns(self, cols: np.ndarray) -> np.ndarray:
         """Complement coordinates of columns, read off after subtracting the

@@ -10,7 +10,6 @@ adjoint; the diagonal operator weights a word by (#plus - #minus).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -165,7 +164,12 @@ def coev_ev(kind: str, k: int, v: TensorVector) -> TensorVector:
 @lru_cache(maxsize=None)
 def weight_class_masks(n: int, b: int) -> tuple[tuple[int, ...], dict]:
     """Sorted masks with exactly b bits set among n, plus an index lookup."""
-    masks = tuple(sorted(sum(1 << i for i in combo) for combo in combinations(range(n), b)))
+    # the bit counts of range(2**n), each half of a doubling one more than
+    # the other
+    counts = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        counts = np.concatenate([counts, counts + 1])
+    masks = tuple(np.flatnonzero(counts == b).tolist())
     return masks, {m: i for i, m in enumerate(masks)}
 
 

@@ -79,6 +79,31 @@ def test_usage_errors_exit_two():
         assert proc.stderr.startswith("error: job 0: tau must be two row lengths"), argv
 
 
+def test_integer_options_take_ascii_digits_only():
+    # int() also reads the decimal digits of other scripts: the first of
+    # these once ran as p = 3, n = 4, k = 1 and exited 0
+    for argv in (
+        ["resolve", "--p", "\u0663", "--n", "\u0664", "--k", "\u0661"],
+        ["--seed", "\u0661", "resolve", "--p", "3", "--n", "4", "--k", "1"],
+        ["--workers", "\u0661", "resolve", "--p", "3", "--n", "4", "--k", "1"],
+    ):
+        proc = run_cli(argv)
+        assert proc.returncode == 2, argv
+        assert "error: argument" in proc.stderr and "invalid integer value" in proc.stderr, argv
+        assert not proc.stdout, argv
+
+
+def test_a_long_tau_row_is_refused_by_name_before_int_reads_it():
+    # Python's int() refuses more than 4300 digits with its own message
+    proc = run_cli(["character", "--p", "3", "--tau", "1" * 5000 + ",1"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: job 0: tau out of range: a row of 5000 digits\n"
+    # leading zeros still count for nothing
+    job = cli.Job("character", {"p": 3, "tau": "0" * 5000 + "2, 01"})
+    job.validate()
+    assert job.params["tau"] == [2, 1]
+
+
 def test_word_parsing():
     proc = run_cli(["alexander", "--g", "2", "--word", "S1 P1", "--p", "5"])
     assert proc.returncode == 0

@@ -13,12 +13,14 @@ from spechtres.rings import (
     GramQuotient,
     fp_matmul,
     fp_inverse,
+    fp_rank,
     fp_rref,
     int_det,
     int_gram,
     kernel_from_rref,
     power,
     quantum_integer,
+    residues,
     zeta_quantum,
 )
 from spechtres.surface import ExteriorVector
@@ -331,7 +333,11 @@ def _rref_cases(rng, p):
     for cols in (_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL - 1, 2 * _PANEL, 2 * _PANEL + 1, 3 * _PANEL, 3 * _PANEL + 1):
         yield _staircase(rng, cols // 3, cols, p)
         # rank-deficient, with dependent rows interleaved
-        yield (rng.randint(0, p, size=(cols // 2, cols // 4)) @ _staircase(rng, cols // 4, cols, p)) % p
+        dependent = (rng.randint(0, p, size=(cols // 2, cols // 4)) @ _staircase(rng, cols // 4, cols, p)) % p
+        yield dependent
+        # tall
+        yield dependent.T
+        yield _staircase(rng, cols // 3, cols, p).T
         yield rng.randint(0, p, size=(12, cols))  # rank is reached in the first panel
         a = _staircase(rng, 30, cols, p)
         a[:, ::3] = 0
@@ -341,15 +347,20 @@ def _rref_cases(rng, p):
         a[:, cols // 3 :] = 0  # the rank stops short of the row count
         yield a
     yield rng.randint(0, p, size=(_PANEL + 1, _PANEL + 1))
-    for shape in ((0, 2 * _PANEL + 1), (2 * _PANEL + 1, 0), (0, 0), (3, 0)):
+    # whole panels of zeros, and rows past the rank
+    a = _staircase(rng, 20, 4 * _PANEL + 1, p)
+    a[:, _PANEL : 3 * _PANEL] = 0
+    yield np.concatenate([a, a[:7]])
+    for shape in ((0, 2 * _PANEL + 1), (2 * _PANEL + 1, 0), (0, 0), (3, 0), (5, 2 * _PANEL + 1)):
         yield np.zeros(shape, dtype=np.int64)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 4093, 4099, 8388593])
+@pytest.mark.parametrize("p", [3, 5, 7, 23, 29, 211, 4093, 4099, 5791, 5801, 8388593])
 def test_fp_rref_matches_python_integer_elimination(p):
-    # 4093 is the largest prime eliminated in int32 and 4099 the first in
-    # int64; 8388593, the largest prime products accept, has the smallest
-    # chunk (128 terms)
+    # 23 is the largest prime eliminated in int16 and 29 the first in
+    # int32, 5791 the largest in int32 and 5801 the first in int64;
+    # 8388593, the largest prime products accept, has the smallest chunk
+    # (128 terms).  fp_rank reads the same rank without the reduced form.
     rng = np.random.RandomState(p % 1009)
     for a in _rref_cases(rng, p):
         got, pivots = fp_rref(a, p)
@@ -357,6 +368,7 @@ def test_fp_rref_matches_python_integer_elimination(p):
         assert pivots == ref_pivots, a.shape
         assert got.dtype == np.int64 and got.shape == a.shape
         assert got.tolist() == ref.tolist(), a.shape
+        assert fp_rank(a, p) == len(ref_pivots), a.shape
 
 
 def test_fp_rref_accepts_any_integer_entries():
@@ -366,26 +378,80 @@ def test_fp_rref_accepts_any_integer_entries():
     got, pivots = fp_rref(a, 7)
     ref, ref_pivots = _rref_python_ints(a, 7)
     assert pivots == ref_pivots and got.tolist() == ref.tolist()
+    assert fp_rank(a, 7) == fp_rank(a.T, 7) == len(ref_pivots)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_byte_matrices_are_eliminated_as_their_residues(dtype):
+    # int8 reaches -128 and uint8 255, neither of them a residue mod 5 or 211
+    rng = np.random.RandomState(23)
+    info = np.iinfo(dtype)
+    for p in (5, 211):
+        for shape in ((40, 2 * _PANEL - 1), (30, 3 * _PANEL + 1), (3 * _PANEL + 1, 2 * _PANEL + 5)):
+            a = rng.randint(info.min, info.max + 1, size=shape).astype(dtype)
+            got, pivots = fp_rref(a, p)
+            ref, ref_pivots = _rref_python_ints(a.astype(np.int64), p)
+            assert pivots == ref_pivots and got.tolist() == ref.tolist(), (p, shape)
+            assert fp_rank(a, p) == len(ref_pivots), (p, shape)
 
 
 def test_delayed_reduction_holds_at_its_tightest_bound():
     # The per-pivot loop subtracts each rank-1 update unreduced, up to
-    # (p - 1)**2 per pivot.  At the largest prime of each type (8388593 in
-    # int64, 4093 in int32) and the first past int32 (4099), a
-    # full-rank square of 2 * _PANEL columns puts all 128 pivots through
-    # one loop, and a 3 * _PANEL square has every panel of the blocked
-    # elimination find _PANEL pivots; entries in [p - 64, p) make the first
-    # updates the largest residue products.
+    # (p - 1)**2 per pivot.  At the largest prime of each type (23 in
+    # int16, 5791 in int32, 8388593 in int64) and the first past int16
+    # and int32 (29 and 5801), a full-rank square of 2 * _PANEL columns
+    # puts all its pivots through one loop, and a 3 * _PANEL square has
+    # every panel of the blocked elimination find _PANEL pivots; entries
+    # in [p - 16, p) make the first updates the largest residue products.
     rng = np.random.RandomState(17)
-    for p in (8388593, 4093, 4099):
+    for p in (23, 29, 5791, 5801, 8388593):
         for n in (2 * _PANEL, 3 * _PANEL):
-            a = rng.randint(p - 64, p, size=(n, n))
+            a = rng.randint(p - min(p - 1, 16), p, size=(n, n))
             kept = a.copy()
             got, pivots = fp_rref(a, p)
             ref, ref_pivots = _rref_python_ints(a, p)
             assert pivots == ref_pivots == list(range(n))
             assert got.tolist() == ref.tolist()
+            assert fp_rank(a, p) == n
             assert np.array_equal(a, kept)  # residues are read, not reduced in place
+
+
+def _identity_led(p, panels):
+    """A full-rank square of whole panels in which every panel's pivot
+    block is the identity, with p - 1 right of it in its rows and below it
+    in the others, at every stage: the Schur complement of the block in
+    [[I, (p-1)J], [(p-1)J, S + _PANEL * J]] is S mod p, since
+    (p - 1)**2 = 1.  Each panel's update then moves every entry below and
+    right of it by the whole _PANEL * (p - 1)**2."""
+    s = np.identity(_PANEL, dtype=np.int64)
+    for _ in range(panels - 1):
+        n = len(s)
+        top = np.hstack([np.identity(_PANEL, dtype=np.int64), np.full((_PANEL, n), p - 1)])
+        s = np.vstack([top, np.hstack([np.full((n, _PANEL), p - 1), (s + _PANEL) % p])])
+    return s
+
+
+@pytest.mark.parametrize("p, limit", [(23, 2**15), (4093, 2**31)])
+def test_the_trailing_bound_forces_reductions_mid_elimination(p, limit):
+    # Panel updates are subtracted from the rest of the matrix unreduced,
+    # _PANEL * (p - 1)**2 per full panel, until one more would pass the
+    # limit of the elimination's type: at 23 in int16 after two panels, at
+    # 4093 in int32 after four.  On six identity-led panels every update
+    # reaches that bound, so without the reductions entries would wrap.
+    panels = 2 if p == 23 else 4
+    assert panels * _PANEL * (p - 1) ** 2 + p < limit <= (panels + 1) * _PANEL * (p - 1) ** 2 + p
+    rng = np.random.RandomState(29)
+    square = _identity_led(p, 6)
+    n = len(square)
+    # columns past the square make the reduced form depend on every entry
+    a = np.hstack([square, rng.randint(0, p, size=(n, 5))])
+    got, pivots = fp_rref(a, p)
+    ref, ref_pivots = _rref_python_ints(a, p)
+    assert pivots == ref_pivots == list(range(n)) and got.tolist() == ref.tolist()
+    assert fp_rank(a, p) == n
+    # rank-deficient: the rows past the rank keep their Schur complement
+    b = np.vstack([a[: 5 * _PANEL], (rng.randint(0, p, size=(7, 5 * _PANEL)) @ a[: 5 * _PANEL]) % p])
+    assert fp_rank(b, p) == len(fp_rref(b, p)[1]) == len(_rref_python_ints(b, p)[1]) == 5 * _PANEL
 
 
 def test_int64_extremes_are_reduced_without_wrapping():
@@ -401,6 +467,7 @@ def test_int64_extremes_are_reduced_without_wrapping():
         got, pivots = fp_rref(a, p)
         ref, ref_pivots = _rref_python_ints(a, p)
         assert pivots == ref_pivots and got.tolist() == ref.tolist()
+        assert fp_rank(a, p) == fp_rank(a.T, p) == len(ref_pivots)
         b = rng.randint(-(2**62), 2**62, size=(a.shape[1], 4), dtype=np.int64)
         b[::2, 0] = info.min
         b[1::2, 1] = info.max
@@ -414,7 +481,42 @@ def test_eliminations_refuse_a_modulus_beyond_int64_products():
         with pytest.raises(ValueError, match="too large"):
             fp_rref(a, p)
         with pytest.raises(ValueError, match="too large"):
+            fp_rank(a, p)
+        with pytest.raises(ValueError, match="too large"):
             fp_inverse(a[:, :2], p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_gram_quotient_fields_are_lazy_and_equal_the_eager_ones(p):
+    from spechtres.specht import Diagram2, gram_of_diagram
+
+    # Grams at most 2 * _PANEL wide keep the reduced form of their rank's
+    # loop; the wider ones eliminate again on first use
+    for tau in (Diagram2(2, 2), Diagram2(5, 3), Diagram2(6, 6), Diagram2(9, 4)):
+        gram = gram_of_diagram(tau)
+        rref, pivots = fp_rref(gram, p)
+        q = GramQuotient(gram, p)
+        assert q.quotient_dim == len(pivots) == fp_rank(gram, p), tau
+        free = [f for f in range(len(gram)) if f not in pivots]
+        assert np.array_equal(q.radical, kernel_from_rref(rref, pivots, p))
+        assert q.free_idx.tolist() == free and q.pivot_idx.tolist() == pivots
+        assert q.quotient_dim == len(pivots)  # the same after the fields are built
+        for name in ("radical", "free_idx", "pivot_idx"):
+            assert not getattr(q, name).flags.writeable
+            with pytest.raises(AttributeError):
+                setattr(q, name, np.zeros(1))
+        assert q.radical is q.radical  # eliminated once
+
+
+def test_byte_residues_match_the_int64_remainder():
+    a = np.arange(-128, 128, dtype=np.int64).reshape(16, 16)
+    for p in (3, 211, 8388593):
+        for dtype in (np.int8, np.uint8):
+            b = a.astype(dtype)
+            got = residues(b, p)
+            assert got.dtype == np.min_scalar_type(p - 1)
+            assert got.tolist() == np.remainder(b.astype(np.int64), p).tolist(), (p, dtype)
+        assert residues(a, p).tolist() == np.remainder(a, p).tolist()
 
 
 def test_quotient_matrix_refuses_an_action_that_moves_the_radical():

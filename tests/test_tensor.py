@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -150,3 +151,12 @@ def test_perm_action_rows_gather_the_images():
                 assert np.array_equal(col[rows], TensorVector.columns([perm_action(sigma, v)], index, np.int64))
     with pytest.raises(ValueError):
         perm_action_rows((1, 3), 2, 1)
+
+
+def test_weight_class_masks_match_the_combinations():
+    for n in range(17):
+        for b in range(n + 2):
+            masks = tuple(sorted(sum(1 << i for i in combo) for combo in combinations(range(n), b)))
+            got = weight_class_masks(n, b)
+            assert got == (masks, {m: i for i, m in enumerate(masks)}), (n, b)
+            assert all(type(m) is int for m in got[0])
