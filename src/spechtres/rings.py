@@ -195,20 +195,26 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+# Entries of a byte array that residues reads at a time: its temporaries of
+# 128 kB take no fresh pages, unlike those of _ROW_BLOCK rows of a basis.
+_BYTE_ENTRIES = 2**17
+
+
 def residues(a: np.ndarray, p: int) -> np.ndarray:
     """a mod p stored in the smallest unsigned dtype that holds p - 1: one
-    byte for every p below 257.  A byte array is read through a table of
-    the residues of its 256 values, indexed by its uint8 view; any other is
-    reduced in int64 one block of rows at a time, so no int64 copy of a
-    large array is made whole."""
+    byte for every p below 257.  A byte array with every entry in (-p, p),
+    for p below 256, is read in its uint8 view, where a negative entry v
+    reads 256 + v, and 256 - p is subtracted from those, leaving v + p
+    without a wrap; any other array is reduced in int64.  Either runs one
+    block at a time, so no temporary of a large array's size is made."""
     a = np.asarray(a)
     dtype = np.min_scalar_type(p - 1)
-    if a.dtype in (np.int8, np.uint8):
-        table = np.remainder(np.arange(256, dtype=np.uint8).view(a.dtype), p, dtype=np.int64)
-        return table.astype(dtype)[a.view(np.uint8)]
     out = np.empty(a.shape, dtype=dtype)
-    for lo in range(0, len(a), _ROW_BLOCK):
-        out[lo : lo + _ROW_BLOCK] = _reduced(a[lo : lo + _ROW_BLOCK], p)
+    byte = a.dtype in (np.int8, np.uint8) and dtype == np.uint8 and not (a.size and (a.min() <= -p or a.max() >= p))
+    step = max(1, _BYTE_ENTRIES * len(a) // max(1, a.size)) if byte else _ROW_BLOCK
+    for lo in range(0, len(a), step):
+        b = a[lo : lo + step]
+        out[lo : lo + step] = b.view(np.uint8) - (b < 0).view(np.uint8) * np.uint8(256 - p) if byte else _reduced(b, p)
     return out
 
 
@@ -227,7 +233,9 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     the float type holds exactly, so BLAS summation order, and so its
     thread count, cannot change the result.  A modulus for which the
     float64 bound leaves fewer than _MIN_FLOAT_CHUNK terms per chunk (p
-    above about 8.4 * 10**6) is refused with ValueError.
+    above about 8.4 * 10**6) is refused with ValueError.  Every block reuses
+    one buffer each for its cast, its product and its residues, so a
+    yielded product is overwritten by the next one.
     """
     chunk = _product_chunk(p)
     b = _reduced(b, p)
@@ -237,13 +245,18 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     # residues below 2**24 leave a float32 product as int32
     itype = np.int32 if dtype is np.float32 else np.int64
     b = b.astype(dtype)
+    cast = np.empty((min(_ROW_BLOCK, len(a)), a.shape[1]), dtype=dtype)
+    acc = np.empty((len(cast),) + b.shape[1:], dtype=dtype)
+    out = np.empty(acc.shape, dtype=itype)
     for lo in range(0, len(a), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        block = _reduced(a[rows], p).astype(dtype)
-        acc = block[:, :chunk] @ b[:chunk]
-        for k in range(chunk, block.shape[1], chunk):
-            acc = acc % p + block[:, k : k + chunk] @ b[k : k + chunk]
-        yield rows, _reduce_in_place(acc.astype(itype), p)
+        rows, m = slice(lo, lo + _ROW_BLOCK), min(_ROW_BLOCK, len(a) - lo)
+        cast[:m] = _reduced(a[rows], p)
+        np.matmul(cast[:m, :chunk], b[:chunk], out=acc[:m])
+        for k in range(chunk, a.shape[1], chunk):
+            np.remainder(acc[:m], p, out=acc[:m])
+            acc[:m] += cast[:m, k : k + chunk] @ b[k : k + chunk]
+        out[:m] = acc[:m]
+        yield rows, _reduce_in_place(out[:m], p)
 
 
 def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -283,9 +296,11 @@ def int_gram(m: np.ndarray) -> np.ndarray:
         raise OverflowError("Gram matrix entries may exceed 2**53, the float64 limit of exact integers")
     dtype = _exact_float(bound)
     gram = np.zeros((m.shape[1], m.shape[1]), dtype=dtype)
+    cast, product = np.empty((min(_ROW_BLOCK, len(m)), m.shape[1]), dtype=dtype), np.empty_like(gram)  # reused
     for lo in range(0, len(m), _ROW_BLOCK):
-        f = m[lo : lo + _ROW_BLOCK].astype(dtype)
-        gram += f.T @ f
+        f = cast[: min(_ROW_BLOCK, len(m) - lo)]
+        f[:] = m[lo : lo + _ROW_BLOCK]
+        gram += np.matmul(f.T, f, out=product)
     return gram.astype(np.int64)
 
 
@@ -530,29 +545,34 @@ class GramQuotient:
     """Quotient of F_p^d by the null space (the radical) of a symmetric Gram
     matrix.
 
-    quotient_dim, the rank of the Gram matrix, is read on construction,
-    through fp_rank.  The radical columns are the kernel basis read off the
-    reduced form: the identity on the free coordinates, free_idx.  The
-    complement is the span of the pivot coordinate vectors, pivot_idx, so a
-    trace on the quotient needs only this index data.  radical, free_idx
-    and pivot_idx come from one elimination on first use; a Gram matrix no
-    wider than the per-pivot loop takes alone has its reduced form from the
-    same loop as its rank, and it is kept.  Coordinates of vectors and
-    actions are taken in the basis whose Gram matrix was eliminated.
-    radical, free_idx and pivot_idx are read-only.
+    quotient_dim is the rank of the Gram matrix.  The radical columns are
+    the kernel basis read off the reduced form: the identity on the free
+    coordinates, free_idx.  The complement is the span of the pivot
+    coordinate vectors, pivot_idx, so a trace on the quotient needs only
+    this index data.  radical, free_idx and pivot_idx come from one
+    elimination on first use, which quotient_dim then reads too; read
+    first, it comes from fp_rank.  A Gram matrix no wider than the
+    per-pivot loop takes alone has its reduced form from the same loop as
+    its rank; it is taken on construction and kept.  Coordinates are taken
+    in the basis whose Gram matrix was eliminated.  All arrays here are
+    read-only, and only the caches change: jobs on a thread pool may read
+    the same quotient at once.
     """
 
     def __init__(self, gram: np.ndarray, p: int):
         self.p = p
         self._gram = gram
         self._rref = fp_rref(gram, p) if np.shape(gram)[1] <= 2 * _PANEL else None
-        self.quotient_dim = len(self._rref[1]) if self._rref else fp_rank(gram, p)
+
+    @cached_property
+    def quotient_dim(self) -> int:
+        if self._rref:
+            return len(self._rref[1])
+        return len(self.pivot_idx) if "_fields" in self.__dict__ else fp_rank(self._gram, self.p)
 
     @cached_property
     def _fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """radical, free_idx and pivot_idx from the reduced form.  Nothing
-        is changed but the cache: jobs on a thread pool may read the same
-        quotient at once."""
+        """radical, free_idx and pivot_idx from the reduced form."""
         rref, pivots = self._rref or fp_rref(self._gram, self.p)
         pivot_set = set(pivots)
         free = [f for f in range(rref.shape[1]) if f not in pivot_set]

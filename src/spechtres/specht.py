@@ -29,11 +29,7 @@ from .rings import (
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
 from .rings import fp_inverse, fp_rref  # noqa: F401
-from .tensor import (
-    TensorVector,
-    perm_action_rows,
-    weight_class_masks,
-)
+from .tensor import TensorVector, perm_action_rows, weight_class_array, weight_classes
 
 __all__ = [
     "Diagram2",
@@ -186,36 +182,28 @@ def specht_basis(n: int, c: int) -> list[TensorVector]:
     return [polytabloid(t) for t in standard_tableaux(diag)]
 
 
-def _standard_words(n: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tabloid word of each standard tableau of shape [n-b, b], in basis
-    order, the change of word made by swapping each of its columns, and
-    the bit of each of its n - 2b unpaired top positions.
-
-    The standard bottom rows are the b-subsets of 1..n whose k-th entry is
-    at least 2k, in combination order.  Column k pairs the k-th top entry
-    over the k-th bottom entry.  Swapping column top over bottom moves a
-    plus from position bottom to position top, which adds 2^(top-1) -
-    2^(bottom-1) to the word.
-    """
-    combos = list(combinations(range(1, n + 1), b))
-    bottoms = np.asarray(combos, dtype=np.int64).reshape(len(combos), b)
-    bottoms = bottoms[(bottoms >= 2 * np.arange(1, b + 1)).all(axis=1)]
-    in_bottom = np.zeros((len(bottoms), n + 1), dtype=bool)
-    in_bottom[np.arange(len(bottoms))[:, None], bottoms] = True
-    tops = np.nonzero(~in_bottom[:, 1:])[1].reshape(len(bottoms), n - b) + 1
-    base = (np.int64(1) << (bottoms - 1)).sum(axis=1)
-    swaps = (np.int64(1) << (tops[:, :b] - 1)) - (np.int64(1) << (bottoms - 1))
-    return base, swaps, np.int64(1) << (tops[:, b:] - 1)
-
-
-def _polytabloid_words(n: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Words of the standard polytabloids of shape [n-b, b]: an array of
-    2^b rows, one per subset of swapped columns, and one column per basis
-    vector; whether each subset is odd, which makes the sign of its words
-    negative; and the unpaired top bits of _standard_words."""
-    base, swaps, free = _standard_words(n, b)
-    subsets = (np.arange(1 << b)[:, None] >> np.arange(b) & 1).astype(np.int64)
-    return base + subsets @ swaps.T, subsets.sum(axis=1) & 1, free
+@lru_cache(maxsize=None)
+def _word_table(n: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only words of the standard polytabloids of shape [n-b, b]: one
+    row per subset of swapped columns (bit k of its index swaps column k),
+    one column per basis vector, row 0 the tabloid words in basis order;
+    1 where a subset is odd (sign -1), else 0; and each tableau's unpaired
+    top bits.  A standard bottom row has at most m/2 of the first m
+    positions, for every m; the basis order, by bottom rows
+    lexicographically, is the descending order of bit-reversed words.
+    Swapping column k adds 2^top - 2^bottom, positions from 0."""
+    masks = weight_class_array(n, b)
+    bits = masks[:, None] >> np.arange(n) & 1
+    rows = np.flatnonzero((2 * np.cumsum(bits, axis=1) <= np.arange(1, n + 1)).all(axis=1))
+    rows = rows[np.argsort(-(bits[rows] << np.arange(n - 1, -1, -1)).sum(axis=1), kind="stable")]
+    plus = bits[rows].astype(bool)
+    bottoms = np.nonzero(plus)[1].reshape(len(rows), b)
+    tops = np.nonzero(~plus)[1].reshape(len(rows), n - b)
+    words, odd = masks[rows][None, :], np.zeros(1, dtype=np.int8)
+    for k in range(b):
+        words = np.concatenate([words, words + (np.int64(1) << tops[:, k]) - (np.int64(1) << bottoms[:, k])])
+        odd = np.concatenate([odd, 1 - odd])
+    return read_only(words), read_only(odd), read_only(np.int64(1) << tops[:, b:])
 
 
 @lru_cache(maxsize=None)
@@ -228,11 +216,9 @@ def basis_matrix(n: int, c: int) -> np.ndarray:
     changes of a subset of its columns, with sign (-1)^|subset|; the words
     are distinct, so each entry is set once."""
     b = Diagram2.from_weight(n, c).b
-    words, odd, _ = _polytabloid_words(n, b)
-    masks = np.asarray(weight_class_masks(n, b)[0], dtype=np.int64)
-    out = np.zeros((len(masks), words.shape[1]), dtype=np.int8)
-    signs = np.array([1, -1], dtype=np.int8)
-    out[np.searchsorted(masks, words), np.arange(words.shape[1])] = signs[odd, None]
+    words, odd, _ = _word_table(n, b)
+    out = np.zeros((len(weight_class_array(n, b)), words.shape[1]), dtype=np.int8)
+    out[weight_classes(n)[2][words], np.arange(out.shape[1])] = np.array([1, -1], dtype=np.int8)[odd, None]
     return read_only(out)
 
 
@@ -250,15 +236,13 @@ def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
     C(n - 2b, c0) entries +-c0! at distinct words, so each is set once.
     """
     b = Diagram2.from_weight(n, c).b
-    words, odd, free = _polytabloid_words(n, b)
+    words, odd, free = _word_table(n, b)
     chosen = list(combinations(range(n - 2 * b), c0))
     flips = free[:, np.asarray(chosen, dtype=np.intp).reshape(len(chosen), c0)].sum(axis=-1)
-    masks = np.asarray(weight_class_masks(n, b + c0)[0], dtype=np.int64)
-    value = factorial(c0) % p
-    signed = residues(np.array([value, -value]), p)
-    out = np.zeros((len(masks), words.shape[1]), dtype=signed.dtype)
+    signed = residues(np.array([1, -1]) * (factorial(c0) % p), p)
+    out = np.zeros((len(weight_class_array(n, b + c0)), words.shape[1]), dtype=signed.dtype)
     raised = words[:, None, :] + flips.T[None, :, :]
-    out[np.searchsorted(masks, raised), np.arange(words.shape[1])] = signed[odd, None, None]
+    out[weight_classes(n)[2][raised], np.arange(out.shape[1])] = signed[odd, None, None]
     return out
 
 
@@ -266,13 +250,6 @@ def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
 def gram_of_diagram(diag: Diagram2) -> np.ndarray:
     """Gram matrix of the standard polytabloids of a diagram.  Read-only."""
     return read_only(int_gram(basis_matrix(diag.n, diag.c)))
-
-
-def _tabloid_rows(n: int, c: int) -> np.ndarray:
-    """Row of each standard tableau's own tabloid word, in basis order."""
-    b = Diagram2.from_weight(n, c).b
-    masks = np.asarray(weight_class_masks(n, b)[0], dtype=np.int64)
-    return np.searchsorted(masks, _standard_words(n, b)[0])
 
 
 # Scratch entries of BasisSolver.coords: it solves this many, divided by the
@@ -306,9 +283,11 @@ class BasisSolver:
         self.rows = read_only(rows)
         square = matrix[rows]
         d = len(square)
-        if square.shape != (d, d) or not (np.diagonal(square) == 1).all() or np.tril(square, -1).any():
+        i, j = np.nonzero(square)  # row by row, left to right
+        on = i == j
+        if square.shape != (d, d) or on.sum() != d or (square[i[on], j[on]] != 1).any() or (j < i).any():
             raise ValueError("basis square is not upper unitriangular")
-        i, j = np.nonzero(np.triu(square, 1))  # row by row, left to right
+        i, j = i[~on], j[~on]
         count = np.bincount(i, minlength=d)
         # residues below p, summed over a row's entries, stay inside int64
         assert p is None or count.max(initial=0) * (p - 1) ** 2 + p < 2**63
@@ -329,6 +308,7 @@ class BasisSolver:
             for t, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
         )
         self._width = max(1, _SOLVE_ENTRIES // max(d, len(i), 1))
+        self._terms = max((len(level[2]) for level in self._levels), default=0)
 
     def coords(self, columns: np.ndarray) -> np.ndarray:
         """Coordinates of column vectors; raises ValueError when a column is
@@ -338,12 +318,15 @@ class BasisSolver:
         if columns.ndim == 1:
             columns = columns[:, None]
         x = np.empty((len(self._order), columns.shape[1]), dtype=object if p is None else np.int64)
+        scratch = np.empty(self._terms * min(self._width, columns.shape[1]), dtype=x.dtype)  # every level's terms
         for lo in range(0, columns.shape[1], self._width):
             w = columns[self.rows[self._order], lo : lo + self._width]
             if p is not None:
                 w = _reduced(w, p).astype(np.int64, copy=False)
             for start, end, cols, vals, counts in self._levels:
-                terms = vals * w[cols]
+                terms = scratch[: len(cols) * w.shape[1]].reshape(len(cols), w.shape[1])  # contiguous:
+                np.take(w, cols, axis=0, out=terms, mode="clip")  # filled in place, without a buffer
+                terms *= vals
                 for count in counts:
                     w[start : start + count] -= terms[:count]
                     terms = terms[count:]
@@ -367,7 +350,7 @@ def basis_solver(p: int | None, n: int, c: int) -> BasisSolver:
     since the basis is ordered lexicographically, matrix[rows] is upper
     unitriangular over Z.
     """
-    return BasisSolver(p, basis_matrix(n, c), _tabloid_rows(n, c))
+    return BasisSolver(p, basis_matrix(n, c), weight_classes(n)[2][_word_table(n, Diagram2.from_weight(n, c).b)[0][0]])
 
 
 # ---------------------------------------------------------------------------

@@ -897,7 +897,7 @@ def modular_quotient_trace(p: int, j: int, word, g: int, at: AlexanderTrace | No
     if j > g + 1:
         return 0
     q = component_quotient(p, j, g)
-    if q.quotient_dim == 0:
+    if not len(q.pivot_idx):  # read off the reduced form the trace needs
         return 0
     exact = lefschetz_action_matrix(word, j, g) if at is None else at.component_actions[j - 1]
     return int(np.trace(q.quotient_matrix((exact % p).astype(np.int64)))) % p

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import SparseVector
+from .rings import SparseVector, read_only
 
 __all__ = [
     "TensorVector",
@@ -162,14 +162,32 @@ def coev_ev(kind: str, k: int, v: TensorVector) -> TensorVector:
 
 
 @lru_cache(maxsize=None)
-def weight_class_masks(n: int, b: int) -> tuple[tuple[int, ...], dict]:
-    """Sorted masks with exactly b bits set among n, plus an index lookup."""
+def weight_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every word of n positions, grouped by plus count and ascending in
+    each group, as int64; where each group starts; and, indexed by word,
+    its position in its group.  Read-only."""
     # the bit counts of range(2**n), each half of a doubling one more than
     # the other
     counts = np.zeros(1, dtype=np.int8)
     for _ in range(n):
         counts = np.concatenate([counts, counts + 1])
-    masks = tuple(np.flatnonzero(counts == b).tolist())
+    words = np.argsort(counts, kind="stable").astype(np.int64)
+    starts = np.concatenate([[0], np.cumsum(np.bincount(counts, minlength=n + 1))])
+    position = np.empty(1 << n, dtype=np.intp)
+    position[words] = np.arange(1 << n) - starts[counts[words]]
+    return read_only(words), read_only(starts), read_only(position)
+
+
+def weight_class_array(n: int, b: int) -> np.ndarray:
+    """Sorted masks with exactly b bits set among n, read-only int64."""
+    words, starts, _ = weight_classes(n)
+    return words[starts[b] : starts[b + 1]] if 0 <= b <= n else words[:0]
+
+
+@lru_cache(maxsize=None)
+def weight_class_masks(n: int, b: int) -> tuple[tuple[int, ...], dict]:
+    """Sorted masks with exactly b bits set among n, plus an index lookup."""
+    masks = tuple(weight_class_array(n, b).tolist())
     return masks, {m: i for i, m in enumerate(masks)}
 
 
@@ -181,9 +199,8 @@ def perm_action_rows(sigma, n: int, b: int) -> np.ndarray:
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("not a permutation of 1..n")
-    masks = np.asarray(weight_class_masks(n, b)[0], dtype=np.int64)
+    masks = weight_class_array(n, b)
     source = np.zeros_like(masks)
     for i, target in enumerate(sigma):
         source |= (masks >> (target - 1) & 1) << i
-    return np.searchsorted(masks, source)
-
+    return weight_classes(n)[2][source]

@@ -591,6 +591,16 @@ def test_schema_corners_cover_every_end_of_every_range():
 # dimension without failing a check would leave it byte-identical; these
 # values pin what the jobs compute.
 _ALL_PASS = ("alexander-decomposition", "cyclotomic-trace-sign+", "cyclotomic-trace-sign-")
+# character --p 5 --tau 6,3: each cycle type in report order, with the trace
+# mod 5 on the simple quotient, which equals the alternating character sum
+_CHARACTER_6_3 = [
+    ((9,), 0), ((8, 1), 1), ((7, 2), 3), ((7, 1, 1), 0), ((6, 3), 1), ((6, 2, 1), 0), ((6, 1, 1, 1), 3),
+    ((5, 4), 0), ((5, 3, 1), 2), ((5, 2, 2), 1), ((5, 2, 1, 1), 0), ((5, 1, 1, 1, 1), 1), ((4, 4, 1), 1),
+    ((4, 3, 2), 4), ((4, 3, 1, 1), 1), ((4, 2, 2, 1), 4), ((4, 2, 1, 1, 1), 4), ((4, 1, 1, 1, 1, 1), 0),
+    ((3, 3, 3), 3), ((3, 3, 2, 1), 2), ((3, 3, 1, 1, 1), 0), ((3, 2, 2, 2), 0), ((3, 2, 2, 1, 1), 1),
+    ((3, 2, 1, 1, 1, 1), 4), ((3, 1, 1, 1, 1, 1, 1), 2), ((2, 2, 2, 2, 1), 2), ((2, 2, 2, 1, 1, 1), 1),
+    ((2, 2, 1, 1, 1, 1, 1), 1), ((2, 1, 1, 1, 1, 1, 1, 1), 0), ((1, 1, 1, 1, 1, 1, 1, 1, 1), 1),
+]
 _PINNED = [
     (
         {"command": "alexander", "g": 2, "word": "S1 U2 P1", "p": 5},
@@ -674,6 +684,23 @@ _PINNED = [
             ],
         },
         {"factor-partition": "pass", "bijection-audit": "pass"},
+    ),
+    # what the Specht set-up feeds: raised bases, solvers and Gram ranks
+    (
+        {"command": "resolve", "p": 3, "n": 13, "k": 2},
+        {"weights": [14, 10, 8, 4, 2], "dims": [1, 65, 208, 572, 429], "ranks": [1, 64, 144, 428],
+         "dim_simple": 1, "truncation_index": 0},
+        {"exactness": "pass", "dimension-three-way": "pass"},
+    ),
+    (
+        {"command": "resolve", "p": 7, "n": 13, "k": 4},
+        {"weights": [10, 4], "dims": [65, 572], "ranks": [65], "dim_simple": 507, "truncation_index": 2},
+        {"exactness": "pass", "dimension-three-way": "pass"},
+    ),
+    (
+        {"command": "character", "p": 5, "tau": [6, 3]},
+        {"table": [{"cycle_type": list(ct), "equal": True, "lhs": t, "rhs": t} for ct, t in _CHARACTER_6_3]},
+        {"character-identity": "pass"},
     ),
 ]
 

@@ -143,6 +143,14 @@ def test_simple_quotient_examples():
             assert simple_quotient(p, Diagram2(n, 0)).quotient_dim == 1
 
 
+def test_simple_quotient_refuses_a_gram_that_vanishes_mod_p(monkeypatch):
+    from spechtres import resolution, specht
+
+    monkeypatch.setattr(resolution, "gram_of_diagram", lambda tau: 3 * specht.gram_of_diagram(tau))
+    with pytest.raises(AssertionError, match="never zero"):
+        resolution.simple_quotient.__wrapped__(3, Diagram2(5, 3))
+
+
 def test_image_of_final_map_is_radical():
     # the image of the incoming map at the right end spans the null space
     for p, n, k in ((3, 6, 1), (3, 8, 1), (5, 8, 1), (7, 8, 1), (3, 9, 2)):

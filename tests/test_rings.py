@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from spechtres import rings
 from spechtres.rings import (
     _PANEL,
+    _ROW_BLOCK,
     CyclotomicElem,
     LaurentInt,
     SparseVector,
@@ -508,15 +510,39 @@ def test_gram_quotient_fields_are_lazy_and_equal_the_eager_ones(p):
         assert q.radical is q.radical  # eliminated once
 
 
+def test_gram_quotient_eliminates_a_wide_gram_once(monkeypatch):
+    from spechtres.specht import Diagram2, gram_of_diagram
+
+    calls = []
+    for name in ("fp_rref", "fp_rank"):
+        monkeypatch.setattr(rings, name, lambda a, p, f=getattr(rings, name), name=name: calls.append(name) or f(a, p))
+    gram = gram_of_diagram(Diagram2(7, 5))  # 297 columns
+    assert gram.shape[1] > 2 * _PANEL
+    # a reader of the radical takes the rank from the same reduced form
+    q = GramQuotient(gram, 7)
+    assert len(q.free_idx) + q.quotient_dim == len(gram)
+    assert calls == ["fp_rref"]
+    # a reader of the rank alone takes no reduced form
+    calls.clear()
+    assert GramQuotient(gram, 7).quotient_dim == q.quotient_dim
+    assert calls == ["fp_rank"]
+
+
 def test_byte_residues_match_the_int64_remainder():
-    a = np.arange(-128, 128, dtype=np.int64).reshape(16, 16)
+    # every byte value, in more rows than two blocks of either path take;
+    # entries inside (-p, p), which a byte array takes in its uint8 view;
+    # entries in [-p, p], which it does not; and an empty array
+    rows = max(2 * _ROW_BLOCK, 2 * rings._BYTE_ENTRIES // 256) + 5
+    a = (np.arange(rows * 256) % 256 - 128).reshape(rows, 256)
     for p in (3, 211, 8388593):
-        for dtype in (np.int8, np.uint8):
-            b = a.astype(dtype)
-            got = residues(b, p)
-            assert got.dtype == np.min_scalar_type(p - 1)
-            assert got.tolist() == np.remainder(b.astype(np.int64), p).tolist(), (p, dtype)
-        assert residues(a, p).tolist() == np.remainder(a, p).tolist()
+        for case in (a, np.sign(a) * (np.abs(a) % p), np.clip(a, -p, p)):
+            for dtype in (np.int8, np.uint8):
+                b = (case if dtype == np.int8 else np.abs(case)).astype(dtype)
+                got = residues(b, p)
+                assert got.dtype == np.min_scalar_type(p - 1)
+                assert np.array_equal(got, np.remainder(b.astype(np.int64), p)), (p, dtype)
+        assert np.array_equal(residues(a, p), np.remainder(a, p))
+        assert residues(np.zeros((0, 3), dtype=np.int8), p).shape == (0, 3)
 
 
 def test_quotient_matrix_refuses_an_action_that_moves_the_radical():

@@ -24,13 +24,13 @@ from spechtres.specht import (
     specht_basis,
     standard_tableaux,
     tabloid_vector,
-    _tabloid_rows,
 )
 from spechtres.tensor import (
     TensorVector,
     apply_sl2,
     inner_product,
     perm_action,
+    weight_classes,
     weight_class_masks,
 )
 
@@ -247,7 +247,7 @@ def test_array_built_basis_matches_the_polytabloids():
             assert np.array_equal(basis_matrix(n, c), TensorVector.columns(specht_basis(n, c), index, np.int64))
             tableaux = standard_tableaux(Diagram2.from_weight(n, c))
             own_words = [index[sum(1 << (j - 1) for j in t.bottom)] for t in tableaux]
-            assert _tabloid_rows(n, c).tolist() == own_words
+            assert basis_solver(5, n, c).rows.tolist() == own_words
 
 
 def test_permutation_matrix_is_the_perm_action_on_the_basis():
@@ -331,6 +331,8 @@ def test_cached_arrays_are_read_only():
     solvers = [basis_solver(p, 6, 3) for p in (5, None)]
     component = lefschetz_basis(2, 3)
     cached = [
+        *specht._word_table(6, 2),
+        *weight_classes(6),
         basis_matrix(6, 3),
         gram_of_diagram(Diagram2(4, 2)),
         *(a for s in solvers for a in (s.matrix, s.rows, s._order)),
@@ -388,6 +390,23 @@ def test_solver_back_substitutes_through_random_unitriangular_squares(monkeypatc
         for square in ([[1, 0], [1, 1]], [[2, 0], [0, 1]]):
             with pytest.raises(ValueError):
                 BasisSolver(p, np.array(square), np.arange(2))
+
+
+def test_solver_refuses_a_square_that_is_not_upper_unitriangular():
+    rng = np.random.RandomState(7)
+    u = _unitriangular(rng, 5, -5, 6)
+    rows = np.array([6, 0, 3, 5, 1])
+    for i, j, value in ((4, 1, 1), (2, 2, 2), (3, 3, 0), (0, 0, -1)):
+        bad = u.copy()
+        bad[i, j] = value
+        # the square inside a taller basis
+        tall = rng.randint(-5, 6, size=(7, 5))
+        tall[rows] = bad
+        for p in (3, 7, None):
+            with pytest.raises(ValueError, match="not upper unitriangular"):
+                BasisSolver(p, tall, rows)
+    with pytest.raises(ValueError, match="not upper unitriangular"):
+        BasisSolver(5, u[:, :4], np.arange(5))  # 5 x 4
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])

@@ -12,7 +12,9 @@ from spechtres.tensor import (
     inner_product,
     perm_action,
     perm_action_rows,
+    weight_class_array,
     weight_class_masks,
+    weight_classes,
 )
 
 
@@ -160,3 +162,7 @@ def test_weight_class_masks_match_the_combinations():
             got = weight_class_masks(n, b)
             assert got == (masks, {m: i for i, m in enumerate(masks)}), (n, b)
             assert all(type(m) is int for m in got[0])
+            array = weight_class_array(n, b)
+            assert array.dtype == np.int64 and array.tolist() == list(masks)
+            # every word's position in its own class
+            assert weight_classes(n)[2][array].tolist() == list(range(len(masks)))
