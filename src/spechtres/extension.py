@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dims import binom
-from .rings import fp_matmul, fp_rref
+from .rings import _reduced, fp_matmul, fp_rref
 from .resolution import build_complex, verify_exactness
 from .surface import (
     ExteriorVector,
@@ -31,6 +31,7 @@ from .surface import (
     lefschetz_action_matrix,
     lefschetz_basis,
     symplectic_form_vector,
+    symplectic_pairing,
     wedge,
     wedge_monomials,
     wedge_sl2,
@@ -124,40 +125,21 @@ def wedge_pair_identities(g: int, seed: int = 0, samples: int = 20) -> dict:
     import random
 
     rng = random.Random(seed)
-    omega = symplectic_form_vector(g)
     pool = group_token_pool(g)
-    report = {
-        "covariance": True,
-        "homomorphism": True,
-        "generators": True,
-        "anticommutator": True,
-        "commutators": True,
-    }
+    checks = {family: [] for family in ("covariance", "homomorphism", "generators", "anticommutator", "commutators")}
 
+    def nu_matrix(x):
+        return operator_matrix(lambda v: nu(x, v), g)
+
+    def degree_one():
+        # a scaled generator and its coordinate vector over a_1..a_g, b_1..b_g
+        k, c = rng.randrange(2 * g), rng.randrange(-2, 3) or 1
+        return ExteriorVector.monomial(g, 1 << k, c), [c if idx == k else 0 for idx in range(2 * g)]
+
+    omega = symplectic_form_vector(g)
     e_mat = operator_matrix(lambda v: wedge_sl2("E", v), g)
     f_mat = operator_matrix(lambda v: wedge_sl2("F", v), g)
-    report["generators"] = bool(
-        np.array_equal(operator_matrix(lambda v: nu(omega, v), g), e_mat)
-        and np.array_equal(_mu_matrix(omega, g), f_mat)
-    )
-
-    gens_h = [ExteriorVector.gen_a(g, i + 1) for i in range(g)] + [
-        ExteriorVector.gen_b(g, i + 1) for i in range(g)
-    ]
-
-    def skew(x, y):
-        # symplectic pairing on degree-1 vectors: (a_i, b_i) = 1
-        total = 0
-        for m1, c1 in x.coeffs.items():
-            i1 = m1.bit_length() - 1
-            for m2, c2 in y.coeffs.items():
-                i2 = m2.bit_length() - 1
-                if i2 == i1 + g:
-                    total += c1 * c2
-                elif i1 == i2 + g:
-                    total -= c1 * c2
-        return total
-
+    checks["generators"] += [np.array_equal(nu_matrix(omega), e_mat), np.array_equal(_mu_matrix(omega, g), f_mat)]
     for _ in range(samples):
         deg_x = rng.randrange(1, min(3, 2 * g) + 1)
         deg_y = rng.randrange(1, min(3, 2 * g) + 1)
@@ -165,37 +147,31 @@ def wedge_pair_identities(g: int, seed: int = 0, samples: int = 20) -> dict:
         y = _random_vector(g, deg_y, rng)
         tok = pool[rng.randrange(len(pool))]
         m_tok = operator_matrix(lambda v: apply_token(tok, v), g)
-        m_nu_x = operator_matrix(lambda v: nu(x, v), g)
-        m_mu_x = _mu_matrix(x, g)
+        m_nu_x, m_mu_x = nu_matrix(x), _mu_matrix(x, g)
         gx = apply_token(tok, x)
-        if not np.array_equal(m_tok @ m_nu_x, operator_matrix(lambda v: nu(gx, v), g) @ m_tok):
-            report["covariance"] = False
-        if not np.array_equal(m_tok @ m_mu_x, _mu_matrix(gx, g) @ m_tok):
-            report["covariance"] = False
-
+        checks["covariance"] += [
+            np.array_equal(m_tok @ m_nu_x, nu_matrix(gx) @ m_tok),
+            np.array_equal(m_tok @ m_mu_x, _mu_matrix(gx, g) @ m_tok),
+        ]
         xy = wedge(x, y)
-        m_nu_y = operator_matrix(lambda v: nu(y, v), g)
-        m_mu_y = _mu_matrix(y, g)
-        if not np.array_equal(operator_matrix(lambda v: nu(xy, v), g), m_nu_x @ m_nu_y):
-            report["homomorphism"] = False
-        if not np.array_equal(_mu_matrix(xy, g), m_mu_y @ m_mu_x):
-            report["homomorphism"] = False
-
-        x1 = gens_h[rng.randrange(len(gens_h))] * (rng.randrange(-2, 3) or 1)
-        y1 = gens_h[rng.randrange(len(gens_h))] * (rng.randrange(-2, 3) or 1)
-        m_nu1 = operator_matrix(lambda v: nu(y1, v), g)
-        m_mu1 = _mu_matrix(x1, g)
+        checks["homomorphism"] += [
+            np.array_equal(nu_matrix(xy), m_nu_x @ nu_matrix(y)),
+            np.array_equal(_mu_matrix(xy, g), _mu_matrix(y, g) @ m_mu_x),
+        ]
+        (x1, u1), (y1, v1) = degree_one(), degree_one()
+        m_nu1, m_mu1 = nu_matrix(y1), _mu_matrix(x1, g)
         anti = m_mu1 @ m_nu1 + m_nu1 @ m_mu1
-        if not np.array_equal(anti, skew(x1, y1) * np.eye(1 << (2 * g), dtype=np.int64)):
-            report["anticommutator"] = False
+        checks["anticommutator"].append(
+            np.array_equal(anti, symplectic_pairing(u1, v1, g) * np.eye(1 << (2 * g), dtype=np.int64))
+        )
         # [E, mu(x)] = nu(x); its adjoint forces [F, nu(x)] = +mu(x)
-        m_nu_x1 = operator_matrix(lambda v: nu(x1, v), g)
-        if not np.array_equal(e_mat @ m_mu1 - m_mu1 @ e_mat, m_nu_x1):
-            report["commutators"] = False
-        if not np.array_equal(f_mat @ m_nu_x1 - m_nu_x1 @ f_mat, m_mu1):
-            report["commutators"] = False
-
-    report["ok"] = all(v for k, v in report.items() if k != "ok")
+        m_nu_x1 = nu_matrix(x1)
+        checks["commutators"] += [
+            np.array_equal(e_mat @ m_mu1 - m_mu1 @ e_mat, m_nu_x1),
+            np.array_equal(f_mat @ m_nu_x1 - m_nu_x1 @ f_mat, m_mu1),
+        ]
+    report = {family: all(results) for family, results in checks.items()}
+    report["ok"] = all(report.values())
     return report
 
 
@@ -220,7 +196,7 @@ def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarra
     jx = calibrate(x)
     tgt = lefschetz_basis(tgt_j, g)
     exact = tgt.coords(tgt.columns([_contract(jx, v) for v in src.vectors]))
-    return (exact % p).astype(np.int64)
+    return _reduced(exact, p)
 
 
 def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
@@ -247,7 +223,7 @@ def form_quotient_data(p: int, m_deg: int, g: int):
     # rows spanning the subspace; below degree 2 there are none
     lower = weight_class_masks(2 * g, m_deg - 2)[0] if m_deg >= 2 else ()
     multiples = [wedge(omega, ExteriorVector.monomial(g, lm)) for lm in lower]
-    rref, pivots = fp_rref(ExteriorVector.columns(multiples, index, np.int64).T % p, p)
+    rref, pivots = fp_rref(ExteriorVector.columns(multiples, index, np.int64).T, p)
     complement = tuple(i for i in range(len(masks)) if i not in set(pivots))
     return rref[: len(pivots)], tuple(pivots), complement, masks
 

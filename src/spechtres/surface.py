@@ -28,6 +28,7 @@ import numpy as np
 from .rings import (
     GramQuotient,
     SparseVector,
+    _reduced,
     read_only,
     LaurentInt,
     int_det,
@@ -238,16 +239,18 @@ def _check_symplectic(m):
     if n % 2 or any(len(row) != n for row in m):
         raise ValueError("matrix token must be square of even size")
     g = n // 2
-
-    def skew(u, v):
-        return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
-
     cols = [[m[i][j] for i in range(n)] for j in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             expect = 1 if j == g + i else 0
-            if skew(cols[i], cols[j]) != expect:
+            if symplectic_pairing(cols[i], cols[j], g) != expect:
                 raise ValueError("matrix token does not preserve the skew form")
+
+
+def symplectic_pairing(u, v, g: int) -> int:
+    """The skew form on coordinate vectors over a_1..a_g, b_1..b_g, with
+    (a_i, b_i) = 1."""
+    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
 
 
 def s_token(j: int, g: int):
@@ -338,25 +341,21 @@ def _lie_images(kind: str, i: int, g: int) -> list[dict[int, int]]:
     """Generator images of the two Serre-type derivations.
 
     The raising one sends a_{i+1} to a_i and b_i to -b_{i+1} for i < g and
-    b_g to a_g at i = g; the lowering one is its adjoint.
+    b_g to a_g at i = g; the lowering one is its adjoint, the same moves
+    from target back to source.
     """
-    images: list[dict[int, int]] = [dict() for _ in range(2 * g)]
     if not 1 <= i <= g:
         raise ValueError(f"index {i} out of range")
-    if kind == "lie_e":
-        if i < g:
-            images[i] = {i - 1: 1}  # a_{i+1} -> a_i
-            images[g + i - 1] = {g + i: -1}  # b_i -> -b_{i+1}
-        else:
-            images[2 * g - 1] = {g - 1: 1}  # b_g -> a_g
-    elif kind == "lie_f":
-        if i < g:
-            images[i - 1] = {i: 1}  # a_i -> a_{i+1}
-            images[g + i] = {g + i - 1: -1}  # b_{i+1} -> -b_i
-        else:
-            images[g - 1] = {2 * g - 1: 1}  # a_g -> b_g
-    else:
+    if kind not in ("lie_e", "lie_f"):
         raise ValueError(kind)
+    # (source, target, coefficient) of the raising moves; a_k is generator
+    # k - 1 and b_k is generator g + k - 1
+    moves = [(i, i - 1, 1), (g + i - 1, g + i, -1)] if i < g else [(2 * g - 1, g - 1, 1)]
+    images: list[dict[int, int]] = [dict() for _ in range(2 * g)]
+    for src, tgt, c in moves:
+        if kind == "lie_f":
+            src, tgt = tgt, src
+        images[src] = {tgt: c}
     return images
 
 
@@ -548,9 +547,18 @@ def handle_map(direction: str, v: ExteriorVector) -> ExteriorVector:
 # the tabulated weight-block action of the raising Serre generators
 
 
-def _tensor_op_matrix(op, n_from: int, n_to: int) -> np.ndarray:
-    images = [op(TensorVector.word(n_from, w)) for w in range(1 << n_from)]
-    return TensorVector.columns(images, range(1 << n_to), np.int64)
+# The tabulated block of E_i by the generator's weight entries, (lam_i,
+# lam_{i+1}), or (lam_g, None) at i = g: its case, its sign and its tensor
+# operator (None for the identity), which acts at the slot k of handle i
+# among the zero positions.  Entries not listed send the weight outside
+# {-1, 0, 1}^g.
+_RAISING_BLOCKS = {
+    (-1, None): ("identity", 1, None),
+    (0, 1): ("identity", 1, None),
+    (-1, 0): ("minus-identity", -1, None),
+    (-1, 1): ("insertion at {k}", 1, "coev"),
+    (0, 0): ("minus-contraction at {k}", -1, "ev"),
+}
 
 
 def raising_generator_block(i: int, lam, g: int) -> dict:
@@ -563,51 +571,21 @@ def raising_generator_block(i: int, lam, g: int) -> dict:
     n = len(zero_set(lam))
     if not 1 <= i <= g:
         raise ValueError("generator index out of range")
-    if i == g:
-        target = lam[:g - 1] + (lam[g - 1] + 2,)
-    else:
-        target = lam[:i - 1] + (lam[i - 1] + 1, lam[i] - 1) + lam[i + 1:]
-    valid = all(abs(x) <= 1 for x in target)
-    # computed side
-    images = [apply_token(lie_e_token(i), upsilon_to_surface(lam, TensorVector.word(n, w), g)) for w in range(1 << n)]
-    if valid:
-        back = [upsilon_from_surface(target, img, g) for img in images]
-        computed = TensorVector.columns(back, range(1 << len(zero_set(target))), np.int64)
-    else:
+    key = (lam[i - 1], lam[i] if i < g else None)
+    words = [TensorVector.word(n, w) for w in range(1 << n)]
+    images = [apply_token(lie_e_token(i), upsilon_to_surface(lam, v, g)) for v in words]
+    if key not in _RAISING_BLOCKS:
         # flags a nonzero image where none is allowed
         computed = np.array([[0 if img.is_zero() else 1 for img in images]], dtype=np.int64)
-    # expected side
-    if not valid:
-        case = "invalid-target"
-        expected = np.zeros_like(computed)
-    elif i == g:
-        if lam[g - 1] == -1:
-            case = "identity"
-            expected = np.eye(1 << n, dtype=np.int64)
-        else:
-            case = "zero"
-            expected = np.zeros_like(computed)
-    else:
-        pair = (lam[i - 1], lam[i])
-        zeros = zero_set(lam)
-        if pair == (0, 1):
-            case = "identity"
-            expected = np.eye(1 << n, dtype=np.int64)
-        elif pair == (-1, 0):
-            case = "minus-identity"
-            expected = -np.eye(1 << n, dtype=np.int64)
-        elif pair == (-1, 1):
-            k = sorted(zero_set(target)).index(i) + 1
-            case = f"insertion at {k}"
-            expected = _tensor_op_matrix(lambda v: coev_ev("coev", k, v), n, n + 2)
-        elif pair == (0, 0):
-            k = zeros.index(i) + 1
-            case = f"minus-contraction at {k}"
-            expected = -_tensor_op_matrix(lambda v: coev_ev("ev", k, v), n, n - 2)
-        else:
-            case = "zero"
-            expected = np.zeros_like(computed)
-    return {"case": case, "computed": computed, "expected": expected, "ok": bool(np.array_equal(computed, expected))}
+        return {"case": "invalid-target", "computed": computed, "expected": np.zeros_like(computed), "ok": not computed.any()}
+    target = lam[:i - 1] + ((lam[i - 1] + 2,) if i == g else (lam[i - 1] + 1, lam[i] - 1) + lam[i + 1:])
+    n_target = len(zero_set(target))
+    computed = TensorVector.columns([upsilon_from_surface(target, img, g) for img in images], range(1 << n_target), np.int64)
+    case, sign, op = _RAISING_BLOCKS[key]
+    k = lam[:i - 1].count(0) + 1
+    block = TensorVector.columns(words if op is None else [coev_ev(op, k, v) for v in words], range(1 << n_target), np.int64)
+    expected = sign * block
+    return {"case": case.format(k=k), "computed": computed, "expected": expected, "ok": bool(np.array_equal(computed, expected))}
 
 
 # ---------------------------------------------------------------------------
@@ -630,20 +608,14 @@ def labeled_tableau_vector(top, bottom, lam, g: int) -> ExteriorVector:
     return upsilon_to_surface(lam, polytabloid(t), g)
 
 
-def _canonical_columns(pairs, singles):
-    pairs = sorted(pairs)
-    singles = sorted(singles)
-    top = tuple(x for x, _ in pairs) + tuple(singles)
-    bottom = tuple(y for _, y in pairs)
-    return top, bottom
-
-
 def tableau_raising_rule(top, bottom, i: int, lam) -> dict:
     """The tabulated result of a raising Serre generator on a labelled
     tableau vector: a coefficient in {0, +-1, +-2} and a target tableau.
 
-    Tableaux whose special labels sit in the non-displayed positions are
-    first normalized by in-column swaps, which only flips signs.
+    At lam_i = lam_{i+1} = 0 each column holding i or i + 1 is first turned
+    so that the label sits at the bottom; the turn's sign s(label) is -1
+    when the label was on top, and the coefficients are products of these
+    signs.
     """
     lam = tuple(lam)
     g = len(lam)
@@ -658,82 +630,44 @@ def tableau_raising_rule(top, bottom, i: int, lam) -> dict:
     pairs = list(zip(top[:b], bottom[:b]))
     singles = list(top[b:])
 
-    def rebuild(new_pairs, new_singles):
-        return _canonical_columns(new_pairs, new_singles)
+    def rule(case, coeff, new_pairs=None, new_singles=()):
+        # the target tableau with its columns and its singles sorted
+        tableau = None
+        if new_pairs is not None:
+            new_pairs = sorted(new_pairs)
+            tableau = (tuple(x for x, _ in new_pairs) + tuple(sorted(new_singles)), tuple(y for _, y in new_pairs))
+        return {"case": case, "coeff": coeff, "tableau": tableau, "lam_target": target}
 
-    if pair == (0, 1):
-        new_pairs = [(i + 1 if x == i else x, i + 1 if y == i else y) for x, y in pairs]
-        new_singles = [i + 1 if x == i else x for x in singles]
-        t2 = rebuild(new_pairs, new_singles)
-        return {"case": "relabel-up", "coeff": 1, "tableau": t2, "lam_target": target}
-    if pair == (-1, 0):
-        new_pairs = [(i if x == i + 1 else x, i if y == i + 1 else y) for x, y in pairs]
-        new_singles = [i if x == i + 1 else x for x in singles]
-        t2 = rebuild(new_pairs, new_singles)
-        return {"case": "relabel-down", "coeff": -1, "tableau": t2, "lam_target": target}
+    def relabel(labels, old, new):
+        return [new if x == old else x for x in labels]
+
+    if pair in ((0, 1), (-1, 0)):
+        up = pair == (0, 1)
+        old, new = (i, i + 1) if up else (i + 1, i)
+        moved = zip(relabel(top[:b], old, new), relabel(bottom, old, new))
+        return rule("relabel-up" if up else "relabel-down", 1 if up else -1, moved, relabel(singles, old, new))
     if pair == (-1, 1):
-        t2 = rebuild(pairs + [(i, i + 1)], singles)
-        return {"case": "add-column", "coeff": 1, "tableau": t2, "lam_target": target}
-    if pair == (0, 0):
-        coeff = 1
-        norm_pairs = list(pairs)
+        return rule("add-column", 1, pairs + [(i, i + 1)], singles)
+    if pair != (0, 0):
+        return rule("zero", 0)
+    # column index, column partner and turn sign of each label in a column
+    col, partner, s = {}, {}, {}
+    for idx, (x, y) in enumerate(pairs):
+        col[x], partner[x], s[x] = idx, y, -1
+        col[y], partner[y], s[y] = idx, x, 1
 
-        def find(label):
-            for idx, (x, y) in enumerate(norm_pairs):
-                if label in (x, y):
-                    return idx
-            return None
+    def others(*labels):
+        return [c for idx, c in enumerate(pairs) if idx not in {col[label] for label in labels}]
 
-        idx_i = find(i)
-        idx_i1 = find(i + 1)
-        if idx_i is None and idx_i1 is None:
-            return {"case": "both-single", "coeff": 0, "tableau": None, "lam_target": target}
-        if idx_i is not None and idx_i == idx_i1:
-            x, y = norm_pairs[idx_i]
-            if (x, y) == (i + 1, i):
-                coeff = -coeff
-            del norm_pairs[idx_i]
-            t2 = rebuild(norm_pairs, singles)
-            return {"case": "remove-column", "coeff": 2 * coeff, "tableau": t2, "lam_target": target}
-        if idx_i is not None and idx_i1 is not None:
-            # normalize both special labels to the bottom of their columns
-            x, y = norm_pairs[idx_i]
-            if x == i:
-                norm_pairs[idx_i] = (y, x)
-                coeff = -coeff
-            x, y = norm_pairs[idx_i1]
-            if x == i + 1:
-                norm_pairs[idx_i1] = (y, x)
-                coeff = -coeff
-            k = norm_pairs[idx_i][0]
-            l = norm_pairs[idx_i1][0]
-            keep = [pr for idx, pr in enumerate(norm_pairs) if idx not in (idx_i, idx_i1)]
-            # the partner of the smaller label ends on top; the opposite
-            # orientation is off by one in-column swap
-            t2 = rebuild(keep + [(k, l)], singles)
-            return {"case": "merge-columns", "coeff": coeff, "tableau": t2, "lam_target": target}
-        if idx_i is not None:
-            # the smaller label in a tall column, the larger in the top row
-            x, y = norm_pairs[idx_i]
-            if y == i:  # normalize so the special label is on top
-                norm_pairs[idx_i] = (y, x)
-                coeff = -coeff
-            partner = norm_pairs[idx_i][1]
-            keep = [pr for idx, pr in enumerate(norm_pairs) if idx != idx_i]
-            new_singles = [partner if s == i + 1 else s for s in singles]
-            t2 = rebuild(keep, new_singles)
-            return {"case": "absorb-upper-single", "coeff": coeff, "tableau": t2, "lam_target": target}
-        # the larger label in a tall column, the smaller in the top row
-        x, y = norm_pairs[idx_i1]
-        if x == i + 1:  # normalize so the special label is at the bottom
-            norm_pairs[idx_i1] = (y, x)
-            coeff = -coeff
-        partner = norm_pairs[idx_i1][0]
-        keep = [pr for idx, pr in enumerate(norm_pairs) if idx != idx_i1]
-        new_singles = [partner if s == i else s for s in singles]
-        t2 = rebuild(keep, new_singles)
-        return {"case": "absorb-lower-single", "coeff": coeff, "tableau": t2, "lam_target": target}
-    return {"case": "zero", "coeff": 0, "tableau": None, "lam_target": target}
+    if i in col and i + 1 in col:
+        if col[i] == col[i + 1]:
+            return rule("remove-column", 2 * s[i + 1], others(i), singles)
+        return rule("merge-columns", s[i] * s[i + 1], others(i, i + 1) + [(partner[i], partner[i + 1])], singles)
+    if i in col:
+        return rule("absorb-upper-single", -s[i], others(i), relabel(singles, i + 1, partner[i]))
+    if i + 1 in col:
+        return rule("absorb-lower-single", s[i + 1], others(i + 1), relabel(singles, i, partner[i + 1]))
+    return rule("both-single", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +759,7 @@ def lefschetz_action_matrix(word, j: int, g: int, p: int | None = None) -> np.nd
     The word acts through its 2g x 2g matrix, formed once."""
     require_group_word(word)
     exact = _component_action(word_matrix(word, g), j, g)
-    return exact if p is None else (exact % p).astype(np.int64)
+    return exact if p is None else _reduced(exact, p)
 
 
 def _component_action(w: np.ndarray, j: int, g: int) -> np.ndarray:
@@ -900,7 +834,7 @@ def modular_quotient_trace(p: int, j: int, word, g: int, at: AlexanderTrace | No
     if not len(q.pivot_idx):  # read off the reduced form the trace needs
         return 0
     exact = lefschetz_action_matrix(word, j, g) if at is None else at.component_actions[j - 1]
-    return int(np.trace(q.quotient_matrix((exact % p).astype(np.int64)))) % p
+    return int(np.trace(q.quotient_matrix(_reduced(exact, p)))) % p
 
 
 def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:

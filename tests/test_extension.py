@@ -62,6 +62,22 @@ def test_identity_families():
         assert rep["ok"], (g, rep)
 
 
+def test_identity_families_can_fail(monkeypatch):
+    from spechtres import extension
+
+    # an F equal to E breaks the 2-form generators
+    with monkeypatch.context() as m:
+        m.setattr(extension, "wedge_sl2", lambda gen, v: wedge_sl2("E" if gen == "F" else gen, v))
+        rep = wedge_pair_identities(2, seed=0, samples=20)
+    assert not rep["generators"] and not rep["ok"], rep
+    # a pairing with its sign reversed breaks the degree-1 anticommutator
+    pairing = surface.symplectic_pairing
+    monkeypatch.setattr(extension, "symplectic_pairing", lambda u, v, g: -pairing(u, v, g))
+    rep = wedge_pair_identities(2, seed=0, samples=20)
+    assert not rep["anticommutator"] and not rep["ok"], rep
+    assert rep["generators"] and rep["covariance"] and rep["homomorphism"] and rep["commutators"], rep
+
+
 def test_commutator_example():
     # [E, mu(a1)] = nu(a1) on the genus-2 algebra
     g = 2

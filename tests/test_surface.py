@@ -221,8 +221,23 @@ def test_weyl_tokens_act_transitively_on_weight_blocks():
             assert len(zero_set(final)) == n and all(x in (0, 1) for x in final)
 
 
+def _column_orientations(top, bottom):
+    """The tableau with each subset of its columns turned upside down."""
+    b = len(bottom)
+    for turned in range(1 << b):
+        flip = [turned >> c & 1 for c in range(b)]
+        yield (
+            tuple(y if f else x for x, y, f in zip(top, bottom, flip)) + top[b:],
+            tuple(x if f else y for x, y, f in zip(top, bottom, flip)),
+        )
+
+
 def test_tableau_rules_full_sweep():
+    # every standard tableau in each of its column orientations: a turned
+    # column changes the vector's sign, so the rule's coefficient must
+    # follow it
     cases = {}
+    signs = set()
     for g in (1, 2, 3, 4):
         for lam in nabla_weights(g):
             zeros = zero_set(lam)
@@ -231,20 +246,25 @@ def test_tableau_rules_full_sweep():
                 if n < j - 1 or (n - (j - 1)) % 2:
                     continue
                 for t in standard_tableaux(Diagram2.from_weight(n, j)):
-                    top = tuple(zeros[x - 1] for x in t.top)
-                    bottom = tuple(zeros[x - 1] for x in t.bottom)
-                    for i in range(1, g):
-                        rule = tableau_raising_rule(top, bottom, i, lam)
-                        if rule["case"] == "invalid-target":
-                            continue
-                        e_t = labeled_tableau_vector(top, bottom, lam, g)
-                        direct = apply_token(lie_e_token(i), e_t)
-                        if rule["coeff"] == 0:
-                            assert direct.is_zero(), (g, lam, top, bottom, i)
-                        else:
-                            e_s = labeled_tableau_vector(*rule["tableau"], rule["lam_target"], g)
-                            assert direct == rule["coeff"] * e_s, (g, lam, top, bottom, i)
-                        cases[rule["case"]] = cases.get(rule["case"], 0) + 1
+                    standard = (tuple(zeros[x - 1] for x in t.top), tuple(zeros[x - 1] for x in t.bottom))
+                    for top, bottom in _column_orientations(*standard):
+                        for i in range(1, g):
+                            rule = tableau_raising_rule(top, bottom, i, lam)
+                            if rule["case"] == "invalid-target":
+                                continue
+                            e_t = labeled_tableau_vector(top, bottom, lam, g)
+                            direct = apply_token(lie_e_token(i), e_t)
+                            if rule["coeff"] == 0:
+                                assert direct.is_zero(), (g, lam, top, bottom, i)
+                            else:
+                                e_s = labeled_tableau_vector(*rule["tableau"], rule["lam_target"], g)
+                                assert direct == rule["coeff"] * e_s, (g, lam, top, bottom, i)
+                            cases[rule["case"]] = cases.get(rule["case"], 0) + 1
+                            signs.add((rule["case"], rule["coeff"] > 0))
+    # each column turn of the lam_i = lam_{i+1} = 0 rules is reached, the
+    # column (i + 1, i) of remove-column among them
+    for case in ("remove-column", "merge-columns", "absorb-upper-single", "absorb-lower-single"):
+        assert {(case, True), (case, False)} <= signs, case
     # all rule families must actually occur in the sweep
     for case in (
         "relabel-up",
