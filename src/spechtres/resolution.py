@@ -25,6 +25,7 @@ from .specht import (
     ordinary_character,
     permutation_matrix_on_basis,
     raised_basis_matrix,
+    sn_generators,
 )
 
 __all__ = [
@@ -207,10 +208,33 @@ def simple_quotient(p: int, tau: Diagram2) -> GramQuotient:
     return GramQuotient(gram, p)
 
 
-def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
-    """Trace mod p of a permutation acting on the simple quotient."""
+@lru_cache(maxsize=None)
+def _radical_is_invariant(p: int, tau: Diagram2) -> bool:
+    """Prove that every permutation maps the radical of simple_quotient(p,
+    tau) into itself, or raise AssertionError.
+
+    Permuting words preserves the form, so once the span is proven
+    invariant (specht._span_is_invariant) its radical is too; it is
+    checked all the same, on s and z (GramQuotient.check_radical_invariance),
+    which generate S_n.  Only the fact is cached."""
     q = simple_quotient(p, tau)
-    return int(np.trace(q.quotient_matrix(permutation_matrix_on_basis(tau.n, tau.c, sigma, p)))) % p
+    if q.radical.shape[1]:
+        for g in sn_generators(tau.n):
+            q.check_radical_invariance(permutation_matrix_on_basis(tau.n, tau.c, g, p))
+    return True
+
+
+def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
+    """Trace mod p of a permutation acting on the simple quotient.
+
+    The radical is proven invariant once per (p, tau)
+    (_radical_is_invariant), so the trace needs only sigma's images of
+    the q pivot basis vectors, projected onto the complement
+    (GramQuotient.project_columns)."""
+    q = simple_quotient(p, tau)
+    _radical_is_invariant(p, tau)
+    images = permutation_matrix_on_basis(tau.n, tau.c, sigma, p, q.pivot_idx)
+    return int(np.trace(q.project_columns(images))) % p
 
 
 def modular_character_check(p: int, tau: Diagram2, sigma) -> tuple[int, int, bool]:

@@ -287,7 +287,9 @@ def int_gram(m: np.ndarray) -> np.ndarray:
     when the bound is below 2**24 and in float64 below 2**53; either is
     exact, so summation order cannot change the result.  The 0/+-1
     polytabloid and component matrices take float32 below 2**24 rows.  A
-    bound at or above 2**53 is refused rather than rounded.
+    bound at or above 2**53 is refused rather than rounded.  The Gram is
+    returned as int32 when the bound is below 2**31, so always from the
+    float32 route, and as int64 otherwise.
     """
     m = np.asarray(m)
     top = max(-int(m.min()), int(m.max())) if m.size else 0
@@ -301,7 +303,7 @@ def int_gram(m: np.ndarray) -> np.ndarray:
         f = cast[: min(_ROW_BLOCK, len(m) - lo)]
         f[:] = m[lo : lo + _ROW_BLOCK]
         gram += np.matmul(f.T, f, out=product)
-    return gram.astype(np.int64)
+    return gram.astype(np.int32 if bound < _LIMIT[np.dtype(np.int32)] else np.int64)
 
 
 # Width of a column panel of the blocked elimination.  A matrix no wider
@@ -589,7 +591,7 @@ class GramQuotient:
     def project_columns(self, cols: np.ndarray) -> np.ndarray:
         """Complement coordinates of columns, read off after subtracting the
         radical component."""
-        cols = np.asarray(cols, dtype=np.int64) % self.p
+        cols = _reduced(cols, self.p).astype(np.int64, copy=False)
         if self.radical.shape[1]:
             cols = _reduce_in_place(cols - fp_matmul(self.radical, cols[self.free_idx], self.p), self.p)
             if cols[self.free_idx].any():

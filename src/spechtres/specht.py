@@ -47,6 +47,8 @@ __all__ = [
     "ordinary_character",
     "partitions",
     "cycle_type_representative",
+    "sn_generators",
+    "sn_gather",
     "permutation_matrix_on_basis",
 ]
 
@@ -248,7 +250,8 @@ def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def gram_of_diagram(diag: Diagram2) -> np.ndarray:
-    """Gram matrix of the standard polytabloids of a diagram.  Read-only."""
+    """Gram matrix of the standard polytabloids of a diagram, as int32 (see
+    rings.int_gram).  Read-only."""
     return read_only(int_gram(basis_matrix(diag.n, diag.c)))
 
 
@@ -267,8 +270,9 @@ class BasisSolver:
     solved by back-substitution through the square, in int64 residues mod
     p, one level at a time: a row with no entry right of the diagonal has
     level 0, any other row one more than the deepest row it points to.
-    They are then verified by multiplying back, one block of rows at a
-    time, so a column outside the span is always detected.
+    coords then verifies them by multiplying back, one block of rows at a
+    time, so a column outside the span is always detected;
+    back_substitute alone is for columns already known to lie in the span.
 
     Rows are solved in level order, within a level by falling entry count.
     A level holds its positions start:end in that order, and cols and vals:
@@ -310,17 +314,17 @@ class BasisSolver:
         self._width = max(1, _SOLVE_ENTRIES // max(d, len(i), 1))
         self._terms = max((len(level[2]) for level in self._levels), default=0)
 
-    def coords(self, columns: np.ndarray) -> np.ndarray:
-        """Coordinates of column vectors; raises ValueError when a column is
-        outside the span."""
+    def back_substitute(self, square: np.ndarray) -> np.ndarray:
+        """Coordinates x with matrix[rows] @ x = square, for a 2-d array of
+        columns read at the square's rows only.  The square is
+        unitriangular, so x is unique, and it is the coordinate vector of
+        every column that lies in the span; membership is not checked
+        here (see coords)."""
         p = self.p
-        columns = np.asarray(columns, dtype=object if p is None else None)
-        if columns.ndim == 1:
-            columns = columns[:, None]
-        x = np.empty((len(self._order), columns.shape[1]), dtype=object if p is None else np.int64)
-        scratch = np.empty(self._terms * min(self._width, columns.shape[1]), dtype=x.dtype)  # every level's terms
-        for lo in range(0, columns.shape[1], self._width):
-            w = columns[self.rows[self._order], lo : lo + self._width]
+        x = np.empty((len(self._order), square.shape[1]), dtype=object if p is None else np.int64)
+        scratch = np.empty(self._terms * min(self._width, square.shape[1]), dtype=x.dtype)  # every level's terms
+        for lo in range(0, square.shape[1], self._width):
+            w = square[self._order, lo : lo + self._width]
             if p is not None:
                 w = _reduced(w, p).astype(np.int64, copy=False)
             for start, end, cols, vals, counts in self._levels:
@@ -333,6 +337,17 @@ class BasisSolver:
                 if p is not None:
                     _reduce_in_place(w[start:end], p)
             x[self._order, lo : lo + self._width] = w
+        return x
+
+    def coords(self, columns: np.ndarray) -> np.ndarray:
+        """Coordinates of column vectors: back_substitute, then the
+        multiply-back; raises ValueError when a column is outside the
+        span."""
+        p = self.p
+        columns = np.asarray(columns, dtype=object if p is None else None)
+        if columns.ndim == 1:
+            columns = columns[:, None]
+        x = self.back_substitute(columns[self.rows])
         if not (np.array_equal(self.matrix @ x, columns) if p is None else fp_product_equals(self.matrix, x, columns, p)):
             raise ValueError("coordinate solve inconsistent: vector not in the basis span")
         return x
@@ -385,10 +400,103 @@ def cycle_type_representative(cycle_type, n: int) -> tuple[int, ...]:
     return tuple(image)
 
 
-def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
-    """Matrix mod p of the plain position permutation on the standard basis."""
+# ---------------------------------------------------------------------------
+# the S_n action on the standard basis, proven on two generators
+
+
+def sn_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """s = (1 2) and z = (1 2 ... n) as image tuples; they generate S_n.
+    Only s for n = 2, where the two coincide, and none for n < 2, where
+    S_n is trivial."""
+    if n < 2:
+        return ()
+    s = (2, 1) + tuple(range(3, n + 1))
+    return (s,) if n == 2 else (s, tuple(range(2, n + 1)) + (1,))
+
+
+@lru_cache(maxsize=None)
+def _generator_gathers(n: int, b: int) -> tuple[np.ndarray, ...]:
+    """perm_action_rows of sn_generators(n) on weight class b, read-only:
+    the only gathers that every other permutation's gather is composed
+    from."""
+    return tuple(read_only(perm_action_rows(g, n, b)) for g in sn_generators(n))
+
+
+@lru_cache(maxsize=None)
+def _adjacent_gathers(n: int, b: int) -> tuple[np.ndarray, ...]:
+    """Read-only gathers of t_i = (i i+1), i = 1..n-1, on weight class b,
+    from those of s and z alone: t_1 = s and t_(i+1) = z t_i z^-1.  The
+    gather of a product is rows_(x y) = rows_y[rows_x], and that of z^-1
+    is the inverse permutation of z's, so t_(i+1) gathers by
+    z_inv[t_i[z]]."""
+    gathers = _generator_gathers(n, b)
+    if not gathers:
+        return ()
+    s, z = gathers[0], gathers[-1]
+    z_inv = np.empty_like(z)
+    z_inv[z] = np.arange(len(z))
+    t = [s]
+    for _ in range(n - 2):
+        t.append(read_only(z_inv[t[-1][z]]))
+    return tuple(t)
+
+
+def sn_gather(sigma, n: int, b: int) -> np.ndarray:
+    """tensor.perm_action_rows(sigma, n, b), composed from the gathers of s
+    and z, so that what is proven of those two holds of it.
+
+    A bubble sort of sigma's image tuple swaps entries i and i+1, which
+    multiplies sigma on the right by t_i, until the identity is left:
+    sigma t_a1 ... t_am = 1, so sigma = t_am ... t_a1, and each swap
+    gathers the rows so far by t_a.  It takes as many swaps as sigma has
+    inversions: n minus the number of cycles for cycle_type_representative.
+    """
+    image = list(sigma)
+    if sorted(image) != list(range(1, n + 1)):
+        raise ValueError("not a permutation of 1..n")
+    t = _adjacent_gathers(n, b)
+    rows = np.arange(len(weight_class_array(n, b)))
+    for end in range(n - 1, 0, -1):
+        for i in range(end):
+            if image[i] > image[i + 1]:
+                image[i], image[i + 1] = image[i + 1], image[i]
+                rows = rows[t[i]]
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _span_is_invariant(p: int, n: int, c: int) -> bool:
+    """Prove that every permutation maps the span mod p of the standard
+    basis of weight c on n letters into itself, or raise ValueError.
+
+    The images of the basis under s and z, gathered by _generator_gathers,
+    are solved side by side in one BasisSolver.coords, whose multiply-back
+    refuses an image outside the span.  A permutation that maps a finite
+    span into itself maps it onto itself, so its inverse does too; every
+    sigma is a product of s, z and z^-1, and sn_gather composes sigma's
+    gather from these same two gathers.  Only the fact is cached."""
     solver = basis_solver(p, n, c)
-    return solver.coords(solver.matrix[perm_action_rows(sigma, n, Diagram2.from_weight(n, c).b)])
+    gathers = _generator_gathers(n, Diagram2.from_weight(n, c).b)
+    if gathers:
+        solver.coords(np.hstack([solver.matrix[rows] for rows in gathers]))
+    return True
+
+
+def permutation_matrix_on_basis(n: int, c: int, sigma, p: int, columns=None) -> np.ndarray:
+    """Matrix mod p of the plain position permutation on the standard
+    basis: column j holds the coordinates of sigma's image of basis vector
+    j, for the basis vectors `columns` (all by default).
+
+    Per sigma only the back-substitution runs.  The span is proven
+    invariant once per (p, n, c) (_span_is_invariant) and sigma's gather
+    is composed from the proven ones (sn_gather), so sigma's images lie in
+    the span, where the unitriangular square gives their unique
+    coordinates."""
+    rows = sn_gather(sigma, n, Diagram2.from_weight(n, c).b)
+    _span_is_invariant(p, n, c)
+    solver = basis_solver(p, n, c)
+    images = solver.matrix[rows[solver.rows]]
+    return solver.back_substitute(images if columns is None else images[:, columns])
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:

@@ -294,6 +294,25 @@ def test_alexander_computes_each_trace_once(monkeypatch):
     assert calls.count("_component_action") == 3
 
 
+def test_character_proves_invariance_once_not_per_cycle_type(monkeypatch):
+    # the Specht span and the radical are proven S_n-invariant on s and z
+    # once per diagram; each of the 77 cycle types of n = 12 then runs only
+    # its back-substitution, with no multiply-back product of its own
+    from spechtres import resolution, rings, specht
+
+    for module in (specht, resolution):  # cold, as a command runs it
+        for cached in vars(module).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+    calls = []
+    for module in (rings, specht):
+        real = module.fp_product_equals
+        monkeypatch.setattr(module, "fp_product_equals", lambda *a, real=real: calls.append(1) or real(*a))
+    rep = cli.run(cli.Job("character", {"p": 7, "tau": [7, 5]}))
+    assert rep.status == "pass" and len(rep.results["table"]) == 77
+    assert 2 <= len(calls) <= 4  # s and z on the span, and on the radical when it is not zero
+
+
 def test_long_random_word_passes_all_three_checks():
     # the word's coefficients pass 2**100; they used to overflow int64
     proc = subprocess.run(

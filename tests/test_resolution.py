@@ -231,3 +231,58 @@ def test_quotient_trace_identity_is_dimension():
                 tau = Diagram2.from_weight(n, k)
                 ident = tuple(range(1, n + 1))
                 assert quotient_trace(p, tau, ident) == simple_quotient(p, tau).quotient_dim % p
+
+
+@pytest.fixture
+def cold_proofs():
+    """Clear the cached generator gathers and invariance proofs before and
+    after a test that patches what they are built from."""
+    from spechtres import resolution, specht
+
+    caches = (specht._generator_gathers, specht._adjacent_gathers, specht._span_is_invariant, resolution._radical_is_invariant)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_a_wrong_generator_gather_is_refused(monkeypatch, cold_proofs):
+    # a z-gather with two words swapped is no longer the S_n action; the
+    # span proof on the generators catches it before any trace is taken
+    from spechtres import specht
+
+    real = specht.perm_action_rows
+
+    def swapped(sigma, n, b):
+        rows = real(sigma, n, b)
+        if tuple(sigma) == specht.sn_generators(n)[1]:
+            rows = rows.copy()
+            rows[[0, 1]] = rows[[1, 0]]
+        return rows
+
+    monkeypatch.setattr(specht, "perm_action_rows", swapped)
+    for p, tau in ((3, Diagram2(4, 2)), (5, Diagram2(5, 3))):
+        with pytest.raises(ValueError, match="not in the basis span"):
+            quotient_trace(p, tau, tuple(range(1, tau.n + 1)))
+
+
+def test_a_generator_action_that_moves_the_radical_is_refused(monkeypatch, cold_proofs):
+    # the generators' matrices are replaced by one that adds a free
+    # coordinate to a pivot coordinate: a radical vector then keeps its free
+    # coordinates but changes, so it leaves the radical
+    from spechtres import resolution, specht
+
+    p, tau = 5, Diagram2(5, 3)  # a radical of 7 of 28 dimensions
+    q = simple_quotient(p, tau)
+    assert q.radical.shape[1]
+    moving = np.identity(q.radical.shape[0], dtype=np.int64)
+    moving[q.pivot_idx[0], q.free_idx[0]] = 1
+    real = resolution.permutation_matrix_on_basis
+
+    def patched(n, c, sigma, p, columns=None):
+        return moving if tuple(sigma) in specht.sn_generators(n) else real(n, c, sigma, p, columns)
+
+    monkeypatch.setattr(resolution, "permutation_matrix_on_basis", patched)
+    with pytest.raises(AssertionError, match="radical"):
+        quotient_trace(p, tau, tuple(range(1, tau.n + 1)))

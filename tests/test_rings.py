@@ -262,6 +262,12 @@ def test_int_gram_is_exact_on_every_route():
         m = rng.randint(-top, top + 1, size=(rows, 30))
         m[:, 0] = top
         assert np.array_equal(int_gram(m), m.astype(object).T @ m.astype(object))
+    # int32 below a bound of 2**31, as on the float32 route, int64 from it on
+    assert int_gram(small).dtype == np.int32
+    assert int_gram(np.full((1, 1), 46340)).dtype == np.int32  # 46340**2 < 2**31
+    assert int_gram(np.full((1, 1), 46340)).tolist() == [[46340**2]]
+    assert int_gram(np.full((2, 1), 2**15)).dtype == np.int64  # 2 * (2**15)**2 = 2**31
+    assert int_gram(np.full((2, 1), 2**15)).tolist() == [[2**31]]
 
 
 def test_kernel_basis_from_one_elimination():

@@ -21,6 +21,8 @@ from spechtres.specht import (
     permutation_matrix_on_basis,
     polytabloid,
     raised_basis_matrix,
+    sn_gather,
+    sn_generators,
     specht_basis,
     standard_tableaux,
     tabloid_vector,
@@ -30,6 +32,7 @@ from spechtres.tensor import (
     apply_sl2,
     inner_product,
     perm_action,
+    perm_action_rows,
     weight_classes,
     weight_class_masks,
 )
@@ -265,6 +268,21 @@ def test_permutation_matrix_is_the_perm_action_on_the_basis():
                     assert np.array_equal(permutation_matrix_on_basis(n, c, sigma, p), expected)
     with pytest.raises(ValueError):
         permutation_matrix_on_basis(4, 3, (1, 1, 2, 3), 5)
+
+def test_composed_gather_is_the_perm_action():
+    # sigma's gather is composed from those of s and z alone; it must be the
+    # gather of sigma itself, at every length the word table takes
+    rng = random.Random(25)
+    for n in range(0, 11):
+        assert len(sn_generators(n)) == min(max(n - 1, 0), 2)
+        for b in range(n + 1):
+            sigmas = [cycle_type_representative(ct, n) for ct in partitions(n)]
+            sigmas += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+            for sigma in sigmas:
+                assert np.array_equal(sn_gather(sigma, n, b), perm_action_rows(sigma, n, b)), (n, b, sigma)
+    with pytest.raises(ValueError):
+        sn_gather((1, 1, 2), 3, 1)
+
 
 def test_solver_coords_and_membership_check():
     mat = basis_matrix(6, 3)  # [4,2]
