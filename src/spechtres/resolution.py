@@ -215,12 +215,12 @@ def _radical_is_invariant(p: int, tau: Diagram2) -> bool:
 
     Permuting words preserves the form, so once the span is proven
     invariant (specht._span_is_invariant) its radical is too; it is
-    checked all the same, on s and z (GramQuotient.check_radical_invariance),
-    which generate S_n.  Only the fact is cached."""
+    checked all the same, on s and z (GramQuotient.quotient_matrix checks
+    it), which generate S_n.  Only the fact is cached."""
     q = simple_quotient(p, tau)
-    if q.radical.shape[1]:
+    if len(q.free_idx):
         for g in sn_generators(tau.n):
-            q.check_radical_invariance(permutation_matrix_on_basis(tau.n, tau.c, g, p))
+            q.quotient_matrix(permutation_matrix_on_basis(tau.n, tau.c, g, p))
     return True
 
 
@@ -229,8 +229,9 @@ def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
 
     The radical is proven invariant once per (p, tau)
     (_radical_is_invariant), so the trace needs only sigma's images of
-    the q pivot basis vectors, projected onto the complement
-    (GramQuotient.project_columns)."""
+    the q pivot basis vectors, read in complement coordinates off the
+    reduced rows of the Gram (GramQuotient.project_columns: images[P] +
+    R_F images[F])."""
     q = simple_quotient(p, tau)
     _radical_is_invariant(p, tau)
     images = permutation_matrix_on_basis(tau.n, tau.c, sigma, p, q.pivot_idx)

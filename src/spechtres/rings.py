@@ -6,7 +6,8 @@ polynomials and the cyclotomic quotients Z[z]/(1 + z + ... + z^(p-1)) with
 optional mod-p coefficients), one repeated-squaring power, balanced
 quantum integers, deterministic Gaussian elimination, and the quotient
 of F_p^d by the radical of a Gram matrix (GramQuotient), the one
-simple-quotient type.
+simple-quotient type, whose projections and invariance checks are read
+off the reduced rows of the Gram without a basis of the radical.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
 F_p are returned as int64 arrays of residues in [0, p); residues that are
@@ -56,7 +57,6 @@ __all__ = [
     "int_gram",
     "fp_rref",
     "fp_rank",
-    "kernel_from_rref",
     "fp_inverse",
     "GramQuotient",
     "int_det",
@@ -519,19 +519,6 @@ def fp_rank(a: np.ndarray, p: int) -> int:
     return len(_eliminate(a, p, False)[1])
 
 
-def kernel_from_rref(rref: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Null-space basis read off a reduced row echelon form: one column per
-    free column f, with 1 at f and minus column f of the reduced rows at the
-    pivot positions."""
-    cols = rref.shape[1]
-    pivot_set = set(pivots)
-    free = [f for f in range(cols) if f not in pivot_set]
-    kernel = np.zeros((cols, len(free)), dtype=np.int64)
-    kernel[free, range(len(free))] = 1
-    kernel[pivots] = _reduce_in_place(-rref[: len(pivots)][:, free], p)
-    return kernel
-
-
 def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
     if a.shape[1] != n:
@@ -545,73 +532,79 @@ def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
 
 class GramQuotient:
     """Quotient of F_p^d by the null space (the radical) of a symmetric Gram
-    matrix.
+    matrix, read off the reduced rows of the Gram.
 
-    quotient_dim is the rank of the Gram matrix.  The radical columns are
-    the kernel basis read off the reduced form: the identity on the free
-    coordinates, free_idx.  The complement is the span of the pivot
-    coordinate vectors, pivot_idx, so a trace on the quotient needs only
-    this index data.  radical, free_idx and pivot_idx come from one
-    elimination on first use, which quotient_dim then reads too; read
-    first, it comes from fp_rank.  A Gram matrix no wider than the
-    per-pivot loop takes alone has its reduced form from the same loop as
-    its rank; it is taken on construction and kept.  Coordinates are taken
-    in the basis whose Gram matrix was eliminated.  All arrays here are
-    read-only, and only the caches change: jobs on a thread pool may read
-    the same quotient at once.
+    Let R be the reduced row echelon form of the Gram mod p, restricted to
+    its q pivot rows, with pivot columns P (pivot_idx) and free columns F
+    (free_idx), and let R_F = R[:, F] (reduced_free), a q x r matrix.  The
+    three are read-only and come from one elimination on first use.
+    quotient_dim = q is the rank; for a Gram no wider than the per-pivot
+    loop takes alone, or once the fields are built, it is len(pivot_idx),
+    and otherwise fp_rank, which takes no reduced form.
+
+    The radical is ker R, and R[:, P] = I.  So a coordinate column c is
+    congruent to E_P R c modulo the radical, E_P placing a q-vector at the
+    coordinates P: R (c - E_P R c) = R c - R c = 0.  Its complement
+    coordinates are R c = c[P] + R_F c[F] (project_columns).
+
+    The radical is spanned by the columns of K, with K[F] = I and K[P] =
+    -R_F.  An action A maps it into itself exactly when R A K = 0, and with
+    T = R A that is T[:, F] - T[:, P] R_F; quotient_matrix checks this one
+    product and returns T[:, P], the matrix induced on the quotient.
+
+    Coordinates are taken in the basis whose Gram matrix was eliminated.
+    Only the caches change: jobs on a thread pool may read the same
+    quotient at once.
     """
 
     def __init__(self, gram: np.ndarray, p: int):
         self.p = p
         self._gram = gram
-        self._rref = fp_rref(gram, p) if np.shape(gram)[1] <= 2 * _PANEL else None
 
     @cached_property
     def quotient_dim(self) -> int:
-        if self._rref:
-            return len(self._rref[1])
-        return len(self.pivot_idx) if "_fields" in self.__dict__ else fp_rank(self._gram, self.p)
+        if np.shape(self._gram)[1] <= 2 * _PANEL or "_fields" in self.__dict__:
+            return len(self.pivot_idx)
+        return fp_rank(self._gram, self.p)
 
     @cached_property
     def _fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """radical, free_idx and pivot_idx from the reduced form."""
-        rref, pivots = self._rref or fp_rref(self._gram, self.p)
+        """reduced_free, free_idx and pivot_idx from the reduced form."""
+        rref, pivots = fp_rref(self._gram, self.p)
         pivot_set = set(pivots)
-        free = [f for f in range(rref.shape[1]) if f not in pivot_set]
+        free = np.array([f for f in range(rref.shape[1]) if f not in pivot_set], dtype=np.intp)
         return (
-            read_only(kernel_from_rref(rref, pivots, self.p)),
-            read_only(np.array(free, dtype=np.intp)),
+            read_only(residues(rref[: len(pivots), free], self.p)),
+            read_only(free),
             read_only(np.array(pivots, dtype=np.intp)),
         )
 
-    radical = property(lambda self: self._fields[0])
+    reduced_free = property(lambda self: self._fields[0])
     free_idx = property(lambda self: self._fields[1])
     pivot_idx = property(lambda self: self._fields[2])
 
     def project_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Complement coordinates of columns, read off after subtracting the
-        radical component."""
-        cols = _reduced(cols, self.p).astype(np.int64, copy=False)
-        if self.radical.shape[1]:
-            cols = _reduce_in_place(cols - fp_matmul(self.radical, cols[self.free_idx], self.p), self.p)
-            if cols[self.free_idx].any():
-                raise AssertionError("radical reduction failed")
-        return cols[self.pivot_idx]
+        """Complement coordinates of columns, (cols[P] + R_F cols[F]) mod p;
+        with no radical, cols[P] alone."""
+        reduced_free, free, pivots = self._fields
+        cols = _reduced(cols, self.p)
+        out = cols[pivots].astype(np.int64, copy=False)
+        if len(free):
+            out += fp_matmul(reduced_free, cols[free], self.p)
+            _reduce_in_place(out, self.p)
+        return out
 
     def quotient_matrix(self, action: np.ndarray) -> np.ndarray:
-        """Matrix induced on the quotient by the action, which is first
-        checked to preserve the radical (check_radical_invariance)."""
-        self.check_radical_invariance(action)
-        return self.project_columns(action[:, self.pivot_idx])
-
-    def check_radical_invariance(self, action: np.ndarray):
-        """Raise AssertionError unless the action maps the radical into
-        itself; otherwise a quotient trace would be meaningless."""
-        if not self.radical.shape[1]:
-            return
-        moved = fp_matmul(action, self.radical, self.p)
-        if not fp_product_equals(self.radical, moved[self.free_idx], moved, self.p):
+        """Matrix induced on the quotient by the action, T[:, P] for T =
+        project_columns(action).  Raises AssertionError unless T[:, F] =
+        T[:, P] R_F, that is unless the action maps the radical into itself;
+        otherwise a quotient trace would be meaningless."""
+        reduced_free, free, pivots = self._fields
+        t = self.project_columns(action)
+        image = t[:, pivots]
+        if len(free) and not fp_product_equals(image, reduced_free, t[:, free], self.p):
             raise AssertionError("action does not preserve the radical")
+        return image
 
 
 # ---------------------------------------------------------------------------

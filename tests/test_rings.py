@@ -19,7 +19,6 @@ from spechtres.rings import (
     fp_rref,
     int_det,
     int_gram,
-    kernel_from_rref,
     power,
     quantum_integer,
     residues,
@@ -34,10 +33,20 @@ def test_rank_kernel_image_on_degenerate_form():
     from spechtres.specht import Diagram2, gram_of_diagram
 
     gram = gram_of_diagram(Diagram2(2, 2))
-    rref, pivots = fp_rref(gram, 3)
-    assert len(pivots) == 1 and len(kernel_from_rref(rref, pivots, 3).T) == 1
-    rref5, pivots5 = fp_rref(gram, 5)
-    assert len(pivots5) == 2 and len(kernel_from_rref(rref5, pivots5, 5).T) == 0
+    pivots = fp_rref(gram, 3)[1]
+    assert len(pivots) == 1 and gram.shape[1] - len(pivots) == 1
+    pivots5 = fp_rref(gram, 5)[1]
+    assert len(pivots5) == 2 and gram.shape[1] - len(pivots5) == 0
+
+
+def _kernel_from_rref(rref, pivots, p):
+    # null-space basis read off a reduced form: one column per free column
+    # f, with 1 at f and minus column f of the reduced rows at the pivots
+    free = [f for f in range(rref.shape[1]) if f not in pivots]
+    kernel = np.zeros((rref.shape[1], len(free)), dtype=np.int64)
+    kernel[free, range(len(free))] = 1
+    kernel[pivots] = -rref[: len(pivots)][:, free] % p
+    return kernel
 
 
 def test_rank_kernel_properties_random():
@@ -47,7 +56,7 @@ def test_rank_kernel_properties_random():
             rows, cols = rng.randint(1, 8), rng.randint(1, 8)
             m = rng.randint(0, p, size=(rows, cols))
             rank = len(fp_rref(m, p)[1])
-            kernel = kernel_from_rref(*fp_rref(m, p), p).T
+            kernel = _kernel_from_rref(*fp_rref(m, p), p).T
             assert rank + len(kernel) == cols
             for v in kernel:
                 assert not ((m @ v) % p).any()
@@ -270,20 +279,6 @@ def test_int_gram_is_exact_on_every_route():
     assert int_gram(np.full((2, 1), 2**15)).tolist() == [[2**31]]
 
 
-def test_kernel_basis_from_one_elimination():
-    rng = np.random.RandomState(2)
-    for p in (3, 5, 7):
-        for _ in range(10):
-            a = rng.randint(0, p, size=(rng.randint(1, 9), rng.randint(1, 9)))
-            rref, pivots = fp_rref(a, p)
-            kernel = kernel_from_rref(rref, pivots, p).T
-            assert len(pivots) + len(kernel) == a.shape[1]
-            free = [f for f in range(a.shape[1]) if f not in pivots]
-            for f, v in zip(free, kernel):
-                assert not ((a @ v) % p).any()
-                assert v[f] == 1 and not v[[g for g in free if g != f]].any()
-
-
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
 def test_byte_inputs_give_the_int64_results(dtype):
     # 211, the largest prime the commands accept, has residue 210; int8
@@ -302,7 +297,9 @@ def test_byte_inputs_give_the_int64_results(dtype):
     gram = int_gram(rng.randint(-1, 2, size=(30, 40))) % p
     byte_gram = gram.astype(np.uint8) if dtype == np.uint8 else (gram - p * (gram > 127)).astype(np.int8)
     ours, ref = GramQuotient(byte_gram, p), GramQuotient(gram, p)
-    assert np.array_equal(ours.radical, ref.radical) and np.array_equal(ours.pivot_idx, ref.pivot_idx)
+    rref, pivots = fp_rref(gram, p)
+    assert np.array_equal(ours.reduced_free, rref[: len(pivots)][:, ref.free_idx])
+    assert np.array_equal(ours.reduced_free, ref.reduced_free) and np.array_equal(ours.pivot_idx, ref.pivot_idx)
     cols = a[:40, :5]
     assert np.array_equal(ours.project_columns(cols), ref.project_columns(cols.astype(np.int64)))
 
@@ -506,14 +503,14 @@ def test_gram_quotient_fields_are_lazy_and_equal_the_eager_ones(p):
         q = GramQuotient(gram, p)
         assert q.quotient_dim == len(pivots) == fp_rank(gram, p), tau
         free = [f for f in range(len(gram)) if f not in pivots]
-        assert np.array_equal(q.radical, kernel_from_rref(rref, pivots, p))
+        assert np.array_equal(q.reduced_free, rref[: len(pivots)][:, free])
         assert q.free_idx.tolist() == free and q.pivot_idx.tolist() == pivots
         assert q.quotient_dim == len(pivots)  # the same after the fields are built
-        for name in ("radical", "free_idx", "pivot_idx"):
+        for name in ("reduced_free", "free_idx", "pivot_idx"):
             assert not getattr(q, name).flags.writeable
             with pytest.raises(AttributeError):
                 setattr(q, name, np.zeros(1))
-        assert q.radical is q.radical  # eliminated once
+        assert q.reduced_free is q.reduced_free  # eliminated once
 
 
 def test_gram_quotient_eliminates_a_wide_gram_once(monkeypatch):
@@ -522,9 +519,17 @@ def test_gram_quotient_eliminates_a_wide_gram_once(monkeypatch):
     calls = []
     for name in ("fp_rref", "fp_rank"):
         monkeypatch.setattr(rings, name, lambda a, p, f=getattr(rings, name), name=name: calls.append(name) or f(a, p))
+    # a Gram at most 2 * _PANEL wide is not eliminated on construction;
+    # its rank and its fields come from one reduced form
+    narrow = gram_of_diagram(Diagram2(5, 3))  # 28 columns, a radical of 7 at p = 5
+    q = GramQuotient(narrow, 5)
+    assert calls == []
+    assert q.quotient_dim == 21 and len(q.pivot_idx) == 21
+    assert calls == ["fp_rref"]
+    calls.clear()
     gram = gram_of_diagram(Diagram2(7, 5))  # 297 columns
     assert gram.shape[1] > 2 * _PANEL
-    # a reader of the radical takes the rank from the same reduced form
+    # a reader of the fields takes the rank from the same reduced form
     q = GramQuotient(gram, 7)
     assert len(q.free_idx) + q.quotient_dim == len(gram)
     assert calls == ["fp_rref"]
@@ -558,6 +563,85 @@ def test_quotient_matrix_refuses_an_action_that_moves_the_radical():
     assert q.quotient_matrix(np.identity(2, dtype=np.int64)).tolist() == [[1]]
     with pytest.raises(AssertionError, match="radical"):
         q.quotient_matrix(np.array([[1, 0], [0, 2]]))
+
+
+class _RadicalOracle:
+    # the simple quotient by subtraction of an explicit radical basis, read
+    # off fp_rref: a column c has complement coordinates (c - K c[F])[P],
+    # and an action A preserves the radical when A K = K (A K)[F]
+    def __init__(self, gram, p):
+        rref, pivots = fp_rref(gram, p)
+        self.p, self.pivots = p, pivots
+        self.free = [f for f in range(gram.shape[1]) if f not in pivots]
+        self.radical = _kernel_from_rref(rref, pivots, p)
+        # the Gram kills every radical column, which is the identity on F
+        assert not (gram.astype(np.int64) @ self.radical % p).any()
+        assert np.array_equal(self.radical[self.free], np.identity(len(self.free), dtype=np.int64))
+
+    def project_columns(self, cols):
+        cols = cols.astype(np.int64) % self.p
+        return ((cols - self.radical @ cols[self.free]) % self.p)[self.pivots]
+
+    def quotient_matrix(self, action):
+        # None when the action moves the radical
+        moved = action.astype(np.int64) @ self.radical % self.p
+        if not np.array_equal(moved, self.radical @ moved[self.free] % self.p):
+            return None
+        return self.project_columns(action[:, self.pivots])
+
+
+def _agrees_with_the_oracle(q, oracle, action):
+    # whether the action is accepted; verdict and matrix are the oracle's
+    want = oracle.quotient_matrix(action)
+    if want is None:
+        with pytest.raises(AssertionError, match="radical"):
+            q.quotient_matrix(action)
+        return False
+    assert np.array_equal(q.quotient_matrix(action), want)
+    return True
+
+
+def test_quotient_readings_equal_the_radical_subtraction():
+    rng = np.random.RandomState(26)
+    widths = (0, 1, 2, 7, 40, 2 * _PANEL, 2 * _PANEL + 1, 90)
+    for p in (3, 5, 7, 211):
+        for d in widths:
+            grams = [int_gram(rng.randint(-2, 3, size=(rows, d))) for rows in {max(1, d // 2), d + 3}]
+            grams.append(int_gram(p * rng.randint(-1, 2, size=(3, d))))  # zero mod p
+            grams.append(int_gram(np.identity(d, dtype=np.int64)))  # full rank
+            for gram in grams:
+                q, oracle = GramQuotient(gram, p), _RadicalOracle(gram, p)
+                assert q.pivot_idx.tolist() == oracle.pivots and q.free_idx.tolist() == oracle.free
+                assert q.quotient_dim == len(oracle.pivots)
+                cols = rng.randint(-p, 2 * p, size=(d, 5))
+                assert np.array_equal(q.project_columns(cols), oracle.project_columns(cols))
+                # M G + K Z maps the radical into itself; a random action need not
+                keeps = rng.randint(0, p, size=(d, d)) @ gram + oracle.radical @ rng.randint(0, p, size=(len(oracle.free), d))
+                assert _agrees_with_the_oracle(q, oracle, keeps % p)
+                _agrees_with_the_oracle(q, oracle, rng.randint(0, p, size=(d, d)))
+            assert not GramQuotient(grams[-2], p).quotient_dim
+            assert not len(GramQuotient(grams[-1], p).free_idx)
+
+
+def test_generator_perturbations_get_the_oracle_verdict():
+    from spechtres.specht import Diagram2, gram_of_diagram, permutation_matrix_on_basis, sn_generators
+
+    rng = np.random.RandomState(5)
+    p = 5
+    for tau in (Diagram2(5, 3), Diagram2(7, 5)):
+        gram = gram_of_diagram(tau)
+        q, oracle = GramQuotient(gram, p), _RadicalOracle(gram, p)
+        verdicts = set()
+        for g in sn_generators(tau.n):
+            action = permutation_matrix_on_basis(tau.n, tau.c, g, p)
+            verdicts.add(_agrees_with_the_oracle(q, oracle, action))
+            for _ in range(12):
+                moved = action.copy()
+                i, j = rng.randint(len(gram), size=2)
+                moved[i, j] = (moved[i, j] + rng.randint(1, p)) % p
+                verdicts.add(_agrees_with_the_oracle(q, oracle, moved))
+        # the generators are accepted and some perturbation is refused
+        assert verdicts == {True, False}, tau
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,6 @@ def _reversed_complement_trace(p, j, word, g):
     flip = np.arange(len(gram))[::-1]
     q = GramQuotient(gram[np.ix_(flip, flip)], p)
     action = lefschetz_action_matrix(word, j, g, p=p)[np.ix_(flip, flip)]
-    q.check_radical_invariance(action)
     return int(np.trace(q.quotient_matrix(action))) % p
 
 
@@ -451,7 +450,7 @@ def test_quotient_trace_does_not_depend_on_the_complement():
                     # the same trace from the exact matrix alexander_trace kept
                     assert modular_quotient_trace(p, j, word, g, at) == got
                     assert got == _reversed_complement_trace(p, j, word, g), (p, g, j, word)
-                    radicals += component_quotient(p, j, g).radical.shape[1] > 0
+                    radicals += len(component_quotient(p, j, g).free_idx) > 0
     assert radicals == 12
 
 
@@ -489,7 +488,6 @@ def test_cyclic_generation_of_quotients():
             mats = []
             for tok in toks:
                 full = _component_action([tok], j, g, p=p)
-                q.check_radical_invariance(full)
                 mats.append(q.quotient_matrix(full))
             for _ in range(10):
                 v = np.array([rng.randrange(p) for _ in range(q.quotient_dim)], dtype=np.int64)
