@@ -209,7 +209,7 @@ SCHEMA = {
     }, _resolve_label),
     "character": Command("modular character identity over all cycle types", {
         "p": Param("prime", "an odd prime", True, lo=3, hi=211),
-        "tau": Param("tau", "two row lengths, e.g. 3,2", True, lo=0, hi=12),
+        "tau": Param("tau", "two row lengths, e.g. 3,2", True, lo=0, hi=16),
     }, _character_label),
     "factors": Command("composition factor oracle and partition check", {
         "p": Param("prime", "an odd prime", True, lo=3, hi=211),

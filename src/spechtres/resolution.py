@@ -17,16 +17,21 @@ from functools import lru_cache
 import numpy as np
 
 from .dims import catalan
-from .rings import GramQuotient, fp_matmul, fp_rank, residues
+from .rings import GramQuotient, fp_inverse, fp_matmul, fp_rank, read_only, residues
 from .specht import (
     Diagram2,
+    _span_is_invariant,
+    _word_table,
+    basis_matrix,
     basis_solver,
     gram_of_diagram,
     ordinary_character,
     permutation_matrix_on_basis,
     raised_basis_matrix,
+    sn_gather,
     sn_generators,
 )
+from .tensor import weight_classes
 
 __all__ = [
     "e_power_map",
@@ -224,18 +229,52 @@ def _radical_is_invariant(p: int, tau: Diagram2) -> bool:
     return True
 
 
-def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
-    """Trace mod p of a permutation acting on the simple quotient.
+@lru_cache(maxsize=None)
+def _pivot_duals(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
+    """The pivot basis vectors of simple_quotient(p, tau) and their dual
+    basis, read-only: the weight-class positions of each pivot vector's
+    2^b words, one column per pivot in the rows of specht._word_table; and
+    Y = B_P G_PP^-1 mod p as residues, one column per pivot and one row per
+    word, B_P the pivot columns of the basis matrix.  G_PP^-1 is symmetric,
+    so column j of Y is the dual vector y_j of quotient_trace."""
+    pivots = simple_quotient(p, tau).pivot_idx
+    inverse = fp_inverse(gram_of_diagram(tau)[np.ix_(pivots, pivots)], p)
+    dual = residues(fp_matmul(basis_matrix(tau.n, tau.c)[:, pivots], inverse, p), p)
+    at = weight_classes(tau.n)[2][_word_table(tau.n, tau.b)[0][:, pivots]]
+    return read_only(at), read_only(dual)
 
-    The radical is proven invariant once per (p, tau)
-    (_radical_is_invariant), so the trace needs only sigma's images of
-    the q pivot basis vectors, read in complement coordinates off the
-    reduced rows of the Gram (GramQuotient.project_columns: images[P] +
-    R_F images[F])."""
-    q = simple_quotient(p, tau)
+
+def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
+    """Trace mod p of a permutation acting on the simple quotient
+    D = S / (S cap S^perp), James's definition (LNM 682, section 4).
+
+    Let G be the Gram of the standard basis v_1..v_d of S and P its q pivot
+    columns.  The principal block G_PP of a symmetric matrix on a column
+    basis is invertible, so the v_P are independent modulo the radical and
+    map to a basis of D.  sigma maps S into S and the radical into itself:
+    both are proven once per (p, tau) on s and z (specht._span_is_invariant,
+    _radical_is_invariant), and sn_gather composes sigma from them.  So
+    sigma v_j = sum_k A[k, j] v_k plus a radical vector, and pairing with
+    v_i for i in P, the radical pairing to zero with S, gives <v_i, sigma
+    v_j> = (G_PP A)[i, j]: A = G_PP^-1 <v_P, sigma v_P>.  Its trace is
+    sum_j <y_j, sigma v_j> with y_j = sum_k G_PP^-1[j, k] v_k, the dual
+    basis, <y_j, v_k> = delta_jk (_pivot_duals).
+
+    sigma's gather rows (sn_gather) reads (sigma v)[u] = v[rows[u]], so
+    the sum over v_j's 2^b words w of v_j[w] y_j[rows[w]] is <y_j, sigma^-1
+    v_j>.  sigma^-1 has sigma's cycle type, so it is conjugate to sigma and
+    has the same trace.  That is one gather of q * 2^b residues per sigma,
+    with no solve and no product.
+    """
+    _span_is_invariant(p, tau.n, tau.c)
     _radical_is_invariant(p, tau)
-    images = permutation_matrix_on_basis(tau.n, tau.c, sigma, p, q.pivot_idx)
-    return int(np.trace(q.project_columns(images))) % p
+    at, dual = _pivot_duals(p, tau)
+    terms = dual[sn_gather(sigma, tau.n, tau.b)[at], np.arange(at.shape[1])]
+    # each signed half sums at most q * 2^b residues in int64
+    assert terms.size * (p - 1) < 2**63
+    sums = terms.sum(axis=1, dtype=np.int64)
+    odd = _word_table(tau.n, tau.b)[1]
+    return int(sums[odd == 0].sum() - sums[odd == 1].sum()) % p
 
 
 def modular_character_check(p: int, tau: Diagram2, sigma) -> tuple[int, int, bool]:

@@ -520,6 +520,9 @@ def fp_rank(a: np.ndarray, p: int) -> int:
 
 
 def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of a square integer matrix, as int64 residues: the
+    right half of the reduced form of [a | I] (fp_rref).  Raises
+    ValueError for a matrix that is not square or is singular mod p."""
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("inverse needs a square matrix")

@@ -482,10 +482,10 @@ def _span_is_invariant(p: int, n: int, c: int) -> bool:
     return True
 
 
-def permutation_matrix_on_basis(n: int, c: int, sigma, p: int, columns=None) -> np.ndarray:
+def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
     """Matrix mod p of the plain position permutation on the standard
     basis: column j holds the coordinates of sigma's image of basis vector
-    j, for the basis vectors `columns` (all by default).
+    j.
 
     Per sigma only the back-substitution runs.  The span is proven
     invariant once per (p, n, c) (_span_is_invariant) and sigma's gather
@@ -495,8 +495,7 @@ def permutation_matrix_on_basis(n: int, c: int, sigma, p: int, columns=None) -> 
     rows = sn_gather(sigma, n, Diagram2.from_weight(n, c).b)
     _span_is_invariant(p, n, c)
     solver = basis_solver(p, n, c)
-    images = solver.matrix[rows[solver.rows]]
-    return solver.back_substitute(images if columns is None else images[:, columns])
+    return solver.back_substitute(solver.matrix[rows[solver.rows]])
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:

@@ -296,8 +296,8 @@ def test_alexander_computes_each_trace_once(monkeypatch):
 
 def test_character_proves_invariance_once_not_per_cycle_type(monkeypatch):
     # the Specht span and the radical are proven S_n-invariant on s and z
-    # once per diagram; each of the 77 cycle types of n = 12 then runs only
-    # its back-substitution, with no multiply-back product of its own
+    # once per diagram; each of the 77 cycle types of n = 12 then reads its
+    # trace off the cached dual basis, with no product of its own
     from spechtres import resolution, rings, specht
 
     for module in (specht, resolution):  # cold, as a command runs it
@@ -347,7 +347,7 @@ def test_long_random_word_passes_all_three_checks():
         ({"command": "resolve", "p": 3, "n": 17, "k": 2}, []),
         ({"command": "resolve", "p": 223, "n": 4, "k": 1}, []),
         ({"command": "resolve", "p": 10**18 + 9, "n": 4, "k": 1}, []),
-        ({"command": "character", "p": 3, "tau": [7, 6]}, []),
+        ({"command": "character", "p": 3, "tau": [9, 8]}, []),
         ({"command": "factors", "p": 3, "tau": "10,8"}, []),
         ({"command": "dims", "p": 223, "g": 2}, []),
         ({"command": "dims", "p": 5, "g": 101}, []),
@@ -547,13 +547,14 @@ def test_jm_labels_past_the_top_component_are_zero_spaces(p, k, g, pairs, capsys
 
 
 # Jobs at the ends of the range of every ranged parameter of every command,
-# each under about 2 s in process; the other parameters sit at cheap values.
+# each under about 4 s in process; the other parameters sit at cheap values.
 _CORNERS = [
     {"command": "resolve", "p": 3, "n": 0, "k": 1},
     {"command": "resolve", "p": 211, "n": 0, "k": 1},
     {"command": "character", "p": 3, "tau": [0, 0]},
     {"command": "character", "p": 211, "tau": [0, 0]},
     {"command": "character", "p": 3, "tau": [6, 6]},
+    {"command": "character", "p": 3, "tau": [8, 8]},
     {"command": "factors", "p": 3, "tau": [0, 0]},
     {"command": "factors", "p": 211, "tau": [0, 0]},
     {"command": "dims", "p": 3, "g": 0},

@@ -233,6 +233,59 @@ def test_quotient_trace_identity_is_dimension():
                 assert quotient_trace(p, tau, ident) == simple_quotient(p, tau).quotient_dim % p
 
 
+def _projected_trace(p, tau, sigma):
+    # the coordinate route: sigma's images of the pivot vectors, solved in
+    # the standard basis and read in complement coordinates
+    from spechtres.specht import permutation_matrix_on_basis
+
+    q = simple_quotient(p, tau)
+    images = permutation_matrix_on_basis(tau.n, tau.c, sigma, p)[:, q.pivot_idx]
+    return int(np.trace(q.project_columns(images))) % p
+
+
+def test_quotient_trace_equals_the_projected_coordinates():
+    # every two-row diagram with n <= 10, random permutations; the last two
+    # primes keep their residues in two and four bytes
+    import random
+
+    from spechtres import resolution
+
+    rng = random.Random(27)
+    for p in (3, 5, 7, 211, 257, 8388593):
+        for n in range(11):
+            for b in range(n // 2 + 1):
+                tau = Diagram2(n - b, b)
+                for _ in range(3):
+                    sigma = list(range(1, n + 1))
+                    rng.shuffle(sigma)
+                    assert quotient_trace(p, tau, sigma) == _projected_trace(p, tau, sigma), (p, tau, sigma)
+        dual = resolution._pivot_duals(p, Diagram2(6, 4))[1]
+        assert dual.dtype == {257: np.uint16, 8388593: np.uint32}.get(p, np.uint8)
+
+
+def test_quotient_trace_solves_multiplies_and_projects_nothing_per_permutation(monkeypatch):
+    # after one trace per (p, tau) every cycle type reads its trace off the
+    # cached dual basis; the identity holds with every such route refused
+    from spechtres import resolution, rings, specht
+
+    cases = ((3, Diagram2(4, 4)), (5, Diagram2(5, 3)), (7, Diagram2(7, 5)), (211, Diagram2(4, 2)))
+    for p, tau in cases:
+        quotient_trace(p, tau, tuple(range(1, tau.n + 1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved, multiplied or projected per permutation")
+
+    monkeypatch.setattr(specht.BasisSolver, "back_substitute", refuse)
+    monkeypatch.setattr(resolution, "fp_matmul", refuse)
+    monkeypatch.setattr(rings.GramQuotient, "project_columns", refuse)
+    for module in (rings, specht):
+        monkeypatch.setattr(module, "fp_product_equals", refuse)
+    for p, tau in cases:
+        for ct in partitions(tau.n):
+            lhs, rhs, ok = modular_character_check(p, tau, cycle_type_representative(ct, tau.n))
+            assert ok, (p, tau, ct, lhs, rhs)
+
+
 @pytest.fixture
 def cold_proofs():
     """Clear the cached generator gathers and invariance proofs before and
@@ -262,7 +315,9 @@ def test_a_wrong_generator_gather_is_refused(monkeypatch, cold_proofs):
         return rows
 
     monkeypatch.setattr(specht, "perm_action_rows", swapped)
-    for p, tau in ((3, Diagram2(4, 2)), (5, Diagram2(5, 3))):
+    # [4,2] has no radical at p = 211, so only the span proof runs there
+    assert not len(simple_quotient(211, Diagram2(4, 2)).free_idx)
+    for p, tau in ((3, Diagram2(4, 2)), (5, Diagram2(5, 3)), (211, Diagram2(4, 2))):
         with pytest.raises(ValueError, match="not in the basis span"):
             quotient_trace(p, tau, tuple(range(1, tau.n + 1)))
 
@@ -280,8 +335,8 @@ def test_a_generator_action_that_moves_the_radical_is_refused(monkeypatch, cold_
     moving[q.pivot_idx[0], q.free_idx[0]] = 1
     real = resolution.permutation_matrix_on_basis
 
-    def patched(n, c, sigma, p, columns=None):
-        return moving if tuple(sigma) in specht.sn_generators(n) else real(n, c, sigma, p, columns)
+    def patched(n, c, sigma, p):
+        return moving if tuple(sigma) in specht.sn_generators(n) else real(n, c, sigma, p)
 
     monkeypatch.setattr(resolution, "permutation_matrix_on_basis", patched)
     with pytest.raises(AssertionError, match="radical"):
