@@ -39,7 +39,7 @@ print("  component traces:", at.component_traces)
 
 print("\nsimple-quotient traces mod 5 of the same word:")
 for j in (1, 2, 3):
-    print(f"  component {j}:", modular_quotient_trace(5, j, word, g))
+    print(f"  component {j}:", modular_quotient_trace(5, j, at))
 
 print("\nroot-of-unity reduction identity on random words:")
 rng = random.Random(0)

@@ -420,7 +420,7 @@ def _run_alexander(params, rng) -> tuple[dict, list]:
         results["component_traces"] = list(at.component_traces)
     p = params.get("p")
     if p and at is not None:
-        traces = {j: surf_mod.modular_quotient_trace(p, j, word, g, at) for j in range(1, p)}
+        traces = {j: surf_mod.modular_quotient_trace(p, j, at) for j in range(1, p)}
         for sign in (1, -1):
             rep = surf_mod.cyclotomic_reduction_check(p, at, traces, sign)
             checks.append(

@@ -201,12 +201,12 @@ def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarra
 
 def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
     """The contraction map of mu_component_map descended to the simple
-    quotients of the two components."""
+    quotients of the two components; AssertionError when it does not
+    descend, sending a source radical vector outside the target radical."""
     full = mu_component_map(p, j, m_deg, x)
     if j + m_deg > x.g + 1:
         return np.zeros((0, _factor_dim(p, j, x.g)), dtype=np.int64)
-    q_src = component_quotient(p, j, x.g)
-    return component_quotient(p, j + m_deg, x.g).project_columns(full[:, q_src.pivot_idx])
+    return component_quotient(p, j + m_deg, x.g).quotient_matrix(full, component_quotient(p, j, x.g))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def _factor_dim(p: int, label: int, g: int) -> int:
 def _factor_action(p: int, label: int, g: int, word: tuple) -> np.ndarray:
     if label > g + 1:
         return np.zeros((0, 0), dtype=np.int64)
-    return component_quotient(p, label, g).quotient_matrix(lefschetz_action_matrix(list(word), label, g, p=p))
+    return component_quotient(p, label, g).quotient_matrix(lefschetz_action_matrix(list(word), label, g))
 
 
 def block_module(p: int, j: int, m_deg: int, g: int, variant: str = "quotient") -> BlockModule:

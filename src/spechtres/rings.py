@@ -551,9 +551,10 @@ class GramQuotient:
     coordinates are R c = c[P] + R_F c[F] (project_columns).
 
     The radical is spanned by the columns of K, with K[F] = I and K[P] =
-    -R_F.  An action A maps it into itself exactly when R A K = 0, and with
-    T = R A that is T[:, F] - T[:, P] R_F; quotient_matrix checks this one
-    product and returns T[:, P], the matrix induced on the quotient.
+    -R_F.  A map M from the space of a source quotient sends its radical
+    into this one exactly when R M K_src = 0: with T = R M, T[:, F_src] =
+    T[:, P_src] R_F(src).  quotient_matrix checks this one product and
+    returns T[:, P_src], the matrix induced between the quotients.
 
     Coordinates are taken in the basis whose Gram matrix was eliminated.
     Only the caches change: jobs on a thread pool may read the same
@@ -597,16 +598,16 @@ class GramQuotient:
             _reduce_in_place(out, self.p)
         return out
 
-    def quotient_matrix(self, action: np.ndarray) -> np.ndarray:
-        """Matrix induced on the quotient by the action, T[:, P] for T =
-        project_columns(action).  Raises AssertionError unless T[:, F] =
-        T[:, P] R_F, that is unless the action maps the radical into itself;
-        otherwise a quotient trace would be meaningless."""
-        reduced_free, free, pivots = self._fields
-        t = self.project_columns(action)
+    def quotient_matrix(self, matrix: np.ndarray, source: GramQuotient | None = None) -> np.ndarray:
+        """Matrix induced by a map from the quotient source (this one when
+        None) onto this one: T[:, P_src] for T = project_columns(matrix).
+        Raises AssertionError unless T[:, F_src] = T[:, P_src] R_F(src), that
+        is unless the map sends the source radical into this radical."""
+        reduced_free, free, pivots = (self if source is None else source)._fields
+        t = self.project_columns(matrix)
         image = t[:, pivots]
         if len(free) and not fp_product_equals(image, reduced_free, t[:, free], self.p):
-            raise AssertionError("action does not preserve the radical")
+            raise AssertionError("map does not send the source radical into the radical")
         return image
 
 

@@ -822,19 +822,17 @@ def component_quotient(p: int, j: int, g: int) -> GramQuotient:
     return GramQuotient(int_gram(lefschetz_basis(j, g).matrix), p)
 
 
-def modular_quotient_trace(p: int, j: int, word, g: int, at: AlexanderTrace | None = None) -> int:
-    """Trace mod p, a residue in [0, p), of a group word on the simple
-    quotient of the j-th component.  Radical invariance is verified on
-    every call.  `at`, the word's alexander_trace when the caller has it,
-    supplies the exact component matrix to reduce."""
-    require_group_word(word)
-    if j > g + 1:
+def modular_quotient_trace(p: int, j: int, at: AlexanderTrace) -> int:
+    """Trace mod p, a residue in [0, p), on the simple quotient of the j-th
+    component of the word whose alexander_trace is `at`, read off the exact
+    component matrix it keeps.  Radical invariance is verified on every
+    call."""
+    if j > at.g + 1:
         return 0
-    q = component_quotient(p, j, g)
+    q = component_quotient(p, j, at.g)
     if not len(q.pivot_idx):  # read off the reduced form the trace needs
         return 0
-    exact = lefschetz_action_matrix(word, j, g) if at is None else at.component_actions[j - 1]
-    return int(np.trace(q.quotient_matrix(_reduced(exact, p)))) % p
+    return int(np.trace(q.quotient_matrix(at.component_actions[j - 1]))) % p
 
 
 def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:
@@ -842,7 +840,7 @@ def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:
     mod-p coefficients, and compare with the quantum-integer combination of
     the simple-quotient traces over the paired component labels."""
     at = alexander_trace(word, g)
-    traces = {j: modular_quotient_trace(p, j, word, g, at) for j in range(1, p)}
+    traces = {j: modular_quotient_trace(p, j, at) for j in range(1, p)}
     return cyclotomic_reduction_check(p, at, traces, sign)
 
 

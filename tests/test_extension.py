@@ -113,9 +113,34 @@ def test_mu_induced_covariance():
     gx = apply_token(tok, x)
     m_x = mu_component_map(p, 1, 3, x)
     m_gx = mu_component_map(p, 1, 3, gx)
-    a_src = lefschetz_action_matrix([tok], 1, g, p=p)
-    a_tgt = lefschetz_action_matrix([tok], 4, g, p=p)
+    a_src = lefschetz_action_matrix([tok], 1, g) % p
+    a_tgt = lefschetz_action_matrix([tok], 4, g) % p
     assert np.array_equal(fp_matmul(a_tgt, m_x, p), fp_matmul(m_gx, a_src, p))
+
+
+def test_mu_induced_refuses_a_map_that_moves_the_source_radical():
+    # at p = 3, g = 4 component 1 has a radical; the contraction by
+    # a2 a3 b2, and by 15 more of the 48 complement monomials, sends a
+    # vector of it outside the radical of component 4, so the map does not
+    # descend to the simple quotients
+    g = 4
+    a2, a3, b2 = ExteriorVector.gen_a(g, 2), ExteriorVector.gen_a(g, 3), ExteriorVector.gen_b(g, 2)
+    with pytest.raises(AssertionError, match="radical"):
+        mu_induced(3, 1, 3, wedge(a2, wedge(a3, b2)))
+    _, _, complement, masks = form_quotient_data(3, 3, g)
+    refused = 0
+    for idx in complement:
+        try:
+            mu_induced(3, 1, 3, ExteriorVector.monomial(g, masks[idx]))
+        except AssertionError:
+            refused += 1
+    assert (refused, len(complement)) == (16, 48)
+    # the source components that jm reads have no radical, so the check
+    # cannot refuse, or change, any of its maps
+    for p in (5, 7, 11, 13):
+        for g in range(6):
+            for k in range(1, min(p - 3, g - 1)):
+                assert not len(surface.component_quotient(p, k, g).free_idx), (p, k, g)
 
 
 def test_mu_degree_bookkeeping():

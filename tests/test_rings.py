@@ -1,4 +1,5 @@
 import operator
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -568,7 +569,8 @@ def test_quotient_matrix_refuses_an_action_that_moves_the_radical():
 class _RadicalOracle:
     # the simple quotient by subtraction of an explicit radical basis, read
     # off fp_rref: a column c has complement coordinates (c - K c[F])[P],
-    # and an action A preserves the radical when A K = K (A K)[F]
+    # and a map A from the quotient of a source sends its radical into this
+    # one when A K_src = K (A K_src)[F]
     def __init__(self, gram, p):
         rref, pivots = fp_rref(gram, p)
         self.p, self.pivots = p, pivots
@@ -582,45 +584,68 @@ class _RadicalOracle:
         cols = cols.astype(np.int64) % self.p
         return ((cols - self.radical @ cols[self.free]) % self.p)[self.pivots]
 
-    def quotient_matrix(self, action):
-        # None when the action moves the radical
-        moved = action.astype(np.int64) @ self.radical % self.p
+    def quotient_matrix(self, action, source=None):
+        # None when the map moves the source radical outside this one
+        source = self if source is None else source
+        moved = action.astype(np.int64) @ source.radical % self.p
         if not np.array_equal(moved, self.radical @ moved[self.free] % self.p):
             return None
-        return self.project_columns(action[:, self.pivots])
+        return self.project_columns(action[:, source.pivots])
+
+    def keeping_map(self, rng, source_gram):
+        # X G_src kills the source radical, and K Z maps into this radical
+        d = len(self.radical)
+        return (rng.randint(0, self.p, size=(d, len(source_gram))) @ source_gram
+                + self.radical @ rng.randint(0, self.p, size=(len(self.free), len(source_gram)))) % self.p
 
 
-def _agrees_with_the_oracle(q, oracle, action):
-    # whether the action is accepted; verdict and matrix are the oracle's
-    want = oracle.quotient_matrix(action)
+def _agrees_with_the_oracle(q, oracle, action, source=(None, None)):
+    # whether the map from the quotient source (the pair of a GramQuotient
+    # and its oracle; q itself when None) is accepted; verdict and matrix
+    # are the oracle's
+    q_src, oracle_src = source
+    want = oracle.quotient_matrix(action, oracle_src)
     if want is None:
         with pytest.raises(AssertionError, match="radical"):
-            q.quotient_matrix(action)
+            q.quotient_matrix(action, q_src)
         return False
-    assert np.array_equal(q.quotient_matrix(action), want)
+    assert np.array_equal(q.quotient_matrix(action, q_src), want)
     return True
 
 
 def test_quotient_readings_equal_the_radical_subtraction():
     rng = np.random.RandomState(26)
     widths = (0, 1, 2, 7, 40, 2 * _PANEL, 2 * _PANEL + 1, 90)
+    verdicts = set()
     for p in (3, 5, 7, 211):
         for d in widths:
             grams = [int_gram(rng.randint(-2, 3, size=(rows, d))) for rows in {max(1, d // 2), d + 3}]
             grams.append(int_gram(p * rng.randint(-1, 2, size=(3, d))))  # zero mod p
             grams.append(int_gram(np.identity(d, dtype=np.int64)))  # full rank
-            for gram in grams:
-                q, oracle = GramQuotient(gram, p), _RadicalOracle(gram, p)
+            quotients = [(GramQuotient(gram, p), _RadicalOracle(gram, p)) for gram in grams]
+            for gram, (q, oracle) in zip(grams, quotients):
                 assert q.pivot_idx.tolist() == oracle.pivots and q.free_idx.tolist() == oracle.free
                 assert q.quotient_dim == len(oracle.pivots)
                 cols = rng.randint(-p, 2 * p, size=(d, 5))
                 assert np.array_equal(q.project_columns(cols), oracle.project_columns(cols))
-                # M G + K Z maps the radical into itself; a random action need not
-                keeps = rng.randint(0, p, size=(d, d)) @ gram + oracle.radical @ rng.randint(0, p, size=(len(oracle.free), d))
-                assert _agrees_with_the_oracle(q, oracle, keeps % p)
+                # a keeping map maps the radical into itself; a random action need not
+                assert _agrees_with_the_oracle(q, oracle, oracle.keeping_map(rng, gram))
                 _agrees_with_the_oracle(q, oracle, rng.randint(0, p, size=(d, d)))
+            # maps between two different quotients: the sources include one
+            # with a radical and the targets one of rank zero; one-entry
+            # perturbations of a keeping map may move the source radical
+            for (src_gram, source), (_, (q, oracle)) in permutations(zip(grams, quotients), 2):
+                keeps = oracle.keeping_map(rng, src_gram)
+                assert _agrees_with_the_oracle(q, oracle, keeps, source)
+                for _ in range(3) if d else ():
+                    moved = keeps.copy()
+                    i, j = rng.randint(d, size=2)
+                    moved[i, j] = (moved[i, j] + rng.randint(1, p)) % p
+                    verdicts.add(_agrees_with_the_oracle(q, oracle, moved, source))
             assert not GramQuotient(grams[-2], p).quotient_dim
             assert not len(GramQuotient(grams[-1], p).free_idx)
+    # some perturbation moves the source radical and is refused
+    assert verdicts == {True, False}
 
 
 def test_generator_perturbations_get_the_oracle_verdict():
