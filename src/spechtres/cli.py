@@ -177,15 +177,12 @@ class Command:
 
 
 def _resolve_label(q):
-    p, n, k = q["p"], q["n"], q["k"]
-    if not 0 < k < p or (n + 1 - k) % 2 or k > n + 1:
-        raise ValueError(f"label k={k} invalid for p={p}, n={n}")
+    res_mod.complex_weights(q["p"], q["n"], q["k"])
 
 
 def _character_label(q):
-    a, b = q["tau"]
-    if a - b > q["p"] - 2:
-        raise ValueError(f"diagram [{a},{b}] outside the labelled range for p={q['p']}")
+    a, b = q["tau"]  # the diagram's label is k = a - b + 1
+    res_mod.complex_weights(q["p"], a + b, a - b + 1)
 
 
 def _alexander_word(q):
@@ -194,8 +191,7 @@ def _alexander_word(q):
 
 
 def _jm_label(q):
-    if not 0 < q["k"] < q["p"] - 3:
-        raise ValueError("need 0 < k < p - 3")
+    ext_mod.jm_label(q["p"], q["k"])
 
 
 _SEED = Param("int", "seed of the job's random choices", default=0, cli="")
@@ -287,7 +283,7 @@ def _run_resolve(params, rng) -> tuple[dict, list]:
         "dims": rep["dims"],
         "ranks": rep["ranks"],
         "dim_simple": rep["dim_simple"],
-        "truncation_index": cx.spec.l,
+        "truncation_index": cx.l,
     }
     return results, checks
 
@@ -295,8 +291,8 @@ def _run_resolve(params, rng) -> tuple[dict, list]:
 def _exactness_details(rep) -> str:
     if rep["exact"]:
         return ""
-    bad = [n for n in rep["nodes"] if n.get("homology") or n.get("injective") is False]
-    return f"p={rep['p']} n={rep['n']} k={rep['k']} offending nodes: {bad}"
+    bad = {w: h for w, h in zip(rep["weights"], rep["homology"]) if h}
+    return f"p={rep['p']} n={rep['n']} k={rep['k']} homology by weight: {bad}"
 
 
 def _run_character(params, rng) -> tuple[dict, list]:

@@ -52,6 +52,7 @@ __all__ = [
     "block_module",
     "block_action_matrix",
     "jm_multiply",
+    "jm_label",
     "nonsplit_witness",
     "equivariant_section_exists",
     "strand_resolution_check",
@@ -314,6 +315,14 @@ def jm_multiply(e1: JmElement, e2: JmElement, g: int) -> JmElement:
 # non-splitness
 
 
+def jm_label(p: int, k: int) -> None:
+    """The one statement of the block-extension label rule, 0 < k < p - 3,
+    so that the labels k and k + 3 both lie in 1..p - 1; any other label
+    raises ValueError."""
+    if not 0 < k < p - 3:
+        raise ValueError(f"label k={k} invalid for p={p}: need 0 < k < p - 3")
+
+
 def nonsplit_witness(p: int, k: int, g: int) -> dict:
     """Search the canonical degree-3 quotient monomials for one whose
     induced quotient-level contraction is nonzero.
@@ -321,8 +330,7 @@ def nonsplit_witness(p: int, k: int, g: int) -> dict:
     Absence is reported, not raised; at sizes where the target quotient
     vanishes no witness can exist and the report says so.
     """
-    if not 0 < k < p - 3:
-        raise ValueError("label must satisfy 0 < k < p - 3")
+    jm_label(p, k)
     _, _, complement, masks = form_quotient_data(p, 3, g)
     tgt_dim = _factor_dim(p, k + 3, g)
     src_dim = _factor_dim(p, k, g)
@@ -387,15 +395,12 @@ def strand_resolution_check(p: int, k: int, g: int) -> dict:
     binom(g, n) * 2^(g - n) and records that no equivariance of the maps
     across the two strands is asserted.
     """
-    if not 0 < k < p - 3:
-        raise ValueError("label must satisfy 0 < k < p - 3")
+    jm_label(p, k)
     strands = {}
     overall = True
     for label in (k, k + 3):
         blocks = []
-        for n in range(g + 1):
-            if (n + 1 - label) % 2 or label > n + 1:
-                continue
+        for n in range(label - 1, g + 1, 2):  # label <= n + 1, n + 1 - label even
             cx = build_complex(p, n, label)
             rep = verify_exactness(cx)
             blocks.append(

@@ -11,7 +11,7 @@ vanish mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,7 +35,6 @@ from .tensor import weight_classes
 
 __all__ = [
     "e_power_map",
-    "ComplexSpec",
     "ComplexOverFp",
     "complex_weights",
     "truncation_index",
@@ -72,11 +71,13 @@ def e_power_map(p: int, n: int, c: int, c0: int) -> np.ndarray:
     return residues(basis_solver(p, n, target).coords(raised_basis_matrix(n, c, c0, p)), p)
 
 
-@dataclass(frozen=True)
-class ComplexSpec:
-    """Shape data of the complex at (p, n, k): term weights in descending
-    order, the raising powers of the maps between consecutive terms, and
-    the truncation index."""
+@dataclass
+class ComplexOverFp:
+    """The complex at (p, n, k), built: term weights in descending order,
+    the raising powers of the maps between consecutive terms, the
+    truncation index, and the terms' dimensions and residue matrices in the
+    standard Specht bases, the domain of maps[i] the term of weight
+    weights[i]."""
 
     p: int
     n: int
@@ -84,16 +85,8 @@ class ComplexSpec:
     weights: tuple[int, ...]
     powers: tuple[int, ...]
     l: int
-
-
-@dataclass
-class ComplexOverFp:
-    """A built complex: residue matrices in the standard Specht bases, with
-    the domain of maps[i] the term of weight weights[i]."""
-
-    spec: ComplexSpec
     dims: tuple[int, ...]
-    maps: list = field(default_factory=list)
+    maps: list
 
 
 def truncation_index(p: int, n: int, k: int) -> int:
@@ -104,30 +97,16 @@ def truncation_index(p: int, n: int, k: int) -> int:
 
 
 def complex_weights(p: int, n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Ascending-index enumeration of term weights i*p + k_i kept while they
-    stay at most n + 1, returned in descending weight order together with
-    the powers of the maps between consecutive terms."""
-    if not (0 < k < p) or (n + 1 - k) % 2:
-        raise ValueError(f"label k={k} invalid for p={p}, n={n}")
-    if k > n + 1:
-        raise ValueError(f"label k={k} exceeds n+1={n + 1}: no terms")
-    weights = []
-    i = 0
-    while True:
-        k_i = k if i % 2 == 0 else p - k
-        w = i * p + k_i
-        if w > n + 1:
-            break
-        weights.append(w)
-        i += 1
-    weights.reverse()
-    # maps[j] leaves the descending-order term j, whose ascending index is
-    # len - 1 - j; the power alternates between k (even index) and p - k
-    count = len(weights)
-    map_powers = tuple(
-        k if (count - 1 - j) % 2 == 0 else p - k for j in range(count - 1)
-    )
-    return tuple(weights), map_powers
+    """The term weights i*p + k_i, k_i = k for even i and p - k for odd i,
+    that stay at most n + 1, in descending order, and the power of each map
+    between consecutive terms, half their difference.
+
+    This is the one statement of the label rule: 0 < k < p, k <= n + 1 and
+    n + 1 - k even; any other label raises ValueError."""
+    if not (0 < k < p and k <= n + 1) or (n + 1 - k) % 2:
+        raise ValueError(f"label k={k} invalid for p={p}, n={n}: need 0 < k < p, k <= n + 1 and n + 1 - k even")
+    weights = tuple(w for i in range((n + 1) // p, -1, -1) if (w := i * p + (p - k if i % 2 else k)) <= n + 1)
+    return weights, tuple((a - b) // 2 for a, b in zip(weights, weights[1:]))
 
 
 def build_complex(p: int, n: int, k: int) -> ComplexOverFp:
@@ -143,57 +122,36 @@ def build_complex(p: int, n: int, k: int) -> ComplexOverFp:
             f"truncation mismatch: top weight {weights[0]} vs closed form {n + 1 - 2 * l}"
         )
     dims = tuple(catalan(n, (n + 1 - w) // 2) for w in weights)
-    maps = [e_power_map(p, n, weights[j], powers[j]) for j in range(len(weights) - 1)]
+    maps = [e_power_map(p, n, w, c0) for w, c0 in zip(weights, powers)]
     for j in range(len(maps) - 1):
         comp = fp_matmul(maps[j + 1], maps[j], p)
         if comp.any():
             raise AssertionError("consecutive maps do not compose to zero")
-    spec = ComplexSpec(p, n, k, weights, powers, l)
-    return ComplexOverFp(spec, dims, maps)
+    return ComplexOverFp(p, n, k, weights, powers, l, dims, maps)
 
 
 def verify_exactness(cx: ComplexOverFp) -> dict:
     """Rank bookkeeping of a built complex.
 
-    At each interior node the kernel of the outgoing map must equal the
-    image of the incoming one; the leftmost map must be injective; the
-    rightmost node reports the dimension of the simple quotient.  Failure
-    is reported, never raised.
+    homology[i] = dims[i] - ranks[i] - ranks[i - 1] is the kernel of the
+    map leaving term i modulo the image of the one arriving there; term 0
+    has no incoming map, so its entry is the injectivity check.  The
+    complex is exact when every entry is zero, and the simple quotient is
+    the last term modulo the image of the last map.  Failure is reported,
+    never raised.
     """
-    p = cx.spec.p
-    ranks = [fp_rank(m, p) for m in cx.maps]
-    nodes = []
-    exact = True
-    tcount = len(cx.dims)
-    for idx in range(tcount):
-        dim = cx.dims[idx]
-        out_rank = ranks[idx] if idx < len(cx.maps) else None
-        in_rank = ranks[idx - 1] if idx > 0 else 0
-        node = {"weight": cx.spec.weights[idx], "dim": dim}
-        if idx == 0 and out_rank is not None:
-            node["dim_ker"] = dim - out_rank
-            node["injective"] = out_rank == dim
-            exact = exact and node["injective"]
-        elif out_rank is not None:
-            node["dim_ker"] = dim - out_rank
-            node["dim_im"] = in_rank
-            node["homology"] = node["dim_ker"] - in_rank
-            exact = exact and node["homology"] == 0
-        else:
-            node["dim_im"] = in_rank
-            node["dim_simple"] = dim - in_rank
-        nodes.append(node)
-    dim_simple = cx.dims[-1] - (ranks[-1] if ranks else 0)
+    ranks = [fp_rank(m, cx.p) for m in cx.maps]
+    homology = [d - r - (ranks[i - 1] if i else 0) for i, (d, r) in enumerate(zip(cx.dims, ranks))]
     return {
-        "p": p,
-        "n": cx.spec.n,
-        "k": cx.spec.k,
-        "weights": list(cx.spec.weights),
+        "p": cx.p,
+        "n": cx.n,
+        "k": cx.k,
+        "weights": list(cx.weights),
         "dims": list(cx.dims),
         "ranks": ranks,
-        "nodes": nodes,
-        "dim_simple": dim_simple,
-        "exact": exact,
+        "homology": homology,
+        "dim_simple": cx.dims[-1] - (ranks[-1] if ranks else 0),
+        "exact": not any(homology),
     }
 
 
@@ -279,17 +237,13 @@ def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
 
 def modular_character_check(p: int, tau: Diagram2, sigma) -> tuple[int, int, bool]:
     """Compare the quotient trace with the alternating sum of ordinary
-    characters over the complex terms, both mod p.  Returns (lhs, rhs, ok)
-    with lhs and rhs the two residues in [0, p) and ok their equality."""
-    if not 0 <= tau.a - tau.b <= p - 2:
-        raise ValueError("diagram outside the labelled range")
-    n, k = tau.n, tau.c
+    characters over the terms of the complex at (p, n, k = a - b + 1), both
+    mod p.  Returns (lhs, rhs, ok) with lhs and rhs the two residues in
+    [0, p) and ok their equality; a diagram outside the labelled range
+    raises ValueError (complex_weights)."""
+    weights, _ = complex_weights(p, tau.n, tau.c)
     lhs = quotient_trace(p, tau, sigma)
-    weights, _ = complex_weights(p, n, k)
-    total = 0
-    for idx_from_top, w in enumerate(weights):
-        i = len(weights) - 1 - idx_from_top
-        term = Diagram2.from_weight(n, w)
-        total += (-1) ** i * ordinary_character(term, sigma)
-    rhs = total % p
+    # the lowest weight is term 0 of the alternating sum
+    terms = (Diagram2.from_weight(tau.n, w) for w in reversed(weights))
+    rhs = sum((-1) ** i * ordinary_character(term, sigma) for i, term in enumerate(terms)) % p
     return lhs, rhs, lhs == rhs

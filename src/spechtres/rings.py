@@ -943,7 +943,7 @@ def cyclotomic_eval(f: LaurentInt, p: int, sign: int = 1, mod_p: bool = False) -
 
 
 @lru_cache(maxsize=None)
-def zeta_quantum(p: int, n: int, sign: int = 1, mod_p: bool = False) -> CyclotomicElem:
-    """The quantum integer [n] evaluated at sign * zeta_p, cached because
-    the cyclotomic checks of both signs read the same values."""
-    return cyclotomic_eval(quantum_integer(n), p, sign, mod_p)
+def zeta_quantum(p: int, n: int, mod_p: bool = False) -> CyclotomicElem:
+    """The quantum integer [n] evaluated at zeta_p, cached because the
+    cyclotomic checks of both signs read the same values."""
+    return cyclotomic_eval(quantum_integer(n), p, 1, mod_p)

@@ -853,7 +853,7 @@ def cyclotomic_reduction_check(p: int, at: AlexanderTrace, traces: dict, sign: i
     for k in range(1, (p - 1) // 2 + 1):
         t_k, t_pk = traces[k], traces[p - k]
         coeff = t_k - t_pk if sign == 1 else (-1) ** (k - 1) * (t_k + t_pk)
-        for e, c in zeta_quantum(p, k, 1, mod_p=True).coeffs.items():
+        for e, c in zeta_quantum(p, k, mod_p=True).coeffs.items():
             powers[e] = powers.get(e, 0) + c * coeff
     rhs = CyclotomicElem.from_powers(p, powers, p)
     return {

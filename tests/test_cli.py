@@ -79,6 +79,20 @@ def test_usage_errors_exit_two():
         assert proc.stderr.startswith("error: job 0: tau must be two row lengths"), argv
 
 
+def test_labels_outside_their_rules_exit_two():
+    # a character diagram whose label a - b + 1 is not below p, a resolve
+    # label refused only because it passes n + 1, and a jm label past p - 4
+    for argv in (
+        ["character", "--p", "5", "--tau", "7,2"],
+        ["resolve", "--p", "7", "--n", "2", "--k", "5"],
+        ["jm", "--p", "5", "--k", "2", "--g", "3"],
+    ):
+        proc = run_cli(argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: job 0: label k="), argv
+        assert len(proc.stderr.splitlines()) == 1 and not proc.stdout, argv
+
+
 def test_integer_options_take_ascii_digits_only():
     # int() also reads the decimal digits of other scripts: the first of
     # these once ran as p = 3, n = 4, k = 1 and exited 0
@@ -229,7 +243,7 @@ def test_failing_batch_exits_one_through_main(monkeypatch, tmp_path, capsys):
 
 
 def test_exactness_failure_details_are_reproducible():
-    # a failed exactness check must carry the offending node data and the
+    # a failed exactness check must name the weights with homology and the
     # complex coordinates needed to reproduce it
     import numpy as np
 
@@ -240,7 +254,8 @@ def test_exactness_failure_details_are_reproducible():
     rep = verify_exactness(cx)
     details = cli._exactness_details(rep)
     assert "p=3" in details and "n=6" in details and "k=1" in details
-    assert "dim_ker" in details
+    # the zeroed first map leaves homology 1 at weights 7 and 5
+    assert details.endswith("homology by weight: {7: 1, 5: 1}")
 
 
 def test_unexpected_error_becomes_failed_check(monkeypatch):

@@ -20,6 +20,7 @@ from spechtres.extension import (
     calibrate,
     equivariant_section_exists,
     form_quotient_data,
+    jm_label,
     jm_multiply,
     mu,
     mu_component_map,
@@ -324,3 +325,21 @@ def test_wedge_pair_identities_calibrate_each_form_once(samples, monkeypatch):
     monkeypatch.setattr(extension, "calibrate", counting)
     assert wedge_pair_identities(2, seed=1, samples=samples)["ok"]
     assert 0 < len(calls) <= 1 + 5 * samples
+
+
+def test_one_jm_label_rule_for_both_entry_points():
+    # labels k and k + 3 must both lie in 1..p - 1; the witness search and
+    # the strand check refuse exactly what jm_label refuses, with its message
+    for p in (3, 5, 7, 11):
+        for k in range(-1, p + 2):
+            if 0 < k < p - 3:
+                jm_label(p, k)
+                nonsplit_witness(p, k, 0)
+                strand_resolution_check(p, k, 0)
+                continue
+            message = rf"^label k={k} invalid for p={p}: need 0 < k < p - 3$"
+            with pytest.raises(ValueError, match=message):
+                jm_label(p, k)
+            for check in (nonsplit_witness, strand_resolution_check):
+                with pytest.raises(ValueError, match=message):
+                    check(p, k, 0)

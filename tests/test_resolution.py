@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spechtres.dims import d_dim
 from spechtres.factors import composition_factors, make_context, simple_dim
-from spechtres.rings import fp_matmul, fp_rref
+from spechtres.rings import fp_matmul, fp_rank, fp_rref, is_prime
 from spechtres.resolution import (
-    ComplexOverFp,
     build_complex,
     complex_weights,
     e_power_map,
@@ -46,12 +47,13 @@ def test_e_power_maps_are_nonzero():
 
 def test_build_complex_examples():
     cx = build_complex(3, 4, 1)
-    assert cx.spec.weights == (5, 1)
+    assert (cx.p, cx.n, cx.k) == (3, 4, 1)
+    assert cx.weights == (5, 1) and cx.powers == (2,) and cx.l == 0
     assert cx.dims == (1, 2)
     cx2 = build_complex(5, 4, 1)
-    assert cx2.spec.weights == (1,) and cx2.maps == []
+    assert cx2.weights == (1,) and cx2.powers == () and cx2.maps == []
     cx3 = build_complex(3, 6, 1)
-    assert cx3.spec.weights == (7, 5, 1)
+    assert cx3.weights == (7, 5, 1) and cx3.powers == (1, 2)
     assert cx3.dims == (1, 5, 5)
     with pytest.raises(ValueError):
         build_complex(3, 4, 2)
@@ -73,6 +75,84 @@ def test_truncation_rule_matches_enumeration():
                 assert weights[0] == n + 1 - 2 * l, (p, n, k)
 
 
+def _old_complex_weights(p, n, k):
+    # the weight loop and power rule complex_weights replaced, as an oracle
+    if not (0 < k < p) or (n + 1 - k) % 2:
+        raise ValueError(f"label k={k} invalid for p={p}, n={n}")
+    if k > n + 1:
+        raise ValueError(f"label k={k} exceeds n+1={n + 1}: no terms")
+    weights = []
+    i = 0
+    while True:
+        k_i = k if i % 2 == 0 else p - k
+        w = i * p + k_i
+        if w > n + 1:
+            break
+        weights.append(w)
+        i += 1
+    weights.reverse()
+    count = len(weights)
+    return tuple(weights), tuple(k if (count - 1 - j) % 2 == 0 else p - k for j in range(count - 1))
+
+
+def _old_exactness(dims, ranks):
+    # the per-node formulas verify_exactness replaced, as an oracle: the
+    # first node must be injective, each interior node without homology,
+    # and the last node gives the simple quotient
+    exact = True
+    for idx, dim in enumerate(dims):
+        out_rank = ranks[idx] if idx < len(ranks) else None
+        in_rank = ranks[idx - 1] if idx > 0 else 0
+        if idx == 0 and out_rank is not None:
+            exact = exact and out_rank == dim
+        elif out_rank is not None:
+            exact = exact and dim - out_rank - in_rank == 0
+        else:
+            dim_simple = dim - in_rank
+    return exact, dim_simple
+
+
+def test_complex_weights_match_the_old_weight_loop():
+    # every label in [-1, p + 1], so that each clause of the rule refuses
+    # somewhere: both sides refuse, or both give the same weights and powers
+    refused = accepted = 0
+    for p in filter(is_prime, range(3, 212)):
+        for n in range(60):
+            for k in range(-1, p + 2):
+                try:
+                    old = _old_complex_weights(p, n, k)
+                except ValueError:
+                    old = None
+                try:
+                    new = complex_weights(p, n, k)
+                except ValueError:
+                    new = None
+                assert new == old, (p, n, k)
+                refused += old is None
+                accepted += old is not None
+    assert refused and accepted
+
+
+def test_exactness_matches_the_old_node_formulas():
+    # built complexes as they are and with their first, a middle or their
+    # last map zeroed; the ranks are taken here, apart from verify_exactness
+    inexact = 0
+    for p in (3, 5, 7):
+        for n in range(1, 11):
+            for k in valid_labels(p, n):
+                cx = build_complex(p, n, k)
+                assert (cx.weights, cx.powers) == _old_complex_weights(p, n, k)
+                for zeroed in dict.fromkeys((None, 0, len(cx.maps) // 2, len(cx.maps) - 1)):
+                    maps = [np.zeros_like(m) if j == zeroed else m for j, m in enumerate(cx.maps)]
+                    rep = verify_exactness(dataclasses.replace(cx, maps=maps))
+                    ranks = [fp_rank(m, p) for m in maps]
+                    assert rep["ranks"] == ranks
+                    assert (rep["exact"], rep["dim_simple"]) == _old_exactness(cx.dims, ranks), (p, n, k, zeroed)
+                    assert rep["exact"] or zeroed is not None
+                    inexact += not rep["exact"]
+    assert inexact
+
+
 def test_complex_maps_are_stored_as_byte_residues():
     # ranks recorded while the maps were int64; the stored dtype must not
     # change a report, nor must widening the maps back
@@ -86,7 +166,7 @@ def test_complex_maps_are_stored_as_byte_residues():
         assert [m.dtype for m in cx.maps] == [np.uint8] * len(ranks)
         rep = verify_exactness(cx)
         assert (rep["dims"], rep["ranks"], rep["dim_simple"], rep["exact"]) == (dims, ranks, dim_simple, True)
-        wide = ComplexOverFp(cx.spec, cx.dims, [m.astype(np.int64) for m in cx.maps])
+        wide = dataclasses.replace(cx, maps=[m.astype(np.int64) for m in cx.maps])
         assert verify_exactness(wide) == rep
 
 
@@ -125,14 +205,14 @@ def test_exactness_headroom_beyond_acceptance_range():
 
 
 def test_exactness_failure_is_reported_not_raised():
-    # a doctored complex with a zeroed map must yield a clean failure report
-    import numpy as np
-
+    # a doctored complex with a zeroed map must yield a clean failure report:
+    # the zeroed first map is not injective, and its image no longer fills
+    # the kernel at the middle term
     cx = build_complex(3, 6, 1)
     cx.maps[0] = np.zeros_like(cx.maps[0])
     rep = verify_exactness(cx)
     assert rep["exact"] is False
-    assert any(n.get("injective") is False or n.get("homology") for n in rep["nodes"])
+    assert rep["homology"] == [1, 1] and rep["ranks"] == [0, 4]
 
 
 def test_simple_quotient_examples():
