@@ -181,8 +181,8 @@ def _resolve_label(q):
 
 
 def _character_label(q):
-    a, b = q["tau"]  # the diagram's label is k = a - b + 1
-    res_mod.complex_weights(q["p"], a + b, a - b + 1)
+    tau = Diagram2(*q["tau"])
+    res_mod.complex_weights(q["p"], tau.n, tau.c)
 
 
 def _alexander_word(q):
@@ -346,7 +346,7 @@ def _run_dims(params, rng) -> tuple[dict, list]:
         sum(
             dims_mod.binom(g, n) * 2 ** (g - n) * dims_mod.d_dim(p, n, k)
             for n in range(g + 1)
-            if (n + 1 - k) % 2 == 0
+            if k in res_mod.complex_labels(p, n)
         )
         for k in range(1, p)
     )
@@ -488,24 +488,20 @@ def _selftest_jobs(quick: bool, seed: int) -> list[Job]:
     jobs: list[Job] = []
     for p in (3, 5, 7):
         for n in range(1, n_max + 1):
-            for k in range(1, p):
-                if (n + 1 - k) % 2 or k > n + 1:
-                    continue
+            for k in res_mod.complex_labels(p, n):
                 jobs.append(Job("resolve", {"p": p, "n": n, "k": k}))
     char_n = 5 if quick else 9
     for p in (3, 5, 7):
         for n in range(2, char_n + 1):
-            for bb in range(0, n // 2 + 1):
-                tau = Diagram2(n - bb, bb)
-                if 0 <= tau.a - tau.b <= p - 2:
-                    jobs.append(Job("character", {"p": p, "tau": [tau.a, tau.b]}))
+            for k in reversed(res_mod.complex_labels(p, n)):
+                tau = Diagram2.from_weight(n, k)
+                jobs.append(Job("character", {"p": p, "tau": [tau.a, tau.b]}))
     fac_n = 8 if quick else 12
     for p in (3, 5, 7):
         for n in range(2, fac_n + 1):
-            for bb in range(0, n // 2 + 1):
-                tau = Diagram2(n - bb, bb)
-                if tau.c < p:
-                    jobs.append(Job("factors", {"p": p, "tau": [tau.a, tau.b]}))
+            for k in reversed(res_mod.complex_labels(p, n)):
+                tau = Diagram2.from_weight(n, k)
+                jobs.append(Job("factors", {"p": p, "tau": [tau.a, tau.b]}))
     for p in (3, 5, 7):
         for g in range(0, (4 if quick else 5) + 1):
             jobs.append(Job("dims", {"p": p, "g": g}))

@@ -254,13 +254,18 @@ def genus_element(p: int) -> FusionElement:
     return fusion_unit(p) * 2 + fusion_label(p, 2)
 
 
-def odd_squares_element(p: int) -> FusionElement:
-    """Sum of the squares of the odd labels."""
+def _label_squares(p: int, labels: range) -> FusionElement:
+    """Sum of the squares of the given labels."""
     total = FusionElement(p, (0,) * (p - 1))
-    for k in range(1, p, 2):
+    for k in labels:
         lab = fusion_label(p, k)
         total = total + lab * lab
     return total
+
+
+def odd_squares_element(p: int) -> FusionElement:
+    """Sum of the squares of the odd labels."""
+    return _label_squares(p, range(1, p, 2))
 
 
 def verlinde_dim(p: int, k: int, g: int) -> int:
@@ -276,10 +281,7 @@ def squares_doubling_check(p: int, g: int) -> dict:
     """The doubled element is the sum of all label squares, and its genus-g
     unit multiplicity is 2^g times the undoubled one."""
     f = odd_squares_element(p)
-    star = FusionElement(p, (0,) * (p - 1))
-    for k in range(1, p):
-        lab = fusion_label(p, k)
-        star = star + lab * lab
+    star = _label_squares(p, range(1, p))
     doubled_ok = star == f * 2
     lhs = (star**g).mult(1)
     rhs = 2**g * (f**g).mult(1)

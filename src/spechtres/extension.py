@@ -20,7 +20,7 @@ import numpy as np
 
 from .dims import binom
 from .rings import _reduced, fp_matmul, fp_rref
-from .resolution import build_complex, verify_exactness
+from .resolution import build_complex, complex_labels, verify_exactness
 from .surface import (
     ExteriorVector,
     apply_token,
@@ -400,7 +400,7 @@ def strand_resolution_check(p: int, k: int, g: int) -> dict:
     overall = True
     for label in (k, k + 3):
         blocks = []
-        for n in range(label - 1, g + 1, 2):  # label <= n + 1, n + 1 - label even
+        for n in (n for n in range(g + 1) if label in complex_labels(p, n)):
             cx = build_complex(p, n, label)
             rep = verify_exactness(cx)
             blocks.append(

@@ -24,6 +24,7 @@ from .specht import (
     _word_table,
     basis_matrix,
     basis_solver,
+    diagram_weights,
     gram_of_diagram,
     ordinary_character,
     permutation_matrix_on_basis,
@@ -36,6 +37,7 @@ from .tensor import weight_classes
 __all__ = [
     "e_power_map",
     "ComplexOverFp",
+    "complex_labels",
     "complex_weights",
     "truncation_index",
     "build_complex",
@@ -96,14 +98,20 @@ def truncation_index(p: int, n: int, k: int) -> int:
     return q - k if q >= k else q
 
 
+def complex_labels(p: int, n: int) -> range:
+    """The labels k of the complexes at (p, n), ascending: the diagonal
+    weights on n letters below p, so 0 < k < p, k <= n + 1 and n + 1 - k
+    even.  The one statement of the label rule."""
+    weights = diagram_weights(n)
+    return range(weights.start, min(weights.stop, p), weights.step)
+
+
 def complex_weights(p: int, n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The term weights i*p + k_i, k_i = k for even i and p - k for odd i,
     that stay at most n + 1, in descending order, and the power of each map
-    between consecutive terms, half their difference.
-
-    This is the one statement of the label rule: 0 < k < p, k <= n + 1 and
-    n + 1 - k even; any other label raises ValueError."""
-    if not (0 < k < p and k <= n + 1) or (n + 1 - k) % 2:
+    between consecutive terms, half their difference.  A label outside
+    complex_labels(p, n) raises ValueError."""
+    if k not in complex_labels(p, n):
         raise ValueError(f"label k={k} invalid for p={p}, n={n}: need 0 < k < p, k <= n + 1 and n + 1 - k even")
     weights = tuple(w for i in range((n + 1) // p, -1, -1) if (w := i * p + (p - k if i % 2 else k)) <= n + 1)
     return weights, tuple((a - b) // 2 for a, b in zip(weights, weights[1:]))
@@ -121,7 +129,7 @@ def build_complex(p: int, n: int, k: int) -> ComplexOverFp:
         raise AssertionError(
             f"truncation mismatch: top weight {weights[0]} vs closed form {n + 1 - 2 * l}"
         )
-    dims = tuple(catalan(n, (n + 1 - w) // 2) for w in weights)
+    dims = tuple(catalan(n, Diagram2.from_weight(n, w).b) for w in weights)
     maps = [e_power_map(p, n, w, c0) for w, c0 in zip(weights, powers)]
     for j in range(len(maps) - 1):
         comp = fp_matmul(maps[j + 1], maps[j], p)

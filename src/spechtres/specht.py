@@ -32,6 +32,7 @@ from .rings import fp_inverse, fp_rref  # noqa: F401
 from .tensor import TensorVector, perm_action_rows, weight_class_array, weight_classes
 
 __all__ = [
+    "diagram_weights",
     "Diagram2",
     "Tabloid2",
     "Tableau2",
@@ -51,6 +52,12 @@ __all__ = [
     "sn_gather",
     "permutation_matrix_on_basis",
 ]
+
+
+def diagram_weights(n: int) -> range:
+    """The diagonal weights of the two-row diagrams on n letters, ascending:
+    1 <= c <= n + 1 with n + 1 - c even.  The one statement of that rule."""
+    return range(1 + n % 2, n + 2, 2)
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ class Diagram2:
 
     @classmethod
     def from_weight(cls, n: int, c: int) -> "Diagram2":
-        if not 1 <= c <= n + 1 or (n + 1 - c) % 2:
+        if c not in diagram_weights(n):
             raise ValueError(f"weight {c} invalid for n={n}")
         b = (n + 1 - c) // 2
         return cls(n - b, b)

@@ -42,7 +42,7 @@ from .rings import (
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
 from .rings import fp_inverse, fp_rref  # noqa: F401
-from .specht import Tableau2, basis_solver, polytabloid, specht_basis
+from .specht import Diagram2, Tableau2, basis_solver, diagram_weights, polytabloid, specht_basis
 from .tensor import TensorVector, coev_ev, weight_class_masks
 
 __all__ = [
@@ -675,16 +675,11 @@ def tableau_raising_rule(top, bottom, i: int, lam) -> dict:
 
 
 def lefschetz_weights(j: int, g: int) -> list[tuple[int, ...]]:
-    """Weights contributing to the j-th lowest-weight component: zero-set
-    size at least j-1 and congruent to it mod 2."""
+    """Weights contributing to the j-th lowest-weight component: those
+    whose zero set has n elements with j a diagonal weight on n letters."""
     if not 1 <= j <= g + 1:
         raise ValueError(f"component index {j} out of range for genus {g}")
-    out = []
-    for lam in nabla_weights(g):
-        n = len(zero_set(lam))
-        if n >= j - 1 and (n - (j - 1)) % 2 == 0:
-            out.append(lam)
-    return out
+    return [lam for lam in nabla_weights(g) if j in diagram_weights(len(zero_set(lam)))]
 
 
 @dataclass
@@ -744,8 +739,8 @@ def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
         n = len(zero_set(lam))
         vectors += [upsilon_to_surface(lam, v, g) for v in specht_basis(n, j)]
         # a monomial of this degree and weight holds both generators at
-        # (n + 1 - j) // 2 of the n zero positions
-        words = weight_class_masks(n, (n + 1 - j) // 2)[0]
+        # b of the n zero positions, [n - b, b] the diagram of weight j
+        words = weight_class_masks(n, Diagram2.from_weight(n, j).b)[0]
         signs, images = zip(*(_upsilon_monomial(lam, w, g) for w in words))
         blocks.append((n, read_only(np.array([index[m] for m in images])), read_only(np.array(signs))))
     covered = np.sort(np.concatenate([rows for _, rows, _ in blocks]))

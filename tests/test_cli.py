@@ -80,11 +80,14 @@ def test_usage_errors_exit_two():
 
 
 def test_labels_outside_their_rules_exit_two():
-    # a character diagram whose label a - b + 1 is not below p, a resolve
-    # label refused only because it passes n + 1, and a jm label past p - 4
+    # a character diagram whose label a - b + 1 is not below p, resolve
+    # labels refused only because they are not above 0, pass n + 1 or are
+    # not below p, and a jm label past p - 4
     for argv in (
         ["character", "--p", "5", "--tau", "7,2"],
+        ["resolve", "--p", "3", "--n", "1", "--k", "0"],
         ["resolve", "--p", "7", "--n", "2", "--k", "5"],
+        ["resolve", "--p", "3", "--n", "4", "--k", "3"],
         ["jm", "--p", "5", "--k", "2", "--g", "3"],
     ):
         proc = run_cli(argv)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spechtres.rings import LaurentInt
+from spechtres.rings import LaurentInt, is_prime
 
 from spechtres.dims import (
     FusionElement,
@@ -58,6 +58,15 @@ def test_d_dim_positive_in_range():
             for k in range(1, min(p, n + 2)):
                 if (n + 1 - k) % 2 == 0:
                     assert d_dim(p, n, k) > 0
+
+
+def test_d_dim_vanishes_past_n_plus_one():
+    # the terms k > n + 1 of matching parity, which the dims command's sum
+    # leaves out when it runs over the complex labels of (p, n)
+    for p in filter(is_prime, range(3, 212)):
+        for n in range(101):
+            for k in range(n + 3, p, 2):
+                assert d_dim(p, n, k) == 0, (p, n, k)
 
 
 def test_d_dim_recursion():

@@ -8,6 +8,7 @@ from spechtres.factors import composition_factors, make_context, simple_dim
 from spechtres.rings import fp_matmul, fp_rank, fp_rref, is_prime
 from spechtres.resolution import (
     build_complex,
+    complex_labels,
     complex_weights,
     e_power_map,
     modular_character_check,
@@ -128,6 +129,7 @@ def test_complex_weights_match_the_old_weight_loop():
                 except ValueError:
                     new = None
                 assert new == old, (p, n, k)
+                assert (k in complex_labels(p, n)) == (old is not None), (p, n, k)
                 refused += old is None
                 accepted += old is not None
     assert refused and accepted

@@ -15,6 +15,7 @@ from spechtres.specht import (
     basis_matrix,
     basis_solver,
     cycle_type_representative,
+    diagram_weights,
     gram_of_diagram,
     ordinary_character,
     partitions,
@@ -36,6 +37,19 @@ from spechtres.tensor import (
     weight_classes,
     weight_class_masks,
 )
+
+
+def test_from_weight_accepts_exactly_the_diagram_weights():
+    for n in range(41):
+        cs = range(-1, n + 4)
+        assert list(diagram_weights(n)) == [c for c in cs if 1 <= c <= n + 1 and (n + 1 - c) % 2 == 0]
+        for c in cs:
+            if c in diagram_weights(n):
+                diag = Diagram2.from_weight(n, c)
+                assert (diag.n, diag.c) == (n, c)
+            else:
+                with pytest.raises(ValueError, match=f"^weight {c} invalid for n={n}$"):
+                    Diagram2.from_weight(n, c)
 
 
 def test_tabloid_vectors():
