@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dims import catalan
-from .rings import GramQuotient, fp_inverse, fp_matmul, fp_rank, read_only, residues
+from .rings import _LIMIT, GramQuotient, fp_inverse, fp_matmul, fp_rank, read_only, residues
 from .specht import (
     Diagram2,
     _span_is_invariant,
@@ -237,7 +237,7 @@ def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
     at, dual = _pivot_duals(p, tau)
     terms = dual[sn_gather(sigma, tau.n, tau.b)[at], np.arange(at.shape[1])]
     # each signed half sums at most q * 2^b residues in int64
-    assert terms.size * (p - 1) < 2**63
+    assert terms.size * (p - 1) < _LIMIT[np.dtype(np.int64)]
     sums = terms.sum(axis=1, dtype=np.int64)
     odd = _word_table(tau.n, tau.b)[1]
     return int(sums[odd == 0].sum() - sums[odd == 1].sum()) % p

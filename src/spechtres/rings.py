@@ -11,33 +11,33 @@ off the reduced rows of the Gram without a basis of the radical.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
 F_p are returned as int64 arrays of residues in [0, p); residues that are
-kept (cached bases) are stored in the smallest unsigned dtype that holds
-p - 1, one byte for every p below 257, and widened before any arithmetic.
+kept (cached bases) are stored in one byte each and widened before any
+arithmetic.
 
-Each kernel computes in the narrowest type that is exact for its bound,
-chosen from p and the operand shapes alone (the rule of FFLAS-FFPACK:
-the float type follows from k * (p - 1)**2 against its mantissa):
+Every kernel mod p takes the moduli below 2**8, which hold every prime a
+command accepts, and refuses a larger one with ValueError.  Each computes
+in the narrowest type that is exact for its bound, chosen from p and the
+operand shapes alone (the rule of FFLAS-FFPACK: the float type follows
+from k * (p - 1)**2 against its mantissa):
 - Products run through BLAS, one block of rows of the left operand at a
   time, in float32 when every partial sum stays below 2**24 and otherwise
-  in float64 over chunks of the inner dimension that keep it below 2**53.
-  Every partial sum is then an integer the float type holds exactly, so
-  summation order cannot change a result (delayed reduction).  A modulus
-  for which the float64 bound leaves too small a chunk is refused.
-- Gram matrices of integer matrices accumulate in float32 below 2**24 and
-  in float64 below 2**53; a larger bound is refused.
+  in float64, where it stays below 2**53 for any inner dimension below
+  10**11.  Every partial sum is then an integer the float type holds
+  exactly, so summation order cannot change a result.
+- Gram matrices of integer matrices accumulate in float32, and a bound of
+  2**24 or more is refused.
 - Elimination runs in int16 when the delayed reductions of its per-pivot
-  loop stay below 2**15, for every p up to 23, in int32 below 2**31, for
-  every p up to 5791, and in int64 above.
+  loop stay below 2**15, for every p up to 23, and otherwise in int32.
 
 Elimination is blocked: a matrix wider than two column panels is reduced
 a panel at a time, with the per-pivot loop confined to a transposed copy
 of the panel and the rest of the matrix updated by products.  Narrower
 matrices keep the per-pivot loop alone.  The reduced row echelon form is
 unique, so neither the blocking nor the type changes a result.
-Elimination refuses the same moduli as products.  Reduction is delayed
-throughout: entries may sit unreduced, within the bound of the
-elimination's type, until the loop ends or, outside the panel, until
-the panel updates subtracted since the last reduction would pass it.
+Reduction is delayed throughout: entries may sit unreduced, within the
+bound of the elimination's type, until the loop ends or, outside the
+panel, until the panel updates subtracted since the last reduction would
+pass it.
 A rank alone (fp_rank) is read from the same panel step without the
 reduced form.
 """
@@ -86,38 +86,32 @@ def is_prime(n: int) -> bool:
 # matrices over F_p
 
 # Every array a function here takes or returns holds residues in [0, p), or
-# is reduced on entry by np.remainder, which is exact for any int64.  Only
-# the kernel's own int16, int32 or int64 intermediates may be unreduced:
-# the entries of the eliminated matrix between its reductions, and sums
-# and differences of residues, all bounded inside their type (see
-# _pivot_loop and _eliminate).
+# is reduced on entry by _reduced, which cannot wrap.  Only the kernel's own
+# int16, int32 or int64 intermediates may be unreduced: the entries of the
+# eliminated matrix between its reductions, and sums and differences of
+# residues, all bounded inside their type (see _pivot_loop and _eliminate).
 # They are reduced by _reduce_in_place.  The elimination scan is fixed:
 # columns left to right, within a column the first nonzero entry from the
 # top.  The reduced form and its pivot columns are unique, so every basis
 # produced downstream is deterministic.
 
+# The moduli every kernel here takes are those below this bound.  Every
+# command caps p at 211, and below 2**8 a residue is one byte, a product
+# of residues over up to 268 terms is exact in float32, and the delayed
+# reductions of an elimination stay inside int32.
+_MODULUS_BOUND = 2**8
+
+
+def _check_modulus(p: int) -> None:
+    """Raise ValueError for a modulus of _MODULUS_BOUND or more."""
+    if p >= _MODULUS_BOUND:
+        raise ValueError(f"modulus {p} too large: the mod-p kernels take moduli below 2**8 = {_MODULUS_BOUND}")
+
+
 # Integers of magnitude below 2**24 are exact in float32 and below 2**53
 # in float64.
 _FLOAT32_EXACT = 2**24
 _FLOAT_EXACT = 2**53
-
-# The smallest chunk accepted; a modulus with a smaller one (p above about
-# 8.4 * 10**6) is refused.
-_MIN_FLOAT_CHUNK = 128
-
-
-@lru_cache(maxsize=None)
-def _product_chunk(p: int) -> int:
-    """Inner-dimension terms per exact float64 chunk of a product mod p:
-    chunk * (p - 1)**2 + p - 1 < 2**53.  A product whose whole inner
-    dimension meets the float32 bound runs as one float32 chunk instead
-    (_exact_float).  Raises ValueError when fewer than _MIN_FLOAT_CHUNK
-    terms fit."""
-    chunk = (_FLOAT_EXACT - p) // ((p - 1) * (p - 1))
-    if chunk < _MIN_FLOAT_CHUNK:
-        raise ValueError(f"modulus {p} too large for exact float64 products")
-    assert chunk * (p - 1) ** 2 + p - 1 < _FLOAT_EXACT
-    return chunk
 
 
 def _exact_float(bound: int) -> type:
@@ -142,19 +136,23 @@ _UNSIGNED = {np.dtype(t): u for t, u in ((np.int16, np.uint16), (np.int32, np.ui
 
 def _reduced(a: np.ndarray, p: int) -> np.ndarray:
     """a mod p as integers: a itself when its entries are in [0, p), so
-    that residues are only read; otherwise reduced by np.remainder in
-    int64, which cannot wrap, or in Python ints when a holds objects, and
-    returned as int64.  Byte arrays are widened before the remainder is
-    taken."""
+    that residues are only read.  Otherwise an int16 or int32 array whose
+    minimum is at least p above the lower limit of its type is reduced in
+    that type, by _reduce_in_place on a copy: (a // p) * p lies at most
+    p - 1 below a, so it stays inside the type.  Any other array is
+    reduced by np.remainder in int64, which cannot wrap, or in Python ints
+    when it holds objects, and returned as int64."""
     a = np.asarray(a)
     if a.dtype == object:
         return (a % p).astype(np.int64)
     # read as unsigned, a negative entry is at least the limit of its
-    # signed type, so when p is no larger one maximum checks both ends of
+    # signed type, which is above p, so one maximum checks both ends of
     # [0, p)
-    unsigned = a.view(_UNSIGNED[a.dtype]) if a.dtype in _UNSIGNED and p <= _LIMIT[a.dtype] else a
+    unsigned = a.view(_UNSIGNED[a.dtype]) if a.dtype in _UNSIGNED else a
     if unsigned.dtype.kind == "u" and not (a.size and unsigned.max() >= p):
         return a
+    if a.dtype in (np.int16, np.int32) and a.min() >= p - _LIMIT[a.dtype]:
+        return _reduce_in_place(a.copy(), p)
     return np.remainder(a, p, dtype=np.int64)
 
 
@@ -176,12 +174,12 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
     Past _FEW_ENTRIES entries the reduction is a - (a // p) * p: numpy's
     floor division by a scalar is several times faster than its remainder,
     and in int32 about ten times faster than in int64.  The product
-    (a // p) * p leaves the range of a's type when |a| is within p of its
-    limits, and no integer may wrap, even where two's-complement arithmetic
-    would still give the right difference.  So this is only for the
-    kernel's own intermediates, which stay within p of the type's limits
-    (see _pivot_loop, _eliminate, _row_products and specht.BasisSolver);
-    input from a caller goes through _reduced."""
+    (a // p) * p leaves the range of a's type when a is within p of its
+    lower limit, and no integer may wrap, even where two's-complement
+    arithmetic would still give the right difference.  So this is only for
+    the kernel's own intermediates, which stay further from the limits
+    (see _pivot_loop, _eliminate, _row_products and specht.BasisSolver),
+    and for input that _reduced has checked."""
     if a.size <= _FEW_ENTRIES:
         return np.remainder(a, p, out=a)
     if a.size > _REDUCE_ENTRIES and len(a) > 1:
@@ -201,16 +199,15 @@ _BYTE_ENTRIES = 2**17
 
 
 def residues(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p stored in the smallest unsigned dtype that holds p - 1: one
-    byte for every p below 257.  A byte array with every entry in (-p, p),
-    for p below 256, is read in its uint8 view, where a negative entry v
-    reads 256 + v, and 256 - p is subtracted from those, leaving v + p
-    without a wrap; any other array is reduced in int64.  Either runs one
-    block at a time, so no temporary of a large array's size is made."""
+    """a mod p in one byte per entry.  A byte array with every entry in
+    (-p, p) is read in its uint8 view, where a negative entry v reads
+    256 + v, and 256 - p is subtracted from those, leaving v + p without a
+    wrap; any other array is reduced by _reduced.  Either runs one block at
+    a time, so no temporary of a large array's size is made."""
+    _check_modulus(p)
     a = np.asarray(a)
-    dtype = np.min_scalar_type(p - 1)
-    out = np.empty(a.shape, dtype=dtype)
-    byte = a.dtype in (np.int8, np.uint8) and dtype == np.uint8 and not (a.size and (a.min() <= -p or a.max() >= p))
+    out = np.empty(a.shape, dtype=np.uint8)
+    byte = a.dtype in (np.int8, np.uint8) and not (a.size and (a.min() <= -p or a.max() >= p))
     step = max(1, _BYTE_ENTRIES * len(a) // max(1, a.size)) if byte else _ROW_BLOCK
     for lo in range(0, len(a), step):
         b = a[lo : lo + step]
@@ -224,38 +221,28 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     int32 from a float32 product, int64 from a float64 one.
 
     b is reduced mod p and cast once; each block of a is reduced and cast
-    when its turn comes.  When the whole inner dimension meets inner *
-    (p-1)**2 + p - 1 < 2**24, the operands are cast to float32 and
-    multiplied as one chunk.  Otherwise they are cast to float64 and
-    multiplied by BLAS in chunks of the inner dimension small enough that
-    chunk * (p-1)**2 + p - 1 < 2**53.  Either way every partial sum, the
-    reduced accumulator of the previous chunks included, is an integer that
-    the float type holds exactly, so BLAS summation order, and so its
-    thread count, cannot change the result.  A modulus for which the
-    float64 bound leaves fewer than _MIN_FLOAT_CHUNK terms per chunk (p
-    above about 8.4 * 10**6) is refused with ValueError.  Every block reuses
-    one buffer each for its cast, its product and its residues, so a
-    yielded product is overwritten by the next one.
+    when its turn comes.  Every partial sum is at most inner * (p - 1)**2.
+    The operands are cast to float32 when that stays below 2**24, and to
+    float64 otherwise, where it stays below 2**53 for every inner
+    dimension below 10**11 at p < 2**8 (_exact_float).  Either way every
+    partial sum is an integer that the float type holds exactly, so BLAS
+    summation order, and so its thread count, cannot change the result.
+    Every block reuses one buffer each for its cast, its product and its
+    residues, so a yielded product is overwritten by the next one.
     """
-    chunk = _product_chunk(p)
+    _check_modulus(p)
     b = _reduced(b, p)
-    # a float32 chunk holds the whole inner dimension: the float32 bound
-    # is the tighter one
-    dtype = _exact_float(min(chunk, len(b)) * (p - 1) ** 2 + p - 1)
+    dtype = _exact_float(len(b) * (p - 1) ** 2)
     # residues below 2**24 leave a float32 product as int32
     itype = np.int32 if dtype is np.float32 else np.int64
     b = b.astype(dtype)
     cast = np.empty((min(_ROW_BLOCK, len(a)), a.shape[1]), dtype=dtype)
-    acc = np.empty((len(cast),) + b.shape[1:], dtype=dtype)
-    out = np.empty(acc.shape, dtype=itype)
+    product = np.empty((len(cast),) + b.shape[1:], dtype=dtype)
+    out = np.empty(product.shape, dtype=itype)
     for lo in range(0, len(a), _ROW_BLOCK):
         rows, m = slice(lo, lo + _ROW_BLOCK), min(_ROW_BLOCK, len(a) - lo)
         cast[:m] = _reduced(a[rows], p)
-        np.matmul(cast[:m, :chunk], b[:chunk], out=acc[:m])
-        for k in range(chunk, a.shape[1], chunk):
-            np.remainder(acc[:m], p, out=acc[:m])
-            acc[:m] += cast[:m, k : k + chunk] @ b[k : k + chunk]
-        out[:m] = acc[:m]
+        out[:m] = np.matmul(cast[:m], b, out=product[:m])
         yield rows, _reduce_in_place(out[:m], p)
 
 
@@ -263,9 +250,8 @@ def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p for a 2-d array a, as an int64 array of residues,
     computed one block of rows of a at a time, in float32 when the whole
     inner dimension keeps every partial sum below 2**24 and in float64
-    chunks otherwise (see _row_products).  A modulus whose float64 chunk
-    would be under _MIN_FLOAT_CHUNK terms (p above about 8.4 * 10**6) is
-    refused with ValueError."""
+    otherwise (see _row_products).  A modulus of 2**8 or more is refused
+    with ValueError."""
     out = np.empty((len(a),) + np.shape(b)[1:], dtype=np.int64)
     for rows, block in _row_products(a, b, p):
         out[rows] = block
@@ -275,35 +261,33 @@ def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def fp_product_equals(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> bool:
     """Whether a @ b = c mod p, for a 2-d array a, compared one block of
     rows at a time, so that neither the product nor a reduced copy of c is
-    ever made whole."""
+    ever made whole.  A modulus of 2**8 or more is refused with
+    ValueError."""
     return all(np.array_equal(block, _reduced(c[rows], p)) for rows, block in _row_products(a, b, p))
 
 
 def int_gram(m: np.ndarray) -> np.ndarray:
-    """Exact integer Gram matrix m.T @ m of an integer matrix.
+    """Exact integer Gram matrix m.T @ m of an integer matrix, as int32.
 
     Every partial sum is bounded by rows * max|entry|**2.  The product runs
-    through BLAS, summed over blocks of rows cast one at a time, in float32
-    when the bound is below 2**24 and in float64 below 2**53; either is
-    exact, so summation order cannot change the result.  The 0/+-1
-    polytabloid and component matrices take float32 below 2**24 rows.  A
-    bound at or above 2**53 is refused rather than rounded.  The Gram is
-    returned as int32 when the bound is below 2**31, so always from the
-    float32 route, and as int64 otherwise.
+    through float32 BLAS, summed over blocks of rows cast one at a time,
+    which is exact while that bound is below 2**24, so summation order
+    cannot change the result.  A bound of 2**24 or more is refused with
+    OverflowError rather than rounded; the 0/+-1 polytabloid and component
+    matrices meet it below 2**24 rows.
     """
     m = np.asarray(m)
     top = max(-int(m.min()), int(m.max())) if m.size else 0
     bound = m.shape[0] * top * top
-    if bound >= _FLOAT_EXACT:
-        raise OverflowError("Gram matrix entries may exceed 2**53, the float64 limit of exact integers")
-    dtype = _exact_float(bound)
-    gram = np.zeros((m.shape[1], m.shape[1]), dtype=dtype)
-    cast, product = np.empty((min(_ROW_BLOCK, len(m)), m.shape[1]), dtype=dtype), np.empty_like(gram)  # reused
+    if bound >= _FLOAT32_EXACT:
+        raise OverflowError("Gram matrix entries may reach 2**24, the float32 limit of exact integers")
+    gram = np.zeros((m.shape[1], m.shape[1]), dtype=np.float32)
+    cast, product = np.empty((min(_ROW_BLOCK, len(m)), m.shape[1]), dtype=np.float32), np.empty_like(gram)  # reused
     for lo in range(0, len(m), _ROW_BLOCK):
         f = cast[: min(_ROW_BLOCK, len(m) - lo)]
         f[:] = m[lo : lo + _ROW_BLOCK]
         gram += np.matmul(f.T, f, out=product)
-    return gram.astype(np.int32 if bound < _LIMIT[np.dtype(np.int32)] else np.int64)
+    return gram.astype(np.int32)
 
 
 # Width of a column panel of the blocked elimination.  A matrix no wider
@@ -312,16 +296,13 @@ def int_gram(m: np.ndarray) -> np.ndarray:
 _PANEL = 32
 
 
-@lru_cache(maxsize=None)
 def _elimination_type(p: int) -> type:
-    """The integer type elimination mod p runs in: the narrowest in which
-    the delayed reductions of a per-pivot loop of 2 * _PANEL pivots stay,
-    2 * _PANEL * (p - 1)**2 + p below its limit.  That is int16 for every p
-    up to 23, int32 up to 5791 and int64 above, up to the moduli
-    _product_chunk accepts.  Raises ValueError for a modulus that products
-    refuse."""
-    _product_chunk(p)
-    return next(t for t in (np.int16, np.int32, np.int64) if 2 * _PANEL * (p - 1) ** 2 + p < _LIMIT[np.dtype(t)])
+    """The integer type elimination mod p runs in: int16 when the delayed
+    reductions of a per-pivot loop of 2 * _PANEL pivots stay inside it,
+    2 * _PANEL * (p - 1)**2 + p < 2**15, which is every p up to 23, and
+    int32 otherwise, where they stay below 2**22 for every p below
+    _MODULUS_BOUND."""
+    return np.int16 if 2 * _PANEL * (p - 1) ** 2 + p < _LIMIT[np.dtype(np.int16)] else np.int32
 
 
 def _pivot_loop(t: np.ndarray, p: int, width: int) -> tuple[list[int], list[int]]:
@@ -350,9 +331,8 @@ def _pivot_loop(t: np.ndarray, p: int, width: int) -> tuple[list[int], list[int]
     residues, so by at most (p - 1)**2.  A loop makes at most width pivots,
     and its callers keep width at most 2 * _PANEL, so no entry strays from a
     residue by more than 2 * _PANEL * (p - 1)**2.  That bound plus p is
-    asserted to lie inside t's type: the one _elimination_type picks holds
-    it, and in int64 it stays below 2**53 for every modulus _product_chunk
-    accepts.
+    asserted to lie inside t's type, and the one _elimination_type picks
+    holds it.
     """
     assert width * (p - 1) ** 2 + p < _LIMIT[t.dtype]
     total, rows = t.shape
@@ -430,25 +410,21 @@ def _eliminate(a: np.ndarray, p: int, reduced_form: bool) -> tuple[np.ndarray, l
     Reduction is delayed outside the panel too.  Only the panel is reduced
     before it is factored, in the rows the update reads, and the pivot
     rows before X is formed.  A panel's update A[:, P] X is a product of
-    residues over k <= _PANEL terms, at most k * (p - 1)**2 per entry, so
-    BLAS computes it exactly in float32 below 2**24 and in float64 below
-    2**53 (k is within every accepted modulus's chunk), and it is
-    subtracted unreduced.  The rest of the matrix is reduced only when the
+    residues over k <= _PANEL terms, at most k * (p - 1)**2 < 2**21 per
+    entry, so BLAS computes it exactly in float32, and it is subtracted
+    unreduced.  The rest of the matrix is reduced only when the
     updates since its last reduction, plus p, would pass the limit of its
     type: rank * (p - 1)**2 + p at most in all.  The updates run one block
     of _ROW_BLOCK rows at a time, so no temporary of the matrix's size is
     made.
 
     The elimination runs on a copy in the type _elimination_type(p)
-    picks: int16 for every p up to 23, int32 up to 5791 and int64 above.
-    A matrix of at most _FEW_ENTRIES entries stays in int64: each of its
-    reductions is one np.remainder call, which a narrower type does not
-    speed up, and int64 needs no conversion back.
+    picks: int16 for every p up to 23 and int32 above.  A modulus of 2**8
+    or more is refused with ValueError.
     """
-    dtype = _elimination_type(p)  # raises ValueError for such a modulus
+    _check_modulus(p)
+    dtype = _elimination_type(p)
     a = np.asarray(a)
-    if a.size <= _FEW_ENTRIES:
-        dtype = np.int64
     m = _reduced(a, p)
     rows, cols = m.shape
     if cols <= 2 * _PANEL:
@@ -506,8 +482,8 @@ def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns the reduced matrix, as int64 residues, and the list of pivot
     column indices.  The reduced form is unique, so it does not depend on
-    how it is computed (see _eliminate).  A modulus that products refuse
-    is refused here too, with ValueError."""
+    how it is computed (see _eliminate).  A modulus of 2**8 or more is
+    refused with ValueError."""
     return _eliminate(a, p, True)
 
 
@@ -515,14 +491,15 @@ def fp_rank(a: np.ndarray, p: int) -> int:
     """Rank mod p, from the elimination of fp_rref without the reduced
     form: past two panels each panel's pivot rows are dropped and only the
     Schur complement of the other rows is carried on (see _eliminate).  A
-    modulus that products refuse is refused with ValueError."""
+    modulus of 2**8 or more is refused with ValueError."""
     return len(_eliminate(a, p, False)[1])
 
 
 def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of a square integer matrix, as int64 residues: the
     right half of the reduced form of [a | I] (fp_rref).  Raises
-    ValueError for a matrix that is not square or is singular mod p."""
+    ValueError for a matrix that is not square or is singular mod p, and
+    for a modulus of 2**8 or more."""
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("inverse needs a square matrix")
@@ -558,10 +535,12 @@ class GramQuotient:
 
     Coordinates are taken in the basis whose Gram matrix was eliminated.
     Only the caches change: jobs on a thread pool may read the same
-    quotient at once.
+    quotient at once.  A modulus of 2**8 or more is refused with
+    ValueError.
     """
 
     def __init__(self, gram: np.ndarray, p: int):
+        _check_modulus(p)
         self.p = p
         self._gram = gram
 

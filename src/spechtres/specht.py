@@ -18,6 +18,7 @@ from math import factorial
 import numpy as np
 
 from .rings import (
+    _LIMIT,
     _reduce_in_place,
     _reduced,
     fp_product_equals,
@@ -257,8 +258,10 @@ def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def gram_of_diagram(diag: Diagram2) -> np.ndarray:
-    """Gram matrix of the standard polytabloids of a diagram, as int32 (see
-    rings.int_gram).  Read-only."""
+    """Gram matrix of the standard polytabloids of a diagram, always as
+    int32 (see rings.int_gram): the basis has entries 0 and +-1, so the
+    bound of its Gram is its row count, at most C(16, 8) = 12870 for the
+    diagrams a command takes.  Read-only."""
     return read_only(int_gram(basis_matrix(diag.n, diag.c)))
 
 
@@ -301,7 +304,7 @@ class BasisSolver:
         i, j = i[~on], j[~on]
         count = np.bincount(i, minlength=d)
         # residues below p, summed over a row's entries, stay inside int64
-        assert p is None or count.max(initial=0) * (p - 1) ** 2 + p < 2**63
+        assert p is None or count.max(initial=0) * (p - 1) ** 2 + p < _LIMIT[np.dtype(np.int64)]
         level, deeper = None, np.zeros(d, dtype=np.intp)
         while not np.array_equal(level, deeper):  # each pass settles one more level
             level, deeper = deeper, np.zeros(d, dtype=np.intp)

@@ -1,0 +1,246 @@
+"""Every in-place integer update on a narrow type in src, driven at its
+bound and one past it, where it takes the wider type or is refused.
+
+numpy does not warn when an integer array wraps, so these bounds, asserted
+in the code and tested here, are what keeps the exact kernels exact.  The
+updates and their bounds, for a modulus p below rings._MODULUS_BOUND:
+
+- rings._reduced: an int16 or int32 array is reduced in its own type as
+  a - (a // p) * p when its minimum is at least p above the type's lower
+  limit, and in int64 otherwise;
+- rings._pivot_loop: width * (p - 1)**2 + p inside int16 or int32;
+- rings._eliminate: the panel updates subtracted since the last
+  reduction, plus p, inside int16 or int32;
+- rings._row_products: inner * (p - 1)**2 below 2**24 in float32, below
+  2**53 in float64;
+- rings.int_gram: rows * max|entry|**2 below 2**24 in float32;
+- specht.BasisSolver.back_substitute: entries per row * (p - 1)**2 + p
+  inside int64;
+- resolution.quotient_trace: the entries of a trace times p - 1 inside
+  int64;
+- rings.residues: a byte array with every entry in (-p, p) in its uint8
+  view.
+
+The int64 bounds and the int32 drift of an elimination lie past any
+matrix in memory at p < 2**8, so their tests lower the limit in
+rings._LIMIT to where a small matrix meets it.
+"""
+
+import numpy as np
+import pytest
+
+from spechtres import cli, resolution, rings
+from spechtres.rings import (
+    _LIMIT,
+    _MODULUS_BOUND,
+    _PANEL,
+    GramQuotient,
+    fp_inverse,
+    fp_matmul,
+    fp_product_equals,
+    fp_rank,
+    fp_rref,
+    int_gram,
+    residues,
+)
+from spechtres.specht import BasisSolver, Diagram2, basis_solver
+from test_rings import _identity_led, _rref_python_ints
+
+INT16, INT32, INT64 = (np.dtype(t) for t in (np.int16, np.int32, np.int64))
+
+
+def test_every_command_prime_lies_below_the_bound_and_257_is_refused():
+    his = [param.hi for command in cli.SCHEMA.values() for param in command.params.values() if param.kind == "prime"]
+    assert his and max(his) < _MODULUS_BOUND == 2**8
+    p = 257  # the first prime past the bound
+    a = np.ones((2, 2), dtype=np.int64)
+    refusals = [
+        lambda: fp_matmul(a, a, p),
+        lambda: fp_product_equals(a, a, a, p),
+        lambda: fp_rref(a, p),
+        lambda: fp_rank(a, p),
+        lambda: fp_inverse(a, p),
+        lambda: residues(a, p),
+        lambda: basis_solver(p, 4, 3),
+        lambda: GramQuotient(a, p),
+    ]
+    for refused in refusals:
+        with pytest.raises(ValueError, match=r"below 2\*\*8"):
+            refused()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_reduced_keeps_its_type_unless_the_minimum_is_within_p_of_the_limit(dtype):
+    p = 251
+    limit = _LIMIT[np.dtype(dtype)]
+    for low, kept in ((p - limit, True), (p - limit - 1, False)):
+        a = np.array([[low, -1, p], [limit - 1, 2 * p + 3, 0]], dtype=dtype)
+        a = np.tile(a, (300, 1))  # past _FEW_ENTRIES, so floor division runs
+        got = rings._reduced(a, p)
+        assert got.dtype == (np.dtype(dtype) if kept else INT64), low
+        assert got.tolist() == (a.astype(object) % p).tolist()
+    residue = np.array([[0, p - 1]], dtype=dtype)
+    assert rings._reduced(residue, p) is residue  # residues are only read
+
+
+def test_pivot_loop_bound_in_int16_and_int32():
+    # int16 holds 2 * _PANEL pivots up to p = 23, and from p = 29 on the
+    # elimination takes int32, where a loop over width columns holds
+    # width * (p - 1)**2 + p below 2**31
+    assert 2 * _PANEL * 22**2 + 23 < _LIMIT[INT16] <= 2 * _PANEL * 28**2 + 29
+    assert rings._elimination_type(23) is np.int16 and rings._elimination_type(29) is np.int32
+    rng = np.random.RandomState(5)
+    for p, dtype in ((23, np.int16), (29, np.int32), (251, np.int32)):
+        a = rng.randint(p - min(p - 1, 16), p, size=(2 * _PANEL, 2 * _PANEL))
+        t = np.array(a.T, dtype=dtype)
+        pivots = rings._pivot_loop(t, p, 2 * _PANEL)[0]
+        assert pivots == list(range(2 * _PANEL)) and t.T.tolist() == _rref_python_ints(a, p)[0].tolist()
+    with pytest.raises(AssertionError):
+        rings._pivot_loop(np.zeros((2 * _PANEL, 1), dtype=np.int16), 29, 2 * _PANEL)
+    # in int32 the widest loop at p = 251 is 34359 columns; one more is refused
+    p = 251
+    widest = (_LIMIT[INT32] - p - 1) // (p - 1) ** 2
+    assert widest * (p - 1) ** 2 + p < _LIMIT[INT32] <= (widest + 1) * (p - 1) ** 2 + p
+    t = np.zeros((widest + 1, 1), dtype=np.int32)
+    t[0] = 1  # one row, so the loop ends at its first pivot
+    assert rings._pivot_loop(t[:widest], p, widest)[0] == [0]
+    with pytest.raises(AssertionError):
+        rings._pivot_loop(t, p, widest + 1)
+
+
+def _trailing_reductions(monkeypatch, a, p):
+    """The reduced form of a, and the panels before whose update the
+    columns right of the panel were reduced.  Those reductions are told
+    from the others by their shape: all rows, and the columns right of a
+    panel, which a has six of at 5 columns past whole panels."""
+    rows, cols = a.shape
+    widths = {cols - _PANEL * (i + 1): i for i in range(cols // _PANEL)}
+    seen = []
+    original = rings._reduce_in_place
+
+    def spy(x, q):
+        if x.ndim == 2 and x.shape[0] == rows and x.shape[1] in widths:
+            seen.append(widths[x.shape[1]])
+        return original(x, q)
+
+    monkeypatch.setattr(rings, "_reduce_in_place", spy)
+    got = fp_rref(a, p)[0]
+    monkeypatch.setattr(rings, "_reduce_in_place", original)
+    return got, seen
+
+
+def test_elimination_drift_in_int16(monkeypatch):
+    # At p = 23 two full panels of updates fit int16, 2 * _PANEL * 22**2 +
+    # 23 < 2**15, and a third does not: on six panels the columns right of
+    # the panel are reduced before the updates of panels 2 and 4.
+    p = 23
+    a = np.hstack([_identity_led(p, 6), np.random.RandomState(29).randint(0, p, size=(6 * _PANEL, 5))])
+    assert 2 * _PANEL * (p - 1) ** 2 + p < _LIMIT[INT16] <= 3 * _PANEL * (p - 1) ** 2 + p
+    got, seen = _trailing_reductions(monkeypatch, a, p)
+    assert seen == [2, 4]
+    assert got.tolist() == _rref_python_ints(a, p)[0].tolist()
+
+
+@pytest.mark.parametrize("panels", [2, 3])
+def test_elimination_drift_in_int32_at_a_lowered_limit(monkeypatch, panels):
+    # At p = 251 int32 holds over a thousand full panels of updates, so the
+    # limit is lowered to hold exactly `panels` of them (and the per-pivot
+    # loop of each 32-column panel): the columns right of the panel are
+    # reduced before every further `panels`-th update.  One below that
+    # limit, `panels` updates no longer fit, and the reductions come one
+    # panel sooner.
+    p = 251
+    a = np.hstack([_identity_led(p, 6), np.random.RandomState(31).randint(0, p, size=(6 * _PANEL, 5))])
+    want = _rref_python_ints(a, p)[0].tolist()
+    schedules = []
+    for limit in (panels * _PANEL * (p - 1) ** 2 + p + 1, panels * _PANEL * (p - 1) ** 2 + p):
+        monkeypatch.setitem(_LIMIT, INT32, limit)
+        got, seen = _trailing_reductions(monkeypatch, a, p)
+        assert got.tolist() == want
+        schedules.append(seen)
+    assert schedules == [list(range(panels, 6, panels)), list(range(panels - 1, 6, panels - 1))]
+
+
+@pytest.mark.parametrize("p", [211, 251])
+def test_row_products_in_float32_and_float64(p):
+    # float32 while inner * (p - 1)**2 < 2**24, float64 from there on, up to
+    # 2**53, which no inner dimension below 10**11 reaches at p < 2**8
+    assert rings._exact_float(2**24 - 1) is np.float32 and rings._exact_float(2**24) is np.float64
+    assert rings._exact_float(2**53 - 1) is np.float64
+    with pytest.raises(AssertionError):
+        rings._exact_float(2**53)
+    last = (2**24 - 1) // (p - 1) ** 2  # the last float32 inner dimension
+    for inner, itype in ((last, np.int32), (last + 1, np.int64)):
+        a = np.full((3, inner), p - 1, dtype=np.int64)
+        b = np.full((inner, 2), p - 1, dtype=np.int64)
+        a[:, 0] = b[0] = p - 2  # an odd sum, which a rounding float type would move
+        rows, block = next(rings._row_products(a, b, p))
+        assert block.dtype == itype
+        assert block.tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
+
+
+def test_int_gram_bound_in_float32():
+    # 9 * 1864135 is 2**24 - 1: exact in float32; one row more is refused
+    m = np.full((1864135, 1), 3, dtype=np.int8)
+    assert int_gram(m).tolist() == [[2**24 - 1]] and int_gram(m).dtype == np.int32
+    with pytest.raises(OverflowError):
+        int_gram(np.full((1864136, 1), 3, dtype=np.int8))
+    assert int_gram(np.full((1, 1), 4095)).tolist() == [[4095**2]]
+    with pytest.raises(OverflowError):
+        int_gram(np.full((1, 1), 4096))  # 2**24
+
+
+def _unitriangular_square(d):
+    """A d x d upper unitriangular matrix whose first row has d - 1 entries
+    right of the diagonal: the most a row of a d x d square has."""
+    u = np.identity(d, dtype=np.int64)
+    u[0, 1:] = 1
+    u[np.arange(1, d - 1), np.arange(2, d)] = 1
+    return u
+
+
+def test_basis_solver_level_sums_in_int64_at_a_lowered_limit(monkeypatch):
+    # a row of d - 1 entries sums at most (d - 1) * (p - 1)**2 + p in int64
+    p, d = 3, 5
+    u = _unitriangular_square(d)
+    bound = (d - 1) * (p - 1) ** 2 + p
+    monkeypatch.setitem(_LIMIT, INT64, bound + 1)
+    x = np.random.RandomState(2).randint(0, p, size=(d, 3))
+    assert BasisSolver(p, u, np.arange(d)).coords(u @ x).tolist() == x.tolist()
+    monkeypatch.setitem(_LIMIT, INT64, bound)
+    with pytest.raises(AssertionError):
+        BasisSolver(p, u, np.arange(d))
+
+
+def test_quotient_trace_sums_in_int64_at_a_lowered_limit(monkeypatch):
+    # each signed half of a trace sums at most q * 2^b residues of the
+    # dual basis in int64
+    p, tau, sigma = 5, Diagram2(4, 2), (2, 3, 1, 5, 6, 4)
+    want = resolution.quotient_trace(p, tau, sigma)  # fills the caches
+    bound = resolution._pivot_duals(p, tau)[0].size * (p - 1)
+    monkeypatch.setitem(_LIMIT, INT64, bound + 1)
+    assert resolution.quotient_trace(p, tau, sigma) == want
+    monkeypatch.setitem(_LIMIT, INT64, bound)
+    with pytest.raises(AssertionError):
+        resolution.quotient_trace(p, tau, sigma)
+
+
+def test_residues_read_a_byte_array_in_its_view_inside_minus_p_to_p(monkeypatch):
+    calls = []
+    original = rings._reduced
+    monkeypatch.setattr(rings, "_reduced", lambda a, q: calls.append(q) or original(a, q))
+    cases = [
+        (5, np.int8, [-4, -1, 0, 1, 4], True),
+        (5, np.int8, [-5, 0, 4], False),
+        (5, np.uint8, [0, 1, 4], True),
+        (5, np.uint8, [0, 5], False),
+        (251, np.int8, [-128, -1, 0, 1, 127], True),  # int8 holds nothing outside (-251, 251)
+        (251, np.uint8, [0, 1, 250], True),
+        (251, np.uint8, [0, 251], False),
+    ]
+    for p, dtype, entries, by_view in cases:
+        calls.clear()
+        a = np.array(entries, dtype=dtype)
+        got = residues(a, p)
+        assert got.dtype == np.uint8 and got.tolist() == [e % p for e in entries]
+        assert calls == ([] if by_view else [p]), (p, dtype, entries)

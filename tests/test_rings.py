@@ -205,23 +205,41 @@ def _python_matmul(a, b, p):
     return (a.astype(object) @ b.astype(object)) % p
 
 
+def _refused(p, *calls):
+    """Whether p lies past the kernels' bound of 2**8, asserting then that
+    every call refuses it.  The cases of the moduli the kernels took
+    before they had that bound are kept as refusal cases."""
+    if p < rings._MODULUS_BOUND:
+        return False
+    for call in calls:
+        with pytest.raises(ValueError, match="too large"):
+            call()
+    return True
+
+
 @pytest.mark.parametrize(
     "p, inner",
     [
-        (1000003, 9007),  # exactly one float64 chunk: (2**53 - p) // (p - 1)**2
-        (1000003, 9008),  # one term more forces a second chunk
         (3, 50),
         (13, 50),
-        (8388593, 3000),  # the largest prime kept: 128-term chunks
-        # float32 while inner * (p - 1)**2 + p - 1 < 2**24, float64 past it
+        # float32 while inner * (p - 1)**2 < 2**24, float64 past it
         (211, 380),
         (211, 381),
+        (251, 268),  # the largest prime the kernels take
+        (251, 269),
         (7, 466033),  # the last float32 inner dimension at p = 7
+        # refused: once one and two float64 chunks, and the largest prime
+        # with chunks of 128 terms
+        (1000003, 9007),
+        (1000003, 9008),
+        (8388593, 3000),
     ],
 )
 def test_fp_matmul_matches_python_integers_at_the_largest_entries(p, inner):
     a = np.full((3, inner), p - 1, dtype=np.int64)
     b = np.full((inner, 2), p - 1, dtype=np.int64)
+    if _refused(p, lambda: fp_matmul(a, b, p)):
+        return
     out = fp_matmul(a, b, p)
     assert out.dtype == np.int64
     assert out.tolist() == [[inner * (p - 1) ** 2 % p] * 2] * 3
@@ -232,9 +250,9 @@ def test_fp_matmul_matches_python_integers_at_the_largest_entries(p, inner):
     assert np.array_equal(fp_matmul(a, b, p), _python_matmul(a, b, p))
 
 
-# The float64 chunk of these primes is under 128 terms: 8388617, the next
-# prime after 8388593, leaves 127, 67108859 leaves 2, and for 2**32 + 15
-# even one residue product exceeds 2**53 (and 2**62).
+# Moduli far past the kernels' bound of 2**8: for 2**32 + 15 even one
+# residue product exceeds 2**53 (and 2**62).  The first prime past the
+# bound, 257, is refused by every kernel in tests/test_bounds.py.
 _REFUSED_PRIMES = (8388617, 67108859, 2**32 + 15)
 
 
@@ -244,40 +262,35 @@ def test_fp_matmul_refuses_a_modulus_beyond_int64_products():
             fp_matmul(np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64), p)
 
 
-@pytest.mark.parametrize("p", [3, 13, 1000003, 8388593])
+@pytest.mark.parametrize("p", [3, 13, 211, 251, 1000003, 8388593])
 def test_fp_matmul_random_entries_any_sign(p):
     rng = np.random.RandomState(p % 1000)
     a = rng.randint(-(2**62), 2**62, size=(4, 9100), dtype=np.int64)
     b = rng.randint(-3 * p, 3 * p, size=(9100, 3), dtype=np.int64)
+    if _refused(p, lambda: fp_matmul(a, b, p)):
+        return
     assert np.array_equal(fp_matmul(a, b, p), _python_matmul(a, b, p))
     # a vector right-hand side keeps its shape
     assert np.array_equal(fp_matmul(a, b[:, 0], p), _python_matmul(a, b[:, 0], p))
 
 
 def test_int_gram_is_exact_on_every_route():
+    # one route, float32, and a refusal past it (its edge is driven in
+    # tests/test_bounds.py)
     rng = np.random.RandomState(1)
     small = rng.randint(-1, 2, size=(300, 20))  # 0/+-1 entries, as in the polytabloid bases
     assert np.array_equal(int_gram(small), small.astype(object).T @ small.astype(object))
-    # past 2**53 float64 would round, so it is refused
+    assert int_gram(small).dtype == np.int32
+    # 4 * 2047**2 lies below 2**24, with odd Gram entries that a rounding
+    # float type would move
+    m = rng.randint(-2047, 2048, size=(4, 30))
+    m[:, 0] = 2047
+    assert np.array_equal(int_gram(m), m.astype(object).T @ m.astype(object))
+    # from 2**24 on float32 would round, so it is refused
     big = rng.randint(-(2**24), 2**24, size=(300, 5))
-    for m in (big, big.astype(np.int32), np.full((4, 2), 2**31, dtype=np.int64), np.full((2, 1), 2**26)):
+    for m in (big, big.astype(np.int32), np.full((4, 2), 2**31, dtype=np.int64), np.full((5, 30), 2047)):
         with pytest.raises(OverflowError):
             int_gram(m)
-    # the largest bound below 2**53 is still exact
-    assert int_gram(np.full((1, 1), 2**26)).tolist() == [[2**52]]
-    # float32 below a bound of 2**24, float64 from it on: 9 * 1864135 is
-    # 2**24 - 1, and 5 * 2047**2 is an odd Gram entry that float32 would round
-    assert int_gram(np.full((1864135, 1), 3)).tolist() == [[2**24 - 1]]
-    for rows, top in ((4, 2047), (4, 2048), (5, 2047)):  # bounds below, at and past 2**24
-        m = rng.randint(-top, top + 1, size=(rows, 30))
-        m[:, 0] = top
-        assert np.array_equal(int_gram(m), m.astype(object).T @ m.astype(object))
-    # int32 below a bound of 2**31, as on the float32 route, int64 from it on
-    assert int_gram(small).dtype == np.int32
-    assert int_gram(np.full((1, 1), 46340)).dtype == np.int32  # 46340**2 < 2**31
-    assert int_gram(np.full((1, 1), 46340)).tolist() == [[46340**2]]
-    assert int_gram(np.full((2, 1), 2**15)).dtype == np.int64  # 2 * (2**15)**2 = 2**31
-    assert int_gram(np.full((2, 1), 2**15)).tolist() == [[2**31]]
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
@@ -293,7 +306,11 @@ def test_byte_inputs_give_the_int64_results(dtype):
     wide_a, wide_b = a.astype(np.int64), b.astype(np.int64)
     assert np.array_equal(fp_matmul(a, b, p), fp_matmul(wide_a, wide_b, p))
     assert np.array_equal(fp_matmul(a, b, p), _python_matmul(wide_a, wide_b, p))
-    assert np.array_equal(int_gram(a), int_gram(wide_a))
+    # a Gram bound of 256 * 128**2 (int8) or 256 * 255**2 (uint8) is below
+    # 2**24; the whole of a passes it and is refused
+    assert np.array_equal(int_gram(a[:256]), int_gram(wide_a[:256]))
+    with pytest.raises(OverflowError):
+        int_gram(a)
 
     gram = int_gram(rng.randint(-1, 2, size=(30, 40))) % p
     byte_gram = gram.astype(np.uint8) if dtype == np.uint8 else (gram - p * (gram > 127)).astype(np.int8)
@@ -361,12 +378,16 @@ def _rref_cases(rng, p):
         yield np.zeros(shape, dtype=np.int64)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 23, 29, 211, 4093, 4099, 5791, 5801, 8388593])
+@pytest.mark.parametrize("p", [3, 5, 7, 23, 29, 211, 251, 4093, 4099, 5791, 5801, 8388593])
 def test_fp_rref_matches_python_integer_elimination(p):
     # 23 is the largest prime eliminated in int16 and 29 the first in
-    # int32, 5791 the largest in int32 and 5801 the first in int64;
-    # 8388593, the largest prime products accept, has the smallest chunk
-    # (128 terms).  fp_rank reads the same rank without the reduced form.
+    # int32; 251 is the largest prime the kernels take.  fp_rank reads the
+    # same rank without the reduced form.  The primes once eliminated at
+    # the switch from int32 to int64 (5791 and 5801) and near it, and the
+    # largest prime products took, are refused.
+    a = np.array([[1, 2, 3], [4, 5, 6]])
+    if _refused(p, lambda: fp_rref(a, p), lambda: fp_rank(a, p)):
+        return
     rng = np.random.RandomState(p % 1009)
     for a in _rref_cases(rng, p):
         got, pivots = fp_rref(a, p)
@@ -404,13 +425,13 @@ def test_byte_matrices_are_eliminated_as_their_residues(dtype):
 def test_delayed_reduction_holds_at_its_tightest_bound():
     # The per-pivot loop subtracts each rank-1 update unreduced, up to
     # (p - 1)**2 per pivot.  At the largest prime of each type (23 in
-    # int16, 5791 in int32, 8388593 in int64) and the first past int16
-    # and int32 (29 and 5801), a full-rank square of 2 * _PANEL columns
+    # int16, 251 in int32) and the first past int16 (29), a full-rank
+    # square of 2 * _PANEL columns
     # puts all its pivots through one loop, and a 3 * _PANEL square has
     # every panel of the blocked elimination find _PANEL pivots; entries
     # in [p - 16, p) make the first updates the largest residue products.
     rng = np.random.RandomState(17)
-    for p in (23, 29, 5791, 5801, 8388593):
+    for p in (23, 29, 251):
         for n in (2 * _PANEL, 3 * _PANEL):
             a = rng.randint(p - min(p - 1, 16), p, size=(n, n))
             kept = a.copy()
@@ -441,10 +462,15 @@ def _identity_led(p, panels):
 def test_the_trailing_bound_forces_reductions_mid_elimination(p, limit):
     # Panel updates are subtracted from the rest of the matrix unreduced,
     # _PANEL * (p - 1)**2 per full panel, until one more would pass the
-    # limit of the elimination's type: at 23 in int16 after two panels, at
-    # 4093 in int32 after four.  On six identity-led panels every update
-    # reaches that bound, so without the reductions entries would wrap.
-    panels = 2 if p == 23 else 4
+    # limit of the elimination's type: at 23 in int16 after two panels.
+    # On six identity-led panels every update reaches that bound, so
+    # without the reductions entries would wrap.  4093, which int32 took
+    # for four panels, is refused; at every p below 2**8 the int32 bound
+    # lies past a thousand panels, and tests/test_bounds.py drives it at a
+    # lowered limit.
+    if _refused(p, lambda: fp_rref(_identity_led(p, 2), p)):
+        return
+    panels = 2
     assert panels * _PANEL * (p - 1) ** 2 + p < limit <= (panels + 1) * _PANEL * (p - 1) ** 2 + p
     rng = np.random.RandomState(29)
     square = _identity_led(p, 6)
@@ -466,7 +492,7 @@ def test_int64_extremes_are_reduced_without_wrapping():
     # int64 range on them, so input is reduced by np.remainder
     info = np.iinfo(np.int64)
     rng = np.random.RandomState(19)
-    for p, cols in ((3, _PANEL), (211, 2 * _PANEL + 3), (8388593, 2 * _PANEL + 3)):
+    for p, cols in ((3, _PANEL), (211, 2 * _PANEL + 3), (251, 2 * _PANEL + 3)):
         a = rng.randint(-(2**62), 2**62, size=(12, cols), dtype=np.int64)
         a[::2, ::3] = info.min
         a[1::2, 1::3] = info.max
@@ -546,12 +572,12 @@ def test_byte_residues_match_the_int64_remainder():
     # entries in [-p, p], which it does not; and an empty array
     rows = max(2 * _ROW_BLOCK, 2 * rings._BYTE_ENTRIES // 256) + 5
     a = (np.arange(rows * 256) % 256 - 128).reshape(rows, 256)
-    for p in (3, 211, 8388593):
+    for p in (3, 211, 251):
         for case in (a, np.sign(a) * (np.abs(a) % p), np.clip(a, -p, p)):
             for dtype in (np.int8, np.uint8):
                 b = (case if dtype == np.int8 else np.abs(case)).astype(dtype)
                 got = residues(b, p)
-                assert got.dtype == np.min_scalar_type(p - 1)
+                assert got.dtype == np.uint8
                 assert np.array_equal(got, np.remainder(b.astype(np.int64), p)), (p, dtype)
         assert np.array_equal(residues(a, p), np.remainder(a, p))
         assert residues(np.zeros((0, 3), dtype=np.int8), p).shape == (0, 3)

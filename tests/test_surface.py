@@ -320,7 +320,7 @@ def test_component_action_matches_the_fraction_oracle():
     # the basis has full column rank, so they are the only solution; the
     # mod-p matrices are their residues
     rng = random.Random(15)
-    q = 8388593
+    q = 251  # the largest prime the kernels take
     for g in (1, 2, 3):
         for j in range(1, g + 2):
             basis = lefschetz_basis(j, g)
