@@ -219,7 +219,7 @@ SCHEMA = {
         "p": Param("prime", "an odd prime", True, lo=3, hi=211),
     }),
     "alexander": Command("weighted trace and its reductions", {
-        "g": Param("int", "genus", True, lo=0, hi=5),
+        "g": Param("int", "genus", True, lo=0, hi=6),
         "word": Param("word", "token word, e.g. 'S1 U2 P1'; random when absent", lo=0, hi=1000),
         "p": Param("prime", "an odd prime", lo=3, hi=211),
         "length": Param("int", "length of the random word", default=4, lo=0, hi=1000),

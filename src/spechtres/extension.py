@@ -185,17 +185,13 @@ def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarra
     component basis at index j to the one at index j + m_deg: the exact
     matrix as int64 residues.  F = mu(omega) commutes with mu(x), so mu(x)
     maps ker F into ker F, where the blocks' unitriangular squares give
-    integral coordinates."""
+    integral coordinates.  A target index past g + 1 is the empty
+    component, and the matrix has no rows."""
     if not x.is_zero() and x.is_homogeneous() != m_deg:
         raise ValueError(f"x must be homogeneous of degree {m_deg}")
-    g = x.g
-    tgt_j = j + m_deg
-    if tgt_j > g + 1:
-        # a label past g + 1 is the zero space, as in _factor_dim
-        return np.zeros((0, lefschetz_basis(j, g).dim if j <= g + 1 else 0), dtype=np.int64)
-    src = lefschetz_basis(j, g)
+    src = lefschetz_basis(j, x.g)
     jx = calibrate(x)
-    tgt = lefschetz_basis(tgt_j, g)
+    tgt = lefschetz_basis(j + m_deg, x.g)
     exact = tgt.coords(tgt.columns([_contract(jx, v) for v in src.vectors]))
     return _reduced(exact, p)
 
@@ -205,8 +201,6 @@ def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
     quotients of the two components; AssertionError when it does not
     descend, sending a source radical vector outside the target radical."""
     full = mu_component_map(p, j, m_deg, x)
-    if j + m_deg > x.g + 1:
-        return np.zeros((0, _factor_dim(p, j, x.g)), dtype=np.int64)
     return component_quotient(p, j + m_deg, x.g).quotient_matrix(full, component_quotient(p, j, x.g))
 
 
@@ -260,21 +254,15 @@ class BlockModule:
 
     @property
     def top_dim(self) -> int:
-        return _factor_dim(self.p, self.j, self.g)
+        return component_quotient(self.p, self.j, self.g).quotient_dim
 
     @property
     def bottom_dim(self) -> int:
-        return _factor_dim(self.p, self.j + self.m_deg, self.g)
-
-
-def _factor_dim(p: int, label: int, g: int) -> int:
-    return 0 if label > g + 1 else component_quotient(p, label, g).quotient_dim
+        return component_quotient(self.p, self.j + self.m_deg, self.g).quotient_dim
 
 
 @lru_cache(maxsize=None)
 def _factor_action(p: int, label: int, g: int, word: tuple) -> np.ndarray:
-    if label > g + 1:
-        return np.zeros((0, 0), dtype=np.int64)
     return component_quotient(p, label, g).quotient_matrix(lefschetz_action_matrix(list(word), label, g))
 
 
@@ -298,8 +286,7 @@ def block_action_matrix(elem: JmElement, mod: BlockModule) -> np.ndarray:
     out = np.zeros((dt + db, dt + db), dtype=np.int64)
     out[:dt, :dt] = a_top
     out[dt:, dt:] = a_bot
-    if db and dt:
-        out[dt:, :dt] = fp_matmul(c, a_top, p)
+    out[dt:, :dt] = fp_matmul(c, a_top, p)
     return out
 
 
@@ -332,8 +319,8 @@ def nonsplit_witness(p: int, k: int, g: int) -> dict:
     """
     jm_label(p, k)
     _, _, complement, masks = form_quotient_data(p, 3, g)
-    tgt_dim = _factor_dim(p, k + 3, g)
-    src_dim = _factor_dim(p, k, g)
+    tgt_dim = component_quotient(p, k + 3, g).quotient_dim
+    src_dim = component_quotient(p, k, g).quotient_dim
     report = {
         "p": p,
         "k": k,

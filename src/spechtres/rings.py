@@ -59,7 +59,7 @@ __all__ = [
     "fp_rank",
     "fp_inverse",
     "GramQuotient",
-    "int_det",
+    "int_charpoly",
     "SparseVector",
     "LaurentInt",
     "power",
@@ -591,30 +591,30 @@ class GramQuotient:
 
 
 # ---------------------------------------------------------------------------
-# exact integer determinants
+# exact characteristic polynomials
 
 
-def int_det(a) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(map(int, row)) for row in a]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * prev
+def int_charpoly(a) -> list[int]:
+    """Coefficients e_0..e_n of det(I + t a) for an n x n integer matrix, in
+    Python ints; e_d is the sum of the principal d x d minors, and e_n the
+    determinant.  By the Faddeev-LeVerrier recurrence: b_0 = I, e_k =
+    tr(a b_(k-1)) / k, and b_k = e_k I - a b_(k-1).  Raises ValueError for a
+    matrix that is not square."""
+    rows = [list(map(int, row)) for row in a]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("characteristic polynomial needs a square matrix")
+    m = np.array(rows, dtype=object).reshape(n, n)
+    coeffs = [1]
+    b = np.identity(n, dtype=object)
+    for k in range(1, n + 1):
+        ab = m @ b
+        e, rem = divmod(int(np.trace(ab)), k)
+        assert not rem, "Faddeev-LeVerrier division must be exact"
+        coeffs.append(e)
+        b = -ab
+        b[np.diag_indices(n)] += e
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

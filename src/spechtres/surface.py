@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .rings import (
     _reduced,
     read_only,
     LaurentInt,
-    int_det,
+    int_charpoly,
     int_gram,
     cyclotomic_eval,
     CyclotomicElem,
@@ -676,9 +675,11 @@ def tableau_raising_rule(top, bottom, i: int, lam) -> dict:
 
 def lefschetz_weights(j: int, g: int) -> list[tuple[int, ...]]:
     """Weights contributing to the j-th lowest-weight component: those
-    whose zero set has n elements with j a diagonal weight on n letters."""
-    if not 1 <= j <= g + 1:
-        raise ValueError(f"component index {j} out of range for genus {g}")
+    whose zero set has n elements with j a diagonal weight on n letters.
+    As n <= g, there are none past j = g + 1: such a label is the empty
+    component."""
+    if j < 1:
+        raise ValueError(f"component index {j} out of range")
     return [lam for lam in nabla_weights(g) if j in diagram_weights(len(zero_set(lam)))]
 
 
@@ -726,6 +727,7 @@ class LefschetzBasis:
         """
         return np.concatenate(
             [basis_solver(None, n, self.j).coords(signs[:, None] * columns[rows]) for n, rows, signs in self.blocks]
+            or [np.empty((0, columns.shape[1]), dtype=object)]
         )
 
 
@@ -743,7 +745,7 @@ def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
         words = weight_class_masks(n, Diagram2.from_weight(n, j).b)[0]
         signs, images = zip(*(_upsilon_monomial(lam, w, g) for w in words))
         blocks.append((n, read_only(np.array([index[m] for m in images])), read_only(np.array(signs))))
-    covered = np.sort(np.concatenate([rows for _, rows, _ in blocks]))
+    covered = np.sort(np.concatenate([rows for _, rows, _ in blocks] or [np.empty(0, dtype=np.intp)]))
     assert np.array_equal(covered, np.arange(len(index))), "weight blocks must partition the monomials"
     return LefschetzBasis(j, g, vectors, degree, masks, tuple(blocks))
 
@@ -798,16 +800,16 @@ def alexander_trace(word, g: int) -> AlexanderTrace:
     """Trace of y^(-H) times a group word, as an exact Laurent polynomial,
     with exact traces on the lowest-weight components.
 
-    A degree-d monomial adds to the coefficient of y^(g-d) its diagonal
-    entry in the exterior power of W = M_1 ... M_k, the word's 2g x 2g
-    matrix in Python ints: the principal minor of W on its generators.  The
+    The degree-d forms add tr Lambda^d W to the coefficient of y^(g-d), W =
+    M_1 ... M_k the word's 2g x 2g matrix in Python ints, so the weighted
+    trace is y^g det(I + y^(-1) W), read off rings.int_charpoly(W).  The
     component traces come from W acting on the component bases, not from
-    its minors."""
+    its characteristic polynomial."""
     require_group_word(word)
     w = word_matrix(word, g)
-    poly = {g - d: sum(int_det(w[np.ix_(s, s)]) for s in combinations(range(2 * g), d)) for d in range(2 * g + 1)}
+    poly = {g - d: e for d, e in enumerate(int_charpoly(w))}
     actions = tuple(read_only(_component_action(w, j, g)) for j in range(1, g + 2))
-    traces = tuple(int(np.trace(mat)) if mat.size else 0 for mat in actions)
+    traces = tuple(int(np.trace(mat)) for mat in actions)
     return AlexanderTrace(g, LaurentInt(poly), traces, actions)
 
 
@@ -822,11 +824,12 @@ def modular_quotient_trace(p: int, j: int, at: AlexanderTrace) -> int:
     component of the word whose alexander_trace is `at`, read off the exact
     component matrix it keeps.  Radical invariance is verified on every
     call."""
-    if j > at.g + 1:
+    # a label past g + 1 is the empty component, whose trace is 0; `alexander
+    # --p 211` asks for all 210 labels, and at most g + 1 <= 7 of them have
+    # a basis, so this skips building an empty component for each of the rest
+    if j > len(at.component_actions):
         return 0
     q = component_quotient(p, j, at.g)
-    if not len(q.pivot_idx):  # read off the reduced form the trace needs
-        return 0
     return int(np.trace(q.quotient_matrix(at.component_actions[j - 1]))) % p
 
 

@@ -370,7 +370,7 @@ def test_long_random_word_passes_all_three_checks():
         ({"command": "dims", "p": 223, "g": 2}, []),
         ({"command": "dims", "p": 5, "g": 101}, []),
         ({"command": "fusion", "p": 223}, []),
-        ({"command": "alexander", "g": 6}, []),
+        ({"command": "alexander", "g": 7}, []),
         ({"command": "alexander", "g": 2, "length": 1001}, []),
         ({"command": "alexander", "g": 1, "word": "S1 " * 1001}, []),
         ({"command": "alexander", "g": 2, "p": 223}, []),
@@ -582,6 +582,7 @@ _CORNERS = [
     {"command": "alexander", "g": 0, "p": 211, "length": 1000},
     {"command": "alexander", "g": 5, "length": 0},
     {"command": "alexander", "g": 5, "length": 1000, "p": 211},
+    {"command": "alexander", "g": 6, "length": 1000, "p": 211},
     {"command": "alexander", "g": 1, "word": "S1 U1 " * 500},
     {"command": "jm", "p": 5, "k": 1, "g": 0, "pairs": 0},
     {"command": "jm", "p": 211, "k": 1, "g": 0, "pairs": 1000},

@@ -30,6 +30,7 @@ from spechtres.extension import (
     operator_matrix,
     strand_resolution_check,
     wedge_pair_identities,
+    _factor_action,
 )
 from spechtres.tensor import weight_class_masks
 
@@ -248,6 +249,25 @@ def test_block_action_identities():
     x = ExteriorVector.monomial(g, masks[complement[0]])
     prod = jm_multiply(JmElement(x, 2, ()), JmElement(-1 * x, 2, ()), g)
     assert np.array_equal(block_action_matrix(prod, mod), np.eye(d, dtype=np.int64))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_a_label_past_the_top_is_the_empty_component(g):
+    # at p = 7, k = 2 the bottom label 5 lies past g + 1: its component has
+    # no basis, and the block module is its top factor alone
+    rng = random.Random(g)
+    p, k = 7, 2
+    mod = block_module(p, k, 3, g)
+    assert mod.bottom_dim == 0 and mod.top_dim == surface.component_quotient(p, k, g).quotient_dim > 0
+    masks = weight_class_masks(2 * g, 3)[0]
+    for _ in range(10):
+        x = ExteriorVector(g, {masks[rng.randrange(len(masks))]: rng.randrange(1, p) for _ in range(2)})
+        assert mu_component_map(p, k, 3, x).shape == (0, surface.lefschetz_basis(k, g).dim)
+        assert mu_induced(p, k, 3, x).shape == (0, mod.top_dim)
+        word = tuple(random_group_word(g, rng.randrange(0, 4), rng))
+        assert _factor_action(p, k + 3, g, word).shape == (0, 0)
+        elem = JmElement(x, rng.randrange(1, p), word)
+        assert np.array_equal(block_action_matrix(elem, mod), _factor_action(p, k, g, word))
 
 
 def test_bottom_factor_is_invariant():

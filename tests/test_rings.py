@@ -1,5 +1,6 @@
 import operator
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -18,14 +19,14 @@ from spechtres.rings import (
     fp_inverse,
     fp_rank,
     fp_rref,
-    int_det,
+    int_charpoly,
     int_gram,
     power,
     quantum_integer,
     residues,
     zeta_quantum,
 )
-from spechtres.surface import ExteriorVector
+from spechtres.surface import ExteriorVector, random_group_word, word_matrix
 from spechtres.tensor import TensorVector, weight_class_masks
 
 
@@ -66,10 +67,66 @@ def test_rank_kernel_properties_random():
 
 
 def test_int_det():
-    assert int_det([[2, 1], [1, 1]]) == 1
-    assert int_det([[0, 1], [1, 0]]) == -1
-    assert int_det([[1, 2], [2, 4]]) == 0
-    assert int_det([]) == 1
+    # the determinant is the top coefficient of det(I + t a)
+    assert int_charpoly([[2, 1], [1, 1]])[-1] == 1
+    assert int_charpoly([[0, 1], [1, 0]])[-1] == -1
+    assert int_charpoly([[1, 2], [2, 4]])[-1] == 0
+    assert int_charpoly([]) == [1]
+
+
+def _bareiss_det(a) -> int:
+    """Reference determinant of an integer matrix by fraction-free (Bareiss)
+    elimination."""
+    m = [list(map(int, row)) for row in a]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * prev
+
+
+def _check_charpoly(a):
+    a = np.array(a, dtype=object).reshape(len(a), len(a))
+    n = len(a)
+    coeffs = int_charpoly(a)
+    assert len(coeffs) == n + 1 and all(type(c) is int for c in coeffs)
+    for d in range(n + 1):
+        assert coeffs[d] == sum(_bareiss_det(a[np.ix_(s, s)]) for s in combinations(range(n), d)), (a, d)
+    assert coeffs[n] == _bareiss_det(a)
+
+
+def test_int_charpoly_is_the_sum_of_principal_minors():
+    rng = random.Random(11)
+    for n in range(7):
+        for trial in range(12):
+            a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+            if n and trial == 1:
+                a[rng.randrange(n)] = [0] * n  # a zero row
+            if n > 1 and trial == 2:
+                a[0] = [2 * x - y for x, y in zip(a[1], a[-1])]  # a dependent row
+            _check_charpoly(a)
+    assert int_charpoly([]) == [1] and int_charpoly(np.zeros((0, 0), dtype=np.int64)) == [1]
+    _check_charpoly([[rng.randrange(-(10**40), 10**40) for _ in range(10)] for _ in range(10)])
+    for g in range(5):
+        for _ in range(50):
+            _check_charpoly(word_matrix(random_group_word(g, rng.randrange(12), rng), g))
+
+
+def test_int_charpoly_refuses_non_square_input():
+    for a in ([[1, 2, 3], [4, 5, 6]], np.zeros((2, 3), dtype=np.int64), [[1, 2], [3]], [[1]] * 2):
+        with pytest.raises(ValueError):
+            int_charpoly(a)
 
 
 def test_quantum_integer_small_values():
@@ -138,7 +195,7 @@ def test_quantum_basis_unimodular():
             ks = [k for k in range(1, p) if k % 2 == parity]
             rows = [zeta_quantum(p, k).invariant_coords() for k in ks]
             assert len(rows) == (p - 1) // 2
-            assert abs(int_det(rows)) == 1
+            assert abs(int_charpoly(rows)[-1]) == 1
 
 
 def test_invariant_coords_rejects_non_invariant():

@@ -7,7 +7,7 @@ import pytest
 
 from spechtres import surface
 from spechtres.dims import catalan, verlinde_dim
-from spechtres.rings import CyclotomicElem, GramQuotient, LaurentInt, fp_rref, int_det, int_gram, zeta_quantum
+from spechtres.rings import CyclotomicElem, GramQuotient, LaurentInt, fp_rref, int_charpoly, int_gram, zeta_quantum
 from spechtres.specht import Diagram2, standard_tableaux
 from spechtres.surface import (
     DecompositionError,
@@ -292,8 +292,14 @@ def test_lefschetz_dims():
                 if (n - (j - 1)) % 2 == 0
             )
             assert lefschetz_basis(j, g).dim == expected
-    with pytest.raises(ValueError):
-        lefschetz_weights(4, 2)
+    # a label past g + 1 is the empty component
+    for g in (0, 1, 2, 3, 4):
+        assert lefschetz_weights(g + 2, g) == []
+        assert lefschetz_basis(g + 2, g).dim == 0
+        for p in (3, 5, 7):
+            assert component_quotient(p, g + 2, g).quotient_dim == 0
+        with pytest.raises(ValueError):
+            lefschetz_weights(0, g)
 
 
 def test_lefschetz_vectors_are_lowest_weight():
@@ -564,7 +570,7 @@ def test_matrix_tokens_act_by_their_minors():
             for d in range(2 * g + 1):
                 subsets = list(combinations(range(2 * g), d))
                 for cols in subsets:
-                    minors = {sum(1 << r for r in rows): int_det(m[np.ix_(rows, cols)]) for rows in subsets}
+                    minors = {sum(1 << r for r in rows): int_charpoly(m[np.ix_(rows, cols)])[-1] for rows in subsets}
                     image = apply_token(tok, ExteriorVector.monomial(g, sum(1 << c for c in cols)))
                     assert image == ExteriorVector(g, minors), (g, tok, cols)
 
