@@ -343,11 +343,7 @@ def _run_dims(params, rng) -> tuple[dict, list]:
     p, g = params["p"], params["g"]
     profile = dims_mod.verlinde_profile(p, g)
     assembled = tuple(
-        sum(
-            dims_mod.binom(g, n) * 2 ** (g - n) * dims_mod.d_dim(p, n, k)
-            for n in range(g + 1)
-            if k in res_mod.complex_labels(p, n)
-        )
+        sum(count * dims_mod.d_dim(p, n, k) for n, count in surf_mod.lefschetz_block_counts(k, g))
         for k in range(1, p)
     )
     checks = [
@@ -490,18 +486,12 @@ def _selftest_jobs(quick: bool, seed: int) -> list[Job]:
         for n in range(1, n_max + 1):
             for k in res_mod.complex_labels(p, n):
                 jobs.append(Job("resolve", {"p": p, "n": n, "k": k}))
-    char_n = 5 if quick else 9
-    for p in (3, 5, 7):
-        for n in range(2, char_n + 1):
-            for k in reversed(res_mod.complex_labels(p, n)):
-                tau = Diagram2.from_weight(n, k)
-                jobs.append(Job("character", {"p": p, "tau": [tau.a, tau.b]}))
-    fac_n = 8 if quick else 12
-    for p in (3, 5, 7):
-        for n in range(2, fac_n + 1):
-            for k in reversed(res_mod.complex_labels(p, n)):
-                tau = Diagram2.from_weight(n, k)
-                jobs.append(Job("factors", {"p": p, "tau": [tau.a, tau.b]}))
+    for command, top_n in (("character", 5 if quick else 9), ("factors", n_max)):
+        for p in (3, 5, 7):
+            for n in range(2, top_n + 1):
+                for k in reversed(res_mod.complex_labels(p, n)):
+                    tau = Diagram2.from_weight(n, k)
+                    jobs.append(Job(command, {"p": p, "tau": [tau.a, tau.b]}))
     for p in (3, 5, 7):
         for g in range(0, (4 if quick else 5) + 1):
             jobs.append(Job("dims", {"p": p, "g": g}))

@@ -364,18 +364,21 @@ def perron_norms(p: int) -> tuple[float, float]:
     return big, small
 
 
-def _dominant_eigenvalue(mat: np.ndarray, tol: float = 1e-13, max_iter: int = 100000) -> float:
+_POWER_TOL, _POWER_STEPS = 1e-13, 100000
+
+
+def _dominant_eigenvalue(mat: np.ndarray) -> float:
     v = np.ones(mat.shape[0], dtype=float)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         w = mat @ v
         nrm = np.linalg.norm(w)
         if nrm == 0:
             return 0.0
         w /= nrm
         new_lam = float(w @ (mat @ w))
-        if abs(new_lam - lam) < tol:
+        if abs(new_lam - lam) < _POWER_TOL:
             return new_lam
         lam, v = new_lam, w
     return lam

@@ -628,7 +628,8 @@ class SparseVector:
 
     The one arithmetic of tensor.TensorVector (keys: sign words),
     surface.ExteriorVector (keys: exterior monomials), LaurentInt and
-    CyclotomicElem (keys: exponents).  A subclass names its `space`, the
+    CyclotomicElem (keys: exponents), and the one linear extension of an
+    operator's rule on a key (image).  A subclass names its `space`, the
     attributes that both operands of +, -, == and dot must share and that
     its constructor takes before the coefficients (or overrides _like, which
     builds every result), and its messages for an operand from another
@@ -699,6 +700,17 @@ class SparseVector:
         """The symmetric bilinear form for which the keys are orthonormal."""
         small, large = sorted((self.coeffs, self._operand(other).coeffs), key=len)
         return sum(c * large.get(k, 0) for k, c in small.items())
+
+    def image(self, rule, target=None):
+        """The linear extension of `rule`, which gives the image of one key
+        as (key, coefficient) pairs: the sum of c * c' over the terms, built
+        by the _like of `target`, a vector of the target space (this
+        vector's own space when None), so zero coefficients drop."""
+        out: dict = {}
+        for k, c in self.coeffs.items():
+            for k2, c2 in rule(k):
+                out[k2] = out.get(k2, 0) + c * c2
+        return (self if target is None else target)._like(out)
 
     @staticmethod
     def columns(vectors, index, dtype) -> np.ndarray:
@@ -914,10 +926,7 @@ def cyclotomic_eval(f: LaurentInt, p: int, sign: int = 1, mod_p: bool = False) -
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    powers = {}
-    for e, c in f.coeffs.items():
-        s = c if (sign == 1 or e % 2 == 0) else -c
-        powers[e] = powers.get(e, 0) + s
+    powers = {e: c if sign == 1 or e % 2 == 0 else -c for e, c in f.coeffs.items()}
     return CyclotomicElem.from_powers(p, powers, p if mod_p else None)
 
 

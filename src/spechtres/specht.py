@@ -157,20 +157,12 @@ def polytabloid(t: Tableau2) -> TensorVector:
     Expanding the product of (1 - column swap) over the b height-2 columns
     gives 2^b distinct words with coefficients +-1.
     """
-    n = t.n
-    base = 0
-    for j in t.bottom:
-        base |= 1 << (j - 1)
-    cols = t.columns()
-    out = {}
-    for r in range(len(cols) + 1):
-        for chosen in combinations(range(len(cols)), r):
-            mask = base
-            for k in chosen:
-                i, j = cols[k]
-                mask ^= (1 << (i - 1)) | (1 << (j - 1))
-            out[mask] = out.get(mask, 0) + (-1) ** r
-    return TensorVector(n, out)
+    base = sum(1 << (j - 1) for j in t.bottom)
+    # the columns are disjoint, so a choice of swaps flips the sum of its masks
+    cols = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in t.columns()]
+    return TensorVector(
+        t.n, {base ^ sum(chosen): (-1) ** r for r in range(len(cols) + 1) for chosen in combinations(cols, r)}
+    )
 
 
 def standard_tableaux(diag: Diagram2) -> list[Tableau2]:

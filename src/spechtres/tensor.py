@@ -62,6 +62,14 @@ def format_word(mask: int, n: int) -> str:
     return "".join("+" if mask >> j & 1 else "-" for j in range(n))
 
 
+def set_bits(mask: int):
+    """The one-bit masks of the set bits of mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
 def apply_sl2(gen: str, v: TensorVector) -> TensorVector:
     """Apply one of the generators E, F, H site-wise.
 
@@ -69,29 +77,14 @@ def apply_sl2(gen: str, v: TensorVector) -> TensorVector:
     H is diagonal with eigenvalue (#plus - #minus) on every word.
     """
     n = v.n
-    out: dict[int, int] = {}
-    if gen == "H":
-        for w, c in v.coeffs.items():
-            k = (2 * w.bit_count() - n) * c
-            if k:
-                out[w] = out.get(w, 0) + k
-    elif gen == "E":
-        for w, c in v.coeffs.items():
-            free = ~w & ((1 << n) - 1)
-            while free:
-                bit = free & -free
-                out[w | bit] = out.get(w | bit, 0) + c
-                free ^= bit
-    elif gen == "F":
-        for w, c in v.coeffs.items():
-            setbits = w
-            while setbits:
-                bit = setbits & -setbits
-                out[w ^ bit] = out.get(w ^ bit, 0) + c
-                setbits ^= bit
-    else:
+    rules = {
+        "E": lambda w: ((w | bit, 1) for bit in set_bits(~w & ((1 << n) - 1))),
+        "F": lambda w: ((w ^ bit, 1) for bit in set_bits(w)),
+        "H": lambda w: ((w, 2 * w.bit_count() - n),),
+    }
+    if gen not in rules:
         raise ValueError(f"unknown generator {gen!r}")
-    return TensorVector(n, out)
+    return v.image(rules[gen])
 
 
 inner_product = TensorVector.dot
@@ -104,14 +97,8 @@ def perm_action(sigma, v: TensorVector) -> TensorVector:
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("not a permutation of 1..n")
-    out: dict[int, int] = {}
-    for w, c in v.coeffs.items():
-        m = 0
-        for i in range(n):
-            if w >> i & 1:
-                m |= 1 << (sigma[i] - 1)
-        out[m] = out.get(m, 0) + c
-    return TensorVector(n, out)
+    targets = [1 << (s - 1) for s in sigma]
+    return v.image(lambda w: ((sum(t for i, t in enumerate(targets) if w >> i & 1), 1),))
 
 
 def coev_ev(kind: str, k: int, v: TensorVector) -> TensorVector:
@@ -126,31 +113,25 @@ def coev_ev(kind: str, k: int, v: TensorVector) -> TensorVector:
         if not 1 <= k <= n + 1:
             raise ValueError(f"coev slot {k} out of range for length {n}")
         low = (1 << (k - 1)) - 1
-        out: dict[int, int] = {}
-        for w, c in v.coeffs.items():
-            head = w & low
-            tail = (w >> (k - 1)) << (k + 1)
-            base = head | tail
-            plus_second = base | (1 << k)
-            plus_first = base | (1 << (k - 1))
-            out[plus_second] = out.get(plus_second, 0) + c
-            out[plus_first] = out.get(plus_first, 0) - c
-        return TensorVector(n + 2, out)
+
+        def insert(w):
+            base = (w & low) | ((w >> (k - 1)) << (k + 1))
+            return ((base | (1 << k), 1), (base | (1 << (k - 1)), -1))
+
+        return v.image(insert, TensorVector(n + 2))
     if kind == "ev":
         if n < 2 or not 1 <= k <= n - 1:
             raise ValueError(f"ev slot {k} out of range for length {n}")
-        out = {}
-        for w, c in v.coeffs.items():
+        low = (1 << (k - 1)) - 1
+
+        def contract(w):
             pair = (w >> (k - 1)) & 3
             if pair in (0, 3):
-                continue
-            head = w & ((1 << (k - 1)) - 1)
-            tail = (w >> (k + 1)) << (k - 1)
-            m = head | tail
+                return ()
             # (-,+) contracts to -1, (+,-) to +1: ev = -(coev adjoint)
-            s = -c if pair == 2 else c
-            out[m] = out.get(m, 0) + s
-        return TensorVector(n - 2, out)
+            return (((w & low) | ((w >> (k + 1)) << (k - 1)), -1 if pair == 2 else 1),)
+
+        return v.image(contract, TensorVector(n - 2))
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -840,3 +840,43 @@ def test_vectors_of_different_types_do_not_mix(v, w, error):
         with pytest.raises(error):
             op(v, w)
     assert v != w
+
+
+def test_image_sums_the_images_of_keys_that_meet():
+    v = TensorVector(2, {0b01: 2, 0b10: 3})
+    # both words go to the all-plus word, with coefficients 5 and -1
+    got = v.image(lambda w: ((0b11, 5 if w == 0b01 else -1),))
+    assert got == TensorVector(2, {0b11: 2 * 5 + 3 * -1}) and got.n == 2
+
+
+def test_image_drops_the_keys_whose_terms_cancel():
+    v = LaurentInt({0: 1, 1: 1})
+    got = v.image(lambda e: ((7, 1 if e else -1), (e, 2)))
+    assert got.coeffs == {0: 2, 1: 2} and 7 not in got.coeffs
+    assert LaurentInt({3: 4}).image(lambda e: ((e, 0),)).coeffs == {}
+
+
+def test_image_of_the_empty_vector_is_empty():
+    def never(key):
+        raise AssertionError(f"rule called on {key}")
+
+    assert TensorVector(3).image(never) == TensorVector(3)
+    assert ExteriorVector(2).image(never, ExteriorVector(3)) == ExteriorVector(3)
+
+
+def test_image_builds_its_result_in_the_target_space():
+    got = TensorVector(1, {1: 4}).image(lambda w: ((w << 2, -1),), TensorVector(3))
+    assert got == TensorVector(3, {0b100: -4}) and got.n == 3
+    lifted = ExteriorVector(1, {0b11: 1}).image(lambda m: ((m | 0b1000, 1),), ExteriorVector(2))
+    assert lifted == ExteriorVector(2, {0b1011: 1}) and lifted.g == 2
+    # the target's key range is checked on construction
+    with pytest.raises(ValueError, match="does not fit in 1 positions"):
+        TensorVector(1, {1: 1}).image(lambda w: ((w << 1, 1),))
+
+
+def test_image_passes_on_what_the_rule_raises():
+    def refuse(key):
+        raise KeyError(key)
+
+    with pytest.raises(KeyError):
+        TensorVector(2, {0b10: 1}).image(refuse)

@@ -25,6 +25,7 @@ from spechtres.surface import (
     labeled_tableau_vector,
     lefschetz_action_matrix,
     lefschetz_basis,
+    lefschetz_block_counts,
     lefschetz_weights,
     lie_e_token,
     lie_f_token,
@@ -302,6 +303,18 @@ def test_lefschetz_dims():
             lefschetz_weights(0, g)
 
 
+def test_block_counts_assemble_the_component_dimensions():
+    for g in range(0, 5):
+        for j in range(1, g + 3):
+            counts = lefschetz_block_counts(j, g)
+            sizes = [len(zero_set(lam)) for lam in lefschetz_weights(j, g)]
+            assert counts == [(n, sizes.count(n)) for n in sorted(set(sizes))], (j, g)
+            dim = sum(count * catalan(n, Diagram2.from_weight(n, j).b) for n, count in counts)
+            assert dim == lefschetz_basis(j, g).dim, (j, g)
+        # the empty label past g + 1 has no blocks
+        assert lefschetz_block_counts(g + 2, g) == []
+
+
 def test_lefschetz_vectors_are_lowest_weight():
     for g in (1, 2, 3):
         for j in range(1, g + 2):
@@ -367,7 +380,7 @@ def test_weight_blocks_partition_the_degree_masks():
             for lam in lefschetz_weights(j, g):
                 n = len(zero_set(lam))
                 for w in weight_class_masks(n, (n + 1 - j) // 2)[0]:
-                    seen.append(_upsilon_monomial(lam, w, g)[1])
+                    seen.append(_upsilon_monomial(lam, w, g)[0])
             assert sorted(seen) == [m for m in range(1 << (2 * g)) if m.bit_count() == g - j + 1], (g, j)
 
 

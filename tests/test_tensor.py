@@ -110,6 +110,17 @@ def test_coev_examples():
         coev_ev("ev", 2, TensorVector.word(2, 0))
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_coev_ev_refuse_the_slots_past_either_end(n):
+    v = TensorVector.word(n, 0)
+    for k in (0, n + 2):
+        with pytest.raises(ValueError, match=f"^coev slot {k} out of range for length {n}"):
+            coev_ev("coev", k, v)
+    for k in (0, n):
+        with pytest.raises(ValueError, match=f"^ev slot {k} out of range for length {n}"):
+            coev_ev("ev", k, v)
+
+
 def test_coev_ev_composition_relations():
     rng = random.Random(5)
     for n in (1, 2, 3, 4):
