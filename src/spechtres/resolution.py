@@ -70,7 +70,7 @@ def e_power_map(p: int, n: int, c: int, c0: int) -> np.ndarray:
         raise ValueError(f"target weight {target} invalid")
     if c > n + 1:
         raise ValueError(f"weight {c} exceeds n+1={n + 1}")
-    return residues(basis_solver(p, n, target).coords(raised_basis_matrix(n, c, c0, p)), p)
+    return basis_solver(p, n, target).coords(raised_basis_matrix(n, c, c0, p))
 
 
 @dataclass

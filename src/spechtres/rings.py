@@ -11,19 +11,22 @@ off the reduced rows of the Gram without a basis of the radical.
 
 Everything here is exact.  Python integers cannot overflow.  Matrices over
 F_p are returned as int64 arrays of residues in [0, p); residues that are
-kept (cached bases) are stored in one byte each and widened before any
-arithmetic.
+kept (cached bases, coordinates) are stored in one byte each and widened
+before any arithmetic.
 
 Every kernel mod p takes the moduli below 2**8, which hold every prime a
 command accepts, and refuses a larger one with ValueError.  Each computes
-in the narrowest type that is exact for its bound, chosen from p and the
-operand shapes alone (the rule of FFLAS-FFPACK: the float type follows
-from k * (p - 1)**2 against its mantissa):
+in the narrowest type that is exact for its bound (the rule of
+FFLAS-FFPACK: the float type follows from k * max|a| * max|b| against its
+mantissa):
 - Products run through BLAS, one block of rows of the left operand at a
-  time, in float32 when every partial sum stays below 2**24 and otherwise
-  in float64, where it stays below 2**53 for any inner dimension below
-  10**11.  Every partial sum is then an integer the float type holds
-  exactly, so summation order cannot change a result.
+  time.  An operand with every entry in (-p, p), such as the signed 0/+-1
+  polytabloid basis, enters as it is, and any other as residues, of
+  magnitude at most p - 1.  The product runs in float32 when every
+  partial sum, at most inner * max|a| * max|b|, stays below 2**24 and
+  otherwise in float64, where it stays below 2**53 for any inner
+  dimension below 10**11.  Every partial sum is then an integer the float
+  type holds exactly, so summation order cannot change a result.
 - Gram matrices of integer matrices accumulate in float32, and a bound of
   2**24 or more is refused.
 - Elimination runs in int16 when the delayed reductions of its per-pivot
@@ -86,10 +89,12 @@ def is_prime(n: int) -> bool:
 # matrices over F_p
 
 # Every array a function here takes or returns holds residues in [0, p), or
-# is reduced on entry by _reduced, which cannot wrap.  Only the kernel's own
-# int16, int32 or int64 intermediates may be unreduced: the entries of the
-# eliminated matrix between its reductions, and sums and differences of
-# residues, all bounded inside their type (see _pivot_loop and _eliminate).
+# is reduced on entry by _reduced, which cannot wrap; a product also takes
+# an operand with entries in (-p, p) as it is (_row_products).  Only the
+# kernel's own int16, int32 or int64 intermediates may be unreduced: the
+# entries of the eliminated matrix between its reductions, and sums and
+# differences of residues, all bounded inside their type (see _pivot_loop
+# and _eliminate).
 # They are reduced by _reduce_in_place.  The elimination scan is fixed:
 # columns left to right, within a column the first nonzero entry from the
 # top.  The reduced form and its pivot columns are unique, so every basis
@@ -215,43 +220,68 @@ def residues(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _magnitude(a: np.ndarray, p: int) -> int | None:
+    """max|a| when every entry of a lies in (-p, p), so that a may enter a
+    product as it is, signed: the 0/+-1 polytabloid basis reads 1.  None
+    for any other array, and for an object array, which are reduced to
+    residues first."""
+    if a.dtype == object:
+        return None
+    if not a.size:
+        return 0
+    low, high = int(a.min()), int(a.max())
+    return max(-low, high) if -p < low and high < p else None
+
+
 def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     """Yield (rows, a[rows] @ b mod p) for consecutive blocks `rows` of
     _ROW_BLOCK rows of the 2-d array a, each product an array of residues:
     int32 from a float32 product, int64 from a float64 one.
 
-    b is reduced mod p and cast once; each block of a is reduced and cast
-    when its turn comes.  Every partial sum is at most inner * (p - 1)**2.
-    The operands are cast to float32 when that stays below 2**24, and to
-    float64 otherwise, where it stays below 2**53 for every inner
-    dimension below 10**11 at p < 2**8 (_exact_float).  Either way every
-    partial sum is an integer that the float type holds exactly, so BLAS
-    summation order, and so its thread count, cannot change the result.
-    Every block reuses one buffer each for its cast, its product and its
-    residues, so a yielded product is overwritten by the next one.
+    An operand whose entries all lie in (-p, p) enters the product as it
+    is, signed; any other is reduced to residues, whose magnitude is at
+    most p - 1: b once, each block of a when its turn comes.  Every partial
+    sum is then at most inner * max|a| * max|b| in magnitude, the two
+    maxima read off one min/max pass of each operand (_magnitude).  The
+    operands are cast to float32 when that bound stays below 2**24, and to
+    float64 otherwise, where it stays below 2**53 for every inner dimension
+    below 10**11 at p < 2**8 (_exact_float).  Either way every partial sum
+    is an integer that the float type holds exactly, so BLAS summation
+    order, and so its thread count, cannot change the result.  The bound
+    plus p is asserted to lie inside the integer type the product is
+    reduced in.  Every block reuses one buffer each for its cast, its
+    product and its residues, so a yielded product is overwritten by the
+    next one.
     """
     _check_modulus(p)
-    b = _reduced(b, p)
-    dtype = _exact_float(len(b) * (p - 1) ** 2)
-    # residues below 2**24 leave a float32 product as int32
+    a, b = np.asarray(a), np.asarray(b)
+    top_a, top_b = _magnitude(a, p), _magnitude(b, p)
+    if top_b is None:
+        b, top_b = _reduced(b, p), p - 1
+    bound = len(b) * (p - 1 if top_a is None else top_a) * top_b
+    dtype = _exact_float(bound)
+    # a float32 product, of magnitude below 2**24, is reduced in int32
     itype = np.int32 if dtype is np.float32 else np.int64
+    assert bound + p < _LIMIT[np.dtype(itype)]
     b = b.astype(dtype)
     cast = np.empty((min(_ROW_BLOCK, len(a)), a.shape[1]), dtype=dtype)
     product = np.empty((len(cast),) + b.shape[1:], dtype=dtype)
     out = np.empty(product.shape, dtype=itype)
     for lo in range(0, len(a), _ROW_BLOCK):
         rows, m = slice(lo, lo + _ROW_BLOCK), min(_ROW_BLOCK, len(a) - lo)
-        cast[:m] = _reduced(a[rows], p)
+        cast[:m] = a[rows] if top_a is not None else _reduced(a[rows], p)
         out[:m] = np.matmul(cast[:m], b, out=product[:m])
         yield rows, _reduce_in_place(out[:m], p)
 
 
 def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact a @ b mod p for a 2-d array a, as an int64 array of residues,
-    computed one block of rows of a at a time, in float32 when the whole
-    inner dimension keeps every partial sum below 2**24 and in float64
-    otherwise (see _row_products).  A modulus of 2**8 or more is refused
-    with ValueError."""
+    computed one block of rows of a at a time.  Operands with entries in
+    (-p, p), such as the signed 0/+-1 polytabloid basis, are multiplied as
+    they are, others as residues; the product runs in float32 when inner *
+    max|a| * max|b| stays below 2**24 and in float64 otherwise (see
+    _row_products).  A modulus of 2**8 or more is refused with
+    ValueError."""
     out = np.empty((len(a),) + np.shape(b)[1:], dtype=np.int64)
     for rows, block in _row_products(a, b, p):
         out[rows] = block

@@ -19,6 +19,8 @@ import numpy as np
 
 from .rings import (
     _LIMIT,
+    _check_modulus,
+    _magnitude,
     _reduce_in_place,
     _reduced,
     fp_product_equals,
@@ -266,15 +268,18 @@ class BasisSolver:
     """Coordinate solver against a fixed basis, mod a prime p or, when p is
     None, exactly over Z in Python ints held in object arrays.
 
-    matrix holds the basis vectors as columns (mod p as residues, see
-    rings.residues), and rows picks a square of it that is upper
-    unitriangular over the ring, or ValueError is raised.  Coordinates are
-    solved by back-substitution through the square, in int64 residues mod
-    p, one level at a time: a row with no entry right of the diagonal has
-    level 0, any other row one more than the deepest row it points to.
-    coords then verifies them by multiplying back, one block of rows at a
-    time, so a column outside the span is always detected;
-    back_substitute alone is for columns already known to lie in the span.
+    matrix holds the basis vectors as columns, and rows picks a square of
+    it that is upper unitriangular over the ring, or ValueError is raised.
+    Mod p an int8 matrix of entries 0 and +-1, such as the polytabloid
+    basis_matrix, is kept as it is given, signed, and read-only; any other
+    is reduced to byte residues (rings.residues).  Coordinates are solved
+    by back-substitution through the square, in int64 mod p, one level at
+    a time: a row with no entry right of the diagonal has level 0, any
+    other row one more than the deepest row it points to.  They are
+    returned as uint8 residues.  coords then verifies them by multiplying
+    back, one block of rows at a time, so a column outside the span is
+    always detected; back_substitute alone is for columns already known to
+    lie in the span.
 
     Rows are solved in level order, within a level by falling entry count.
     A level holds its positions start:end in that order, and cols and vals:
@@ -285,7 +290,13 @@ class BasisSolver:
 
     def __init__(self, p: int | None, matrix: np.ndarray, rows: np.ndarray):
         self.p = p
-        self.matrix = matrix = read_only(np.asarray(matrix, dtype=object) if p is None else residues(matrix, p))
+        matrix = np.asarray(matrix, dtype=object if p is None else None)
+        if p is not None:
+            _check_modulus(p)
+            # entries in (-2, 2) are 0 and +-1
+            if not (matrix.dtype == np.int8 and _magnitude(matrix, 2) is not None):
+                matrix = residues(matrix, p)
+        self.matrix = matrix = read_only(matrix)
         self.rows = read_only(rows)
         square = matrix[rows]
         d = len(square)
@@ -295,7 +306,8 @@ class BasisSolver:
             raise ValueError("basis square is not upper unitriangular")
         i, j = i[~on], j[~on]
         count = np.bincount(i, minlength=d)
-        # residues below p, summed over a row's entries, stay inside int64
+        # residues below p times entries of magnitude below p, summed over a
+        # row's entries, stay inside int64
         assert p is None or count.max(initial=0) * (p - 1) ** 2 + p < _LIMIT[np.dtype(np.int64)]
         level, deeper = None, np.zeros(d, dtype=np.intp)
         while not np.array_equal(level, deeper):  # each pass settles one more level
@@ -318,13 +330,14 @@ class BasisSolver:
 
     def back_substitute(self, square: np.ndarray) -> np.ndarray:
         """Coordinates x with matrix[rows] @ x = square, for a 2-d array of
-        columns read at the square's rows only.  The square is
-        unitriangular, so x is unique, and it is the coordinate vector of
-        every column that lies in the span; membership is not checked
-        here (see coords)."""
+        columns read at the square's rows only, as uint8 residues mod p.
+        The square is unitriangular, so x is unique, and it is the
+        coordinate vector of every column that lies in the span; membership
+        is not checked here (see coords)."""
         p = self.p
-        x = np.empty((len(self._order), square.shape[1]), dtype=object if p is None else np.int64)
-        scratch = np.empty(self._terms * min(self._width, square.shape[1]), dtype=x.dtype)  # every level's terms
+        x = np.empty((len(self._order), square.shape[1]), dtype=object if p is None else np.uint8)
+        # every level's terms
+        scratch = np.empty(self._terms * min(self._width, square.shape[1]), dtype=object if p is None else np.int64)
         for lo in range(0, square.shape[1], self._width):
             w = square[self._order, lo : lo + self._width]
             if p is not None:

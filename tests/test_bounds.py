@@ -11,8 +11,10 @@ updates and their bounds, for a modulus p below rings._MODULUS_BOUND:
 - rings._pivot_loop: width * (p - 1)**2 + p inside int16 or int32;
 - rings._eliminate: the panel updates subtracted since the last
   reduction, plus p, inside int16 or int32;
-- rings._row_products: inner * (p - 1)**2 below 2**24 in float32, below
-  2**53 in float64;
+- rings._row_products: inner * max|a| * max|b| below 2**24 in float32,
+  below 2**53 in float64, where an operand with every entry in (-p, p)
+  enters signed, with its own magnitude, and any other as residues, of
+  magnitude p - 1;
 - rings.int_gram: rows * max|entry|**2 below 2**24 in float32;
 - specht.BasisSolver.back_substitute: entries per row * (p - 1)**2 + p
   inside int64;
@@ -177,6 +179,40 @@ def test_row_products_in_float32_and_float64(p):
         rows, block = next(rings._row_products(a, b, p))
         assert block.dtype == itype
         assert block.tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
+
+
+@pytest.mark.parametrize("p", [211, 251])
+def test_row_products_of_signed_operands_by_their_magnitude(p):
+    # an int8 left operand enters as it is: with entries +-1 against
+    # residues up to p - 1 every partial sum is at most inner * (p - 1),
+    # with a 2 among them inner * 2 * (p - 1); a byte operand holding 255,
+    # outside (-p, p), is reduced and takes the residue bound
+    # inner * (p - 1)**2
+    for top, dtype, entry in ((1, np.int8, -1), (2, np.int8, 2), (p - 1, np.uint8, 255)):
+        last = (2**24 - 1) // (top * (p - 1))  # the last float32 inner dimension
+        for inner, itype in ((last, np.int32), (last + 1, np.int64)):
+            a = np.ones((3, inner), dtype=dtype)
+            a[:, 1::2] = entry
+            b = np.full((inner, 2), p - 1, dtype=np.int64)
+            b[0] = p - 2  # an odd sum, which a rounding float type would move
+            rows, block = next(rings._row_products(a, b, p))
+            assert block.dtype == itype, (top, inner)
+            want = (a.astype(np.int64) % p @ b) % p
+            assert block.tolist() == want.tolist()
+
+
+def test_row_products_reduce_in_int32_at_a_lowered_limit(monkeypatch):
+    # the bound of a float32 product plus p is asserted to lie inside int32,
+    # where its residues are taken
+    p, inner = 5, 7
+    a = np.array([[1, -1] * 4, [-1] * 8], dtype=np.int8)[:, :inner]
+    b = np.full((inner, 3), p - 1, dtype=np.int64)
+    bound = inner * 1 * (p - 1)
+    monkeypatch.setitem(_LIMIT, INT32, bound + p + 1)
+    assert fp_matmul(a, b, p).tolist() == ((a.astype(np.int64) @ b) % p).tolist()
+    monkeypatch.setitem(_LIMIT, INT32, bound + p)
+    with pytest.raises(AssertionError):
+        fp_matmul(a, b, p)
 
 
 def test_int_gram_bound_in_float32():

@@ -378,10 +378,13 @@ def test_cached_arrays_are_read_only():
             a[0] = 0
         with pytest.raises(ValueError):
             a += 1
-    # residues are stored in one byte, the 0/+-1 basis in int8
+    # the 0/+-1 basis is held in int8, and a mod-p solver keeps it, with no
+    # copy; its coordinates are residues in one byte
     assert basis_matrix(6, 3).dtype == np.int8
-    assert solvers[0].matrix.dtype == np.uint8
+    assert solvers[0].matrix is basis_matrix(6, 3)
     assert solvers[1].matrix.dtype == object
+    x = solvers[0].back_substitute(basis_matrix(6, 3)[solvers[0].rows])
+    assert x.dtype == np.uint8 and np.array_equal(x, np.eye(x.shape[1]))
 
 
 def _unitriangular(rng, d, low, high, dtype=np.int64):
