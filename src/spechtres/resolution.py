@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dims import catalan
-from .rings import _LIMIT, GramQuotient, fp_inverse, fp_matmul, fp_rank, read_only, residues
+from .rings import _LIMIT, GramQuotient, fp_inverse, fp_matmul, fp_rank, read_only
 from .specht import (
     Diagram2,
     _span_is_invariant,
@@ -200,12 +200,13 @@ def _pivot_duals(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
     """The pivot basis vectors of simple_quotient(p, tau) and their dual
     basis, read-only: the weight-class positions of each pivot vector's
     2^b words, one column per pivot in the rows of specht._word_table; and
-    Y = B_P G_PP^-1 mod p as residues, one column per pivot and one row per
-    word, B_P the pivot columns of the basis matrix.  G_PP^-1 is symmetric,
-    so column j of Y is the dual vector y_j of quotient_trace."""
+    Y = B_P G_PP^-1 mod p as the uint8 residues fp_matmul returns, one
+    column per pivot and one row per word, B_P the pivot columns of the
+    basis matrix and G_PP^-1 the uint8 residues of fp_inverse.  G_PP^-1 is
+    symmetric, so column j of Y is the dual vector y_j of quotient_trace."""
     pivots = simple_quotient(p, tau).pivot_idx
     inverse = fp_inverse(gram_of_diagram(tau)[np.ix_(pivots, pivots)], p)
-    dual = residues(fp_matmul(basis_matrix(tau.n, tau.c)[:, pivots], inverse, p), p)
+    dual = fp_matmul(basis_matrix(tau.n, tau.c)[:, pivots], inverse, p)
     at = weight_classes(tau.n)[2][_word_table(tau.n, tau.b)[0][:, pivots]]
     return read_only(at), read_only(dual)
 

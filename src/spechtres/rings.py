@@ -9,10 +9,13 @@ of F_p^d by the radical of a Gram matrix (GramQuotient), the one
 simple-quotient type, whose projections and invariance checks are read
 off the reduced rows of the Gram without a basis of the radical.
 
-Everything here is exact.  Python integers cannot overflow.  Matrices over
-F_p are returned as int64 arrays of residues in [0, p); residues that are
-kept (cached bases, coordinates) are stored in one byte each and widened
-before any arithmetic.
+Everything here is exact.  Python integers cannot overflow.  Products,
+reduced forms and inverses over F_p (fp_matmul, fp_rref, fp_inverse) are
+returned as uint8 arrays of residues in [0, p), one byte each, as are the
+residues that are kept (cached bases, coordinates); they are widened
+before any arithmetic, since a byte array wraps silently (the negative of
+a uint8 residue v is 256 - v, not p - v).  A quotient's readings
+(GramQuotient) are int64, which callers scale and sum.
 
 Every kernel mod p takes the moduli below 2**8, which hold every prime a
 command accepts, and refuses a larger one with ValueError.  Each computes
@@ -20,7 +23,8 @@ in the narrowest type that is exact for its bound (the rule of
 FFLAS-FFPACK: the float type follows from k * max|a| * max|b| against its
 mantissa):
 - Products run through BLAS, one block of rows of the left operand at a
-  time.  An operand with every entry in (-p, p), such as the signed 0/+-1
+  time, and each block's residues are written over its float product.
+  An operand with every entry in (-p, p), such as the signed 0/+-1
   polytabloid basis, enters as it is, and any other as residues, of
   magnitude at most p - 1.  The product runs in float32 when every
   partial sum, at most inner * max|a| * max|b|, stays below 2**24 and
@@ -127,8 +131,9 @@ def _exact_float(bound: int) -> type:
     return np.float32 if bound < _FLOAT32_EXACT else np.float64
 
 
-# Rows of the left operand of a product reduced and cast to float at a
-# time, so that no float copy of a large operand is ever made whole.
+# Rows of a matrix cast to float at a time, so that no float copy of a
+# large operand is ever made whole; the blocks of a product or a Gram hold
+# from a quarter of this many rows up to this many (_block_rows).
 _ROW_BLOCK = 512
 
 
@@ -183,7 +188,7 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
     lower limit, and no integer may wrap, even where two's-complement
     arithmetic would still give the right difference.  So this is only for
     the kernel's own intermediates, which stay further from the limits
-    (see _pivot_loop, _eliminate, _row_products and specht.BasisSolver),
+    (see _pivot_loop, _eliminate, _ints_in_place and specht.BasisSolver),
     and for input that _reduced has checked."""
     if a.size <= _FEW_ENTRIES:
         return np.remainder(a, p, out=a)
@@ -233,10 +238,43 @@ def _magnitude(a: np.ndarray, p: int) -> int | None:
     return max(-low, high) if -p < low and high < p else None
 
 
+def _block_rows(width: int, entries: int) -> int:
+    """Rows of a block whose float workspace holds `width` entries a row:
+    as many as keep it to `entries` in all, but from _ROW_BLOCK // 4 rows,
+    below which the calls cost more than they save, up to _ROW_BLOCK, where
+    a block is tall enough to spread BLAS's packing of the other operand.
+
+    A product's block (its cast and its product) is kept to half the float
+    copy of the right operand, and a Gram's cast to half the Gram, so that
+    the workspace adds at most half to what the call holds anyway.  The
+    1716 x 429 by 429 x 572 multiply-back of a resolve at n = 13 takes 128
+    rows, and the 12870 x 1430 by 1430 x 3640 one at n = 16 takes 512: on
+    one thread of a 2-vCPU Xeon it took 1.6 s in blocks of 512 rows and
+    2.1 s in blocks of 256."""
+    return min(_ROW_BLOCK, max(_ROW_BLOCK // 4, entries // max(1, width)))
+
+
+def _ints_in_place(f: np.ndarray, p: int | None = None) -> np.ndarray:
+    """The integers of the contiguous float32 or float64 array f, reduced mod
+    p unless p is None, written over f in the int32 or int64 array of the
+    same width, which is returned: a view of f's memory.  Each chunk of
+    _REDUCE_ENTRIES entries is cast and reduced in a scratch array and then
+    written back, so no integer copy of f is made.  The caller keeps every
+    entry inside the integer type."""
+    out = f.view(np.int32 if f.dtype == np.float32 else np.int64)
+    flat, flat_out = f.reshape(-1), out.reshape(-1)
+    scratch = np.empty(max(1, min(_REDUCE_ENTRIES, flat.size)), dtype=out.dtype)
+    for lo in range(0, flat.size, len(scratch)):
+        chunk = scratch[: min(len(scratch), flat.size - lo)]
+        chunk[:] = flat[lo : lo + len(chunk)]
+        flat_out[lo : lo + len(chunk)] = chunk if p is None else _reduce_in_place(chunk, p)
+    return out
+
+
 def _row_products(a: np.ndarray, b: np.ndarray, p: int):
-    """Yield (rows, a[rows] @ b mod p) for consecutive blocks `rows` of
-    _ROW_BLOCK rows of the 2-d array a, each product an array of residues:
-    int32 from a float32 product, int64 from a float64 one.
+    """Yield (rows, a[rows] @ b mod p) for consecutive blocks `rows` of the
+    2-d array a, _block_rows of them each, every product an array of
+    residues: int32 from a float32 product, int64 from a float64 one.
 
     An operand whose entries all lie in (-p, p) enters the product as it
     is, signed; any other is reduced to residues, whose magnitude is at
@@ -249,9 +287,9 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     is an integer that the float type holds exactly, so BLAS summation
     order, and so its thread count, cannot change the result.  The bound
     plus p is asserted to lie inside the integer type the product is
-    reduced in.  Every block reuses one buffer each for its cast, its
-    product and its residues, so a yielded product is overwritten by the
-    next one.
+    reduced in.  Every block reuses one buffer for its cast and one for its
+    product, whose residues are written over it (_ints_in_place), so a
+    yielded product is overwritten by the next one.
     """
     _check_modulus(p)
     a, b = np.asarray(a), np.asarray(b)
@@ -261,28 +299,27 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     bound = len(b) * (p - 1 if top_a is None else top_a) * top_b
     dtype = _exact_float(bound)
     # a float32 product, of magnitude below 2**24, is reduced in int32
-    itype = np.int32 if dtype is np.float32 else np.int64
-    assert bound + p < _LIMIT[np.dtype(itype)]
+    assert bound + p < _LIMIT[np.dtype(np.int32 if dtype is np.float32 else np.int64)]
     b = b.astype(dtype)
-    cast = np.empty((min(_ROW_BLOCK, len(a)), a.shape[1]), dtype=dtype)
-    product = np.empty((len(cast),) + b.shape[1:], dtype=dtype)
-    out = np.empty(product.shape, dtype=itype)
-    for lo in range(0, len(a), _ROW_BLOCK):
-        rows, m = slice(lo, lo + _ROW_BLOCK), min(_ROW_BLOCK, len(a) - lo)
+    inner, cols = len(b), math.prod(b.shape[1:])
+    step = max(1, min(len(a), _block_rows(inner + cols, inner * cols // 2)))
+    cast = np.empty((step, a.shape[1]), dtype=dtype)
+    product = np.empty((step,) + b.shape[1:], dtype=dtype)
+    for lo in range(0, len(a), step):
+        rows, m = slice(lo, lo + step), min(step, len(a) - lo)
         cast[:m] = a[rows] if top_a is not None else _reduced(a[rows], p)
-        out[:m] = np.matmul(cast[:m], b, out=product[:m])
-        yield rows, _reduce_in_place(out[:m], p)
+        yield rows, _ints_in_place(np.matmul(cast[:m], b, out=product[:m]), p)
 
 
 def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p for a 2-d array a, as an int64 array of residues,
+    """Exact a @ b mod p for a 2-d array a, as a uint8 array of residues,
     computed one block of rows of a at a time.  Operands with entries in
     (-p, p), such as the signed 0/+-1 polytabloid basis, are multiplied as
     they are, others as residues; the product runs in float32 when inner *
     max|a| * max|b| stays below 2**24 and in float64 otherwise (see
     _row_products).  A modulus of 2**8 or more is refused with
     ValueError."""
-    out = np.empty((len(a),) + np.shape(b)[1:], dtype=np.int64)
+    out = np.empty((len(a),) + np.shape(b)[1:], dtype=np.uint8)
     for rows, block in _row_products(a, b, p):
         out[rows] = block
     return out
@@ -304,7 +341,9 @@ def int_gram(m: np.ndarray) -> np.ndarray:
     which is exact while that bound is below 2**24, so summation order
     cannot change the result.  A bound of 2**24 or more is refused with
     OverflowError rather than rounded; the 0/+-1 polytabloid and component
-    matrices meet it below 2**24 rows.
+    matrices meet it below 2**24 rows.  The workspace is freed first, and
+    the int32 result is then written over the float sum (_ints_in_place),
+    so no second n x n array is made.
     """
     m = np.asarray(m)
     top = max(-int(m.min()), int(m.max())) if m.size else 0
@@ -312,12 +351,14 @@ def int_gram(m: np.ndarray) -> np.ndarray:
     if bound >= _FLOAT32_EXACT:
         raise OverflowError("Gram matrix entries may reach 2**24, the float32 limit of exact integers")
     gram = np.zeros((m.shape[1], m.shape[1]), dtype=np.float32)
-    cast, product = np.empty((min(_ROW_BLOCK, len(m)), m.shape[1]), dtype=np.float32), np.empty_like(gram)  # reused
-    for lo in range(0, len(m), _ROW_BLOCK):
-        f = cast[: min(_ROW_BLOCK, len(m) - lo)]
-        f[:] = m[lo : lo + _ROW_BLOCK]
-        gram += np.matmul(f.T, f, out=product)
-    return gram.astype(np.int32)
+    step = _block_rows(m.shape[1], gram.size // 2)
+    cast, product = np.empty((min(step, len(m)), m.shape[1]), dtype=np.float32), np.empty_like(gram)  # reused
+    for lo in range(0, len(m), step):
+        rows = min(step, len(m) - lo)
+        cast[:rows] = m[lo : lo + rows]
+        gram += np.matmul(cast[:rows].T, cast[:rows], out=product)
+    del cast, product
+    return _ints_in_place(gram)
 
 
 # Width of a column panel of the blocked elimination.  A matrix no wider
@@ -419,7 +460,7 @@ def _factor_panel(m: np.ndarray, r: int, c0: int, w: int, p: int) -> tuple[list[
 
 def _eliminate(a: np.ndarray, p: int, reduced_form: bool) -> tuple[np.ndarray, list[int]]:
     """The elimination behind fp_rref and fp_rank: the pivot columns of a
-    mod p and, with reduced_form, the reduced row echelon form as an int64
+    mod p and, with reduced_form, the reduced row echelon form as a uint8
     array; without it the returned matrix holds no result.
 
     A matrix no wider than two panels goes through the per-pivot loop
@@ -460,7 +501,7 @@ def _eliminate(a: np.ndarray, p: int, reduced_form: bool) -> tuple[np.ndarray, l
     if cols <= 2 * _PANEL:
         t = np.array(m.T, dtype=dtype, order="C")
         pivots = _pivot_loop(t, p, cols)[0]
-        return np.array(t.T, dtype=np.int64, order="C"), pivots
+        return np.array(t.T, dtype=np.uint8, order="C"), pivots
     # residues are passed through; the elimination runs on a copy
     m = m.astype(dtype, copy=m is a)
     step = (p - 1) ** 2  # the most one pivot's update moves an entry
@@ -490,7 +531,7 @@ def _eliminate(a: np.ndarray, p: int, reduced_form: bool) -> tuple[np.ndarray, l
             m[r : r + k, c0:] = x
         pivots += cp
     if reduced_form:
-        m = _reduce_in_place(m, p).astype(np.int64, copy=False)
+        m = _reduce_in_place(m, p).astype(np.uint8)
     return m, pivots
 
 
@@ -510,7 +551,7 @@ def _subtract_products(m: np.ndarray, rows: range, cp: list[int], x: np.ndarray,
 def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p.
 
-    Returns the reduced matrix, as int64 residues, and the list of pivot
+    Returns the reduced matrix, as uint8 residues, and the list of pivot
     column indices.  The reduced form is unique, so it does not depend on
     how it is computed (see _eliminate).  A modulus of 2**8 or more is
     refused with ValueError."""
@@ -526,18 +567,21 @@ def fp_rank(a: np.ndarray, p: int) -> int:
 
 
 def fp_inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of a square integer matrix, as int64 residues: the
-    right half of the reduced form of [a | I] (fp_rref).  Raises
+    """Inverse mod p of a square integer matrix, as uint8 residues: the
+    right half of the reduced form of [a mod p | I] (fp_rref), both halves
+    built in bytes, copied out so that the n x 2n form is freed.  Raises
     ValueError for a matrix that is not square or is singular mod p, and
     for a modulus of 2**8 or more."""
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("inverse needs a square matrix")
-    aug = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
+    aug = np.zeros((n, 2 * n), dtype=np.uint8)
+    aug[:, :n] = residues(a, p)
+    aug[:, n:][np.diag_indices(n)] = 1
     rref, pivots = fp_rref(aug, p)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular mod p")
-    return rref[:, n:]
+    return rref[:, n:].copy()
 
 
 class GramQuotient:
@@ -587,7 +631,7 @@ class GramQuotient:
         pivot_set = set(pivots)
         free = np.array([f for f in range(rref.shape[1]) if f not in pivot_set], dtype=np.intp)
         return (
-            read_only(residues(rref[: len(pivots), free], self.p)),
+            read_only(rref[: len(pivots), free]),
             read_only(free),
             read_only(np.array(pivots, dtype=np.intp)),
         )

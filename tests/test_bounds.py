@@ -14,7 +14,10 @@ updates and their bounds, for a modulus p below rings._MODULUS_BOUND:
 - rings._row_products: inner * max|a| * max|b| below 2**24 in float32,
   below 2**53 in float64, where an operand with every entry in (-p, p)
   enters signed, with its own magnitude, and any other as residues, of
-  magnitude p - 1;
+  magnitude p - 1, in every block of rows;
+- rings._ints_in_place: the integers of a float32 or float64 array,
+  exact below 2**24 or 2**53, written over it in the int32 or int64 of
+  the same width, one chunk at a time;
 - rings.int_gram: rows * max|entry|**2 below 2**24 in float32;
 - specht.BasisSolver.back_substitute: entries per row * (p - 1)**2 + p
   inside int64;
@@ -179,6 +182,46 @@ def test_row_products_in_float32_and_float64(p):
         rows, block = next(rings._row_products(a, b, p))
         assert block.dtype == itype
         assert block.tolist() == ((a.astype(object) @ b.astype(object)) % p).tolist()
+
+
+@pytest.mark.parametrize("p", [211, 251])
+def test_row_products_hold_the_bound_in_every_block(p):
+    # at the last float32 inner dimension and one past it, a left operand of
+    # two whole blocks and a short one: each block's residues, written over
+    # its float product in the integer type of the same width, are exact
+    # before the next block overwrites them
+    last = (2**24 - 1) // (p - 1) ** 2
+    for inner, itype in ((last, np.int32), (last + 1, np.int64)):
+        b = np.full((inner, 2), p - 1, dtype=np.int64)
+        b[0] = p - 2
+        step = rings._block_rows(inner + 2, inner)
+        a = np.full((2 * step + 3, inner), p - 1, dtype=np.int64)
+        a[:, 0] = p - 2  # an odd sum, which a rounding float type would move
+        a[np.arange(len(a)), 1 + np.arange(len(a)) % (inner - 1)] = 1  # no two rows alike
+        want = (a.astype(object) @ b.astype(object)) % p
+        blocks = []
+        for rows, block in rings._row_products(a, b, p):
+            assert block.dtype == itype, inner
+            assert block.tolist() == want[rows].tolist(), (inner, rows)
+            blocks.append(len(block))
+        assert blocks == [step, step, 3]
+
+
+@pytest.mark.parametrize("ftype, top", [(np.float32, 2**24 - 1), (np.float64, 2**53 - 1)])
+def test_ints_in_place_cover_every_chunk_at_the_exact_float_limit(ftype, top):
+    # integers up to the float type's exact limit, over two whole chunks and
+    # a short one, come back in the integer type of the same width, over the
+    # float array's own memory, reduced mod p or as they are
+    p = 251
+    rng = np.random.RandomState(3)
+    size = 2 * rings._REDUCE_ENTRIES + 6
+    ints = rng.randint(-top, top + 1, size=size, dtype=np.int64)
+    ints[:2], ints[-2:] = (-top, top), (top, -top)
+    for q, want in ((p, ints % p), (None, ints)):
+        f = ints.astype(ftype).reshape(2, -1)
+        got = rings._ints_in_place(f, q)
+        assert got.dtype.itemsize == f.dtype.itemsize and got.dtype.kind == "i"
+        assert np.shares_memory(got, f) and got.reshape(-1).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p", [211, 251])

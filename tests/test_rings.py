@@ -43,11 +43,13 @@ def test_rank_kernel_image_on_degenerate_form():
 
 def _kernel_from_rref(rref, pivots, p):
     # null-space basis read off a reduced form: one column per free column
-    # f, with 1 at f and minus column f of the reduced rows at the pivots
+    # f, with 1 at f and minus column f of the reduced rows at the pivots.
+    # The reduced form is uint8, whose negation wraps (-1 reads 255), so it
+    # is widened first.
     free = [f for f in range(rref.shape[1]) if f not in pivots]
     kernel = np.zeros((rref.shape[1], len(free)), dtype=np.int64)
     kernel[free, range(len(free))] = 1
-    kernel[pivots] = -rref[: len(pivots)][:, free] % p
+    kernel[pivots] = -rref[: len(pivots)][:, free].astype(np.int64) % p
     return kernel
 
 
@@ -298,7 +300,7 @@ def test_fp_matmul_matches_python_integers_at_the_largest_entries(p, inner):
     if _refused(p, lambda: fp_matmul(a, b, p)):
         return
     out = fp_matmul(a, b, p)
-    assert out.dtype == np.int64
+    assert out.dtype == np.uint8
     assert out.tolist() == [[inner * (p - 1) ** 2 % p] * 2] * 3
     assert np.array_equal(out, _python_matmul(a, b, p))
     # one odd term makes the sum odd, which a float type too narrow for it
@@ -450,7 +452,7 @@ def test_fp_rref_matches_python_integer_elimination(p):
         got, pivots = fp_rref(a, p)
         ref, ref_pivots = _rref_python_ints(a, p)
         assert pivots == ref_pivots, a.shape
-        assert got.dtype == np.int64 and got.shape == a.shape
+        assert got.dtype == np.uint8 and got.shape == a.shape
         assert got.tolist() == ref.tolist(), a.shape
         assert fp_rank(a, p) == len(ref_pivots), a.shape
 
@@ -463,6 +465,36 @@ def test_fp_rref_accepts_any_integer_entries():
     ref, ref_pivots = _rref_python_ints(a, 7)
     assert pivots == ref_pivots and got.tolist() == ref.tolist()
     assert fp_rank(a, 7) == fp_rank(a.T, 7) == len(ref_pivots)
+
+
+@pytest.mark.parametrize("p", [3, 211, 251])
+def test_kernels_return_byte_residues_equal_to_python_integers(p):
+    rng = np.random.RandomState(p)
+    # products: 0 rows, inner dimension 0, 0 columns, a vector right-hand
+    # side, and a left operand of several blocks
+    for rows, inner, cols in ((0, 5, 3), (4, 0, 3), (4, 5, 0), (0, 0, 0), (300, 40, 7), (2 * _ROW_BLOCK + 3, 70, 90)):
+        a = rng.randint(-3 * p, 3 * p, size=(rows, inner))
+        b = rng.randint(-3 * p, 3 * p, size=(inner, cols))
+        got = fp_matmul(a, b, p)
+        assert got.dtype == np.uint8 and got.shape == (rows, cols)
+        assert got.tolist() == _python_matmul(a, b, p).tolist()
+        if cols:
+            vector = fp_matmul(a, b[:, 0], p)
+            assert vector.dtype == np.uint8 and vector.tolist() == _python_matmul(a, b[:, 0], p).tolist()
+    # eliminations, by the per-pivot loop alone and blocked
+    for shape in ((0, 4), (4, 0), (0, 0), (7, 5), (40, 3 * _PANEL + 1)):
+        a = rng.randint(-3 * p, 3 * p, size=shape)
+        got, pivots = fp_rref(a, p)
+        ref, ref_pivots = _rref_python_ints(a, p)
+        assert got.dtype == np.uint8 and pivots == ref_pivots and got.tolist() == ref.tolist()
+    # inverses of L U, L and U unitriangular, and so invertible mod p: an
+    # array of their own, not a view of the n x 2n reduced form
+    for n in (0, 1, 5, 2 * _PANEL + 1):
+        lower = np.tril(rng.randint(0, p, size=(n, n)), -1) + np.identity(n, dtype=np.int64)
+        a = lower @ (lower.T + 2 * p)
+        inverse = fp_inverse(a, p)
+        assert inverse.dtype == np.uint8 and inverse.shape == (n, n) and inverse.base is None
+        assert (_python_matmul(a, inverse, p) == np.identity(n, dtype=np.int64)).all()
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
