@@ -20,17 +20,15 @@ from .dims import catalan
 from .rings import _LIMIT, GramQuotient, fp_inverse, fp_matmul, fp_rank, read_only
 from .specht import (
     Diagram2,
-    _span_is_invariant,
+    _generator_gathers,
     _word_table,
     basis_matrix,
     basis_solver,
     diagram_weights,
     gram_of_diagram,
     ordinary_character,
-    permutation_matrix_on_basis,
     raised_basis_matrix,
     sn_gather,
-    sn_generators,
 )
 from .tensor import weight_classes
 
@@ -180,31 +178,36 @@ def simple_quotient(p: int, tau: Diagram2) -> GramQuotient:
 
 
 @lru_cache(maxsize=None)
-def _radical_is_invariant(p: int, tau: Diagram2) -> bool:
-    """Prove that every permutation maps the radical of simple_quotient(p,
-    tau) into itself, or raise AssertionError.
+def _trace_basis(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
+    """Prove once that S_n maps the span mod p of tau's standard basis, and
+    the radical of simple_quotient(p, tau), into themselves, or raise; then
+    return the pivot basis vectors and their dual basis, read-only.
 
-    Permuting words preserves the form, so once the span is proven
-    invariant (specht._span_is_invariant) its radical is too; it is
-    checked all the same, on s and z (GramQuotient.quotient_matrix checks
-    it), which generate S_n.  Only the fact is cached."""
+    The images of the basis under s and z (_generator_gathers) are solved
+    side by side in one BasisSolver.coords, whose multiply-back refuses an
+    image outside the span (ValueError).  A permutation that maps a finite
+    span into itself maps it onto itself, so its inverse does too, and
+    sn_gather composes every sigma's gather from these two.  Permuting
+    words preserves the form, so the radical is invariant too; each
+    generator's block of the same coordinates checks it all the same
+    (GramQuotient.quotient_matrix, AssertionError).  The coordinates are
+    released before the Gram is inverted.
+
+    A pivot vector is given by the weight-class positions of its 2^b words
+    (a column in the rows of specht._word_table), and the dual basis is Y =
+    B_P G_PP^-1 mod p in uint8 residues, one column per pivot and one row
+    per word, B_P the pivot columns of the basis matrix.  G_PP^-1 is
+    symmetric, so column j of Y is the dual vector y_j of quotient_trace."""
+    solver = basis_solver(p, tau.n, tau.c)
+    gathers = _generator_gathers(tau.n, tau.b)
+    images = solver.coords(np.hstack([solver.matrix[rows] for rows in gathers])) if gathers else None
     q = simple_quotient(p, tau)
     if len(q.free_idx):
-        for g in sn_generators(tau.n):
-            q.quotient_matrix(permutation_matrix_on_basis(tau.n, tau.c, g, p))
-    return True
-
-
-@lru_cache(maxsize=None)
-def _pivot_duals(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
-    """The pivot basis vectors of simple_quotient(p, tau) and their dual
-    basis, read-only: the weight-class positions of each pivot vector's
-    2^b words, one column per pivot in the rows of specht._word_table; and
-    Y = B_P G_PP^-1 mod p as the uint8 residues fp_matmul returns, one
-    column per pivot and one row per word, B_P the pivot columns of the
-    basis matrix and G_PP^-1 the uint8 residues of fp_inverse.  G_PP^-1 is
-    symmetric, so column j of Y is the dual vector y_j of quotient_trace."""
-    pivots = simple_quotient(p, tau).pivot_idx
+        d = solver.matrix.shape[1]
+        for lo in range(0, images.shape[1], d):
+            q.quotient_matrix(images[:, lo : lo + d])
+    del images
+    pivots = q.pivot_idx
     inverse = fp_inverse(gram_of_diagram(tau)[np.ix_(pivots, pivots)], p)
     dual = fp_matmul(basis_matrix(tau.n, tau.c)[:, pivots], inverse, p)
     at = weight_classes(tau.n)[2][_word_table(tau.n, tau.b)[0][:, pivots]]
@@ -219,13 +222,13 @@ def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
     columns.  The principal block G_PP of a symmetric matrix on a column
     basis is invertible, so the v_P are independent modulo the radical and
     map to a basis of D.  sigma maps S into S and the radical into itself:
-    both are proven once per (p, tau) on s and z (specht._span_is_invariant,
-    _radical_is_invariant), and sn_gather composes sigma from them.  So
-    sigma v_j = sum_k A[k, j] v_k plus a radical vector, and pairing with
-    v_i for i in P, the radical pairing to zero with S, gives <v_i, sigma
-    v_j> = (G_PP A)[i, j]: A = G_PP^-1 <v_P, sigma v_P>.  Its trace is
-    sum_j <y_j, sigma v_j> with y_j = sum_k G_PP^-1[j, k] v_k, the dual
-    basis, <y_j, v_k> = delta_jk (_pivot_duals).
+    both are proven once per (p, tau) on s and z, and sn_gather composes
+    sigma from them.  So sigma v_j = sum_k A[k, j] v_k plus a radical
+    vector, and pairing with v_i for i in P, the radical pairing to zero
+    with S, gives <v_i, sigma v_j> = (G_PP A)[i, j]: A = G_PP^-1 <v_P,
+    sigma v_P>.  Its trace is sum_j <y_j, sigma v_j> with y_j = sum_k
+    G_PP^-1[j, k] v_k, the dual basis, <y_j, v_k> = delta_jk.  The proofs
+    and the dual basis come from _trace_basis.
 
     sigma's gather rows (sn_gather) reads (sigma v)[u] = v[rows[u]], so
     the sum over v_j's 2^b words w of v_j[w] y_j[rows[w]] is <y_j, sigma^-1
@@ -233,9 +236,7 @@ def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
     has the same trace.  That is one gather of q * 2^b residues per sigma,
     with no solve and no product.
     """
-    _span_is_invariant(p, tau.n, tau.c)
-    _radical_is_invariant(p, tau)
-    at, dual = _pivot_duals(p, tau)
+    at, dual = _trace_basis(p, tau)
     terms = dual[sn_gather(sigma, tau.n, tau.b)[at], np.arange(at.shape[1])]
     # each signed half sums at most q * 2^b residues in int64
     assert terms.size * (p - 1) < _LIMIT[np.dtype(np.int64)]

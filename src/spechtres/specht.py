@@ -416,7 +416,7 @@ def cycle_type_representative(cycle_type, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the S_n action on the standard basis, proven on two generators
+# the S_n action on the standard basis, composed from two generators
 
 
 def sn_generators(n: int) -> tuple[tuple[int, ...], ...]:
@@ -479,38 +479,16 @@ def sn_gather(sigma, n: int, b: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _span_is_invariant(p: int, n: int, c: int) -> bool:
-    """Prove that every permutation maps the span mod p of the standard
-    basis of weight c on n letters into itself, or raise ValueError.
-
-    The images of the basis under s and z, gathered by _generator_gathers,
-    are solved side by side in one BasisSolver.coords, whose multiply-back
-    refuses an image outside the span.  A permutation that maps a finite
-    span into itself maps it onto itself, so its inverse does too; every
-    sigma is a product of s, z and z^-1, and sn_gather composes sigma's
-    gather from these same two gathers.  Only the fact is cached."""
-    solver = basis_solver(p, n, c)
-    gathers = _generator_gathers(n, Diagram2.from_weight(n, c).b)
-    if gathers:
-        solver.coords(np.hstack([solver.matrix[rows] for rows in gathers]))
-    return True
-
-
 def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
     """Matrix mod p of the plain position permutation on the standard
     basis: column j holds the coordinates of sigma's image of basis vector
-    j.
+    j, as uint8 residues.
 
-    Per sigma only the back-substitution runs.  The span is proven
-    invariant once per (p, n, c) (_span_is_invariant) and sigma's gather
-    is composed from the proven ones (sn_gather), so sigma's images lie in
-    the span, where the unitriangular square gives their unique
-    coordinates."""
-    rows = sn_gather(sigma, n, Diagram2.from_weight(n, c).b)
-    _span_is_invariant(p, n, c)
+    The images are gathered by sn_gather and solved by BasisSolver.coords,
+    whose multiply-back proves that each lies in the span, or raises
+    ValueError."""
     solver = basis_solver(p, n, c)
-    return solver.back_substitute(solver.matrix[rows[solver.rows]])
+    return solver.coords(solver.matrix[sn_gather(sigma, n, Diagram2.from_weight(n, c).b)])
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:

@@ -296,7 +296,7 @@ def test_quotient_trace_sums_in_int64_at_a_lowered_limit(monkeypatch):
     # dual basis in int64
     p, tau, sigma = 5, Diagram2(4, 2), (2, 3, 1, 5, 6, 4)
     want = resolution.quotient_trace(p, tau, sigma)  # fills the caches
-    bound = resolution._pivot_duals(p, tau)[0].size * (p - 1)
+    bound = resolution._trace_basis(p, tau)[0].size * (p - 1)
     monkeypatch.setitem(_LIMIT, INT64, bound + 1)
     assert resolution.quotient_trace(p, tau, sigma) == want
     monkeypatch.setitem(_LIMIT, INT64, bound)

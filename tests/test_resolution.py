@@ -342,7 +342,7 @@ def test_quotient_trace_equals_the_projected_coordinates():
                     sigma = list(range(1, n + 1))
                     rng.shuffle(sigma)
                     assert quotient_trace(p, tau, sigma) == _projected_trace(p, tau, sigma), (p, tau, sigma)
-        dual = resolution._pivot_duals(p, Diagram2(6, 4))[1]
+        dual = resolution._trace_basis(p, Diagram2(6, 4))[1]
         assert dual.dtype == np.uint8
 
 
@@ -375,7 +375,7 @@ def cold_proofs():
     after a test that patches what they are built from."""
     from spechtres import resolution, specht
 
-    caches = (specht._generator_gathers, specht._adjacent_gathers, specht._span_is_invariant, resolution._radical_is_invariant)
+    caches = (specht._generator_gathers, specht._adjacent_gathers, resolution._trace_basis)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -406,21 +406,30 @@ def test_a_wrong_generator_gather_is_refused(monkeypatch, cold_proofs):
 
 
 def test_a_generator_action_that_moves_the_radical_is_refused(monkeypatch, cold_proofs):
-    # the generators' matrices are replaced by one that adds a free
+    # the generators' coordinates are replaced by a matrix that adds a free
     # coordinate to a pivot coordinate: a radical vector then keeps its free
     # coordinates but changes, so it leaves the radical
-    from spechtres import resolution, specht
+    from spechtres import specht
 
     p, tau = 5, Diagram2(5, 3)  # a radical of 7 of 28 dimensions
     q = simple_quotient(p, tau)
     assert len(q.free_idx)
     moving = np.identity(len(q.free_idx) + len(q.pivot_idx), dtype=np.int64)
     moving[q.pivot_idx[0], q.free_idx[0]] = 1
-    real = resolution.permutation_matrix_on_basis
-
-    def patched(n, c, sigma, p):
-        return moving if tuple(sigma) in specht.sn_generators(n) else real(n, c, sigma, p)
-
-    monkeypatch.setattr(resolution, "permutation_matrix_on_basis", patched)
+    # s and z side by side, as the span proof solves them
+    monkeypatch.setattr(specht.BasisSolver, "coords", lambda self, columns: np.hstack([moving, moving]))
     with pytest.raises(AssertionError, match="radical"):
         quotient_trace(p, tau, tuple(range(1, tau.n + 1)))
+
+
+def test_a_cold_trace_solves_the_generators_once(monkeypatch, cold_proofs):
+    # one back-substitution serves the span proof and the radical proof
+    from spechtres import specht
+
+    p, tau = 5, Diagram2(5, 3)  # a radical of 7 of 28 dimensions
+    assert len(simple_quotient(p, tau).free_idx) == 7
+    calls = []
+    real = specht.BasisSolver.back_substitute
+    monkeypatch.setattr(specht.BasisSolver, "back_substitute", lambda self, square: calls.append(square.shape) or real(self, square))
+    quotient_trace(p, tau, tuple(range(1, tau.n + 1)))
+    assert calls == [(28, 56)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spechtres.dims import catalan
-from spechtres.rings import _ROW_BLOCK, fp_rref, residues
+from spechtres.rings import _block_rows, fp_rref, residues
 from spechtres import specht
 from spechtres.specht import (
     BasisSolver,
@@ -284,6 +284,22 @@ def test_permutation_matrix_is_the_perm_action_on_the_basis():
     with pytest.raises(ValueError):
         permutation_matrix_on_basis(4, 3, (1, 1, 2, 3), 5)
 
+
+def test_permutation_matrix_refuses_images_outside_the_span(monkeypatch):
+    # a gather with two words swapped is not the S_n action, and its images
+    # leave the span; the matrix's own multiply-back refuses them
+    real = specht.sn_gather
+
+    def swapped(sigma, n, b):
+        rows = real(sigma, n, b).copy()
+        rows[[0, 1]] = rows[[1, 0]]
+        return rows
+
+    monkeypatch.setattr(specht, "sn_gather", swapped)
+    with pytest.raises(ValueError, match="not in the basis span"):
+        permutation_matrix_on_basis(6, 3, (2, 3, 1, 5, 6, 4), 5)
+
+
 def test_composed_gather_is_the_perm_action():
     # sigma's gather is composed from those of s and z alone; it must be the
     # gather of sigma itself, at every length the word table takes
@@ -344,15 +360,19 @@ def test_solver_coords_of_byte_columns():
 
 
 def test_coords_rejects_a_column_wrong_only_in_the_last_row_block():
-    n, c = 12, 3  # [7,5]: 792 words, two row blocks
+    n, c, k = 12, 3, 3  # [7,5]: 792 words and 297 basis vectors, 3 columns
     mat = basis_matrix(n, c)
-    assert _ROW_BLOCK < mat.shape[0] <= 2 * _ROW_BLOCK
+    # the multiply-back, 792 x 297 by 297 x 3, runs in blocks of this many
+    # rows (rings._row_products)
+    step = _block_rows(mat.shape[1] + k, mat.shape[1] * k // 2)
+    assert step < mat.shape[0]
+    last = (mat.shape[0] - 1) // step * step
     for p in (3, 211):
         solver = basis_solver(p, n, c)
-        columns = residues(mat[:, :3].astype(np.int64) * 2, p)
+        columns = residues(mat[:, :k].astype(np.int64) * 2, p)
         solver.coords(columns)
         # a word in the last block that no coordinate is read from
-        bad = max(set(range(_ROW_BLOCK, mat.shape[0])) - set(solver.rows.tolist()))
+        bad = max(set(range(last, mat.shape[0])) - set(solver.rows.tolist()))
         columns[bad, 1] = (int(columns[bad, 1]) + 1) % p
         with pytest.raises(ValueError):
             solver.coords(columns)
