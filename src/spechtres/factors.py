@@ -282,21 +282,11 @@ def phi_bijection(ctx: KsContext) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _simple_dim(p: int, a: int, b: int) -> int:
-    ctx = make_context(Diagram2(a, b), p)
-    total = catalan(ctx.tau.n, b)
-    _, filtered = admissible_sets(ctx)
-    for iset in filtered:
-        if iset.is_empty:
-            continue
-        shifted = nu(iset, ctx)
-        total -= _simple_dim(p, shifted.a, shifted.b)
-    return total
-
-
 def simple_dim(p: int, tau: Diagram2) -> int:
     """Dimension of the simple quotient at any two-row diagram, obtained by
     peeling the factor partition recursively.  Independent of all linear
     algebra; the recursion terminates because every nonempty set strictly
     widens the diagram."""
-    return _simple_dim(p, tau.a, tau.b)
+    ctx = make_context(tau, p)
+    _, filtered = admissible_sets(ctx)
+    return catalan(tau.n, tau.b) - sum(simple_dim(p, nu(iset, ctx)) for iset in filtered if not iset.is_empty)

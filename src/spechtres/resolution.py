@@ -20,15 +20,12 @@ from .dims import catalan
 from .rings import _LIMIT, GramQuotient, fp_inverse, fp_matmul, fp_rank, read_only
 from .specht import (
     Diagram2,
-    _generator_gathers,
-    _word_table,
-    basis_matrix,
-    basis_solver,
     diagram_weights,
     gram_of_diagram,
     ordinary_character,
     raised_basis_matrix,
     sn_gather,
+    specht_module,
 )
 from .tensor import weight_classes
 
@@ -68,7 +65,7 @@ def e_power_map(p: int, n: int, c: int, c0: int) -> np.ndarray:
         raise ValueError(f"target weight {target} invalid")
     if c > n + 1:
         raise ValueError(f"weight {c} exceeds n+1={n + 1}")
-    return basis_solver(p, n, target).coords(raised_basis_matrix(n, c, c0, p))
+    return specht_module(n, Diagram2.from_weight(n, target).b).solver(p).coords(raised_basis_matrix(n, c, c0, p))
 
 
 @dataclass
@@ -183,23 +180,23 @@ def _trace_basis(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
     the radical of simple_quotient(p, tau), into themselves, or raise; then
     return the pivot basis vectors and their dual basis, read-only.
 
-    The images of the basis under s and z (_generator_gathers) are solved
-    side by side in one BasisSolver.coords, whose multiply-back refuses an
-    image outside the span (ValueError).  A permutation that maps a finite
-    span into itself maps it onto itself, so its inverse does too, and
-    sn_gather composes every sigma's gather from these two.  Permuting
-    words preserves the form, so the radical is invariant too; each
-    generator's block of the same coordinates checks it all the same
+    The images of the basis under s and z (SpechtModule.generator_gathers)
+    are solved side by side in one BasisSolver.coords, whose multiply-back
+    refuses an image outside the span (ValueError).  A permutation that
+    maps a finite span into itself maps it onto itself, so its inverse does
+    too, and sn_gather composes every sigma's gather from these two.
+    Permuting words preserves the form, so the radical is invariant too;
+    each generator's block of the same coordinates checks it all the same
     (GramQuotient.quotient_matrix, AssertionError).  The coordinates are
     released before the Gram is inverted.
 
     A pivot vector is given by the weight-class positions of its 2^b words
-    (a column in the rows of specht._word_table), and the dual basis is Y =
+    (a column in the rows of SpechtModule.words), and the dual basis is Y =
     B_P G_PP^-1 mod p in uint8 residues, one column per pivot and one row
     per word, B_P the pivot columns of the basis matrix.  G_PP^-1 is
     symmetric, so column j of Y is the dual vector y_j of quotient_trace."""
-    solver = basis_solver(p, tau.n, tau.c)
-    gathers = _generator_gathers(tau.n, tau.b)
+    module = specht_module(tau.n, tau.b)
+    solver, gathers = module.solver(p), module.generator_gathers
     images = solver.coords(np.hstack([solver.matrix[rows] for rows in gathers])) if gathers else None
     q = simple_quotient(p, tau)
     if len(q.free_idx):
@@ -209,8 +206,8 @@ def _trace_basis(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
     del images
     pivots = q.pivot_idx
     inverse = fp_inverse(gram_of_diagram(tau)[np.ix_(pivots, pivots)], p)
-    dual = fp_matmul(basis_matrix(tau.n, tau.c)[:, pivots], inverse, p)
-    at = weight_classes(tau.n)[2][_word_table(tau.n, tau.b)[0][:, pivots]]
+    dual = fp_matmul(module.basis[:, pivots], inverse, p)
+    at = weight_classes(tau.n)[2][module.words[0][:, pivots]]
     return read_only(at), read_only(dual)
 
 
@@ -241,7 +238,7 @@ def quotient_trace(p: int, tau: Diagram2, sigma) -> int:
     # each signed half sums at most q * 2^b residues in int64
     assert terms.size * (p - 1) < _LIMIT[np.dtype(np.int64)]
     sums = terms.sum(axis=1, dtype=np.int64)
-    odd = _word_table(tau.n, tau.b)[1]
+    odd = specht_module(tau.n, tau.b).words[1]
     return int(sums[odd == 0].sum() - sums[odd == 1].sum()) % p
 
 

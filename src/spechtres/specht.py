@@ -11,7 +11,7 @@ standard tableaux form the basis used for every matrix downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -43,6 +43,8 @@ __all__ = [
     "polytabloid",
     "standard_tableaux",
     "specht_basis",
+    "SpechtModule",
+    "specht_module",
     "basis_matrix",
     "raised_basis_matrix",
     "gram_of_diagram",
@@ -186,44 +188,97 @@ def specht_basis(n: int, c: int) -> list[TensorVector]:
     return [polytabloid(t) for t in standard_tableaux(diag)]
 
 
-@lru_cache(maxsize=None)
-def _word_table(n: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only words of the standard polytabloids of shape [n-b, b]: one
-    row per subset of swapped columns (bit k of its index swaps column k),
-    one column per basis vector, row 0 the tabloid words in basis order;
-    1 where a subset is odd (sign -1), else 0; and each tableau's unpaired
-    top bits.  A standard bottom row has at most m/2 of the first m
-    positions, for every m; the basis order, by bottom rows
-    lexicographically, is the descending order of bit-reversed words.
-    Swapping column k adds 2^top - 2^bottom, positions from 0."""
-    masks = weight_class_array(n, b)
-    bits = masks[:, None] >> np.arange(n) & 1
-    rows = np.flatnonzero((2 * np.cumsum(bits, axis=1) <= np.arange(1, n + 1)).all(axis=1))
-    rows = rows[np.argsort(-(bits[rows] << np.arange(n - 1, -1, -1)).sum(axis=1), kind="stable")]
-    plus = bits[rows].astype(bool)
-    bottoms = np.nonzero(plus)[1].reshape(len(rows), b)
-    tops = np.nonzero(~plus)[1].reshape(len(rows), n - b)
-    words, odd = masks[rows][None, :], np.zeros(1, dtype=np.int8)
-    for k in range(b):
-        words = np.concatenate([words, words + (np.int64(1) << tops[:, k]) - (np.int64(1) << bottoms[:, k])])
-        odd = np.concatenate([odd, 1 - odd])
-    return read_only(words), read_only(odd), read_only(np.int64(1) << tops[:, b:])
+class SpechtModule:
+    """S^(n-b, b) in the permutation module on b-subsets of 1..n (James, LNM
+    682, sections 4 and 14): weight class b of the sign words, its arrays
+    built on first use.  Past b = n/2 the word table has no columns."""
+
+    def __init__(self, n: int, b: int):
+        self.n, self.b = n, b
+        self._solvers: dict[int | None, BasisSolver] = {}
+
+    @cached_property
+    def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only words of the standard polytabloids of shape [n-b, b]:
+        one row per subset of swapped columns (bit k of its index swaps
+        column k), one column per basis vector, row 0 the tabloid words in
+        basis order; 1 where a subset is odd (sign -1), else 0; and each
+        tableau's unpaired top bits.  A standard bottom row has at most m/2
+        of the first m positions, for every m; the basis order, by bottom
+        rows lexicographically, is the descending order of bit-reversed
+        words.  Swapping column k adds 2^top - 2^bottom, positions from 0."""
+        n, b = self.n, self.b
+        masks = weight_class_array(n, b)
+        bits = masks[:, None] >> np.arange(n) & 1
+        rows = np.flatnonzero((2 * np.cumsum(bits, axis=1) <= np.arange(1, n + 1)).all(axis=1))
+        rows = rows[np.argsort(-(bits[rows] << np.arange(n - 1, -1, -1)).sum(axis=1), kind="stable")]
+        plus = bits[rows].astype(bool)
+        bottoms = np.nonzero(plus)[1].reshape(len(rows), b)
+        tops = np.nonzero(~plus)[1].reshape(len(rows), n - b)
+        words, odd = masks[rows][None, :], np.zeros(1, dtype=np.int8)
+        for k in range(b):
+            words = np.concatenate([words, words + (np.int64(1) << tops[:, k]) - (np.int64(1) << bottoms[:, k])])
+            odd = np.concatenate([odd, 1 - odd])
+        return read_only(words), read_only(odd), read_only(np.int64(1) << tops[:, b:])
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Integer matrix of standard polytabloids in weight-class
+        coordinates: one column per basis vector, rows ordered by word mask.
+        Its entries are 0 and +-1, held as int8.  Read-only.
+
+        The 2^b words of a polytabloid are its tabloid word plus the swap
+        changes of a subset of its columns, with sign (-1)^|subset|; the
+        words are distinct, so each entry is set once."""
+        words, odd, _ = self.words
+        out = np.zeros((len(weight_class_array(self.n, self.b)), words.shape[1]), dtype=np.int8)
+        out[weight_classes(self.n)[2][words], np.arange(out.shape[1])] = np.array([1, -1], dtype=np.int8)[odd, None]
+        return read_only(out)
+
+    @cached_property
+    def generator_gathers(self) -> tuple[np.ndarray, ...]:
+        """perm_action_rows of sn_generators(n) on the weight class,
+        read-only: the only gathers that every other permutation's gather
+        is composed from."""
+        return tuple(read_only(perm_action_rows(g, self.n, self.b)) for g in sn_generators(self.n))
+
+    @cached_property
+    def adjacent_gathers(self) -> tuple[np.ndarray, ...]:
+        """Read-only gathers of t_i = (i i+1), i = 1..n-1, from those of s
+        and z alone: t_1 = s and t_(i+1) = z t_i z^-1.  The gather of a
+        product is rows_(x y) = rows_y[rows_x], and that of z^-1 is the
+        inverse permutation of z's, so t_(i+1) gathers by z_inv[t_i[z]]."""
+        gathers = self.generator_gathers
+        if not gathers:
+            return ()
+        s, z = gathers[0], gathers[-1]
+        z_inv = np.argsort(z)
+        t = [s]
+        for _ in range(self.n - 2):
+            t.append(read_only(z_inv[t[-1][z]]))
+        return tuple(t)
+
+    def solver(self, p: int | None) -> BasisSolver:
+        """Solver of the standard polytabloid basis mod p, or exactly over Z
+        when p is None, built once per p.
+
+        The rows are the tabloid words of the standard tableaux.  A
+        polytabloid's other words come from swapping a column, which moves
+        a plus to a smaller position, so they precede its own word in the
+        lexicographic order of bottom rows (and in bottom-entry-sum order);
+        since the basis is ordered lexicographically, matrix[rows] is upper
+        unitriangular over Z."""
+        if p not in self._solvers:
+            self._solvers[p] = BasisSolver(p, self.basis, weight_classes(self.n)[2][self.words[0][0]])
+        return self._solvers[p]
 
 
-@lru_cache(maxsize=None)
+specht_module = lru_cache(maxsize=None)(SpechtModule)
+
+
 def basis_matrix(n: int, c: int) -> np.ndarray:
-    """Integer matrix of standard polytabloids in weight-class coordinates:
-    one column per basis vector, rows ordered by word mask.  Its entries
-    are 0 and +-1, held as int8.  Read-only.
-
-    The 2^b words of a polytabloid are its tabloid word plus the swap
-    changes of a subset of its columns, with sign (-1)^|subset|; the words
-    are distinct, so each entry is set once."""
-    b = Diagram2.from_weight(n, c).b
-    words, odd, _ = _word_table(n, b)
-    out = np.zeros((len(weight_class_array(n, b)), words.shape[1]), dtype=np.int8)
-    out[weight_classes(n)[2][words], np.arange(out.shape[1])] = np.array([1, -1], dtype=np.int8)[odd, None]
-    return read_only(out)
+    """specht_module(n, b).basis for the diagram of weight c on n letters."""
+    return specht_module(n, Diagram2.from_weight(n, c).b).basis
 
 
 def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
@@ -240,7 +295,7 @@ def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
     C(n - 2b, c0) entries +-c0! at distinct words, so each is set once.
     """
     b = Diagram2.from_weight(n, c).b
-    words, odd, free = _word_table(n, b)
+    words, odd, free = specht_module(n, b).words
     chosen = list(combinations(range(n - 2 * b), c0))
     flips = free[:, np.asarray(chosen, dtype=np.intp).reshape(len(chosen), c0)].sum(axis=-1)
     signed = residues(np.array([1, -1]) * (factorial(c0) % p), p)
@@ -256,7 +311,7 @@ def gram_of_diagram(diag: Diagram2) -> np.ndarray:
     int32 (see rings.int_gram): the basis has entries 0 and +-1, so the
     bound of its Gram is its row count, at most C(16, 8) = 12870 for the
     diagrams a command takes.  Read-only."""
-    return read_only(int_gram(basis_matrix(diag.n, diag.c)))
+    return read_only(int_gram(specht_module(diag.n, diag.b).basis))
 
 
 # Scratch entries of BasisSolver.coords: it solves this many, divided by the
@@ -368,19 +423,9 @@ class BasisSolver:
         return x
 
 
-@lru_cache(maxsize=None)
 def basis_solver(p: int | None, n: int, c: int) -> BasisSolver:
-    """Solver of the standard polytabloid basis of weight c on n letters,
-    mod p, or exactly over Z when p is None.
-
-    The rows are the tabloid words of the standard tableaux.  A
-    polytabloid's other words come from swapping a column, which moves a
-    plus to a smaller position, so they precede its own word in the
-    lexicographic order of bottom rows (and in bottom-entry-sum order);
-    since the basis is ordered lexicographically, matrix[rows] is upper
-    unitriangular over Z.
-    """
-    return BasisSolver(p, basis_matrix(n, c), weight_classes(n)[2][_word_table(n, Diagram2.from_weight(n, c).b)[0][0]])
+    """specht_module(n, b).solver(p) for the diagram of weight c on n letters."""
+    return specht_module(n, Diagram2.from_weight(n, c).b).solver(p)
 
 
 # ---------------------------------------------------------------------------
@@ -429,33 +474,6 @@ def sn_generators(n: int) -> tuple[tuple[int, ...], ...]:
     return (s,) if n == 2 else (s, tuple(range(2, n + 1)) + (1,))
 
 
-@lru_cache(maxsize=None)
-def _generator_gathers(n: int, b: int) -> tuple[np.ndarray, ...]:
-    """perm_action_rows of sn_generators(n) on weight class b, read-only:
-    the only gathers that every other permutation's gather is composed
-    from."""
-    return tuple(read_only(perm_action_rows(g, n, b)) for g in sn_generators(n))
-
-
-@lru_cache(maxsize=None)
-def _adjacent_gathers(n: int, b: int) -> tuple[np.ndarray, ...]:
-    """Read-only gathers of t_i = (i i+1), i = 1..n-1, on weight class b,
-    from those of s and z alone: t_1 = s and t_(i+1) = z t_i z^-1.  The
-    gather of a product is rows_(x y) = rows_y[rows_x], and that of z^-1
-    is the inverse permutation of z's, so t_(i+1) gathers by
-    z_inv[t_i[z]]."""
-    gathers = _generator_gathers(n, b)
-    if not gathers:
-        return ()
-    s, z = gathers[0], gathers[-1]
-    z_inv = np.empty_like(z)
-    z_inv[z] = np.arange(len(z))
-    t = [s]
-    for _ in range(n - 2):
-        t.append(read_only(z_inv[t[-1][z]]))
-    return tuple(t)
-
-
 def sn_gather(sigma, n: int, b: int) -> np.ndarray:
     """tensor.perm_action_rows(sigma, n, b), composed from the gathers of s
     and z, so that what is proven of those two holds of it.
@@ -469,7 +487,7 @@ def sn_gather(sigma, n: int, b: int) -> np.ndarray:
     image = list(sigma)
     if sorted(image) != list(range(1, n + 1)):
         raise ValueError("not a permutation of 1..n")
-    t = _adjacent_gathers(n, b)
+    t = specht_module(n, b).adjacent_gathers
     rows = np.arange(len(weight_class_array(n, b)))
     for end in range(n - 1, 0, -1):
         for i in range(end):
@@ -487,8 +505,8 @@ def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
     The images are gathered by sn_gather and solved by BasisSolver.coords,
     whose multiply-back proves that each lies in the span, or raises
     ValueError."""
-    solver = basis_solver(p, n, c)
-    return solver.coords(solver.matrix[sn_gather(sigma, n, Diagram2.from_weight(n, c).b)])
+    module = specht_module(n, Diagram2.from_weight(n, c).b)
+    return module.solver(p).coords(module.basis[sn_gather(sigma, n, module.b)])
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:

@@ -42,7 +42,7 @@ from .rings import (
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
 from .rings import fp_inverse, fp_rref  # noqa: F401
-from .specht import Diagram2, Tableau2, basis_solver, diagram_weights, polytabloid, specht_basis
+from .specht import Diagram2, SpechtModule, Tableau2, diagram_weights, polytabloid, specht_basis, specht_module
 from .tensor import TensorVector, coev_ev, set_bits, weight_class_masks
 
 __all__ = [
@@ -672,9 +672,9 @@ class LefschetzBasis:
     block by weight block from standard Specht bases.
 
     blocks holds, for each weight of lefschetz_weights(j, g) in basis
-    order, its zero-set size n and, in word order, the rows of masks and
-    the signs that upsilon gives its weight-class words.  The blocks
-    partition masks.  Their arrays and matrix are read-only.
+    order, the SpechtModule of its zero-set size n and, in word order, the
+    rows of masks and the signs that upsilon gives its weight-class words.
+    The blocks partition masks.  Their arrays and matrix are read-only.
     """
 
     j: int
@@ -682,7 +682,7 @@ class LefschetzBasis:
     vectors: list
     degree: int
     masks: tuple[int, ...]
-    blocks: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[SpechtModule, np.ndarray, np.ndarray], ...]
 
     @property
     def dim(self) -> int:
@@ -709,7 +709,7 @@ class LefschetzBasis:
         a column is checked.
         """
         return np.concatenate(
-            [basis_solver(None, n, self.j).coords(signs[:, None] * columns[rows]) for n, rows, signs in self.blocks]
+            [module.solver(None).coords(signs[:, None] * columns[rows]) for module, rows, signs in self.blocks]
             or [np.empty((0, columns.shape[1]), dtype=object)]
         )
 
@@ -725,9 +725,10 @@ def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
         vectors += [upsilon_to_surface(lam, v, g) for v in specht_basis(n, j)]
         # a monomial of this degree and weight holds both generators at
         # b of the n zero positions, [n - b, b] the diagram of weight j
-        words = weight_class_masks(n, Diagram2.from_weight(n, j).b)[0]
+        module = specht_module(n, Diagram2.from_weight(n, j).b)
+        words = weight_class_masks(n, module.b)[0]
         images, signs = zip(*(_upsilon_monomial(lam, w, g) for w in words))
-        blocks.append((n, read_only(np.array([index[m] for m in images])), read_only(np.array(signs))))
+        blocks.append((module, read_only(np.array([index[m] for m in images])), read_only(np.array(signs))))
     covered = np.sort(np.concatenate([rows for _, rows, _ in blocks] or [np.empty(0, dtype=np.intp)]))
     assert np.array_equal(covered, np.arange(len(index))), "weight blocks must partition the monomials"
     return LefschetzBasis(j, g, vectors, degree, masks, tuple(blocks))

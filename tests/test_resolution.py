@@ -371,11 +371,12 @@ def test_quotient_trace_solves_multiplies_and_projects_nothing_per_permutation(m
 
 @pytest.fixture
 def cold_proofs():
-    """Clear the cached generator gathers and invariance proofs before and
-    after a test that patches what they are built from."""
+    """Clear the cached Specht modules, with their generator gathers, and
+    the invariance proofs before and after a test that patches what they
+    are built from."""
     from spechtres import resolution, specht
 
-    caches = (specht._generator_gathers, specht._adjacent_gathers, resolution._trace_basis)
+    caches = (specht.specht_module, resolution._trace_basis)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -25,6 +25,7 @@ from spechtres.specht import (
     sn_gather,
     sn_generators,
     specht_basis,
+    specht_module,
     standard_tableaux,
     tabloid_vector,
 )
@@ -384,7 +385,9 @@ def test_cached_arrays_are_read_only():
     solvers = [basis_solver(p, 6, 3) for p in (5, None)]
     component = lefschetz_basis(2, 3)
     cached = [
-        *specht._word_table(6, 2),
+        *specht_module(6, 2).words,
+        *specht_module(6, 2).generator_gathers,
+        *specht_module(6, 2).adjacent_gathers,
         *weight_classes(6),
         basis_matrix(6, 3),
         gram_of_diagram(Diagram2(4, 2)),
@@ -405,6 +408,30 @@ def test_cached_arrays_are_read_only():
     assert solvers[1].matrix.dtype == object
     x = solvers[0].back_substitute(basis_matrix(6, 3)[solvers[0].rows])
     assert x.dtype == np.uint8 and np.array_equal(x, np.eye(x.shape[1]))
+
+
+def test_one_module_holds_each_weight_class():
+    # every array of S^(n-b, b) hangs off one cached SpechtModule; the
+    # readers by weight c return its objects, not copies
+    for n in range(1, 9):
+        for c in diagram_weights(n):
+            b = Diagram2.from_weight(n, c).b
+            module = specht_module(n, b)
+            assert module is specht_module(n, b)
+            assert basis_matrix(n, c) is module.basis
+            for p in (5, None):
+                assert basis_solver(p, n, c) is module.solver(p)
+            for gathers in (module.generator_gathers, module.adjacent_gathers):
+                assert all(not rows.flags.writeable for rows in gathers)
+    caches = [
+        name
+        for name, value in vars(specht).items()
+        if hasattr(value, "cache_info") and value.__module__ == specht.__name__
+    ]
+    assert sorted(caches) == ["gram_of_diagram", "specht_module"]
+    # a solver is held by its module, so it cannot outlive a cleared cache
+    specht_module.cache_clear()
+    assert basis_solver(5, 6, 3).matrix is basis_matrix(6, 3)
 
 
 def _unitriangular(rng, d, low, high, dtype=np.int64):
