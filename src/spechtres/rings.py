@@ -31,8 +31,10 @@ mantissa):
   otherwise in float64, where it stays below 2**53 for any inner
   dimension below 10**11.  Every partial sum is then an integer the float
   type holds exactly, so summation order cannot change a result.
-- Gram matrices of integer matrices accumulate in float32, and a bound of
-  2**24 or more is refused.
+- Gram matrices of integer matrices are summed from float32 products of
+  blocks of rows, over the upper triangle, into int16 when their bound,
+  rows * max|entry|**2, is below 2**15, and into int32 otherwise; a bound
+  of 2**24 or more is refused.
 - Elimination runs in int16 when the delayed reductions of its per-pivot
   loop stay below 2**15, for every p up to 23, and otherwise in int32.
 
@@ -245,8 +247,9 @@ def _block_rows(width: int, entries: int) -> int:
     a block is tall enough to spread BLAS's packing of the other operand.
 
     A product's block (its cast and its product) is kept to half the float
-    copy of the right operand, and a Gram's cast to half the Gram, so that
-    the workspace adds at most half to what the call holds anyway.  The
+    copy of the right operand, so that the workspace adds at most half to
+    what the call holds anyway, and a Gram's cast to half its entries, as
+    many bytes as an int16 Gram.  The
     1716 x 429 by 429 x 572 multiply-back of a resolve at n = 13 takes 128
     rows, and the 12870 x 1430 by 1430 x 3640 one at n = 16 takes 512: on
     one thread of a 2-vCPU Xeon it took 1.6 s in blocks of 512 rows and
@@ -334,31 +337,51 @@ def fp_product_equals(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> bo
 
 
 def int_gram(m: np.ndarray) -> np.ndarray:
-    """Exact integer Gram matrix m.T @ m of an integer matrix, as int32.
+    """Exact integer Gram matrix m.T @ m of an integer matrix: int16 when
+    its bound is below 2**15, and int32 otherwise.
 
     Every partial sum is bounded by rows * max|entry|**2.  The product runs
-    through float32 BLAS, summed over blocks of rows cast one at a time,
-    which is exact while that bound is below 2**24, so summation order
-    cannot change the result.  A bound of 2**24 or more is refused with
-    OverflowError rather than rounded; the 0/+-1 polytabloid and component
-    matrices meet it below 2**24 rows.  The workspace is freed first, and
-    the int32 result is then written over the float sum (_ints_in_place),
-    so no second n x n array is made.
+    through float32 BLAS, one block of rows cast at a time, which is exact
+    while that bound is below 2**24, so summation order cannot change the
+    result.  A bound of 2**24 or more is refused with OverflowError rather
+    than rounded; the 0/+-1 polytabloid and component matrices meet it
+    below 2**24 rows.  The Specht Grams a command takes have at most
+    C(16, 8) = 12870 rows of 0/+-1 entries, so they are int16.
+
+    Only the upper triangle is multiplied, in column tiles of even width,
+    at most _ROW_BLOCK: each block's product with the tile of columns
+    c0..c1 is taken for rows 0..c1 of the Gram only, in one d x width
+    float32 buffer, cast to the Gram's type in one d x width integer
+    buffer, where every partial sum fits, and added into the result.  So
+    no d x d float array is made.  The lower triangle is then copied from
+    the upper one.  Against one d x d float32 product and sum a block, the
+    8008 x 3640 basis of [10, 6] took 0.8-0.9 instead of 1.3-1.5 s on one
+    thread of a 2-vCPU Xeon, and every smaller Gram was on par.
     """
     m = np.asarray(m)
     top = max(-int(m.min()), int(m.max())) if m.size else 0
     bound = m.shape[0] * top * top
     if bound >= _FLOAT32_EXACT:
         raise OverflowError("Gram matrix entries may reach 2**24, the float32 limit of exact integers")
-    gram = np.zeros((m.shape[1], m.shape[1]), dtype=np.float32)
-    step = _block_rows(m.shape[1], gram.size // 2)
-    cast, product = np.empty((min(step, len(m)), m.shape[1]), dtype=np.float32), np.empty_like(gram)  # reused
+    d = m.shape[1]
+    gram = np.zeros((d, d), dtype=np.int16 if bound < _LIMIT[np.dtype(np.int16)] else np.int32)
+    step = _block_rows(d, gram.size // 2)
+    width = math.ceil(d / math.ceil(d / _ROW_BLOCK)) if d else 1
+    tiles = [(c0, min(d, c0 + width)) for c0 in range(0, d, width)]
+    # reused: a block's cast, and a tile's product in float32 and as integers
+    cast = np.empty((min(step, len(m)), d), dtype=np.float32)
+    product, ints = np.empty((d, width), dtype=np.float32), np.empty((d, width), dtype=gram.dtype)
     for lo in range(0, len(m), step):
         rows = min(step, len(m) - lo)
         cast[:rows] = m[lo : lo + rows]
-        gram += np.matmul(cast[:rows].T, cast[:rows], out=product)
-    del cast, product
-    return _ints_in_place(gram)
+        for c0, c1 in tiles:
+            np.matmul(cast[:rows, :c1].T, cast[:rows, c0:c1], out=product[:c1, : c1 - c0])
+            ints[:c1, : c1 - c0] = product[:c1, : c1 - c0]
+            gram[:c1, c0:c1] += ints[:c1, : c1 - c0]
+    del cast, product, ints
+    for c0, c1 in tiles:
+        gram[c1:, c0:c1] = gram[c0:c1, c1:].T
+    return gram
 
 
 # Width of a column panel of the blocked elimination.  A matrix no wider
@@ -496,7 +519,11 @@ def _eliminate(a: np.ndarray, p: int, reduced_form: bool) -> tuple[np.ndarray, l
     _check_modulus(p)
     dtype = _elimination_type(p)
     a = np.asarray(a)
-    m = _reduced(a, p)
+    # a signed input narrower than the working type, such as an int16 Gram
+    # at p > 23, is copied once, into that type, and reduced there, far
+    # inside its limits; any other is reduced by _reduced
+    narrow = a.dtype.kind == "i" and a.dtype.itemsize < np.dtype(dtype).itemsize
+    m = _reduce_in_place(a.astype(dtype), p) if narrow else _reduced(a, p)
     rows, cols = m.shape
     if cols <= 2 * _PANEL:
         t = np.array(m.T, dtype=dtype, order="C")

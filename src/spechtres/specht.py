@@ -307,10 +307,10 @@ def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def gram_of_diagram(diag: Diagram2) -> np.ndarray:
-    """Gram matrix of the standard polytabloids of a diagram, always as
-    int32 (see rings.int_gram): the basis has entries 0 and +-1, so the
-    bound of its Gram is its row count, at most C(16, 8) = 12870 for the
-    diagrams a command takes.  Read-only."""
+    """Gram matrix of the standard polytabloids of a diagram, as int16 for
+    every diagram a command takes (see rings.int_gram): the basis has
+    entries 0 and +-1, so the bound of its Gram is its row count, at most
+    C(16, 8) = 12870 < 2**15 there.  Read-only."""
     return read_only(int_gram(specht_module(diag.n, diag.b).basis))
 
 

@@ -18,7 +18,9 @@ updates and their bounds, for a modulus p below rings._MODULUS_BOUND:
 - rings._ints_in_place: the integers of a float32 or float64 array,
   exact below 2**24 or 2**53, written over it in the int32 or int64 of
   the same width, one chunk at a time;
-- rings.int_gram: rows * max|entry|**2 below 2**24 in float32;
+- rings.int_gram: rows * max|entry|**2 below 2**24 in float32, and the
+  result, summed from the float32 products, in int16 below 2**15 and in
+  int32 otherwise;
 - specht.BasisSolver.back_substitute: entries per row * (p - 1)**2 + p
   inside int64;
 - resolution.quotient_trace: the entries of a trace times p - 1 inside
@@ -267,6 +269,15 @@ def test_int_gram_bound_in_float32():
     assert int_gram(np.full((1, 1), 4095)).tolist() == [[4095**2]]
     with pytest.raises(OverflowError):
         int_gram(np.full((1, 1), 4096))  # 2**24
+
+
+def test_int_gram_bound_in_int16():
+    # a bound below 2**15 is summed into int16; one row more takes int32
+    for rows, dtype in ((2**15 - 1, np.int16), (2**15, np.int32)):
+        gram = int_gram(np.ones((rows, 1), dtype=np.int8))
+        assert gram.tolist() == [[rows]] and gram.dtype == dtype
+    assert int_gram(np.full((1, 1), 181)).dtype == np.int16  # 181**2 = 32761
+    assert int_gram(np.full((1, 1), 182)).dtype == np.int32  # 182**2 = 33124
 
 
 def _unitriangular_square(d):

@@ -334,17 +334,25 @@ def test_fp_matmul_random_entries_any_sign(p):
 
 
 def test_int_gram_is_exact_on_every_route():
-    # one route, float32, and a refusal past it (its edge is driven in
-    # tests/test_bounds.py)
+    # one route, float32, summed into int16 or int32, and a refusal past it
+    # (their edges are driven in tests/test_bounds.py)
     rng = np.random.RandomState(1)
     small = rng.randint(-1, 2, size=(300, 20))  # 0/+-1 entries, as in the polytabloid bases
     assert np.array_equal(int_gram(small), small.astype(object).T @ small.astype(object))
-    assert int_gram(small).dtype == np.int32
+    assert int_gram(small).dtype == np.int16  # 300 < 2**15
     # 4 * 2047**2 lies below 2**24, with odd Gram entries that a rounding
     # float type would move
     m = rng.randint(-2047, 2048, size=(4, 30))
     m[:, 0] = 2047
     assert np.array_equal(int_gram(m), m.astype(object).T @ m.astype(object))
+    assert int_gram(m).dtype == np.int32
+    # 1030 columns take three column tiles of the upper triangle, and 600
+    # rows two row blocks; the float64 product of such small integers is
+    # exact
+    wide = rng.randint(-1, 2, size=(600, 1030))
+    for m, dtype in ((wide, np.int16), (8 * wide, np.int32)):  # 600 * 64 > 2**15
+        gram = int_gram(m)
+        assert gram.dtype == dtype and np.array_equal(gram, m.astype(np.float64).T @ m.astype(np.float64))
     # from 2**24 on float32 would round, so it is refused
     big = rng.randint(-(2**24), 2**24, size=(300, 5))
     for m in (big, big.astype(np.int32), np.full((4, 2), 2**31, dtype=np.int64), np.full((5, 30), 2047)):
@@ -607,20 +615,28 @@ def test_eliminations_refuse_a_modulus_beyond_int64_products():
             fp_inverse(a[:, :2], p)
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 23, 29, 211])
 def test_gram_quotient_fields_are_lazy_and_equal_the_eager_ones(p):
     from spechtres.specht import Diagram2, gram_of_diagram
 
     # Grams at most 2 * _PANEL wide keep the reduced form of their rank's
-    # loop; the wider ones eliminate again on first use
-    for tau in (Diagram2(2, 2), Diagram2(5, 3), Diagram2(6, 6), Diagram2(9, 4)):
+    # loop; the wider ones eliminate again on first use.  The Specht Grams
+    # are int16, and eliminate to the same results as their int32 copies,
+    # in int16 up to p = 23 and in int32 from p = 29 on
+    for tau in (Diagram2(2, 2), Diagram2(5, 3), Diagram2(6, 6), Diagram2(9, 4), Diagram2(8, 5)):
         gram = gram_of_diagram(tau)
+        assert gram.dtype == np.int16
         rref, pivots = fp_rref(gram, p)
-        q = GramQuotient(gram, p)
-        assert q.quotient_dim == len(pivots) == fp_rank(gram, p), tau
+        wide_rref, wide_pivots = fp_rref(gram.astype(np.int32), p)
+        assert np.array_equal(rref, wide_rref) and pivots == wide_pivots
+        assert fp_rank(gram, p) == fp_rank(gram.astype(np.int32), p) == len(pivots)
+        q, wide = GramQuotient(gram, p), GramQuotient(gram.astype(np.int32), p)
+        assert q.quotient_dim == len(pivots) == wide.quotient_dim, tau
         free = [f for f in range(len(gram)) if f not in pivots]
         assert np.array_equal(q.reduced_free, rref[: len(pivots)][:, free])
         assert q.free_idx.tolist() == free and q.pivot_idx.tolist() == pivots
+        for name in ("reduced_free", "free_idx", "pivot_idx"):
+            assert np.array_equal(getattr(q, name), getattr(wide, name))
         assert q.quotient_dim == len(pivots)  # the same after the fields are built
         for name in ("reduced_free", "free_idx", "pivot_idx"):
             assert not getattr(q, name).flags.writeable
