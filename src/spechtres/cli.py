@@ -317,17 +317,20 @@ def _run_factors(params, rng) -> tuple[dict, list]:
     flist = factors_mod.composition_factors(ctx)
     entries = []
     total = 0
+    mismatched = ""  # each factor whose two dimensions differ, named
     for f in flist:
         dim_comb = factors_mod.simple_dim(p, f)
         dim_gram = res_mod.simple_quotient(p, f).quotient_dim
         entries.append({"diagram": [f.a, f.b], "dim": dim_comb, "dim_gram": dim_gram})
         total += dim_gram
+        if dim_comb != dim_gram:
+            mismatched += f" {f} dim={dim_comb} dim_gram={dim_gram}"
     catalan_dim = dims_mod.catalan(tau.n, tau.b)
     checks = [
         _check(
             "factor-partition",
-            total == catalan_dim and all(e["dim"] == e["dim_gram"] for e in entries),
-            f"sum={total} catalan={catalan_dim}",
+            total == catalan_dim and not mismatched,
+            f"sum={total} catalan={catalan_dim}{mismatched}",
         )
     ]
     c0 = ctx.digit(0)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import _reduced, fp_matmul, fp_rref
+from .rings import fp_matmul, fp_rref, residues
 from .resolution import build_complex, verify_exactness
 from .surface import (
     ExteriorVector,
@@ -184,7 +184,7 @@ def wedge_pair_identities(g: int, seed: int = 0, samples: int = 20) -> dict:
 def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:
     """Matrix mod p of the contraction by a degree-m form, from the
     component basis at index j to the one at index j + m_deg: the exact
-    matrix as int64 residues.  F = mu(omega) commutes with mu(x), so mu(x)
+    matrix as uint8 residues.  F = mu(omega) commutes with mu(x), so mu(x)
     maps ker F into ker F, where the blocks' unitriangular squares give
     integral coordinates.  A target index past g + 1 is the empty
     component, and the matrix has no rows."""
@@ -194,7 +194,7 @@ def mu_component_map(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarra
     jx = calibrate(x)
     tgt = lefschetz_basis(j + m_deg, x.g)
     exact = tgt.coords(tgt.columns([_contract(jx, v) for v in src.vectors]))
-    return _reduced(exact, p)
+    return residues(exact, p)
 
 
 def mu_induced(p: int, j: int, m_deg: int, x: ExteriorVector) -> np.ndarray:

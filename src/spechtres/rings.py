@@ -4,18 +4,21 @@ Matrices over the prime field F_p, sparse exact vectors (SparseVector,
 the one arithmetic of sign-word tensors, exterior forms, integer Laurent
 polynomials and the cyclotomic quotients Z[z]/(1 + z + ... + z^(p-1)) with
 optional mod-p coefficients), one repeated-squaring power, balanced
-quantum integers, deterministic Gaussian elimination, and the quotient
-of F_p^d by the radical of a Gram matrix (GramQuotient), the one
+quantum integers, deterministic Gaussian elimination, the quotient of
+F_p^d by the radical of a Gram matrix (GramQuotient), the one
 simple-quotient type, whose projections and invariance checks are read
-off the reduced rows of the Gram without a basis of the radical.
+off the reduced rows of the Gram without a basis of the radical, and the
+one coordinate solver against a basis (BasisSolver), mod p or exactly
+over Z.
 
 Everything here is exact.  Python integers cannot overflow.  Products,
-reduced forms and inverses over F_p (fp_matmul, fp_rref, fp_inverse) are
-returned as uint8 arrays of residues in [0, p), one byte each, as are the
-residues that are kept (cached bases, coordinates); they are widened
-before any arithmetic, since a byte array wraps silently (the negative of
-a uint8 residue v is 256 - v, not p - v).  A quotient's readings
-(GramQuotient) are int64, which callers scale and sum.
+reduced forms, inverses and coordinates over F_p (fp_matmul, fp_rref,
+fp_inverse, BasisSolver.coords) are returned as uint8 arrays of residues
+in [0, p), one byte each, as are the residues that are kept (cached
+bases); they are widened before any arithmetic, since a byte array wraps
+silently (the negative of a uint8 residue v is 256 - v, not p - v).  A
+quotient's readings (GramQuotient) are int64, which callers scale and
+sum.
 
 Every kernel mod p takes the moduli below 2**8, which hold every prime a
 command accepts, and refuses a larger one with ValueError.  Each computes
@@ -37,6 +40,10 @@ mantissa):
   of 2**24 or more is refused.
 - Elimination runs in int16 when the delayed reductions of its per-pivot
   loop stay below 2**15, for every p up to 23, and otherwise in int32.
+- Coordinates against a basis with an upper unitriangular square
+  (BasisSolver) are back-substituted one level of the square at a time in
+  int64, where a row's sum of at most its entry count of products of
+  residues, plus p, is asserted below 2**63.
 
 Elimination is blocked: a matrix wider than two column panels is reduced
 a panel at a time, with the per-pivot loop confined to a transposed copy
@@ -68,6 +75,7 @@ __all__ = [
     "fp_rank",
     "fp_inverse",
     "GramQuotient",
+    "BasisSolver",
     "int_charpoly",
     "SparseVector",
     "LaurentInt",
@@ -190,7 +198,7 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
     lower limit, and no integer may wrap, even where two's-complement
     arithmetic would still give the right difference.  So this is only for
     the kernel's own intermediates, which stay further from the limits
-    (see _pivot_loop, _eliminate, _ints_in_place and specht.BasisSolver),
+    (see _pivot_loop, _eliminate, _ints_in_place and BasisSolver),
     and for input that _reduced has checked."""
     if a.size <= _FEW_ENTRIES:
         return np.remainder(a, p, out=a)
@@ -205,25 +213,15 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
-# Entries of a byte array that residues reads at a time: its temporaries of
-# 128 kB take no fresh pages, unlike those of _ROW_BLOCK rows of a basis.
-_BYTE_ENTRIES = 2**17
-
-
 def residues(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p in one byte per entry.  A byte array with every entry in
-    (-p, p) is read in its uint8 view, where a negative entry v reads
-    256 + v, and 256 - p is subtracted from those, leaving v + p without a
-    wrap; any other array is reduced by _reduced.  Either runs one block at
-    a time, so no temporary of a large array's size is made."""
+    """a mod p in one byte per entry, reduced by _reduced one block of
+    _ROW_BLOCK rows at a time, so that no temporary of a large array's size
+    is made."""
     _check_modulus(p)
     a = np.asarray(a)
     out = np.empty(a.shape, dtype=np.uint8)
-    byte = a.dtype in (np.int8, np.uint8) and not (a.size and (a.min() <= -p or a.max() >= p))
-    step = max(1, _BYTE_ENTRIES * len(a) // max(1, a.size)) if byte else _ROW_BLOCK
-    for lo in range(0, len(a), step):
-        b = a[lo : lo + step]
-        out[lo : lo + step] = b.view(np.uint8) - (b < 0).view(np.uint8) * np.uint8(256 - p) if byte else _reduced(b, p)
+    for lo in range(0, len(a), _ROW_BLOCK):
+        out[lo : lo + _ROW_BLOCK] = _reduced(a[lo : lo + _ROW_BLOCK], p)
     return out
 
 
@@ -257,20 +255,20 @@ def _block_rows(width: int, entries: int) -> int:
     return min(_ROW_BLOCK, max(_ROW_BLOCK // 4, entries // max(1, width)))
 
 
-def _ints_in_place(f: np.ndarray, p: int | None = None) -> np.ndarray:
+def _ints_in_place(f: np.ndarray, p: int) -> np.ndarray:
     """The integers of the contiguous float32 or float64 array f, reduced mod
-    p unless p is None, written over f in the int32 or int64 array of the
-    same width, which is returned: a view of f's memory.  Each chunk of
-    _REDUCE_ENTRIES entries is cast and reduced in a scratch array and then
-    written back, so no integer copy of f is made.  The caller keeps every
-    entry inside the integer type."""
+    p, written over f in the int32 or int64 array of the same width, which
+    is returned: a view of f's memory.  Each chunk of _REDUCE_ENTRIES
+    entries is cast and reduced in a scratch array and then written back,
+    so no integer copy of f is made.  The caller keeps every entry inside
+    the integer type."""
     out = f.view(np.int32 if f.dtype == np.float32 else np.int64)
     flat, flat_out = f.reshape(-1), out.reshape(-1)
     scratch = np.empty(max(1, min(_REDUCE_ENTRIES, flat.size)), dtype=out.dtype)
     for lo in range(0, flat.size, len(scratch)):
         chunk = scratch[: min(len(scratch), flat.size - lo)]
         chunk[:] = flat[lo : lo + len(chunk)]
-        flat_out[lo : lo + len(chunk)] = chunk if p is None else _reduce_in_place(chunk, p)
+        flat_out[lo : lo + len(chunk)] = _reduce_in_place(chunk, p)
     return out
 
 
@@ -689,6 +687,115 @@ class GramQuotient:
         if len(free) and not fp_product_equals(image, reduced_free, t[:, free], self.p):
             raise AssertionError("map does not send the source radical into the radical")
         return image
+
+
+# Scratch entries of BasisSolver.coords: it solves this many, divided by the
+# square's rows or its entries, whichever is more, columns at a time.
+_SOLVE_ENTRIES = 2**18
+
+
+class BasisSolver:
+    """Coordinate solver against a fixed basis, mod a prime p or, when p is
+    None, exactly over Z in Python ints held in object arrays.
+
+    matrix holds the basis vectors as columns, and rows picks a square of
+    it that is upper unitriangular over the ring, or ValueError is raised.
+    Mod p an int8 matrix of entries 0 and +-1, such as the polytabloid
+    basis (specht.basis_matrix), is kept as it is given, signed, and
+    read-only; any other is reduced to byte residues (residues).
+    Coordinates are solved by back-substitution through the square, in
+    int64 mod p, one level at a time: a row with no entry right of the
+    diagonal has level 0, any other row one more than the deepest row it
+    points to.  They are returned as uint8 residues.  coords then verifies
+    them by multiplying back, one block of rows at a time, so a column
+    outside the span is always detected; back_substitute alone is for
+    columns already known to lie in the span.
+
+    Rows are solved in level order, within a level by falling entry count.
+    A level holds its positions start:end in that order, and cols and vals:
+    the first entry of each row, then the second of each row with two, and
+    so on, as the positions they point to and their values; counts[r] rows
+    have more than r entries.  All arrays here are read-only.
+    """
+
+    def __init__(self, p: int | None, matrix: np.ndarray, rows: np.ndarray):
+        self.p = p
+        matrix = np.asarray(matrix, dtype=object if p is None else None)
+        if p is not None:
+            _check_modulus(p)
+            # entries in (-2, 2) are 0 and +-1
+            if not (matrix.dtype == np.int8 and _magnitude(matrix, 2) is not None):
+                matrix = residues(matrix, p)
+        self.matrix = matrix = read_only(matrix)
+        self.rows = read_only(rows)
+        square = matrix[rows]
+        d = len(square)
+        i, j = np.nonzero(square)  # row by row, left to right
+        on = i == j
+        if square.shape != (d, d) or on.sum() != d or (square[i[on], j[on]] != 1).any() or (j < i).any():
+            raise ValueError("basis square is not upper unitriangular")
+        i, j = i[~on], j[~on]
+        count = np.bincount(i, minlength=d)
+        # residues below p times entries of magnitude below p, summed over a
+        # row's entries, stay inside int64
+        assert p is None or count.max(initial=0) * (p - 1) ** 2 + p < _LIMIT[np.dtype(np.int64)]
+        level, deeper = None, np.zeros(d, dtype=np.intp)
+        while not np.array_equal(level, deeper):  # each pass settles one more level
+            level, deeper = deeper, np.zeros(d, dtype=np.intp)
+            np.maximum.at(deeper, i, level[j] + 1)
+        self._order = read_only(np.lexsort((-count, level)))
+        position = np.argsort(self._order)
+        rank = np.arange(len(i)) - (np.cumsum(count) - count)[i]  # of each entry in its row
+        e = np.lexsort((position[i], rank, level[i]))
+        i, j, rank = i[e], j[e], rank[e]
+        vals = square[i, j].astype(object if p is None else np.int64)[:, None]
+        top = np.arange(1, level.max(initial=0) + 2)
+        ends, cuts = np.searchsorted(level[self._order], top), np.searchsorted(level[i], top)
+        self._levels = tuple(
+            (ends[t], ends[t + 1], read_only(position[j[lo:hi]]), read_only(vals[lo:hi]), tuple(np.bincount(rank[lo:hi])))
+            for t, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
+        )
+        self._width = max(1, _SOLVE_ENTRIES // max(d, len(i), 1))
+        self._terms = max((len(level[2]) for level in self._levels), default=0)
+
+    def back_substitute(self, square: np.ndarray) -> np.ndarray:
+        """Coordinates x with matrix[rows] @ x = square, for a 2-d array of
+        columns read at the square's rows only, as uint8 residues mod p.
+        The square is unitriangular, so x is unique, and it is the
+        coordinate vector of every column that lies in the span; membership
+        is not checked here (see coords)."""
+        p = self.p
+        x = np.empty((len(self._order), square.shape[1]), dtype=object if p is None else np.uint8)
+        # every level's terms
+        scratch = np.empty(self._terms * min(self._width, square.shape[1]), dtype=object if p is None else np.int64)
+        for lo in range(0, square.shape[1], self._width):
+            w = square[self._order, lo : lo + self._width]
+            if p is not None:
+                w = _reduced(w, p).astype(np.int64, copy=False)
+            for start, end, cols, vals, counts in self._levels:
+                terms = scratch[: len(cols) * w.shape[1]].reshape(len(cols), w.shape[1])  # contiguous:
+                np.take(w, cols, axis=0, out=terms, mode="clip")  # filled in place, without a buffer
+                terms *= vals
+                for count in counts:
+                    w[start : start + count] -= terms[:count]
+                    terms = terms[count:]
+                if p is not None:
+                    _reduce_in_place(w[start:end], p)
+            x[self._order, lo : lo + self._width] = w
+        return x
+
+    def coords(self, columns: np.ndarray) -> np.ndarray:
+        """Coordinates of column vectors: back_substitute, then the
+        multiply-back; raises ValueError when a column is outside the
+        span."""
+        p = self.p
+        columns = np.asarray(columns, dtype=object if p is None else None)
+        if columns.ndim == 1:
+            columns = columns[:, None]
+        x = self.back_substitute(columns[self.rows])
+        if not (np.array_equal(self.matrix @ x, columns) if p is None else fp_product_equals(self.matrix, x, columns, p)):
+            raise ValueError("coordinate solve inconsistent: vector not in the basis span")
+        return x
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .rings import (
-    _LIMIT,
-    _check_modulus,
-    _magnitude,
-    _reduce_in_place,
-    _reduced,
-    fp_product_equals,
-    int_gram,
-    read_only,
-    residues,
-)
+from .rings import BasisSolver, int_gram, read_only, residues
 
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
@@ -312,115 +302,6 @@ def gram_of_diagram(diag: Diagram2) -> np.ndarray:
     entries 0 and +-1, so the bound of its Gram is its row count, at most
     C(16, 8) = 12870 < 2**15 there.  Read-only."""
     return read_only(int_gram(specht_module(diag.n, diag.b).basis))
-
-
-# Scratch entries of BasisSolver.coords: it solves this many, divided by the
-# square's rows or its entries, whichever is more, columns at a time.
-_SOLVE_ENTRIES = 2**18
-
-
-class BasisSolver:
-    """Coordinate solver against a fixed basis, mod a prime p or, when p is
-    None, exactly over Z in Python ints held in object arrays.
-
-    matrix holds the basis vectors as columns, and rows picks a square of
-    it that is upper unitriangular over the ring, or ValueError is raised.
-    Mod p an int8 matrix of entries 0 and +-1, such as the polytabloid
-    basis_matrix, is kept as it is given, signed, and read-only; any other
-    is reduced to byte residues (rings.residues).  Coordinates are solved
-    by back-substitution through the square, in int64 mod p, one level at
-    a time: a row with no entry right of the diagonal has level 0, any
-    other row one more than the deepest row it points to.  They are
-    returned as uint8 residues.  coords then verifies them by multiplying
-    back, one block of rows at a time, so a column outside the span is
-    always detected; back_substitute alone is for columns already known to
-    lie in the span.
-
-    Rows are solved in level order, within a level by falling entry count.
-    A level holds its positions start:end in that order, and cols and vals:
-    the first entry of each row, then the second of each row with two, and
-    so on, as the positions they point to and their values; counts[r] rows
-    have more than r entries.  All arrays here are read-only.
-    """
-
-    def __init__(self, p: int | None, matrix: np.ndarray, rows: np.ndarray):
-        self.p = p
-        matrix = np.asarray(matrix, dtype=object if p is None else None)
-        if p is not None:
-            _check_modulus(p)
-            # entries in (-2, 2) are 0 and +-1
-            if not (matrix.dtype == np.int8 and _magnitude(matrix, 2) is not None):
-                matrix = residues(matrix, p)
-        self.matrix = matrix = read_only(matrix)
-        self.rows = read_only(rows)
-        square = matrix[rows]
-        d = len(square)
-        i, j = np.nonzero(square)  # row by row, left to right
-        on = i == j
-        if square.shape != (d, d) or on.sum() != d or (square[i[on], j[on]] != 1).any() or (j < i).any():
-            raise ValueError("basis square is not upper unitriangular")
-        i, j = i[~on], j[~on]
-        count = np.bincount(i, minlength=d)
-        # residues below p times entries of magnitude below p, summed over a
-        # row's entries, stay inside int64
-        assert p is None or count.max(initial=0) * (p - 1) ** 2 + p < _LIMIT[np.dtype(np.int64)]
-        level, deeper = None, np.zeros(d, dtype=np.intp)
-        while not np.array_equal(level, deeper):  # each pass settles one more level
-            level, deeper = deeper, np.zeros(d, dtype=np.intp)
-            np.maximum.at(deeper, i, level[j] + 1)
-        self._order = read_only(np.lexsort((-count, level)))
-        position = np.argsort(self._order)
-        rank = np.arange(len(i)) - (np.cumsum(count) - count)[i]  # of each entry in its row
-        e = np.lexsort((position[i], rank, level[i]))
-        i, j, rank = i[e], j[e], rank[e]
-        vals = square[i, j].astype(object if p is None else np.int64)[:, None]
-        top = np.arange(1, level.max(initial=0) + 2)
-        ends, cuts = np.searchsorted(level[self._order], top), np.searchsorted(level[i], top)
-        self._levels = tuple(
-            (ends[t], ends[t + 1], read_only(position[j[lo:hi]]), read_only(vals[lo:hi]), tuple(np.bincount(rank[lo:hi])))
-            for t, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
-        )
-        self._width = max(1, _SOLVE_ENTRIES // max(d, len(i), 1))
-        self._terms = max((len(level[2]) for level in self._levels), default=0)
-
-    def back_substitute(self, square: np.ndarray) -> np.ndarray:
-        """Coordinates x with matrix[rows] @ x = square, for a 2-d array of
-        columns read at the square's rows only, as uint8 residues mod p.
-        The square is unitriangular, so x is unique, and it is the
-        coordinate vector of every column that lies in the span; membership
-        is not checked here (see coords)."""
-        p = self.p
-        x = np.empty((len(self._order), square.shape[1]), dtype=object if p is None else np.uint8)
-        # every level's terms
-        scratch = np.empty(self._terms * min(self._width, square.shape[1]), dtype=object if p is None else np.int64)
-        for lo in range(0, square.shape[1], self._width):
-            w = square[self._order, lo : lo + self._width]
-            if p is not None:
-                w = _reduced(w, p).astype(np.int64, copy=False)
-            for start, end, cols, vals, counts in self._levels:
-                terms = scratch[: len(cols) * w.shape[1]].reshape(len(cols), w.shape[1])  # contiguous:
-                np.take(w, cols, axis=0, out=terms, mode="clip")  # filled in place, without a buffer
-                terms *= vals
-                for count in counts:
-                    w[start : start + count] -= terms[:count]
-                    terms = terms[count:]
-                if p is not None:
-                    _reduce_in_place(w[start:end], p)
-            x[self._order, lo : lo + self._width] = w
-        return x
-
-    def coords(self, columns: np.ndarray) -> np.ndarray:
-        """Coordinates of column vectors: back_substitute, then the
-        multiply-back; raises ValueError when a column is outside the
-        span."""
-        p = self.p
-        columns = np.asarray(columns, dtype=object if p is None else None)
-        if columns.ndim == 1:
-            columns = columns[:, None]
-        x = self.back_substitute(columns[self.rows])
-        if not (np.array_equal(self.matrix @ x, columns) if p is None else fp_product_equals(self.matrix, x, columns, p)):
-            raise ValueError("coordinate solve inconsistent: vector not in the basis span")
-        return x
 
 
 def basis_solver(p: int | None, n: int, c: int) -> BasisSolver:

@@ -28,8 +28,8 @@ import numpy as np
 from .rings import (
     GramQuotient,
     SparseVector,
-    _reduced,
     read_only,
+    residues,
     LaurentInt,
     int_charpoly,
     int_gram,
@@ -736,11 +736,11 @@ def lefschetz_basis(j: int, g: int) -> LefschetzBasis:
 
 def lefschetz_action_matrix(word, j: int, g: int, p: int | None = None) -> np.ndarray:
     """Matrix of a group word on the j-th component basis: exact Python-int
-    entries in an object array, reduced to int64 residues when p is given.
+    entries in an object array, reduced to uint8 residues when p is given.
     The word acts through its 2g x 2g matrix, formed once."""
     require_group_word(word)
     exact = _component_action(word_matrix(word, g), j, g)
-    return exact if p is None else _reduced(exact, p)
+    return exact if p is None else residues(exact, p)
 
 
 def _component_action(w: np.ndarray, j: int, g: int) -> np.ndarray:

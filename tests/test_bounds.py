@@ -21,12 +21,10 @@ updates and their bounds, for a modulus p below rings._MODULUS_BOUND:
 - rings.int_gram: rows * max|entry|**2 below 2**24 in float32, and the
   result, summed from the float32 products, in int16 below 2**15 and in
   int32 otherwise;
-- specht.BasisSolver.back_substitute: entries per row * (p - 1)**2 + p
+- rings.BasisSolver.back_substitute: entries per row * (p - 1)**2 + p
   inside int64;
 - resolution.quotient_trace: the entries of a trace times p - 1 inside
-  int64;
-- rings.residues: a byte array with every entry in (-p, p) in its uint8
-  view.
+  int64.
 
 The int64 bounds and the int32 drift of an elimination lie past any
 matrix in memory at p < 2**8, so their tests lower the limit in
@@ -41,6 +39,7 @@ from spechtres.rings import (
     _LIMIT,
     _MODULUS_BOUND,
     _PANEL,
+    BasisSolver,
     GramQuotient,
     fp_inverse,
     fp_matmul,
@@ -50,7 +49,7 @@ from spechtres.rings import (
     int_gram,
     residues,
 )
-from spechtres.specht import BasisSolver, Diagram2, basis_solver
+from spechtres.specht import Diagram2, basis_solver
 from test_rings import _identity_led, _rref_python_ints
 
 INT16, INT32, INT64 = (np.dtype(t) for t in (np.int16, np.int32, np.int64))
@@ -213,17 +212,16 @@ def test_row_products_hold_the_bound_in_every_block(p):
 def test_ints_in_place_cover_every_chunk_at_the_exact_float_limit(ftype, top):
     # integers up to the float type's exact limit, over two whole chunks and
     # a short one, come back in the integer type of the same width, over the
-    # float array's own memory, reduced mod p or as they are
+    # float array's own memory, reduced mod p
     p = 251
     rng = np.random.RandomState(3)
     size = 2 * rings._REDUCE_ENTRIES + 6
     ints = rng.randint(-top, top + 1, size=size, dtype=np.int64)
     ints[:2], ints[-2:] = (-top, top), (top, -top)
-    for q, want in ((p, ints % p), (None, ints)):
-        f = ints.astype(ftype).reshape(2, -1)
-        got = rings._ints_in_place(f, q)
-        assert got.dtype.itemsize == f.dtype.itemsize and got.dtype.kind == "i"
-        assert np.shares_memory(got, f) and got.reshape(-1).tolist() == want.tolist()
+    f = ints.astype(ftype).reshape(2, -1)
+    got = rings._ints_in_place(f, p)
+    assert got.dtype.itemsize == f.dtype.itemsize and got.dtype.kind == "i"
+    assert np.shares_memory(got, f) and got.reshape(-1).tolist() == (ints % p).tolist()
 
 
 @pytest.mark.parametrize("p", [211, 251])
@@ -314,23 +312,3 @@ def test_quotient_trace_sums_in_int64_at_a_lowered_limit(monkeypatch):
     with pytest.raises(AssertionError):
         resolution.quotient_trace(p, tau, sigma)
 
-
-def test_residues_read_a_byte_array_in_its_view_inside_minus_p_to_p(monkeypatch):
-    calls = []
-    original = rings._reduced
-    monkeypatch.setattr(rings, "_reduced", lambda a, q: calls.append(q) or original(a, q))
-    cases = [
-        (5, np.int8, [-4, -1, 0, 1, 4], True),
-        (5, np.int8, [-5, 0, 4], False),
-        (5, np.uint8, [0, 1, 4], True),
-        (5, np.uint8, [0, 5], False),
-        (251, np.int8, [-128, -1, 0, 1, 127], True),  # int8 holds nothing outside (-251, 251)
-        (251, np.uint8, [0, 1, 250], True),
-        (251, np.uint8, [0, 251], False),
-    ]
-    for p, dtype, entries, by_view in cases:
-        calls.clear()
-        a = np.array(entries, dtype=dtype)
-        got = residues(a, p)
-        assert got.dtype == np.uint8 and got.tolist() == [e % p for e in entries]
-        assert calls == ([] if by_view else [p]), (p, dtype, entries)

@@ -261,6 +261,18 @@ def test_exactness_failure_details_are_reproducible():
     assert details.endswith("homology by weight: {7: 1, 5: 1}")
 
 
+def test_factor_partition_failure_names_the_mismatched_factor(monkeypatch):
+    # with simple_dim one too large the Gram dimensions still sum to the
+    # Catalan number, so only the factor's dim against its dim_gram shows
+    # the fault
+    real = cli.factors_mod.simple_dim
+    monkeypatch.setattr(cli.factors_mod, "simple_dim", lambda p, f: real(p, f) + 1)
+    rep = cli.run(cli.Job("factors", {"p": 3, "tau": [6, 4]}))
+    check = rep.checks[0]
+    assert (check["name"], check["status"]) == ("factor-partition", "fail")
+    assert check["details"] == "sum=90 catalan=90 [6,4] dim=91 dim_gram=90"
+
+
 def test_unexpected_error_becomes_failed_check(monkeypatch):
     def boom(params, rng):
         raise RuntimeError("boom")
@@ -323,9 +335,8 @@ def test_character_proves_invariance_once_not_per_cycle_type(monkeypatch):
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
     calls = []
-    for module in (rings, specht):
-        real = module.fp_product_equals
-        monkeypatch.setattr(module, "fp_product_equals", lambda *a, real=real: calls.append(1) or real(*a))
+    real = rings.fp_product_equals
+    monkeypatch.setattr(rings, "fp_product_equals", lambda *a: calls.append(1) or real(*a))
     rep = cli.run(cli.Job("character", {"p": 7, "tau": [7, 5]}))
     assert rep.status == "pass" and len(rep.results["table"]) == 77
     assert 2 <= len(calls) <= 4  # s and z on the span, and on the radical when it is not zero

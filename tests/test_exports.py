@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,19 @@ def test_star_import_of_the_package():
     namespace: dict = {}
     exec("from spechtres import *", namespace)
     assert "build_complex" in namespace and "mu_induced" in namespace
+
+
+def test_no_module_but_rings_imports_a_private_rings_name():
+    # the residue format and overflow bounds of the mod-p kernels are known
+    # to rings alone; resolution.quotient_trace reads _LIMIT for its own
+    # int64 sum, so that test_bounds lowers every such limit in one table
+    imported = []
+    for path in sorted(Path(spechtres.__file__).parent.glob("*.py")):
+        if path.stem == "rings":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "rings"), (0, "spechtres.rings")):
+                imported += [(path.stem, alias.name) for alias in node.names]
+    assert ("specht", "BasisSolver") in imported
+    private = [(module, name) for module, name in imported if name.startswith("_")]
+    assert [entry for entry in private if entry != ("resolution", "_LIMIT")] == []

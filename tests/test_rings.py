@@ -672,10 +672,9 @@ def test_gram_quotient_eliminates_a_wide_gram_once(monkeypatch):
 
 
 def test_byte_residues_match_the_int64_remainder():
-    # every byte value, in more rows than two blocks of either path take;
-    # entries inside (-p, p), which a byte array takes in its uint8 view;
-    # entries in [-p, p], which it does not; and an empty array
-    rows = max(2 * _ROW_BLOCK, 2 * rings._BYTE_ENTRIES // 256) + 5
+    # every byte value, in more rows than two blocks take; entries inside
+    # (-p, p); entries in [-p, p]; and an empty array
+    rows = 2 * _ROW_BLOCK + 5
     a = (np.arange(rows * 256) % 256 - 128).reshape(rows, 256)
     for p in (3, 211, 251):
         for case in (a, np.sign(a) * (np.abs(a) % p), np.clip(a, -p, p)):

@@ -6,7 +6,7 @@ import pytest
 
 from spechtres.dims import catalan
 from spechtres.rings import _block_rows, fp_rref, residues
-from spechtres import specht
+from spechtres import rings, specht
 from spechtres.specht import (
     BasisSolver,
     Diagram2,
@@ -444,10 +444,10 @@ def _unitriangular(rng, d, low, high, dtype=np.int64):
     return u.astype(dtype)
 
 
-@pytest.mark.parametrize("entries", [specht._SOLVE_ENTRIES, 1], ids=["one-block", "one-column-blocks"])
+@pytest.mark.parametrize("entries", [rings._SOLVE_ENTRIES, 1], ids=["one-block", "one-column-blocks"])
 def test_solver_back_substitutes_through_random_unitriangular_squares(monkeypatch, entries):
     # with one scratch entry every column is a block of its own
-    monkeypatch.setattr(specht, "_SOLVE_ENTRIES", entries)
+    monkeypatch.setattr(rings, "_SOLVE_ENTRIES", entries)
     rng = np.random.RandomState(3)
     for d in (0, 1, 5, 33, 70):
         u = _unitriangular(rng, d, -5, 6)
