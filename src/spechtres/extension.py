@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rings import fp_matmul, fp_rref, residues
+from .rings import fp_matmul, fp_rref, read_only, residues
 from .resolution import build_complex, verify_exactness
 from .surface import (
     ExteriorVector,
@@ -221,7 +221,7 @@ def form_quotient_data(p: int, m_deg: int, g: int):
     multiples = [wedge(omega, ExteriorVector.monomial(g, lm)) for lm in lower]
     rref, pivots = fp_rref(ExteriorVector.columns(multiples, index, np.int64).T, p)
     complement = tuple(i for i in range(len(masks)) if i not in set(pivots))
-    return rref[: len(pivots)], tuple(pivots), complement, masks
+    return read_only(rref[: len(pivots)]), tuple(pivots), complement, masks
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ class BlockModule:
 
 @lru_cache(maxsize=None)
 def _factor_action(p: int, label: int, g: int, word: tuple) -> np.ndarray:
-    return component_quotient(p, label, g).quotient_matrix(lefschetz_action_matrix(list(word), label, g))
+    return read_only(component_quotient(p, label, g).quotient_matrix(lefschetz_action_matrix(list(word), label, g)))
 
 
 def block_module(p: int, j: int, m_deg: int, g: int, variant: str = "quotient") -> BlockModule:
@@ -282,7 +282,8 @@ def block_action_matrix(elem: JmElement, mod: BlockModule) -> np.ndarray:
         raise ValueError("denominator must be a unit mod p")
     a_top = _factor_action(p, mod.j, mod.g, elem.word)
     a_bot = _factor_action(p, mod.j + mod.m_deg, mod.g, elem.word)
-    c = (pow(elem.denom, -1, p) * mu_induced(p, mod.j, mod.m_deg, elem.x)) % p
+    # widened first: a Python int times a uint8 array stays uint8 and wraps
+    c = (pow(elem.denom, -1, p) * mu_induced(p, mod.j, mod.m_deg, elem.x).astype(np.int64)) % p
     dt, db = a_top.shape[0], a_bot.shape[0]
     out = np.zeros((dt + db, dt + db), dtype=np.int64)
     out[:dt, :dt] = a_top

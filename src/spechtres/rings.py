@@ -15,10 +15,13 @@ Everything here is exact.  Python integers cannot overflow.  Products,
 reduced forms, inverses and coordinates over F_p (fp_matmul, fp_rref,
 fp_inverse, BasisSolver.coords) are returned as uint8 arrays of residues
 in [0, p), one byte each, as are the residues that are kept (cached
-bases); they are widened before any arithmetic, since a byte array wraps
-silently (the negative of a uint8 residue v is 256 - v, not p - v).  A
-quotient's readings (GramQuotient) are int64, which callers scale and
-sum.
+bases), and a quotient's readings (GramQuotient).  Input is read through
+residues, which returns byte residues as they are; only a product's
+operand with entries in (-p, p) and an elimination's narrow signed input
+are taken in their own type.  Residues are widened before any
+arithmetic, since a byte array wraps silently (the negative of a uint8
+residue v is 256 - v, not p - v, and under numpy 2 a Python int times a
+uint8 array stays uint8).
 
 Every kernel mod p takes the moduli below 2**8, which hold every prime a
 command accepts, and refuses a larger one with ValueError.  Each computes
@@ -102,13 +105,15 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # matrices over F_p
 
-# Every array a function here takes or returns holds residues in [0, p), or
-# is reduced on entry by _reduced, which cannot wrap; a product also takes
-# an operand with entries in (-p, p) as it is (_row_products).  Only the
-# kernel's own int16, int32 or int64 intermediates may be unreduced: the
-# entries of the eliminated matrix between its reductions, and sums and
-# differences of residues, all bounded inside their type (see _pivot_loop
-# and _eliminate).
+# Every mod-p array a function here returns holds residues in [0, p), as
+# uint8.  Every array it takes is read through residues, which cannot wrap
+# and returns byte residues as they are; a product also takes an operand
+# with entries in (-p, p) as it is (_row_products), and an elimination a
+# signed input no wider than its own type in that type (_eliminate).  Only
+# the kernel's own int16, int32 or int64 intermediates may be unreduced:
+# the entries of the eliminated matrix between its reductions, and sums
+# and differences of residues, all bounded inside their type (see
+# _pivot_loop and _eliminate).
 # They are reduced by _reduce_in_place.  The elimination scan is fixed:
 # columns left to right, within a column the first nonzero entry from the
 # top.  The reduced form and its pivot columns are unique, so every basis
@@ -147,33 +152,9 @@ def _exact_float(bound: int) -> type:
 _ROW_BLOCK = 512
 
 
-# The signed types the kernels compute in: the magnitude below which each
-# holds integers, and the unsigned type of the same width, through which
-# _reduced reads it.
+# The signed types the kernels compute in, and the magnitude below which
+# each holds integers.
 _LIMIT = {np.dtype(t): 1 << (8 * np.dtype(t).itemsize - 1) for t in (np.int16, np.int32, np.int64)}
-_UNSIGNED = {np.dtype(t): u for t, u in ((np.int16, np.uint16), (np.int32, np.uint32), (np.int64, np.uint64))}
-
-
-def _reduced(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p as integers: a itself when its entries are in [0, p), so
-    that residues are only read.  Otherwise an int16 or int32 array whose
-    minimum is at least p above the lower limit of its type is reduced in
-    that type, by _reduce_in_place on a copy: (a // p) * p lies at most
-    p - 1 below a, so it stays inside the type.  Any other array is
-    reduced by np.remainder in int64, which cannot wrap, or in Python ints
-    when it holds objects, and returned as int64."""
-    a = np.asarray(a)
-    if a.dtype == object:
-        return (a % p).astype(np.int64)
-    # read as unsigned, a negative entry is at least the limit of its
-    # signed type, which is above p, so one maximum checks both ends of
-    # [0, p)
-    unsigned = a.view(_UNSIGNED[a.dtype]) if a.dtype in _UNSIGNED else a
-    if unsigned.dtype.kind == "u" and not (a.size and unsigned.max() >= p):
-        return a
-    if a.dtype in (np.int16, np.int32) and a.min() >= p - _LIMIT[a.dtype]:
-        return _reduce_in_place(a.copy(), p)
-    return np.remainder(a, p, dtype=np.int64)
 
 
 # Entries reduced at a time by _reduce_in_place, so that its scratch stays
@@ -199,7 +180,7 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
     arithmetic would still give the right difference.  So this is only for
     the kernel's own intermediates, which stay further from the limits
     (see _pivot_loop, _eliminate, _ints_in_place and BasisSolver),
-    and for input that _reduced has checked."""
+    and for input that residues and _eliminate have checked."""
     if a.size <= _FEW_ENTRIES:
         return np.remainder(a, p, out=a)
     if a.size > _REDUCE_ENTRIES and len(a) > 1:
@@ -214,14 +195,29 @@ def _reduce_in_place(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def residues(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p in one byte per entry, reduced by _reduced one block of
-    _ROW_BLOCK rows at a time, so that no temporary of a large array's size
-    is made."""
+    """a mod p in one byte per entry: a itself when it is a uint8 array of
+    residues, so that residues are only read, and otherwise a new array,
+    reduced one block of _ROW_BLOCK rows at a time, so that no temporary
+    of a large array's size is made.  An object array is reduced by % in
+    Python ints.  An int16 or int32 block whose minimum is at least p above
+    the lower limit of its type is reduced in that type, by
+    _reduce_in_place on a copy: (a // p) * p lies at most p - 1 below a, so
+    it stays inside the type.  Any other block is reduced by np.remainder
+    in int64, which cannot wrap.  A modulus of 2**8 or more is refused with
+    ValueError."""
     _check_modulus(p)
     a = np.asarray(a)
+    if a.dtype == np.uint8 and a.max(initial=0) < p:
+        return a
     out = np.empty(a.shape, dtype=np.uint8)
     for lo in range(0, len(a), _ROW_BLOCK):
-        out[lo : lo + _ROW_BLOCK] = _reduced(a[lo : lo + _ROW_BLOCK], p)
+        block = a[lo : lo + _ROW_BLOCK]
+        if a.dtype == object:
+            out[lo : lo + _ROW_BLOCK] = block % p
+        elif a.dtype in (np.int16, np.int32) and block.min(initial=0) >= p - _LIMIT[a.dtype]:
+            out[lo : lo + _ROW_BLOCK] = _reduce_in_place(block.copy(), p)
+        else:
+            out[lo : lo + _ROW_BLOCK] = np.remainder(block, p, dtype=np.int64)
     return out
 
 
@@ -296,7 +292,7 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     a, b = np.asarray(a), np.asarray(b)
     top_a, top_b = _magnitude(a, p), _magnitude(b, p)
     if top_b is None:
-        b, top_b = _reduced(b, p), p - 1
+        b, top_b = residues(b, p), p - 1
     bound = len(b) * (p - 1 if top_a is None else top_a) * top_b
     dtype = _exact_float(bound)
     # a float32 product, of magnitude below 2**24, is reduced in int32
@@ -308,7 +304,7 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     product = np.empty((step,) + b.shape[1:], dtype=dtype)
     for lo in range(0, len(a), step):
         rows, m = slice(lo, lo + step), min(step, len(a) - lo)
-        cast[:m] = a[rows] if top_a is not None else _reduced(a[rows], p)
+        cast[:m] = a[rows] if top_a is not None else residues(a[rows], p)
         yield rows, _ints_in_place(np.matmul(cast[:m], b, out=product[:m]), p)
 
 
@@ -331,7 +327,7 @@ def fp_product_equals(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> bo
     rows at a time, so that neither the product nor a reduced copy of c is
     ever made whole.  A modulus of 2**8 or more is refused with
     ValueError."""
-    return all(np.array_equal(block, _reduced(c[rows], p)) for rows, block in _row_products(a, b, p))
+    return all(np.array_equal(block, residues(c[rows], p)) for rows, block in _row_products(a, b, p))
 
 
 def int_gram(m: np.ndarray) -> np.ndarray:
@@ -515,20 +511,20 @@ def _eliminate(a: np.ndarray, p: int, reduced_form: bool) -> tuple[np.ndarray, l
     or more is refused with ValueError.
     """
     _check_modulus(p)
-    dtype = _elimination_type(p)
+    dtype = np.dtype(_elimination_type(p))
     a = np.asarray(a)
-    # a signed input narrower than the working type, such as an int16 Gram
-    # at p > 23, is copied once, into that type, and reduced there, far
-    # inside its limits; any other is reduced by _reduced
-    narrow = a.dtype.kind == "i" and a.dtype.itemsize < np.dtype(dtype).itemsize
-    m = _reduce_in_place(a.astype(dtype), p) if narrow else _reduced(a, p)
+    # a signed input no wider than the working type whose minimum lies at
+    # least p above its lower limit, such as an int16 Gram, is copied once,
+    # into that type, and reduced there; any other is read through residues
+    in_type = a.dtype.kind == "i" and a.dtype.itemsize <= dtype.itemsize and a.min(initial=0) >= p - _LIMIT[dtype]
+    m = _reduce_in_place(a.astype(dtype), p) if in_type else residues(a, p)
     rows, cols = m.shape
     if cols <= 2 * _PANEL:
         t = np.array(m.T, dtype=dtype, order="C")
         pivots = _pivot_loop(t, p, cols)[0]
         return np.array(t.T, dtype=np.uint8, order="C"), pivots
-    # residues are passed through; the elimination runs on a copy
-    m = m.astype(dtype, copy=m is a)
+    # the elimination runs on a copy: byte residues are widened into one
+    m = m.astype(dtype, copy=False)
     step = (p - 1) ** 2  # the most one pivot's update moves an entry
     drift = 0  # how far below a residue an entry right of the panel may sit
     pivots: list[int] = []
@@ -669,12 +665,12 @@ class GramQuotient:
         """Complement coordinates of columns, (cols[P] + R_F cols[F]) mod p;
         with no radical, cols[P] alone."""
         reduced_free, free, pivots = self._fields
-        cols = _reduced(cols, self.p)
-        out = cols[pivots].astype(np.int64, copy=False)
-        if len(free):
-            out += fp_matmul(reduced_free, cols[free], self.p)
-            _reduce_in_place(out, self.p)
-        return out
+        cols = residues(cols, self.p)
+        if not len(free):
+            return cols[pivots]
+        # a sum of two residues lies below 2 * p < 2**9, inside int16
+        out = np.add(cols[pivots], fp_matmul(reduced_free, cols[free], self.p), dtype=np.int16)
+        return _reduce_in_place(out, self.p).astype(np.uint8)
 
     def quotient_matrix(self, matrix: np.ndarray, source: GramQuotient | None = None) -> np.ndarray:
         """Matrix induced by a map from the quotient source (this one when
@@ -771,7 +767,7 @@ class BasisSolver:
         for lo in range(0, square.shape[1], self._width):
             w = square[self._order, lo : lo + self._width]
             if p is not None:
-                w = _reduced(w, p).astype(np.int64, copy=False)
+                w = residues(w, p).astype(np.int64)
             for start, end, cols, vals, counts in self._levels:
                 terms = scratch[: len(cols) * w.shape[1]].reshape(len(cols), w.shape[1])  # contiguous:
                 np.take(w, cols, axis=0, out=terms, mode="clip")  # filled in place, without a buffer

@@ -814,7 +814,7 @@ def modular_quotient_trace(p: int, j: int, at: AlexanderTrace) -> int:
     if j > len(at.component_actions):
         return 0
     q = component_quotient(p, j, at.g)
-    return int(np.trace(q.quotient_matrix(at.component_actions[j - 1]))) % p
+    return int(np.trace(q.quotient_matrix(at.component_actions[j - 1]), dtype=np.int64)) % p
 
 
 def cyclotomic_trace_check(p: int, word, g: int, sign: int = 1) -> dict:

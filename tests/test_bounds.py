@@ -5,9 +5,9 @@ numpy does not warn when an integer array wraps, so these bounds, asserted
 in the code and tested here, are what keeps the exact kernels exact.  The
 updates and their bounds, for a modulus p below rings._MODULUS_BOUND:
 
-- rings._reduced: an int16 or int32 array is reduced in its own type as
-  a - (a // p) * p when its minimum is at least p above the type's lower
-  limit, and in int64 otherwise;
+- rings.residues and rings._eliminate: an int16 or int32 array is
+  reduced in its own type as a - (a // p) * p when its minimum is at least
+  p above the type's lower limit, and in int64 otherwise;
 - rings._pivot_loop: width * (p - 1)**2 + p inside int16 or int32;
 - rings._eliminate: the panel updates subtracted since the last
   reduction, plus p, inside int16 or int32;
@@ -75,18 +75,32 @@ def test_every_command_prime_lies_below_the_bound_and_257_is_refused():
             refused()
 
 
-@pytest.mark.parametrize("dtype", [np.int16, np.int32])
-def test_reduced_keeps_its_type_unless_the_minimum_is_within_p_of_the_limit(dtype):
-    p = 251
+@pytest.mark.parametrize("dtype, p", [(np.int16, 23), (np.int32, 251)], ids=["int16", "int32"])
+def test_reduced_keeps_its_type_unless_the_minimum_is_within_p_of_the_limit(monkeypatch, dtype, p):
+    # int16 is the working type of an elimination at p = 23, and int32 at
+    # p = 251: residues reduces in the input's type, and _eliminate copies
+    # it into the working type, exactly when the minimum is at least p
+    # above the type's lower limit; otherwise both take the int64 remainder
+    # of residues
+    assert rings._elimination_type(p) is dtype
     limit = _LIMIT[np.dtype(dtype)]
+    reduce_in_place, read = rings._reduce_in_place, rings.residues
+    in_type, entered = [], []
+    monkeypatch.setattr(rings, "_reduce_in_place", lambda a, p: in_type.append(a.dtype) or reduce_in_place(a, p))
+    monkeypatch.setattr(rings, "residues", lambda a, p: entered.append(a.dtype) or read(a, p))
     for low, kept in ((p - limit, True), (p - limit - 1, False)):
         a = np.array([[low, -1, p], [limit - 1, 2 * p + 3, 0]], dtype=dtype)
-        a = np.tile(a, (300, 1))  # past _FEW_ENTRIES, so floor division runs
-        got = rings._reduced(a, p)
-        assert got.dtype == (np.dtype(dtype) if kept else INT64), low
-        assert got.tolist() == (a.astype(object) % p).tolist()
-    residue = np.array([[0, p - 1]], dtype=dtype)
-    assert rings._reduced(residue, p) is residue  # residues are only read
+        a = np.tile(a, (300, 1))  # past _FEW_ENTRIES, so floor division runs, and two row blocks
+        in_type.clear()
+        got = read(a, p)
+        assert got.dtype == np.uint8 and got.tolist() == (a.astype(object) % p).tolist()
+        assert in_type == ([np.dtype(dtype)] * 2 if kept else []), low
+        entered.clear()
+        form, pivots = fp_rref(a, p)
+        assert entered == ([] if kept else [np.dtype(dtype)]), low
+        want, want_pivots = _rref_python_ints(a, p)
+        assert form.dtype == np.uint8 and pivots == want_pivots and form.tolist() == want.tolist()
+    assert read(got, p) is got  # residues are only read
 
 
 def test_pivot_loop_bound_in_int16_and_int32():

@@ -687,6 +687,60 @@ def test_byte_residues_match_the_int64_remainder():
         assert residues(np.zeros((0, 3), dtype=np.int8), p).shape == (0, 3)
 
 
+def _kernel_readings(dtype, p):
+    """What every mod-p kernel returns for inputs of one integer type: a
+    random matrix, a basis with an upper unitriangular square in rows 0..2
+    and columns in its span, and a Gram with a radical over Z, column 5
+    being column 0 plus column 1 of the matrix it comes from."""
+    from spechtres.extension import form_quotient_data, mu_component_map, mu_induced
+
+    rng = np.random.RandomState(3)
+    a = rng.randint(-100, 100, size=(9, 6))
+    basis = np.vstack([[[1, 2, -1], [0, 1, 3], [0, 0, 1]], rng.randint(-3, 4, size=(4, 3))])
+    columns = basis @ rng.randint(-5, 6, size=(3, 4))
+    m = rng.randint(-1, 2, size=(5, 6))
+    m[:, 5] = m[:, 0] + m[:, 1]
+    gram = m.T @ m
+    lower = np.tril(rng.randint(-3, 4, size=(4, 4)), -1) + np.identity(4, dtype=np.int64)
+    solver = rings.BasisSolver(p, basis.astype(dtype), np.arange(3))
+    q = GramQuotient(gram.astype(dtype), p)
+    _, _, complement, masks = form_quotient_data(p, 3, 3)
+    x = ExteriorVector.monomial(3, masks[complement[0]])
+    return {
+        "residues": residues(a.astype(dtype), p),
+        "fp_matmul": fp_matmul(a.astype(dtype), a.T.astype(dtype), p),
+        "fp_rref": fp_rref(a.astype(dtype), p)[0],
+        "fp_inverse": fp_inverse((lower @ lower.T).astype(dtype), p),
+        "coords": solver.coords(columns.astype(dtype)),
+        "back_substitute": solver.back_substitute(columns[:3].astype(dtype)),
+        "project_columns": q.project_columns(a[:6].astype(dtype)),
+        "quotient_matrix": q.quotient_matrix(gram.astype(dtype)),
+        "mu_component_map": mu_component_map(p, 1, 3, x),
+        "mu_induced": mu_induced(p, 1, 3, x),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, object])
+def test_every_mod_p_kernel_returns_byte_residues(dtype):
+    # one residue format: whatever integer type goes in, every mod-p kernel
+    # returns uint8 residues in [0, p), those of the Python-int input
+    p = 7
+    got, want = _kernel_readings(dtype, p), _kernel_readings(object, p)
+    for name, reading in got.items():
+        assert reading.dtype == np.uint8 and (reading < p).all(), name
+        assert reading.tolist() == want[name].tolist(), name
+    assert got["project_columns"].shape[0] == got["quotient_matrix"].shape[0] < 6  # the radical is not zero
+    assert got["mu_induced"].any()
+    # byte residues are only read; a byte array with an entry of p or more
+    # is reduced into a new one
+    r = got["residues"]
+    assert residues(r, p) is r
+    high = r.copy()
+    high[0, 0] = p
+    reduced = residues(high, p)
+    assert reduced is not high and reduced[0, 0] == 0 and np.array_equal(reduced[1:], r[1:])
+
+
 def test_quotient_matrix_refuses_an_action_that_moves_the_radical():
     # the radical of [[1, 1], [1, 1]] mod 5 is spanned by (4, 1); the
     # diagonal action (1, 2) sends it to (4, 2), outside the radical

@@ -505,7 +505,8 @@ def test_cyclic_generation_of_quotients():
             mats = []
             for tok in toks:
                 full = _component_action([tok], j, g, p=p)
-                mats.append(q.quotient_matrix(full))
+                # widened: a product of two byte arrays is taken in bytes and wraps
+                mats.append(q.quotient_matrix(full).astype(np.int64))
             for _ in range(10):
                 v = np.array([rng.randrange(p) for _ in range(q.quotient_dim)], dtype=np.int64)
                 if not v.any():
