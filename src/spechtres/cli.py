@@ -9,13 +9,11 @@ parse errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -568,6 +566,8 @@ def run_batch(jobs: list[Job], workers: int = 1, seed: int = 0) -> list[Report]:
     regardless of scheduling."""
     if workers <= 1:
         return [run(j, seed) for j in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # loaded here, so a run without a pool never loads it
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda j: run(j, seed), jobs))
 
@@ -596,6 +596,8 @@ def render_json(reports: list[Report]) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # loaded here, so importing cli to run jobs never loads it
+
     ap = argparse.ArgumentParser(prog="spechtres", description=__doc__)
     ap.add_argument("--output", choices=("text", "json"), default="text")
     ap.add_argument("--seed", type=integer, default=0)

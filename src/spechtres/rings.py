@@ -557,16 +557,21 @@ def _eliminate(a: np.ndarray, p: int, reduced_form: bool) -> tuple[np.ndarray, l
 
 
 def _subtract_products(m: np.ndarray, rows: range, cp: list[int], x: np.ndarray, start: int, p: int) -> None:
-    """m[rows, start:] -= m[rows, cp] @ x, unreduced, one block of
-    _ROW_BLOCK rows at a time.  m[rows, cp] and x hold residues; each
-    product is exact in the float type its bound len(cp) * (p - 1)**2
-    picks, and the caller keeps the difference inside m's type."""
+    """m[rows, start:] -= m[rows, cp] @ x, unreduced, in bands of
+    _block_rows rows for _ROW_BLOCK * _PANEL float entries (128 rows once x
+    is 128 columns wide), each band's product cast to m's type through one
+    float and one integer buffer, as in int_gram.  m[rows, cp] and x hold
+    residues; each product is exact in the float type its bound len(cp) *
+    (p - 1)**2 picks, and the caller keeps the difference inside m's type."""
     ftype = _exact_float(len(cp) * (p - 1) ** 2)
     x = x.astype(ftype)
-    for lo in range(rows.start, rows.stop, _ROW_BLOCK):
-        band = slice(lo, min(lo + _ROW_BLOCK, rows.stop))
-        block = m[band, start:]
-        block -= (m[band, cp].astype(ftype) @ x).astype(m.dtype)
+    step = max(1, min(len(rows), _block_rows(x.shape[1], _ROW_BLOCK * _PANEL)))
+    product, ints = np.empty((step, x.shape[1]), dtype=ftype), np.empty((step, x.shape[1]), dtype=m.dtype)
+    for lo in range(rows.start, rows.stop, step):
+        n = min(step, rows.stop - lo)
+        np.matmul(m[lo : lo + n, cp].astype(ftype), x, out=product[:n])
+        ints[:n] = product[:n]
+        m[lo : lo + n, start:] -= ints[:n]
 
 
 def fp_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

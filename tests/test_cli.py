@@ -51,6 +51,23 @@ def test_package_runs_as_module_and_genus_40_dims_pass():
     assert [c["status"] for c in rep["checks"]] == ["pass"] * 3
 
 
+def test_importing_the_cli_loads_neither_the_parser_nor_the_thread_pool():
+    # every job runs in a cold process, so what spechtres.cli imports at
+    # module level every job pays: the argument parser loads in
+    # _build_parser and the thread pool only for more than one worker
+    probe = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import spechtres.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "spechtres.cli" in added
+    assert added & {"argparse", "gettext", "concurrent.futures", "logging", "queue"} == set()
+
+
 
 def test_closed_stdout_exits_one_without_a_traceback():
     read_end, write_end = os.pipe()
