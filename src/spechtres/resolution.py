@@ -190,23 +190,26 @@ def _trace_basis(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
     (GramQuotient.quotient_matrix, AssertionError).  The coordinates are
     released before the Gram is inverted.
 
-    A pivot vector is given by the weight-class positions of its 2^b words
-    (a column in the rows of SpechtModule.words), and the dual basis is Y =
-    B_P G_PP^-1 mod p in uint8 residues, one column per pivot and one row
-    per word, B_P the pivot columns of the basis matrix.  G_PP^-1 is
-    symmetric, so column j of Y is the dual vector y_j of quotient_trace."""
+    The basis is held by its nonzeros and made dense here for two reads
+    only (rings.SignMatrix.dense), each released after: its rows gathered
+    by s and by z, and its pivot columns.  A pivot vector is given by the
+    weight-class positions of its 2^b words (a column in the rows of
+    SpechtModule.words), and the dual basis is Y = B_P G_PP^-1 mod p in
+    uint8 residues, one column per pivot and one row per word, B_P the
+    pivot columns of the basis.  G_PP^-1 is symmetric, so column j of Y is
+    the dual vector y_j of quotient_trace."""
     module = specht_module(tau.n, tau.b)
-    solver, gathers = module.solver(p), module.generator_gathers
-    images = solver.coords(np.hstack([solver.matrix[rows] for rows in gathers])) if gathers else None
+    basis, gathers = module.basis, module.generator_gathers
+    images = module.solver(p).coords(np.hstack([basis.dense(rows) for rows in gathers])) if gathers else None
     q = simple_quotient(p, tau)
     if len(q.free_idx):
-        d = solver.matrix.shape[1]
+        d = basis.shape[1]
         for lo in range(0, images.shape[1], d):
             q.quotient_matrix(images[:, lo : lo + d])
     del images
     pivots = q.pivot_idx
     inverse = fp_inverse(gram_of_diagram(tau)[np.ix_(pivots, pivots)], p)
-    dual = fp_matmul(module.basis[:, pivots], inverse, p)
+    dual = fp_matmul(basis.dense()[:, pivots], inverse, p)
     at = weight_classes(tau.n)[2][module.words[0][:, pivots]]
     return read_only(at), read_only(dual)
 

@@ -30,9 +30,10 @@ FFLAS-FFPACK: the float type follows from k * max|a| * max|b| against its
 mantissa):
 - Products run through BLAS, one block of rows of the left operand at a
   time, and each block's residues are written over its float product.
-  An operand with every entry in (-p, p), such as the signed 0/+-1
-  polytabloid basis, enters as it is, and any other as residues, of
-  magnitude at most p - 1.  The product runs in float32 when every
+  An operand with every entry in (-p, p) enters as it is, and any other
+  as residues, of magnitude at most p - 1.  A left operand of entries 0
+  and +-1, such as the polytabloid basis, may be a SignMatrix, held by its
+  nonzeros, which writes each block of its rows into the float buffer.  The product runs in float32 when every
   partial sum, at most inner * max|a| * max|b|, stays below 2**24 and
   otherwise in float64, where it stays below 2**53 for any inner
   dimension below 10**11.  Every partial sum is then an integer the float
@@ -74,6 +75,7 @@ __all__ = [
     "fp_matmul",
     "fp_product_equals",
     "int_gram",
+    "SignMatrix",
     "fp_rref",
     "fp_rank",
     "fp_inverse",
@@ -221,11 +223,86 @@ def residues(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _magnitude(a: np.ndarray, p: int) -> int | None:
+class SignMatrix:
+    """A matrix with entries 0 and +-1, held by its nonzeros alone, sorted by
+    row and, within a row, by column.  A nonzero is its row-major position
+    row * width + column, in int32 while rows * width fits (int64 past it),
+    and its sign, in int8: five bytes a nonzero.  index and sign are
+    read-only.
+
+    The standard polytabloid basis (specht.SpechtModule.basis) is one, with
+    2^b nonzeros a column: 3.7 % of a column at [7,6] and 1.1 % at [9,7].
+    Products and Grams take it one block of rows at a time, written into a
+    float buffer of their own (fill), and the coordinate solver reads its
+    square off the nonzeros of its rows (entries).  A reader of dense
+    entries builds them on demand (dense); nothing keeps them.
+
+    The constructor takes the nonzeros as row, column and sign arrays, listed
+    so that the columns of each row ascend, column by column for instance.
+    It sorts them by row, stably: on int16 keys, where numpy's stable sort
+    is a radix sort, while the rows fit.  ValueError is raised for a sign
+    other than +-1, a row or column outside shape, a position listed twice,
+    or columns out of order within a row."""
+
+    def __init__(self, shape: tuple[int, int], rows: np.ndarray, columns: np.ndarray, signs: np.ndarray):
+        height, width = self.shape = (int(shape[0]), int(shape[1]))
+        rows, columns, signs = np.asarray(rows), np.asarray(columns), np.asarray(signs)
+        if len(rows) and not (0 <= rows.min() and rows.max() < height and 0 <= columns.min() and columns.max() < width):
+            raise ValueError("sign matrix entries must lie inside its shape")
+        keys = rows.astype(np.int16 if height <= _LIMIT[np.dtype(np.int16)] else np.int64, copy=False)
+        order = np.argsort(keys, kind="stable")
+        index = keys[order].astype(np.int32 if height * width < _LIMIT[np.dtype(np.int32)] else np.int64)
+        index *= width
+        index += columns[order]
+        self.index, self.sign = read_only(index), read_only(signs[order].astype(np.int8))
+        if (index[1:] <= index[:-1]).any() or (np.abs(signs) != 1).any():
+            raise ValueError("sign matrix entries must be distinct, signs +-1, and ascend by column within a row")
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def fill(self, out: np.ndarray, lo: int) -> np.ndarray:
+        """Write rows lo .. lo + len(out) - 1 into the C-contiguous 2-d float
+        array out, and return it: zeros, then each nonzero's sign at its
+        place, in one scatter through the flat view of out.  The places
+        sought in index, and the scatter's places and signs, are cast to
+        the types they meet first, which costs less than numpy's own casts:
+        searchsorted would copy all of index into a common type."""
+        assert out.flags.c_contiguous and out.shape[1] == self.shape[1]
+        width = self.shape[1]
+        start, stop = self.index.searchsorted(np.array([lo * width, (lo + len(out)) * width], dtype=self.index.dtype))
+        out.fill(0)
+        places = np.subtract(self.index[start:stop], lo * width, dtype=np.intp)
+        out.reshape(-1)[places] = self.sign[start:stop].astype(out.dtype)
+        return out
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzeros of the rows `rows`, in that order, each row's left to
+        right: for each, its place i in rows, its column and its sign.  A
+        row outside the matrix has none."""
+        rows, width = np.asarray(rows, dtype=np.intp), self.shape[1]
+        first, stop = self.index.searchsorted((np.stack((rows, rows + 1)) * width).astype(self.index.dtype))
+        counts = stop - first
+        # the k-th nonzero of row rows[i] sits at first[i] + k
+        picks = np.arange(counts.sum()) + np.repeat(first - counts.cumsum() + counts, counts)
+        return np.repeat(np.arange(len(rows)), counts), self.index[picks] % width, self.sign[picks]
+
+    def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The matrix as a new int8 array, or its rows `rows` in that order:
+        the whole matrix is scattered first, and the rows gathered from
+        it."""
+        out = np.zeros(self.shape, dtype=np.int8)
+        out.reshape(-1)[self.index] = self.sign
+        return out if rows is None else out[rows]
+
+
+def _magnitude(a: np.ndarray | SignMatrix, p: int) -> int | None:
     """max|a| when every entry of a lies in (-p, p), so that a may enter a
-    product as it is, signed: the 0/+-1 polytabloid basis reads 1.  None
+    product as it is, signed: a SignMatrix reads 1 without a pass.  None
     for any other array, and for an object array, which are reduced to
     residues first."""
+    if isinstance(a, SignMatrix):
+        return int(len(a.sign) > 0)
     if a.dtype == object:
         return None
     if not a.size:
@@ -243,7 +320,9 @@ def _block_rows(width: int, entries: int) -> int:
     A product's block (its cast and its product) is kept to half the float
     copy of the right operand, so that the workspace adds at most half to
     what the call holds anyway, and a Gram's cast to half its entries, as
-    many bytes as an int16 Gram.  The
+    many bytes as an int16 Gram.  The cast is a block of the left operand
+    cast to float, or for a SignMatrix written from its nonzeros
+    (SignMatrix.fill), into the same buffer and with the same rows.  The
     1716 x 429 by 429 x 572 multiply-back of a resolve at n = 13 takes 128
     rows, and the 12870 x 1430 by 1430 x 3640 one at n = 16 takes 512: on
     one thread of a 2-vCPU Xeon it took 1.6 s in blocks of 512 rows and
@@ -268,28 +347,31 @@ def _ints_in_place(f: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _row_products(a: np.ndarray, b: np.ndarray, p: int):
+def _row_products(a: np.ndarray | SignMatrix, b: np.ndarray, p: int):
     """Yield (rows, a[rows] @ b mod p) for consecutive blocks `rows` of the
-    2-d array a, _block_rows of them each, every product an array of
-    residues: int32 from a float32 product, int64 from a float64 one.
+    2-d array or SignMatrix a, _block_rows of them each, every product an
+    array of residues: int32 from a float32 product, int64 from a float64
+    one.
 
     An operand whose entries all lie in (-p, p) enters the product as it
     is, signed; any other is reduced to residues, whose magnitude is at
-    most p - 1: b once, each block of a when its turn comes.  Every partial
-    sum is then at most inner * max|a| * max|b| in magnitude, the two
-    maxima read off one min/max pass of each operand (_magnitude).  The
-    operands are cast to float32 when that bound stays below 2**24, and to
-    float64 otherwise, where it stays below 2**53 for every inner dimension
-    below 10**11 at p < 2**8 (_exact_float).  Either way every partial sum
-    is an integer that the float type holds exactly, so BLAS summation
-    order, and so its thread count, cannot change the result.  The bound
-    plus p is asserted to lie inside the integer type the product is
-    reduced in.  Every block reuses one buffer for its cast and one for its
-    product, whose residues are written over it (_ints_in_place), so a
-    yielded product is overwritten by the next one.
+    most p - 1: b once, each block of a when its turn comes.  A SignMatrix
+    writes each block of its rows into the cast buffer itself
+    (SignMatrix.fill).  Every partial sum is then at most inner * max|a| *
+    max|b| in magnitude, the two maxima read off one min/max pass of each
+    operand, or 1 for a SignMatrix (_magnitude).  The operands are cast to
+    float32 when that bound stays below 2**24, and to float64 otherwise,
+    where it stays below 2**53 for every inner dimension below 10**11 at p
+    < 2**8 (_exact_float).  Either way every partial sum is an integer
+    that the float type holds exactly, so BLAS summation order, and so its
+    thread count, cannot change the result.  The bound plus p is asserted
+    to lie inside the integer type the product is reduced in.  Every block
+    reuses one buffer for its cast and one for its product, whose residues
+    are written over it (_ints_in_place), so a yielded product is
+    overwritten by the next one.
     """
     _check_modulus(p)
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = a if isinstance(a, SignMatrix) else np.asarray(a), np.asarray(b)
     top_a, top_b = _magnitude(a, p), _magnitude(b, p)
     if top_b is None:
         b, top_b = residues(b, p), p - 1
@@ -304,43 +386,46 @@ def _row_products(a: np.ndarray, b: np.ndarray, p: int):
     product = np.empty((step,) + b.shape[1:], dtype=dtype)
     for lo in range(0, len(a), step):
         rows, m = slice(lo, lo + step), min(step, len(a) - lo)
-        cast[:m] = a[rows] if top_a is not None else residues(a[rows], p)
+        if isinstance(a, SignMatrix):
+            a.fill(cast[:m], lo)
+        else:
+            cast[:m] = a[rows] if top_a is not None else residues(a[rows], p)
         yield rows, _ints_in_place(np.matmul(cast[:m], b, out=product[:m]), p)
 
 
-def fp_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p for a 2-d array a, as a uint8 array of residues,
-    computed one block of rows of a at a time.  Operands with entries in
-    (-p, p), such as the signed 0/+-1 polytabloid basis, are multiplied as
-    they are, others as residues; the product runs in float32 when inner *
-    max|a| * max|b| stays below 2**24 and in float64 otherwise (see
-    _row_products).  A modulus of 2**8 or more is refused with
-    ValueError."""
+def fp_matmul(a: np.ndarray | SignMatrix, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b mod p for a 2-d array or SignMatrix a, as a uint8 array
+    of residues, computed one block of rows of a at a time.  Operands with
+    entries in (-p, p), such as a SignMatrix, are multiplied as they are,
+    others as residues; the product runs in float32 when inner * max|a| *
+    max|b| stays below 2**24 and in float64 otherwise (see _row_products).
+    A modulus of 2**8 or more is refused with ValueError."""
     out = np.empty((len(a),) + np.shape(b)[1:], dtype=np.uint8)
     for rows, block in _row_products(a, b, p):
         out[rows] = block
     return out
 
 
-def fp_product_equals(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> bool:
-    """Whether a @ b = c mod p, for a 2-d array a, compared one block of
-    rows at a time, so that neither the product nor a reduced copy of c is
-    ever made whole.  A modulus of 2**8 or more is refused with
+def fp_product_equals(a: np.ndarray | SignMatrix, b: np.ndarray, c: np.ndarray, p: int) -> bool:
+    """Whether a @ b = c mod p, for a 2-d array or SignMatrix a, compared one
+    block of rows at a time, so that neither the product nor a reduced copy
+    of c is ever made whole.  A modulus of 2**8 or more is refused with
     ValueError."""
     return all(np.array_equal(block, residues(c[rows], p)) for rows, block in _row_products(a, b, p))
 
 
-def int_gram(m: np.ndarray) -> np.ndarray:
-    """Exact integer Gram matrix m.T @ m of an integer matrix: int16 when
-    its bound is below 2**15, and int32 otherwise.
+def int_gram(m: np.ndarray | SignMatrix) -> np.ndarray:
+    """Exact integer Gram matrix m.T @ m of an integer matrix or a
+    SignMatrix: int16 when its bound is below 2**15, and int32 otherwise.
 
-    Every partial sum is bounded by rows * max|entry|**2.  The product runs
-    through float32 BLAS, one block of rows cast at a time, which is exact
-    while that bound is below 2**24, so summation order cannot change the
-    result.  A bound of 2**24 or more is refused with OverflowError rather
-    than rounded; the 0/+-1 polytabloid and component matrices meet it
-    below 2**24 rows.  The Specht Grams a command takes have at most
-    C(16, 8) = 12870 rows of 0/+-1 entries, so they are int16.
+    Every partial sum is bounded by rows * max|entry|**2, max|entry| 1 for
+    a SignMatrix.  The product runs through float32 BLAS, one block of rows
+    cast at a time, or written by SignMatrix.fill, which is exact while
+    that bound is below 2**24, so summation order cannot change the result.
+    A bound of 2**24 or more is refused with OverflowError rather than
+    rounded; the 0/+-1 polytabloid and component matrices meet it below
+    2**24 rows.  The Specht Grams a command takes have at most C(16, 8) =
+    12870 rows of 0/+-1 entries, so they are int16.
 
     Only the upper triangle is multiplied, in column tiles of even width,
     at most _ROW_BLOCK: each block's product with the tile of columns
@@ -352,9 +437,12 @@ def int_gram(m: np.ndarray) -> np.ndarray:
     8008 x 3640 basis of [10, 6] took 0.8-0.9 instead of 1.3-1.5 s on one
     thread of a 2-vCPU Xeon, and every smaller Gram was on par.
     """
-    m = np.asarray(m)
-    top = max(-int(m.min()), int(m.max())) if m.size else 0
-    bound = m.shape[0] * top * top
+    if isinstance(m, SignMatrix):
+        top = 1 if len(m.sign) else 0  # every nonzero is +-1
+    else:
+        m = np.asarray(m)
+        top = max(-int(m.min()), int(m.max())) if m.size else 0
+    bound = len(m) * top * top
     if bound >= _FLOAT32_EXACT:
         raise OverflowError("Gram matrix entries may reach 2**24, the float32 limit of exact integers")
     d = m.shape[1]
@@ -367,7 +455,10 @@ def int_gram(m: np.ndarray) -> np.ndarray:
     product, ints = np.empty((d, width), dtype=np.float32), np.empty((d, width), dtype=gram.dtype)
     for lo in range(0, len(m), step):
         rows = min(step, len(m) - lo)
-        cast[:rows] = m[lo : lo + rows]
+        if isinstance(m, SignMatrix):
+            m.fill(cast[:rows], lo)
+        else:
+            cast[:rows] = m[lo : lo + rows]
         for c0, c1 in tiles:
             np.matmul(cast[:rows, :c1].T, cast[:rows, c0:c1], out=product[:c1, : c1 - c0])
             ints[:c1, : c1 - c0] = product[:c1, : c1 - c0]
@@ -701,9 +792,11 @@ class BasisSolver:
 
     matrix holds the basis vectors as columns, and rows picks a square of
     it that is upper unitriangular over the ring, or ValueError is raised.
-    Mod p an int8 matrix of entries 0 and +-1, such as the polytabloid
-    basis (specht.basis_matrix), is kept as it is given, signed, and
-    read-only; any other is reduced to byte residues (residues).
+    A SignMatrix, such as the polytabloid basis (specht.SpechtModule.basis),
+    is kept as it is mod p, and its square's nonzeros are read off its
+    entries (SignMatrix.entries), with no dense square; over Z it is made
+    dense, in Python ints.  Any other matrix is reduced to byte residues mod
+    p (residues).  The matrix kept is read-only.
     Coordinates are solved by back-substitution through the square, in
     int64 mod p, one level at a time: a row with no entry right of the
     diagonal has level 0, any other row one more than the deepest row it
@@ -719,23 +812,26 @@ class BasisSolver:
     have more than r entries.  All arrays here are read-only.
     """
 
-    def __init__(self, p: int | None, matrix: np.ndarray, rows: np.ndarray):
+    def __init__(self, p: int | None, matrix: np.ndarray | SignMatrix, rows: np.ndarray):
         self.p = p
-        matrix = np.asarray(matrix, dtype=object if p is None else None)
         if p is not None:
             _check_modulus(p)
-            # entries in (-2, 2) are 0 and +-1
-            if not (matrix.dtype == np.int8 and _magnitude(matrix, 2) is not None):
-                matrix = residues(matrix, p)
-        self.matrix = matrix = read_only(matrix)
         self.rows = read_only(rows)
-        square = matrix[rows]
-        d = len(square)
-        i, j = np.nonzero(square)  # row by row, left to right
+        if isinstance(matrix, SignMatrix):
+            i, j, vals = matrix.entries(rows)  # row by row, left to right
+            if p is None:
+                matrix = read_only(matrix.dense().astype(object))
+        else:
+            matrix = read_only(np.asarray(matrix, dtype=object) if p is None else residues(matrix, p))
+            square = matrix[rows]
+            i, j = np.nonzero(square)  # row by row, left to right
+            vals = square[i, j]
+        self.matrix = matrix
+        d = len(rows)
         on = i == j
-        if square.shape != (d, d) or on.sum() != d or (square[i[on], j[on]] != 1).any() or (j < i).any():
+        if matrix.shape[1] != d or on.sum() != d or (vals[on] != 1).any() or (j < i).any():
             raise ValueError("basis square is not upper unitriangular")
-        i, j = i[~on], j[~on]
+        i, j, vals = i[~on], j[~on], vals[~on]
         count = np.bincount(i, minlength=d)
         # residues below p times entries of magnitude below p, summed over a
         # row's entries, stay inside int64
@@ -749,7 +845,7 @@ class BasisSolver:
         rank = np.arange(len(i)) - (np.cumsum(count) - count)[i]  # of each entry in its row
         e = np.lexsort((position[i], rank, level[i]))
         i, j, rank = i[e], j[e], rank[e]
-        vals = square[i, j].astype(object if p is None else np.int64)[:, None]
+        vals = vals[e].astype(object if p is None else np.int64)[:, None]
         top = np.arange(1, level.max(initial=0) + 2)
         ends, cuts = np.searchsorted(level[self._order], top), np.searchsorted(level[i], top)
         self._levels = tuple(

@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .rings import BasisSolver, int_gram, read_only, residues
+from .rings import BasisSolver, SignMatrix, int_gram, read_only, residues
 
 # Bound here only for perfbench's tracer tests, which wrap these two in
 # this module's namespace.
@@ -181,7 +181,12 @@ def specht_basis(n: int, c: int) -> list[TensorVector]:
 class SpechtModule:
     """S^(n-b, b) in the permutation module on b-subsets of 1..n (James, LNM
     682, sections 4 and 14): weight class b of the sign words, its arrays
-    built on first use.  Past b = n/2 the word table has no columns."""
+    built on first use.  Past b = n/2 the word table has no columns.  The
+    basis is held by its nonzeros, built from the word table: products,
+    Grams and the mod-p solver read it in that form, and the few readers of
+    dense entries (basis_matrix, the images and pivot columns of
+    resolution._trace_basis, permutation_matrix_on_basis and the exact
+    solver over Z) build them on demand, so no dense basis is cached."""
 
     def __init__(self, n: int, b: int):
         self.n, self.b = n, b
@@ -212,18 +217,20 @@ class SpechtModule:
         return read_only(words), read_only(odd), read_only(np.int64(1) << tops[:, b:])
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """Integer matrix of standard polytabloids in weight-class
-        coordinates: one column per basis vector, rows ordered by word mask.
-        Its entries are 0 and +-1, held as int8.  Read-only.
+    def basis(self) -> SignMatrix:
+        """The standard polytabloids in weight-class coordinates: one column
+        per basis vector, rows ordered by word mask, entries 0 and +-1, held
+        by their nonzeros (rings.SignMatrix), 2^b a column.
 
         The 2^b words of a polytabloid are its tabloid word plus the swap
         changes of a subset of its columns, with sign (-1)^|subset|; the
-        words are distinct, so each entry is set once."""
+        words are distinct, so no entry is listed twice.  They are listed
+        column by column, as the matrix takes them."""
         words, odd, _ = self.words
-        out = np.zeros((len(weight_class_array(self.n, self.b)), words.shape[1]), dtype=np.int8)
-        out[weight_classes(self.n)[2][words], np.arange(out.shape[1])] = np.array([1, -1], dtype=np.int8)[odd, None]
-        return read_only(out)
+        rows = weight_classes(self.n)[2][words.T]  # one row of positions per column
+        d, k = rows.shape
+        signs = np.broadcast_to(np.array([1, -1], dtype=np.int8)[odd], (d, k))
+        return SignMatrix((len(weight_class_array(self.n, self.b)), d), rows.ravel(), np.arange(d).repeat(k), signs.ravel())
 
     @cached_property
     def generator_gathers(self) -> tuple[np.ndarray, ...]:
@@ -267,8 +274,10 @@ specht_module = lru_cache(maxsize=None)(SpechtModule)
 
 
 def basis_matrix(n: int, c: int) -> np.ndarray:
-    """specht_module(n, b).basis for the diagram of weight c on n letters."""
-    return specht_module(n, Diagram2.from_weight(n, c).b).basis
+    """The standard polytabloid basis of weight c on n letters as a dense
+    int8 matrix, built anew from specht_module(n, b).basis on each call:
+    for tests, since no command reads the basis dense."""
+    return specht_module(n, Diagram2.from_weight(n, c).b).basis.dense()
 
 
 def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
@@ -387,7 +396,7 @@ def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
     whose multiply-back proves that each lies in the span, or raises
     ValueError."""
     module = specht_module(n, Diagram2.from_weight(n, c).b)
-    return module.solver(p).coords(module.basis[sn_gather(sigma, n, module.b)])
+    return module.solver(p).coords(module.basis.dense(sn_gather(sigma, n, module.b)))
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:

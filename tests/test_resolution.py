@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spechtres import resolution
 from spechtres.dims import d_dim
 from spechtres.factors import composition_factors, make_context, simple_dim
 from spechtres.rings import fp_matmul, fp_rank, fp_rref, is_prime
@@ -35,6 +36,38 @@ def test_e_power_map_examples():
         e_power_map(3, 4, 3, 1)  # weight divisible by p
     with pytest.raises(ValueError):
         e_power_map(3, 4, 5, 1)  # power does not match the weight mod p
+
+
+def test_e_power_map_refuses_a_power_past_p_and_a_weight_past_n_by_name():
+    # 4 = 10 mod 3 matches the weight but lies past p - 1; were it taken,
+    # 4! = 0 mod 3 would give an all-zero 42 x 1 map
+    with pytest.raises(ValueError, match="power 4 must lie in 1..p-1"):
+        e_power_map(3, 9, 10, 4)
+    # every other clause holds: only the weight lies past n + 1 = 5
+    with pytest.raises(ValueError, match=r"weight 6 exceeds n\+1=5"):
+        e_power_map(5, 4, 6, 1)
+
+
+def test_the_last_composition_is_checked(monkeypatch):
+    # one wrong entry in the last of three maps, in a column where the map
+    # before it has a nonzero row, so that only the last product is nonzero
+    p, n, k = 3, 10, 1
+    last = len(complex_weights(p, n, k)[1])
+    real, made = resolution.e_power_map, []
+
+    def planted(*args):
+        made.append(real(*args))
+        if len(made) == last:
+            col = int(np.flatnonzero(made[-2].any(axis=1))[0])
+            made[-1] = made[-1].copy()
+            made[-1][0, col] = (int(made[-1][0, col]) + 1) % p
+        return made[-1]
+
+    assert last == 3
+    monkeypatch.setattr(resolution, "e_power_map", planted)
+    with pytest.raises(AssertionError, match="do not compose to zero"):
+        build_complex(p, n, k)
+    assert not fp_matmul(made[1], made[0], p).any()
 
 
 def test_e_power_maps_are_nonzero():

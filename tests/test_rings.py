@@ -12,6 +12,7 @@ from spechtres.rings import (
     _ROW_BLOCK,
     CyclotomicElem,
     LaurentInt,
+    SignMatrix,
     SparseVector,
     cyclotomic_eval,
     GramQuotient,
@@ -358,6 +359,90 @@ def test_int_gram_is_exact_on_every_route():
     for m in (big, big.astype(np.int32), np.full((4, 2), 2**31, dtype=np.int64), np.full((5, 30), 2047)):
         with pytest.raises(OverflowError):
             int_gram(m)
+
+
+def _sign_matrix(dense):
+    """The SignMatrix of a dense 0/+-1 array, its nonzeros listed column by
+    column."""
+    j, i = np.nonzero(dense.T)
+    return SignMatrix(dense.shape, i, j, dense[i, j])
+
+
+def _random_signs(rng, rows, cols, density):
+    return (rng.random_sample((rows, cols)) < density) * rng.choice([-1, 1], size=(rows, cols)).astype(np.int8)
+
+
+def test_sign_matrix_holds_five_read_only_bytes_a_nonzero():
+    rng = np.random.RandomState(2)
+    for shape in ((0, 0), (3, 0), (1, 1), (40, 7), (300, 120)):
+        dense = _random_signs(rng, *shape, 0.1)
+        m = _sign_matrix(dense)
+        assert m.shape == shape and len(m) == shape[0]
+        assert np.array_equal(m.dense(), dense) and m.dense().dtype == np.int8
+        assert len(m.index) == len(m.sign) == np.count_nonzero(dense)
+        assert m.index.itemsize + m.sign.itemsize <= 5
+        for a in (m.index, m.sign):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    # past 2**31 positions the index widens to int64
+    assert SignMatrix((2**16, 2**15), [2**16 - 1], [2**15 - 1], [1]).index.tolist() == [2**31 - 1]
+
+
+def test_sign_matrix_refuses_entries_it_cannot_hold():
+    for rows, columns, signs in (
+        ([0, 3], [0, 0], [1, 1]),  # a row outside the shape
+        ([0, 1], [0, 2], [1, 1]),  # a column outside it
+        ([-1], [0], [1]),
+        ([1, 1], [0, 0], [1, -1]),  # one place twice
+        ([1, 1], [1, 0], [1, 1]),  # columns falling within a row
+        ([0], [0], [2]),
+        ([0], [0], [0]),
+    ):
+        with pytest.raises(ValueError):
+            SignMatrix((3, 2), np.array(rows), np.array(columns), np.array(signs))
+
+
+def test_sign_matrix_rows_and_entries_are_those_of_the_dense_array():
+    rng = np.random.RandomState(4)
+    dense = _random_signs(rng, 70, 30, 0.2)
+    dense[5] = 0  # an empty row
+    m = _sign_matrix(dense)
+    for rows in (np.arange(70), rng.permutation(70), np.array([5, 5, 0, 69, 3]), np.array([], dtype=np.intp)):
+        assert np.array_equal(m.dense(rows), dense[rows])
+        i, j, signs = m.entries(rows)
+        assert [i.tolist(), j.tolist()] == [a.tolist() for a in np.nonzero(dense[rows])]
+        assert np.array_equal(signs, dense[rows][i, j])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 300), st.integers(1, 40), st.data())
+def test_sign_matrix_fills_every_block_of_rows(seed, rows, cols, data):
+    rng = np.random.RandomState(seed)
+    dense = _random_signs(rng, rows, cols, 0.15)
+    m = _sign_matrix(dense)
+    lo = data.draw(st.integers(0, rows - 1))
+    height = data.draw(st.integers(1, rows - lo))
+    # the buffer is stale, as a reused block buffer is
+    out = np.full((height, cols), 7, dtype=data.draw(st.sampled_from([np.float32, np.float64])))
+    assert m.fill(out, lo) is out
+    assert np.array_equal(out, dense[lo : lo + height])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 211])
+def test_kernels_give_the_same_results_from_a_sign_matrix_and_its_dense_array(p):
+    rng = np.random.RandomState(p)
+    # 1100 rows take several row blocks in every kernel
+    for rows, cols, width in ((1100, 90, 70), (17, 5, 3), (0, 4, 2)):
+        dense = _random_signs(rng, rows, cols, 0.05)
+        m = _sign_matrix(dense)
+        b = rng.randint(0, p, size=(cols, width)).astype(np.uint8)
+        product = fp_matmul(dense, b, p)
+        assert np.array_equal(fp_matmul(m, b, p), product)
+        assert rings.fp_product_equals(m, b, product, p)
+        if rows:
+            product[-1, -1] = (int(product[-1, -1]) + 1) % p  # wrong in the last block only
+            assert not rings.fp_product_equals(m, b, product, p)
+        assert np.array_equal(int_gram(m), int_gram(dense)) and int_gram(m).dtype == int_gram(dense).dtype
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8])

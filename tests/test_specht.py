@@ -3,9 +3,10 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spechtres.dims import catalan
-from spechtres.rings import _block_rows, fp_rref, residues
+from spechtres.rings import _block_rows, fp_matmul, fp_product_equals, fp_rref, int_gram, residues
 from spechtres import rings, specht
 from spechtres.specht import (
     BasisSolver,
@@ -389,9 +390,11 @@ def test_cached_arrays_are_read_only():
         *specht_module(6, 2).generator_gathers,
         *specht_module(6, 2).adjacent_gathers,
         *weight_classes(6),
-        basis_matrix(6, 3),
+        specht_module(6, 2).basis.index,
+        specht_module(6, 2).basis.sign,
         gram_of_diagram(Diagram2(4, 2)),
-        *(a for s in solvers for a in (s.matrix, s.rows, s._order)),
+        solvers[1].matrix,
+        *(a for s in solvers for a in (s.rows, s._order)),
         *(a for s in solvers for level in s._levels for a in level[2:4]),
         component.matrix,
         *(a for _, rows, signs in component.blocks for a in (rows, signs)),
@@ -401,10 +404,11 @@ def test_cached_arrays_are_read_only():
             a[0] = 0
         with pytest.raises(ValueError):
             a += 1
-    # the 0/+-1 basis is held in int8, and a mod-p solver keeps it, with no
-    # copy; its coordinates are residues in one byte
-    assert basis_matrix(6, 3).dtype == np.int8
-    assert solvers[0].matrix is basis_matrix(6, 3)
+    # the 0/+-1 basis is held by its nonzeros, and a mod-p solver keeps it,
+    # with no copy; its coordinates are residues in one byte
+    module = specht_module(6, 2)
+    assert solvers[0].matrix is module.basis
+    assert np.array_equal(basis_matrix(6, 3), module.basis.dense()) and basis_matrix(6, 3).dtype == np.int8
     assert solvers[1].matrix.dtype == object
     x = solvers[0].back_substitute(basis_matrix(6, 3)[solvers[0].rows])
     assert x.dtype == np.uint8 and np.array_equal(x, np.eye(x.shape[1]))
@@ -418,7 +422,8 @@ def test_one_module_holds_each_weight_class():
             b = Diagram2.from_weight(n, c).b
             module = specht_module(n, b)
             assert module is specht_module(n, b)
-            assert basis_matrix(n, c) is module.basis
+            assert module.solver(5).matrix is module.basis
+            assert np.array_equal(basis_matrix(n, c), module.basis.dense())
             for p in (5, None):
                 assert basis_solver(p, n, c) is module.solver(p)
             for gathers in (module.generator_gathers, module.adjacent_gathers):
@@ -431,7 +436,52 @@ def test_one_module_holds_each_weight_class():
     assert sorted(caches) == ["gram_of_diagram", "specht_module"]
     # a solver is held by its module, so it cannot outlive a cleared cache
     specht_module.cache_clear()
-    assert basis_solver(5, 6, 3).matrix is basis_matrix(6, 3)
+    assert basis_solver(5, 6, 3).matrix is specht_module(6, 2).basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_basis_row_blocks_are_slices_of_the_dense_basis(data):
+    n = data.draw(st.integers(0, 12))
+    b = data.draw(st.integers(0, n // 2))
+    basis = specht_module(n, b).basis
+    dense = basis_matrix(n, n + 1 - 2 * b)
+    lo = data.draw(st.integers(0, len(basis) - 1))
+    height = data.draw(st.integers(1, len(basis) - lo))
+    out = np.full((height, basis.shape[1]), -3, dtype=np.float32)
+    assert np.array_equal(basis.fill(out, lo), dense[lo : lo + height])
+
+
+def test_kernels_read_the_basis_as_its_dense_matrix():
+    rng = np.random.RandomState(8)
+    for n, b in ((7, 3), (10, 4), (12, 5)):
+        basis, dense = specht_module(n, b).basis, basis_matrix(n, n + 1 - 2 * b)
+        assert np.array_equal(int_gram(basis), int_gram(dense))
+        for p in (3, 5, 7, 211):
+            x = rng.randint(0, p, size=(basis.shape[1], 9)).astype(np.uint8)
+            product = fp_matmul(dense, x, p)
+            assert np.array_equal(fp_matmul(basis, x, p), product)
+            assert fp_product_equals(basis, x, product, p)
+
+
+def test_a_solver_of_the_dense_basis_is_the_solver_of_its_nonzeros():
+    rng = np.random.RandomState(9)
+    for n, b in ((1, 0), (6, 3), (9, 4), (12, 5)):
+        module = specht_module(n, b)
+        dense, rows = basis_matrix(n, n + 1 - 2 * b), module.solver(5).rows
+        for p in (3, 5, 7, 211, None):
+            ours, theirs = module.solver(p), BasisSolver(p, dense, rows)
+            assert np.array_equal(ours.rows, theirs.rows) and np.array_equal(ours._order, theirs._order)
+            assert len(ours._levels) == len(theirs._levels)
+            for mine, other in zip(ours._levels, theirs._levels):
+                # the dense basis enters as residues mod p, so -1 reads p - 1
+                assert mine[:2] == other[:2] and np.array_equal(mine[2], other[2]) and mine[4] == other[4]
+                assert np.array_equal(mine[3] if p is None else mine[3] % p, other[3])
+            x = rng.randint(0, p or 50, size=(dense.shape[1], 4))
+            columns = dense.astype(object) @ x
+            assert np.array_equal(ours.coords(columns), theirs.coords(columns))
+    with pytest.raises(ValueError, match="too large"):
+        BasisSolver(257, specht_module(4, 1).basis, specht_module(4, 1).solver(5).rows)
 
 
 def _unitriangular(rng, d, low, high, dtype=np.int64):
