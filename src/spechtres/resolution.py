@@ -190,17 +190,17 @@ def _trace_basis(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
     (GramQuotient.quotient_matrix, AssertionError).  The coordinates are
     released before the Gram is inverted.
 
-    The basis is held by its nonzeros and made dense here for two reads
-    only (rings.SignMatrix.dense), each released after: its rows gathered
-    by s and by z, and its pivot columns.  A pivot vector is given by the
-    weight-class positions of its 2^b words (a column in the rows of
-    SpechtModule.words), and the dual basis is Y = B_P G_PP^-1 mod p in
+    The basis is held by its nonzeros and read dense here twice, by row
+    indexing (rings.SignMatrix), each read released after: its rows
+    gathered by s and by z, and its pivot columns.  A pivot vector is given
+    by the weight-class positions of its 2^b words (a column in the rows
+    of SpechtModule.words), and the dual basis is Y = B_P G_PP^-1 mod p in
     uint8 residues, one column per pivot and one row per word, B_P the
     pivot columns of the basis.  G_PP^-1 is symmetric, so column j of Y is
     the dual vector y_j of quotient_trace."""
     module = specht_module(tau.n, tau.b)
     basis, gathers = module.basis, module.generator_gathers
-    images = module.solver(p).coords(np.hstack([basis.dense(rows) for rows in gathers])) if gathers else None
+    images = module.solver(p).coords(np.hstack([basis[rows] for rows in gathers])) if gathers else None
     q = simple_quotient(p, tau)
     if len(q.free_idx):
         d = basis.shape[1]
@@ -209,7 +209,7 @@ def _trace_basis(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
     del images
     pivots = q.pivot_idx
     inverse = fp_inverse(gram_of_diagram(tau)[np.ix_(pivots, pivots)], p)
-    dual = fp_matmul(basis.dense()[:, pivots], inverse, p)
+    dual = fp_matmul(basis[:][:, pivots], inverse, p)
     at = weight_classes(tau.n)[2][module.words[0][:, pivots]]
     return read_only(at), read_only(dual)
 

@@ -33,11 +33,12 @@ mantissa):
   An operand with every entry in (-p, p) enters as it is, and any other
   as residues, of magnitude at most p - 1.  A left operand of entries 0
   and +-1, such as the polytabloid basis, may be a SignMatrix, held by its
-  nonzeros, which writes each block of its rows into the float buffer.  The product runs in float32 when every
-  partial sum, at most inner * max|a| * max|b|, stays below 2**24 and
-  otherwise in float64, where it stays below 2**53 for any inner
-  dimension below 10**11.  Every partial sum is then an integer the float
-  type holds exactly, so summation order cannot change a result.
+  nonzeros, whose blocks of rows are read by slicing, as an int8 array's
+  are.  The product runs in float32 when every partial sum, at most
+  inner * max|a| * max|b|, stays below 2**24 and otherwise in float64,
+  where it stays below 2**53 for any inner dimension below 10**11.  Every
+  partial sum is then an integer the float type holds exactly, so
+  summation order cannot change a result.
 - Gram matrices of integer matrices are summed from float32 products of
   blocks of rows, over the upper triangle, into int16 when their bound,
   rows * max|entry|**2, is below 2**15, and into int32 otherwise; a bound
@@ -232,10 +233,10 @@ class SignMatrix:
 
     The standard polytabloid basis (specht.SpechtModule.basis) is one, with
     2^b nonzeros a column: 3.7 % of a column at [7,6] and 1.1 % at [9,7].
-    Products and Grams take it one block of rows at a time, written into a
-    float buffer of their own (fill), and the coordinate solver reads its
-    square off the nonzeros of its rows (entries).  A reader of dense
-    entries builds them on demand (dense); nothing keeps them.
+    It is read like the dense int8 array it stands for, by row indexing
+    (m[lo:hi] or m[rows]): the rows asked for are written from their
+    nonzeros into a new int8 array, which nothing keeps.  The coordinate
+    solver reads its square's nonzeros alone (entries).
 
     The constructor takes the nonzeros as row, column and sign arrays, listed
     so that the columns of each row ascend, column by column for instance.
@@ -261,39 +262,43 @@ class SignMatrix:
     def __len__(self) -> int:
         return self.shape[0]
 
-    def fill(self, out: np.ndarray, lo: int) -> np.ndarray:
-        """Write rows lo .. lo + len(out) - 1 into the C-contiguous 2-d float
-        array out, and return it: zeros, then each nonzero's sign at its
-        place, in one scatter through the flat view of out.  The places
-        sought in index, and the scatter's places and signs, are cast to
-        the types they meet first, which costs less than numpy's own casts:
-        searchsorted would copy all of index into a common type."""
-        assert out.flags.c_contiguous and out.shape[1] == self.shape[1]
-        width = self.shape[1]
-        start, stop = self.index.searchsorted(np.array([lo * width, (lo + len(out)) * width], dtype=self.index.dtype))
-        out.fill(0)
-        places = np.subtract(self.index[start:stop], lo * width, dtype=np.intp)
-        out.reshape(-1)[places] = self.sign[start:stop].astype(out.dtype)
+    def __getitem__(self, rows: slice | np.ndarray) -> np.ndarray:
+        """The rows `rows`, a slice of step 1 or an array of rows in that
+        order, as a new int8 array written from their nonzeros alone: a
+        slice's are one run of index, found by two searchsorted calls and
+        written by one scatter through the flat view of the result, and an
+        array's are read through entries.  ValueError is raised for any
+        other step, and IndexError for a row outside the matrix."""
+        height, width = self.shape
+        if not isinstance(rows, slice):
+            i, j, signs = self.entries(rows)
+            out = np.zeros((len(rows), width), dtype=np.int8)
+            out[i, j] = signs
+            return out
+        lo, hi, step = rows.indices(height)
+        if step != 1:
+            raise ValueError("a sign matrix is read by slices of step 1")
+        out = np.zeros((max(0, hi - lo), width), dtype=np.int8)
+        # keys and places are cast to the types they meet: searchsorted
+        # would otherwise copy all of index into a common type
+        start, stop = self.index.searchsorted(np.array([lo * width, hi * width], dtype=self.index.dtype))
+        out.reshape(-1)[np.subtract(self.index[start:stop], lo * width, dtype=np.intp)] = self.sign[start:stop]
         return out
 
     def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of the rows `rows`, in that order, each row's left to
         right: for each, its place i in rows, its column and its sign.  A
-        row outside the matrix has none."""
-        rows, width = np.asarray(rows, dtype=np.intp), self.shape[1]
+        row outside [0, height) is refused with IndexError, so that every
+        key sought fits index's type."""
+        rows, (height, width) = np.asarray(rows, dtype=np.intp), self.shape
+        outside = (rows < 0) | (rows >= height)
+        if outside.any():
+            raise IndexError(f"row {rows[outside][0]} is outside a sign matrix of {height} rows")
         first, stop = self.index.searchsorted((np.stack((rows, rows + 1)) * width).astype(self.index.dtype))
         counts = stop - first
         # the k-th nonzero of row rows[i] sits at first[i] + k
         picks = np.arange(counts.sum()) + np.repeat(first - counts.cumsum() + counts, counts)
         return np.repeat(np.arange(len(rows)), counts), self.index[picks] % width, self.sign[picks]
-
-    def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The matrix as a new int8 array, or its rows `rows` in that order:
-        the whole matrix is scattered first, and the rows gathered from
-        it."""
-        out = np.zeros(self.shape, dtype=np.int8)
-        out.reshape(-1)[self.index] = self.sign
-        return out if rows is None else out[rows]
 
 
 def _magnitude(a: np.ndarray | SignMatrix, p: int) -> int | None:
@@ -320,13 +325,12 @@ def _block_rows(width: int, entries: int) -> int:
     A product's block (its cast and its product) is kept to half the float
     copy of the right operand, so that the workspace adds at most half to
     what the call holds anyway, and a Gram's cast to half its entries, as
-    many bytes as an int16 Gram.  The cast is a block of the left operand
-    cast to float, or for a SignMatrix written from its nonzeros
-    (SignMatrix.fill), into the same buffer and with the same rows.  The
-    1716 x 429 by 429 x 572 multiply-back of a resolve at n = 13 takes 128
-    rows, and the 12870 x 1430 by 1430 x 3640 one at n = 16 takes 512: on
-    one thread of a 2-vCPU Xeon it took 1.6 s in blocks of 512 rows and
-    2.1 s in blocks of 256."""
+    many bytes as an int16 Gram.  The cast is a block of the left operand,
+    a SignMatrix's read by slicing, cast to float.  The 1716 x 429 by
+    429 x 572 multiply-back of a resolve at n = 13 takes 128 rows, and the
+    12870 x 1430 by 1430 x 3640 one at n = 16 takes 512: on one thread of a
+    2-vCPU Xeon it took 1.6 s in blocks of 512 rows and 2.1 s in blocks of
+    256."""
     return min(_ROW_BLOCK, max(_ROW_BLOCK // 4, entries // max(1, width)))
 
 
@@ -355,20 +359,20 @@ def _row_products(a: np.ndarray | SignMatrix, b: np.ndarray, p: int):
 
     An operand whose entries all lie in (-p, p) enters the product as it
     is, signed; any other is reduced to residues, whose magnitude is at
-    most p - 1: b once, each block of a when its turn comes.  A SignMatrix
-    writes each block of its rows into the cast buffer itself
-    (SignMatrix.fill).  Every partial sum is then at most inner * max|a| *
-    max|b| in magnitude, the two maxima read off one min/max pass of each
-    operand, or 1 for a SignMatrix (_magnitude).  The operands are cast to
-    float32 when that bound stays below 2**24, and to float64 otherwise,
-    where it stays below 2**53 for every inner dimension below 10**11 at p
-    < 2**8 (_exact_float).  Either way every partial sum is an integer
-    that the float type holds exactly, so BLAS summation order, and so its
-    thread count, cannot change the result.  The bound plus p is asserted
-    to lie inside the integer type the product is reduced in.  Every block
-    reuses one buffer for its cast and one for its product, whose residues
-    are written over it (_ints_in_place), so a yielded product is
-    overwritten by the next one.
+    most p - 1: b once, each block of a when its turn comes.  Every block
+    of a is read as a[rows], a SignMatrix's included.  Every partial sum
+    is then at most inner * max|a| * max|b| in magnitude, the two maxima
+    read off one min/max pass of each operand, or 1 for a SignMatrix
+    (_magnitude).  The operands are cast to float32 when that bound stays
+    below 2**24, and to float64 otherwise, where it stays below 2**53 for
+    every inner dimension below 10**11 at p < 2**8 (_exact_float).  Either
+    way every partial sum is an integer that the float type holds exactly,
+    so BLAS summation order, and so its thread count, cannot change the
+    result.  The bound plus p is asserted to lie inside the integer type
+    the product is reduced in.  Every block reuses one buffer for its cast
+    and one for its product, whose residues are written over it
+    (_ints_in_place), so a yielded product is overwritten by the next
+    one.
     """
     _check_modulus(p)
     a, b = a if isinstance(a, SignMatrix) else np.asarray(a), np.asarray(b)
@@ -386,10 +390,7 @@ def _row_products(a: np.ndarray | SignMatrix, b: np.ndarray, p: int):
     product = np.empty((step,) + b.shape[1:], dtype=dtype)
     for lo in range(0, len(a), step):
         rows, m = slice(lo, lo + step), min(step, len(a) - lo)
-        if isinstance(a, SignMatrix):
-            a.fill(cast[:m], lo)
-        else:
-            cast[:m] = a[rows] if top_a is not None else residues(a[rows], p)
+        cast[:m] = a[rows] if top_a is not None else residues(a[rows], p)
         yield rows, _ints_in_place(np.matmul(cast[:m], b, out=product[:m]), p)
 
 
@@ -420,8 +421,8 @@ def int_gram(m: np.ndarray | SignMatrix) -> np.ndarray:
 
     Every partial sum is bounded by rows * max|entry|**2, max|entry| 1 for
     a SignMatrix.  The product runs through float32 BLAS, one block of rows
-    cast at a time, or written by SignMatrix.fill, which is exact while
-    that bound is below 2**24, so summation order cannot change the result.
+    m[lo:hi] cast at a time, which is exact while that bound is below
+    2**24, so summation order cannot change the result.
     A bound of 2**24 or more is refused with OverflowError rather than
     rounded; the 0/+-1 polytabloid and component matrices meet it below
     2**24 rows.  The Specht Grams a command takes have at most C(16, 8) =
@@ -455,10 +456,7 @@ def int_gram(m: np.ndarray | SignMatrix) -> np.ndarray:
     product, ints = np.empty((d, width), dtype=np.float32), np.empty((d, width), dtype=gram.dtype)
     for lo in range(0, len(m), step):
         rows = min(step, len(m) - lo)
-        if isinstance(m, SignMatrix):
-            m.fill(cast[:rows], lo)
-        else:
-            cast[:rows] = m[lo : lo + rows]
+        cast[:rows] = m[lo : lo + rows]
         for c0, c1 in tiles:
             np.matmul(cast[:rows, :c1].T, cast[:rows, c0:c1], out=product[:c1, : c1 - c0])
             ints[:c1, : c1 - c0] = product[:c1, : c1 - c0]
@@ -794,9 +792,9 @@ class BasisSolver:
     it that is upper unitriangular over the ring, or ValueError is raised.
     A SignMatrix, such as the polytabloid basis (specht.SpechtModule.basis),
     is kept as it is mod p, and its square's nonzeros are read off its
-    entries (SignMatrix.entries), with no dense square; over Z it is made
-    dense, in Python ints.  Any other matrix is reduced to byte residues mod
-    p (residues).  The matrix kept is read-only.
+    entries (SignMatrix.entries), with no dense square; over Z it is read
+    whole (matrix[:]) into Python ints.  Any other matrix is reduced to
+    byte residues mod p (residues).  The matrix kept is read-only.
     Coordinates are solved by back-substitution through the square, in
     int64 mod p, one level at a time: a row with no entry right of the
     diagonal has level 0, any other row one more than the deepest row it
@@ -820,7 +818,7 @@ class BasisSolver:
         if isinstance(matrix, SignMatrix):
             i, j, vals = matrix.entries(rows)  # row by row, left to right
             if p is None:
-                matrix = read_only(matrix.dense().astype(object))
+                matrix = read_only(matrix[:].astype(object))
         else:
             matrix = read_only(np.asarray(matrix, dtype=object) if p is None else residues(matrix, p))
             square = matrix[rows]

@@ -182,11 +182,11 @@ class SpechtModule:
     """S^(n-b, b) in the permutation module on b-subsets of 1..n (James, LNM
     682, sections 4 and 14): weight class b of the sign words, its arrays
     built on first use.  Past b = n/2 the word table has no columns.  The
-    basis is held by its nonzeros, built from the word table: products,
-    Grams and the mod-p solver read it in that form, and the few readers of
-    dense entries (basis_matrix, the images and pivot columns of
-    resolution._trace_basis, permutation_matrix_on_basis and the exact
-    solver over Z) build them on demand, so no dense basis is cached."""
+    basis is held by its nonzeros, built from the word table, and every
+    reader indexes the rows it needs (basis[lo:hi], basis[rows] or
+    basis[:]) as from a dense int8 array, or reads the solver's square off
+    their nonzeros (rings.SignMatrix.entries), so no dense basis is
+    cached."""
 
     def __init__(self, n: int, b: int):
         self.n, self.b = n, b
@@ -220,7 +220,8 @@ class SpechtModule:
     def basis(self) -> SignMatrix:
         """The standard polytabloids in weight-class coordinates: one column
         per basis vector, rows ordered by word mask, entries 0 and +-1, held
-        by their nonzeros (rings.SignMatrix), 2^b a column.
+        by their nonzeros (rings.SignMatrix), 2^b a column, and read by row
+        indexing like a dense int8 array.
 
         The 2^b words of a polytabloid are its tabloid word plus the swap
         changes of a subset of its columns, with sign (-1)^|subset|; the
@@ -275,9 +276,9 @@ specht_module = lru_cache(maxsize=None)(SpechtModule)
 
 def basis_matrix(n: int, c: int) -> np.ndarray:
     """The standard polytabloid basis of weight c on n letters as a dense
-    int8 matrix, built anew from specht_module(n, b).basis on each call:
-    for tests, since no command reads the basis dense."""
-    return specht_module(n, Diagram2.from_weight(n, c).b).basis.dense()
+    int8 matrix, read anew from specht_module(n, b).basis (basis[:]) on
+    each call: for tests, since no command calls it."""
+    return specht_module(n, Diagram2.from_weight(n, c).b).basis[:]
 
 
 def raised_basis_matrix(n: int, c: int, c0: int, p: int) -> np.ndarray:
@@ -396,7 +397,7 @@ def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
     whose multiply-back proves that each lies in the span, or raises
     ValueError."""
     module = specht_module(n, Diagram2.from_weight(n, c).b)
-    return module.solver(p).coords(module.basis.dense(sn_gather(sigma, n, module.b)))
+    return module.solver(p).coords(module.basis[sn_gather(sigma, n, module.b)])
 
 
 def ordinary_character(tau: Diagram2, sigma) -> int:

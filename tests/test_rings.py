@@ -378,7 +378,7 @@ def test_sign_matrix_holds_five_read_only_bytes_a_nonzero():
         dense = _random_signs(rng, *shape, 0.1)
         m = _sign_matrix(dense)
         assert m.shape == shape and len(m) == shape[0]
-        assert np.array_equal(m.dense(), dense) and m.dense().dtype == np.int8
+        assert np.array_equal(m[:], dense) and m[:].dtype == np.int8
         assert len(m.index) == len(m.sign) == np.count_nonzero(dense)
         assert m.index.itemsize + m.sign.itemsize <= 5
         for a in (m.index, m.sign):
@@ -408,24 +408,44 @@ def test_sign_matrix_rows_and_entries_are_those_of_the_dense_array():
     dense[5] = 0  # an empty row
     m = _sign_matrix(dense)
     for rows in (np.arange(70), rng.permutation(70), np.array([5, 5, 0, 69, 3]), np.array([], dtype=np.intp)):
-        assert np.array_equal(m.dense(rows), dense[rows])
+        assert np.array_equal(m[rows], dense[rows]) and m[rows].dtype == np.int8
         i, j, signs = m.entries(rows)
         assert [i.tolist(), j.tolist()] == [a.tolist() for a in np.nonzero(dense[rows])]
         assert np.array_equal(signs, dense[rows][i, j])
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(1, 300), st.integers(1, 40), st.data())
-def test_sign_matrix_fills_every_block_of_rows(seed, rows, cols, data):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(0, 300), st.integers(0, 40), st.data())
+def test_sign_matrix_reads_every_slice_and_row_array_as_its_dense_array(seed, rows, cols, data):
     rng = np.random.RandomState(seed)
     dense = _random_signs(rng, rows, cols, 0.15)
     m = _sign_matrix(dense)
-    lo = data.draw(st.integers(0, rows - 1))
-    height = data.draw(st.integers(1, rows - lo))
-    # the buffer is stale, as a reused block buffer is
-    out = np.full((height, cols), 7, dtype=data.draw(st.sampled_from([np.float32, np.float64])))
-    assert m.fill(out, lo) is out
-    assert np.array_equal(out, dense[lo : lo + height])
+    # bounds past either end, and negative ones, as a slice of an array takes them
+    bound = st.none() | st.integers(-rows - 5, rows + 5)
+    lo, hi = data.draw(bound), data.draw(bound)
+    block = m[lo:hi]
+    assert block.dtype == np.int8 and np.array_equal(block, dense[lo:hi])
+    assert np.array_equal(m[slice(lo, hi, 1)], dense[lo:hi])
+    # unordered, repeated or empty rows
+    picks = np.array(data.draw(st.lists(st.integers(0, max(0, rows - 1)), max_size=2 * rows)), dtype=np.intp)
+    assert np.array_equal(m[picks], dense[picks]) and m[picks].shape == (len(picks), cols)
+    for step in (2, -1):
+        with pytest.raises(ValueError, match="step 1"):
+            m[lo:hi:step]
+
+
+def test_sign_matrix_refuses_a_row_outside_it_by_name():
+    # a row past the int32 wrap of rows * width once aliased a real row:
+    # 4096 * 2**20 = 2**32 read row 0, and 2047 raised a numpy error
+    m = SignMatrix((3, 2**20), [0, 1, 2], [5, 6, 7], [1, -1, 1])
+    for row in (-1, 3, 2047, 4096):
+        with pytest.raises(IndexError, match=f"row {row} "):
+            m.entries(np.array([0, row]))
+        with pytest.raises(IndexError, match=f"row {row} "):
+            m[np.array([row])]
+    i, j, signs = m.entries(np.array([2, 0]))
+    assert [i.tolist(), j.tolist(), signs.tolist()] == [[0, 1], [7, 5], [1, 1]]
+    assert np.array_equal(np.nonzero(m[np.array([1])]), [[0], [6]]) and np.array_equal(np.nonzero(m[5:]), [[], []])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 211])

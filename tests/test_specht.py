@@ -408,7 +408,7 @@ def test_cached_arrays_are_read_only():
     # with no copy; its coordinates are residues in one byte
     module = specht_module(6, 2)
     assert solvers[0].matrix is module.basis
-    assert np.array_equal(basis_matrix(6, 3), module.basis.dense()) and basis_matrix(6, 3).dtype == np.int8
+    assert np.array_equal(basis_matrix(6, 3), module.basis[:]) and basis_matrix(6, 3).dtype == np.int8
     assert solvers[1].matrix.dtype == object
     x = solvers[0].back_substitute(basis_matrix(6, 3)[solvers[0].rows])
     assert x.dtype == np.uint8 and np.array_equal(x, np.eye(x.shape[1]))
@@ -423,7 +423,8 @@ def test_one_module_holds_each_weight_class():
             module = specht_module(n, b)
             assert module is specht_module(n, b)
             assert module.solver(5).matrix is module.basis
-            assert np.array_equal(basis_matrix(n, c), module.basis.dense())
+            # the slice and the row-array reads agree
+            assert np.array_equal(basis_matrix(n, c), module.basis[np.arange(len(module.basis))])
             for p in (5, None):
                 assert basis_solver(p, n, c) is module.solver(p)
             for gathers in (module.generator_gathers, module.adjacent_gathers):
@@ -448,8 +449,8 @@ def test_basis_row_blocks_are_slices_of_the_dense_basis(data):
     dense = basis_matrix(n, n + 1 - 2 * b)
     lo = data.draw(st.integers(0, len(basis) - 1))
     height = data.draw(st.integers(1, len(basis) - lo))
-    out = np.full((height, basis.shape[1]), -3, dtype=np.float32)
-    assert np.array_equal(basis.fill(out, lo), dense[lo : lo + height])
+    block = basis[lo : lo + height]
+    assert block.dtype == np.int8 and np.array_equal(block, dense[lo : lo + height])
 
 
 def test_kernels_read_the_basis_as_its_dense_matrix():
