@@ -23,8 +23,10 @@ from .specht import (
     diagram_weights,
     gram_of_diagram,
     ordinary_character,
+    permutation_matrix_on_basis,
     raised_basis_matrix,
     sn_gather,
+    sn_generators,
     specht_module,
 )
 from .tensor import weight_classes
@@ -180,36 +182,33 @@ def _trace_basis(p: int, tau: Diagram2) -> tuple[np.ndarray, np.ndarray]:
     the radical of simple_quotient(p, tau), into themselves, or raise; then
     return the pivot basis vectors and their dual basis, read-only.
 
-    The images of the basis under s and z (SpechtModule.generator_gathers)
-    are solved side by side in one BasisSolver.coords, whose multiply-back
-    refuses an image outside the span (ValueError).  A permutation that
-    maps a finite span into itself maps it onto itself, so its inverse does
-    too, and sn_gather composes every sigma's gather from these two.
-    Permuting words preserves the form, so the radical is invariant too;
-    each generator's block of the same coordinates checks it all the same
-    (GramQuotient.quotient_matrix, AssertionError).  The coordinates are
-    released before the Gram is inverted.
+    Each generator, s and then z (sn_generators), has its matrix on the
+    basis read by permutation_matrix_on_basis, whose multiply-back refuses
+    an image outside the span (ValueError).  A permutation that maps a
+    finite span into itself maps it onto itself, so its inverse does too,
+    and sn_gather composes every sigma's gather from these two.  Permuting
+    words preserves the form, so the radical is invariant too; the same
+    matrix checks it all the same (GramQuotient.quotient_matrix,
+    AssertionError).  Each generator's matrix is released before the next
+    is read, and the last before the Gram is inverted.
 
-    The basis is held by its nonzeros and read dense here twice, by row
-    indexing (rings.SignMatrix), each read released after: its rows
-    gathered by s and by z, and its pivot columns.  A pivot vector is given
-    by the weight-class positions of its 2^b words (a column in the rows
-    of SpechtModule.words), and the dual basis is Y = B_P G_PP^-1 mod p in
-    uint8 residues, one column per pivot and one row per word, B_P the
-    pivot columns of the basis.  G_PP^-1 is symmetric, so column j of Y is
+    The basis is held by its nonzeros and read dense by row indexing
+    (rings.SignMatrix), each read released after: its rows gathered by
+    each generator (in permutation_matrix_on_basis), and here its pivot
+    columns.  A pivot vector is given by the weight-class positions of its
+    2^b words (a column in the rows of SpechtModule.words), and the dual
+    basis is Y = B_P G_PP^-1 mod p in uint8 residues, one column per pivot
+    and one row per word, B_P the pivot columns of the basis.  G_PP^-1 is symmetric, so column j of Y is
     the dual vector y_j of quotient_trace."""
-    module = specht_module(tau.n, tau.b)
-    basis, gathers = module.basis, module.generator_gathers
-    images = module.solver(p).coords(np.hstack([basis[rows] for rows in gathers])) if gathers else None
     q = simple_quotient(p, tau)
-    if len(q.free_idx):
-        d = basis.shape[1]
-        for lo in range(0, images.shape[1], d):
-            q.quotient_matrix(images[:, lo : lo + d])
-    del images
-    pivots = q.pivot_idx
+    for sigma in sn_generators(tau.n):
+        images = permutation_matrix_on_basis(tau.n, tau.c, sigma, p)
+        if len(q.free_idx):
+            q.quotient_matrix(images)
+        del images
+    module, pivots = specht_module(tau.n, tau.b), q.pivot_idx
     inverse = fp_inverse(gram_of_diagram(tau)[np.ix_(pivots, pivots)], p)
-    dual = fp_matmul(basis[:][:, pivots], inverse, p)
+    dual = fp_matmul(module.basis[:][:, pivots], inverse, p)
     at = weight_classes(tau.n)[2][module.words[0][:, pivots]]
     return read_only(at), read_only(dual)
 

@@ -241,13 +241,16 @@ class SignMatrix:
     The constructor takes the nonzeros as row, column and sign arrays, listed
     so that the columns of each row ascend, column by column for instance.
     It sorts them by row, stably: on int16 keys, where numpy's stable sort
-    is a radix sort, while the rows fit.  ValueError is raised for a sign
-    other than +-1, a row or column outside shape, a position listed twice,
-    or columns out of order within a row."""
+    is a radix sort, while the rows fit.  ValueError is raised for arrays of
+    different lengths, a sign other than +-1, a row or column outside
+    shape, a position listed twice, or columns out of order within a row."""
 
     def __init__(self, shape: tuple[int, int], rows: np.ndarray, columns: np.ndarray, signs: np.ndarray):
         height, width = self.shape = (int(shape[0]), int(shape[1]))
         rows, columns, signs = np.asarray(rows), np.asarray(columns), np.asarray(signs)
+        if not len(rows) == len(columns) == len(signs):
+            lengths = f"{len(rows)}, {len(columns)} and {len(signs)}"
+            raise ValueError(f"sign matrix nonzeros need as many rows, columns and signs, not {lengths}")
         if len(rows) and not (0 <= rows.min() and rows.max() < height and 0 <= columns.min() and columns.max() < width):
             raise ValueError("sign matrix entries must lie inside its shape")
         keys = rows.astype(np.int16 if height <= _LIMIT[np.dtype(np.int16)] else np.int64, copy=False)
@@ -268,7 +271,8 @@ class SignMatrix:
         slice's are one run of index, found by two searchsorted calls and
         written by one scatter through the flat view of the result, and an
         array's are read through entries.  ValueError is raised for any
-        other step, and IndexError for a row outside the matrix."""
+        other step, and IndexError for a row outside the matrix or an array
+        that is not of integers, such as a boolean mask."""
         height, width = self.shape
         if not isinstance(rows, slice):
             i, j, signs = self.entries(rows)
@@ -289,8 +293,12 @@ class SignMatrix:
         """The nonzeros of the rows `rows`, in that order, each row's left to
         right: for each, its place i in rows, its column and its sign.  A
         row outside [0, height) is refused with IndexError, so that every
-        key sought fits index's type."""
-        rows, (height, width) = np.asarray(rows, dtype=np.intp), self.shape
+        key sought fits index's type, and so are rows not of an integer
+        type: a boolean mask would be read as rows 0 and 1."""
+        rows, (height, width) = np.asarray(rows), self.shape
+        if rows.dtype.kind not in "iu":
+            raise IndexError(f"sign matrix rows are read by an integer array, not one of {rows.dtype}")
+        rows = rows.astype(np.intp, copy=False)
         outside = (rows < 0) | (rows >= height)
         if outside.any():
             raise IndexError(f"row {rows[outside][0]} is outside a sign matrix of {height} rows")

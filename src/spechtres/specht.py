@@ -186,7 +186,9 @@ class SpechtModule:
     reader indexes the rows it needs (basis[lo:hi], basis[rows] or
     basis[:]) as from a dense int8 array, or reads the solver's square off
     their nonzeros (rings.SignMatrix.entries), so no dense basis is
-    cached."""
+    cached.  Of the S_n action it holds the gathers of the adjacent
+    transpositions alone, from which sn_gather composes every
+    permutation's; the gathers of s and z are built for them, not kept."""
 
     def __init__(self, n: int, b: int):
         self.n, self.b = n, b
@@ -234,24 +236,18 @@ class SpechtModule:
         return SignMatrix((len(weight_class_array(self.n, self.b)), d), rows.ravel(), np.arange(d).repeat(k), signs.ravel())
 
     @cached_property
-    def generator_gathers(self) -> tuple[np.ndarray, ...]:
-        """perm_action_rows of sn_generators(n) on the weight class,
-        read-only: the only gathers that every other permutation's gather
-        is composed from."""
-        return tuple(read_only(perm_action_rows(g, self.n, self.b)) for g in sn_generators(self.n))
-
-    @cached_property
     def adjacent_gathers(self) -> tuple[np.ndarray, ...]:
-        """Read-only gathers of t_i = (i i+1), i = 1..n-1, from those of s
-        and z alone: t_1 = s and t_(i+1) = z t_i z^-1.  The gather of a
-        product is rows_(x y) = rows_y[rows_x], and that of z^-1 is the
-        inverse permutation of z's, so t_(i+1) gathers by z_inv[t_i[z]]."""
-        gathers = self.generator_gathers
+        """Read-only gathers of t_i = (i i+1), i = 1..n-1, from those of
+        sn_generators(n) alone (perm_action_rows): t_1 = s and t_(i+1) =
+        z t_i z^-1.  The gather of a product is rows_(x y) = rows_y[rows_x],
+        and that of z^-1 is the inverse permutation of z's, so t_(i+1)
+        gathers by z_inv[t_i[z]]."""
+        gathers = [perm_action_rows(g, self.n, self.b) for g in sn_generators(self.n)]
         if not gathers:
             return ()
         s, z = gathers[0], gathers[-1]
         z_inv = np.argsort(z)
-        t = [s]
+        t = [read_only(s)]
         for _ in range(self.n - 2):
             t.append(read_only(z_inv[t[-1][z]]))
         return tuple(t)
@@ -391,7 +387,8 @@ def sn_gather(sigma, n: int, b: int) -> np.ndarray:
 def permutation_matrix_on_basis(n: int, c: int, sigma, p: int) -> np.ndarray:
     """Matrix mod p of the plain position permutation on the standard
     basis: column j holds the coordinates of sigma's image of basis vector
-    j, as uint8 residues.
+    j, as uint8 residues.  The one statement of a permutation's matrix on
+    the basis: resolution._trace_basis reads those of s and z from it.
 
     The images are gathered by sn_gather and solved by BasisSolver.coords,
     whose multiply-back proves that each lies in the span, or raises

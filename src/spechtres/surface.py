@@ -357,7 +357,7 @@ def _apply_derivation(images, v: ExteriorVector) -> ExteriorVector:
         for bit in set_bits(mask):
             rest = mask ^ bit
             # sign of extracting the generator to the front
-            front_sign = -1 if (mask & (bit - 1)).bit_count() % 2 else 1
+            front_sign = _merge_sign(bit, rest)
             for tgt, tc in images[bit.bit_length() - 1].items():
                 sw = wedge_monomials(1 << tgt, rest)
                 if sw is not None:
@@ -438,26 +438,14 @@ def _upsilon_monomial(lam, word_mask: int, g: int) -> tuple[int, int]:
     """Monomial (mask, sign) of the image of a basis word: the signed
     generators of the nonzero weight entries in index order, wedged with
     the paired generators at the plus slots."""
-    seq = []
-    for i, x in enumerate(lam):
-        if x == 1:
-            seq.append(i)
-        elif x == -1:
-            seq.append(g + i)
-    zeros = zero_set(lam)
-    for slot, j in enumerate(zeros):
-        if word_mask >> slot & 1:
-            seq.append(j - 1)
-            seq.append(g + j - 1)
-    sign = 1
-    mask = 0
-    for idx in seq:
-        bit = 1 << idx
-        if mask & bit:
+    parts = [1 << (i if x == 1 else g + i) for i, x in enumerate(lam) if x]
+    parts += [(1 << (j - 1)) | (1 << (g + j - 1)) for slot, j in enumerate(zero_set(lam)) if word_mask >> slot & 1]
+    mask, sign = 0, 1
+    for part in parts:
+        sw = wedge_monomials(mask, part)
+        if sw is None:
             raise AssertionError("repeated generator in weight monomial")
-        if (mask >> (idx + 1)).bit_count() % 2:
-            sign = -sign
-        mask |= bit
+        sign, mask = sign * sw[0], sw[1]
     return mask, sign
 
 

@@ -403,7 +403,7 @@ def test_quotient_trace_solves_multiplies_and_projects_nothing_per_permutation(m
 
 @pytest.fixture
 def cold_proofs():
-    """Clear the cached Specht modules, with their generator gathers, and
+    """Clear the cached Specht modules, with their adjacent gathers, and
     the invariance proofs before and after a test that patches what they
     are built from."""
     from spechtres import resolution, specht
@@ -449,14 +449,15 @@ def test_a_generator_action_that_moves_the_radical_is_refused(monkeypatch, cold_
     assert len(q.free_idx)
     moving = np.identity(len(q.free_idx) + len(q.pivot_idx), dtype=np.int64)
     moving[q.pivot_idx[0], q.free_idx[0]] = 1
-    # s and z side by side, as the span proof solves them
-    monkeypatch.setattr(specht.BasisSolver, "coords", lambda self, columns: np.hstack([moving, moving]))
+    # each generator's coordinates, as the span proof solves them one at a time
+    monkeypatch.setattr(specht.BasisSolver, "coords", lambda self, columns: moving)
     with pytest.raises(AssertionError, match="radical"):
         quotient_trace(p, tau, tuple(range(1, tau.n + 1)))
 
 
 def test_a_cold_trace_solves_the_generators_once(monkeypatch, cold_proofs):
-    # one back-substitution serves the span proof and the radical proof
+    # one back-substitution a generator serves its span proof and its
+    # radical proof
     from spechtres import specht
 
     p, tau = 5, Diagram2(5, 3)  # a radical of 7 of 28 dimensions
@@ -465,4 +466,4 @@ def test_a_cold_trace_solves_the_generators_once(monkeypatch, cold_proofs):
     real = specht.BasisSolver.back_substitute
     monkeypatch.setattr(specht.BasisSolver, "back_substitute", lambda self, square: calls.append(square.shape) or real(self, square))
     quotient_trace(p, tau, tuple(range(1, tau.n + 1)))
-    assert calls == [(28, 56)]
+    assert calls == [(28, 28), (28, 28)]

@@ -402,6 +402,26 @@ def test_sign_matrix_refuses_entries_it_cannot_hold():
             SignMatrix((3, 2), np.array(rows), np.array(columns), np.array(signs))
 
 
+def test_sign_matrix_refuses_nonzero_arrays_of_different_lengths():
+    # the nonzeros were once built from rows alone: here one, and then none,
+    # with the column 5 outside the shape never checked
+    for rows, columns, signs in (([0], [0, 1], [1, 1, 1]), ([], [5], [1])):
+        lengths = f"{len(rows)}, {len(columns)} and {len(signs)}"
+        with pytest.raises(ValueError, match=lengths):
+            SignMatrix((2, 2), rows, columns, signs)
+
+
+def test_sign_matrix_refuses_a_boolean_row_array():
+    # a mask was once read as the rows 1, 0, 1, where the dense array it
+    # stands for reads rows 0 and 2
+    m = _sign_matrix(np.array([[1, 0], [0, -1], [-1, 1]], dtype=np.int8))
+    mask = np.array([True, False, True])
+    for read in (m.__getitem__, m.entries):
+        with pytest.raises(IndexError, match="bool"):
+            read(mask)
+    assert np.array_equal(m[np.flatnonzero(mask)], [[1, 0], [-1, 1]])
+
+
 def test_sign_matrix_rows_and_entries_are_those_of_the_dense_array():
     rng = np.random.RandomState(4)
     dense = _random_signs(rng, 70, 30, 0.2)

@@ -387,7 +387,6 @@ def test_cached_arrays_are_read_only():
     component = lefschetz_basis(2, 3)
     cached = [
         *specht_module(6, 2).words,
-        *specht_module(6, 2).generator_gathers,
         *specht_module(6, 2).adjacent_gathers,
         *weight_classes(6),
         specht_module(6, 2).basis.index,
@@ -427,8 +426,7 @@ def test_one_module_holds_each_weight_class():
             assert np.array_equal(basis_matrix(n, c), module.basis[np.arange(len(module.basis))])
             for p in (5, None):
                 assert basis_solver(p, n, c) is module.solver(p)
-            for gathers in (module.generator_gathers, module.adjacent_gathers):
-                assert all(not rows.flags.writeable for rows in gathers)
+            assert all(not rows.flags.writeable for rows in module.adjacent_gathers)
     caches = [
         name
         for name, value in vars(specht).items()
